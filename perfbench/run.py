@@ -1,14 +1,15 @@
 """ergm-lab benchmark: run a workload, check its outputs, print its metrics.
 
 Each workload runs in fresh single-threaded processes, one after another:
-several set-up-only processes, whose median gives setup_s, then one process
-that runs the workload's job list in passes. The last line of standard
+set-up-only processes (nine at full size, one at tiny size), then one
+process that runs the workload's job list in passes; setup_s is the median
+set-up time of all of them. The last line of standard
 output is one JSON object with keys correct, attempted, failed and metrics.
 With --trace 0 the metrics are the end-to-end metrics; with --trace 1 the
 passes alternate untraced and traced and the metrics are the per-layer
 numbers of the traced passes.
 
-    python3 perfbench/run.py --workload chains --seed 1 --seconds 16 --trace 0
+    python3 perfbench/run.py --workload chains --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py                    # every workload, untraced
 
 Run it from the root of the repository; it needs the package source in src/.
@@ -30,6 +31,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 WORKLOADS = ("chains", "landscape", "exact")
 DEADLINE_S = 170.0
+SETUPS = {"full": 9, "tiny": 1}  # set-up-only processes per run
 
 
 def child_env() -> dict:
@@ -56,7 +58,7 @@ def run_worker(args, extra: list[str], deadline: float) -> tuple[dict, float]:
 
 
 def tail_percentile(n: int) -> int:
-    """Highest integer percentile with at least 10 of n jobs above its rank."""
+    """Highest integer percentile with at least 10 of n samples above its rank."""
     for p in range(99, 49, -1):
         if n - math.ceil(p * n / 100) >= 10:
             return p
@@ -68,11 +70,12 @@ def percentile(values: list[float], p: int) -> float:
     return ordered[max(0, math.ceil(p * len(ordered) / 100) - 1)]
 
 
-def best_latencies(report: dict, traced: bool) -> dict[str, float]:
+def fastest_runs(report: dict, traced: bool) -> dict[str, float]:
     """Each job's fastest latency over the untraced (or traced) passes.
 
-    Every pass repeats the same jobs on the same inputs, so the fastest
-    repeat is the estimate least disturbed by other load on the machine.
+    Every pass repeats the same jobs on the same inputs. The host this was
+    built on switches between fast and slow spells; the fastest run of a
+    job sits at the fast floor, while its median run flips between the two.
     """
     best: dict[str, float] = {}
     for p in report["passes"]:
@@ -85,23 +88,22 @@ def best_latencies(report: dict, traced: bool) -> dict[str, float]:
 def summarize(report: dict, setups: list[float]):
     """End-to-end metrics of the untraced passes, plus the report lines."""
     meta = report["meta"]
-    passes = sum(not p["traced"] for p in report["passes"])
-    best = best_latencies(report, traced=False)
-    # each job counts once per pass, so the tail rule sees every job run
-    latencies = [t for t in best.values() for _ in range(passes)]
-    n_jobs = len(latencies)
-    tail_p = tail_percentile(n_jobs)
+    untraced = [p for p in report["passes"] if not p["traced"]]
+    best = fastest_runs(report, traced=False)
+    # the tail reads every untraced job run, each a genuine sample
+    runs = [latency for p in untraced for _, latency, _ in p["jobs"]]
+    tail_p = tail_percentile(len(runs))
     metrics = {
         "setup_s": statistics.median(setups),
         "wall_s": sum(best.values()),
-        "job_p50_s": percentile(latencies, 50),
-        "job_tail_s": percentile(latencies, tail_p),
+        "job_p50_s": percentile(list(best.values()), 50),
+        "job_tail_s": percentile(runs, tail_p),
         "peak_rss_mb": report["peak_rss_mb"],
     }
     attempted = sum(len(p["jobs"]) for p in report["passes"])
     failures = [(r[0], r[2]) for p in report["passes"] for r in p["jobs"] if r[2] is not None]
     unexpected = [(name, msg) for name, msg in failures
-                  if not (meta[name]["defect"] and msg.startswith(tuple(report["known_defects"][meta[name]["defect"]])))]
+                  if not (meta[name]["defect"] and msg.startswith(meta[name]["defect"][1]))]
 
     def rate(key):
         pairs = [(meta[name][key], t) for name, t in best.items() if meta[name][key]]
@@ -111,10 +113,10 @@ def summarize(report: dict, setups: list[float]):
 
     lines = [
         f"setup_s            {metrics['setup_s']:.6g} s  (median of {len(setups)} set-ups)",
-        f"wall_s             {metrics['wall_s']:.6g} s  ({len(best)} jobs, each at its best of {passes} passes)",
-        f"job_p50_s          {metrics['job_p50_s']:.6g} s  (p50 of {n_jobs} jobs)",
-        f"job_tail_s         {metrics['job_tail_s']:.6g} s  (p{tail_p} of {n_jobs} jobs; "
-        f"{n_jobs - math.ceil(tail_p * n_jobs / 100)} beyond it)",
+        f"wall_s             {metrics['wall_s']:.6g} s  ({len(best)} jobs, each at its fastest of {len(untraced)} runs)",
+        f"job_p50_s          {metrics['job_p50_s']:.6g} s  (p50 of {len(best)} jobs, each at its fastest of {len(untraced)} runs)",
+        f"job_tail_s         {metrics['job_tail_s']:.6g} s  (p{tail_p} of {len(runs)} job runs, {len(best)} jobs x "
+        f"{len(untraced)} passes; {len(runs) - math.ceil(tail_p * len(runs) / 100)} beyond it)",
         f"peak_rss_mb        {metrics['peak_rss_mb']:.6g} MB  (workload process)",
         f"fail_ratio         {len(failures) / attempted:.6g}  ({len(failures)} of {attempted} jobs; "
         f"{len(unexpected)} outside the known defects)",
@@ -127,14 +129,14 @@ def summarize(report: dict, setups: list[float]):
 def layer_report(report: dict) -> dict:
     """Layer numbers of the traced passes; a layer a workload never calls reads 0."""
     layers = defaultdict(float, report["layers"])
-    traced = sum(best_latencies(report, traced=True).values())
-    layers["trace.overhead_ratio"] = traced / sum(best_latencies(report, traced=False).values())
+    traced = sum(fastest_runs(report, traced=True).values())
+    layers["trace.overhead_ratio"] = traced / sum(fastest_runs(report, traced=False).values())
     return layers
 
 
 def run_workload(args, spec: dict, deadline: float) -> dict:
     setups = []
-    for _ in range(args.setups):
+    for _ in range(SETUPS[args.size]):
         data, started = run_worker(args, ["--setup-only"], deadline)
         setups.append(data["ready"] - started)
     report, started = run_worker(
@@ -150,7 +152,8 @@ def run_workload(args, spec: dict, deadline: float) -> dict:
     if report["references_checked"]:
         print("   default seed: integer trace columns compared with perfbench/references.json")
     for (name, msg), count in Counter(failures).items():
-        tag = "known defect" if (name, msg) not in unexpected else "NEW DEFECT"
+        defect = report["meta"][name]["defect"]
+        tag = f"known defect {defect[0]}" if (name, msg) not in unexpected else "NEW DEFECT"
         print(f"   failed {count}x [{tag}] {name}: {msg}")
     out_metrics = {}
     if args.trace:
@@ -173,11 +176,10 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=16)
+    p.add_argument("--seconds", type=int, default=10)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--size", choices=("full", "tiny"), default="full",
                    help="tiny runs every job type at a small size, for the self-test")
-    p.add_argument("--setups", type=int, default=6, help="set-up-only processes per run")
     args = p.parse_args()
 
     if not (Path("src") / "ergmlab" / "__init__.py").is_file():

@@ -24,7 +24,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-RUN = [sys.executable, "perfbench/run.py", "--size", "tiny", "--seconds", "1", "--setups", "1", "--seed", "7"]
+RUN = [sys.executable, "perfbench/run.py", "--size", "tiny", "--seconds", "1", "--seed", "7"]
 REPORT_ONLY = {
     "chains": ["fail_ratio", "chain_steps_per_s"],
     "landscape": ["fail_ratio"],

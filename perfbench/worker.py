@@ -5,7 +5,7 @@ one. Prints one JSON object as its last line of standard output. With
 --setup-only it stops after the set-up (import, input generation and one
 warm-up call) and reports when that ended.
 
-Usage: python3 perfbench/worker.py --workload chains --seed 1 --seconds 16 --trace 0
+Usage: python3 perfbench/worker.py --workload chains --seed 1 --seconds 10 --trace 0
 """
 
 from __future__ import annotations
@@ -30,22 +30,21 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from tracing import END, JOB, NAME, PARENT, START, Tracer  # noqa: E402
 
-# Passes per workload at --seconds 16, about 16 s of untraced passes on a
-# quiet host (landscape gets more, about 27 s, so that each of its short
-# jobs has five repeats). The count scales with --seconds but never uses
-# timings taken during the run, so the same arguments always run the same
-# jobs.
-PASSES_AT_16_S = {"chains": 7, "landscape": 5, "exact": 3}
+# Passes per workload at --seconds 10: about 17 s, 25 s and 30 s of untraced
+# passes on a quiet host, because every job needs at least three runs to
+# take the fastest of. The count scales with --seconds but never uses timings
+# taken during the run, so the same arguments always run the same jobs.
+PASSES_AT_10_S = {"chains": 7, "landscape": 3, "exact": 3}
 
 REFERENCES = HERE / "references.json"
 OUT = HERE / "out"
 
 
 def pass_count(workload: str, seconds: float, size: str) -> int:
-    """At full size at least three passes, so every job has three repeats to take the fastest of."""
+    """At full size at least three passes, so every job has three runs to take the fastest of."""
     if size != "full":
         return 2
-    return max(3, round(PASSES_AT_16_S[workload] * seconds / 16.0))
+    return max(3, round(PASSES_AT_10_S[workload] * seconds / 10.0))
 
 
 def machine_info() -> dict:
@@ -133,7 +132,7 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     p.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    p.add_argument("--seconds", type=float, default=16.0)
+    p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--size", choices=sorted(workloads.SIZES), default="full")
     p.add_argument("--setup-only", action="store_true")
@@ -165,12 +164,16 @@ def main() -> int:
 
     passes = pass_count(args.workload, args.seconds, args.size)
     tracer = Tracer() if args.trace else None
+    # Each pass runs the jobs in its own order, drawn from the seed, so that
+    # a slow spell of the host does not fall on all jobs of one kind at once.
+    order = np.random.default_rng([args.seed, 1 + workloads.WORKLOADS.index(args.workload)])
     origin = time.perf_counter()
     results = []
     for i in range(passes):
         traced = bool(args.trace) and i % 2 == 1
+        shuffled = [jobs[j] for j in order.permutation(len(jobs))]
         t0 = time.perf_counter()
-        records = run_pass(jobs, i, tracer if traced else None, references)
+        records = run_pass(shuffled, i, tracer if traced else None, references)
         results.append({"traced": traced, "elapsed": time.perf_counter() - t0, "jobs": records})
 
     report = {
@@ -178,7 +181,6 @@ def main() -> int:
         "passes": results,
         "meta": {job.name: {"layer": job.layer, "steps": job.steps, "samples": job.samples,
                             "defect": job.defect} for job in jobs},
-        "known_defects": {k: list(v[1]) for k, v in workloads.KNOWN_DEFECTS.items()},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "machine": machine_info(),
         "references_checked": references is not None,
