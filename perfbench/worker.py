@@ -3,9 +3,10 @@
 Started by run.py in a fresh interpreter with the compute threads pinned to
 one. Prints one JSON object as its last line of standard output. With
 --setup-only it stops after the set-up (import, input generation and one
-warm-up call) and reports when that ended.
+warm-up call) and reports when that ended and the median time of the
+speed probes run right after it.
 
-Usage: python3 perfbench/worker.py --workload chains --seed 1 --seconds 10 --trace 0
+Usage: python3 perfbench/worker.py --workload chains --seed 1 --seconds 30 --trace 0
 """
 
 from __future__ import annotations
@@ -30,21 +31,48 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from tracing import END, JOB, NAME, PARENT, START, Tracer  # noqa: E402
 
-# Passes per workload at --seconds 10: about 17 s, 25 s and 30 s of untraced
-# passes on a quiet host, because every job needs at least three runs to
-# take the fastest of. The count scales with --seconds but never uses timings
+# Passes per workload at --seconds 30: about 25 s, 31 s and 33 s of passes
+# on a quiet host. The count scales with --seconds (at least three, so that
+# every job has three runs to take the median of) but never uses timings
 # taken during the run, so the same arguments always run the same jobs.
-PASSES_AT_10_S = {"chains": 7, "landscape": 3, "exact": 3}
+PASSES_AT_30_S = {"chains": 7, "landscape": 3, "exact": 3}
+
+# Speed probes run right after the set-up, before the first pass.
+SETUP_PROBES = 20
+
+# Operands of the speed probe, fixed so that every probe does the same work.
+PROBE_MATRIX = np.random.default_rng(0).random((120, 120))
+PROBE_VECTOR = np.random.default_rng(1).random(1 << 20)
 
 REFERENCES = HERE / "references.json"
 OUT = HERE / "out"
 
 
 def pass_count(workload: str, seconds: float, size: str) -> int:
-    """At full size at least three passes, so every job has three runs to take the fastest of."""
+    """At full size at least three passes, so every job has three runs to take the median of."""
     if size != "full":
         return 2
-    return max(3, round(PASSES_AT_10_S[workload] * seconds / 10.0))
+    return max(3, round(PASSES_AT_30_S[workload] * seconds / 30.0))
+
+
+def speed_probe() -> float:
+    """Seconds taken by a fixed mix of interpreter, small-array, BLAS and memory-bound work.
+
+    The probe calls nothing in the package, so a change to the package
+    does not move it; a change in the speed of the host moves it and the
+    jobs alike. run.py scales the job latencies by it.
+    """
+    t0 = time.perf_counter()
+    s = 0
+    for i in range(6000):
+        s += i * i % 7
+    row = np.zeros(30)
+    for i in range(200):
+        row[i % 30] += 1.0
+        row.sum()
+    PROBE_MATRIX @ PROBE_MATRIX
+    PROBE_VECTOR.sum()
+    return time.perf_counter() - t0
 
 
 def machine_info() -> dict:
@@ -82,12 +110,21 @@ def failure_of(job, out, error, references) -> str | None:
         return f"check raised {type(exc).__name__}: {exc}"
 
 
-def run_pass(jobs, pass_index: int, tracer: Tracer | None, references, digests=None):
+def probe_once(probes: list[float]) -> None:
+    """Time one speed probe, after an untimed one that brings its operands back into cache."""
+    speed_probe()
+    probes.append(speed_probe())
+
+
+def run_pass(jobs, pass_index: int, tracer: Tracer | None, references, digests=None, probes=None):
+    """Run the jobs once; with a probes list, time a speed probe before each job and after the last."""
     records = []
     if tracer is not None:
         tracer.install()
     try:
         for job in jobs:
+            if probes is not None:
+                probe_once(probes)
             out, error = None, None
             t0 = time.perf_counter()
             try:
@@ -101,6 +138,8 @@ def run_pass(jobs, pass_index: int, tracer: Tracer | None, references, digests=N
             records.append([job.name, latency, failure_of(job, out, error, references)])
             if digests is not None and job.digest is not None and error is None:
                 digests[job.name] = workloads.sha256(job.digest(out))
+        if probes is not None:
+            probe_once(probes)
     finally:
         if tracer is not None:
             tracer.uninstall()
@@ -132,7 +171,7 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     p.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--size", choices=sorted(workloads.SIZES), default="full")
     p.add_argument("--setup-only", action="store_true")
@@ -143,8 +182,9 @@ def main() -> int:
     jobs = workloads.build(args.workload, args.seed, args.size)
     workloads.warmup(args.workload)
     ready = time.monotonic()
+    setup_probes = [speed_probe() for _ in range(SETUP_PROBES)]
     if args.setup_only:
-        print(json.dumps({"ready": ready}))
+        print(json.dumps({"ready": ready, "probe_s": statistics.median(setup_probes)}))
         return 0
 
     if args.record_references:
@@ -172,12 +212,15 @@ def main() -> int:
     for i in range(passes):
         traced = bool(args.trace) and i % 2 == 1
         shuffled = [jobs[j] for j in order.permutation(len(jobs))]
+        probes = []
         t0 = time.perf_counter()
-        records = run_pass(shuffled, i, tracer if traced else None, references)
-        results.append({"traced": traced, "elapsed": time.perf_counter() - t0, "jobs": records})
+        records = run_pass(shuffled, i, tracer if traced else None, references, probes=probes)
+        results.append({"traced": traced, "elapsed": time.perf_counter() - t0, "jobs": records,
+                        "probe_s": statistics.median(probes), "probes": probes})
 
     report = {
         "ready": ready,
+        "probe_s": statistics.median(setup_probes),
         "passes": results,
         "meta": {job.name: {"layer": job.layer, "steps": job.steps, "samples": job.samples,
                             "defect": job.defect} for job in jobs},
