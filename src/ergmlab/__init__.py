@@ -47,8 +47,6 @@ from .mcmc import (
     estimate_importance,
     estimate_mcmle,
     fourier_coeff_exp_edges,
-    glauber_step,
-    metropolis_step,
     mixing_cutoff,
     run_chain,
     variance_mcmc_mean,

@@ -8,9 +8,12 @@ exact integer counting available as an oracle for everything else.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, FormatError, InstanceTooLargeError
 
@@ -144,12 +147,7 @@ class Graph:
         return Graph(self.n, rows)
 
     def adjacency_matrix(self):
-        import numpy as np
-
-        a = np.zeros((self.n, self.n), dtype=float)
-        for i, j in self.edges():
-            a[i, j] = a[j, i] = 1.0
-        return a
+        return _adjacency(self)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -312,6 +310,14 @@ class Motif:
         return f"Motif(v={self.vertex_count}, edges={list(self.edges)})"
 
 
+def _adjacency(g) -> np.ndarray:
+    """Float 0/1 adjacency matrix of anything with n and bitmask rows."""
+    width = (g.n + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for r in g.rows)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(g.n, 8 * width)[:, : g.n].astype(float)
+
+
 # -- structural classification used for fast counting paths -----------------
 
 
@@ -373,84 +379,207 @@ def count_homomorphisms(h: Motif, g: Graph) -> int:
             f"instance too large: |V(G)|^|V(H)| = {g.n}^{h.vertex_count} "
             f"exceeds the {HOM_MAP_GUARD} map guard"
         )
-    n = g.n
+    levels = _search_levels(h, [], range(h.vertex_count), lambda e: 0)
+    return _count_extensions(levels, (g.rows,), [0] * len(levels), 0, (1 << g.n) - 1)
+
+
+def _search_levels(h: Motif, order: list[int], vertices, table) -> list[list[tuple[int, int]]]:
+    """Plan of the bitset recursion below over the given motif vertices.
+
+    Extends order by the other vertices, those with a placed neighbor first
+    and high degree first so pruning bites early. Lists, for each position,
+    the motif edges back to earlier positions as (earlier position,
+    table(edge index)), table naming the row table the edge must land in.
+    """
     nbrs = h.neighbor_lists()
-    # assign high-degree vertices first, and prefer vertices with an
-    # already-assigned neighbor, so pruning bites early
-    order: list[int] = []
-    remaining = set(range(h.vertex_count))
+    order = list(order)
+    remaining = [v for v in vertices if v not in order]
     while remaining:
         anchored = [v for v in remaining if any(u in order for u in nbrs[v])]
-        pool = anchored if anchored else list(remaining)
-        v = max(pool, key=lambda x: len(nbrs[x]))
+        v = max(anchored or remaining, key=lambda x: len(nbrs[x]))
         order.append(v)
         remaining.remove(v)
-    back_nbrs = []
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        back_nbrs.append([pos[u] for u in nbrs[v] if pos[u] < pos[v]])
-    full = (1 << n) - 1
-    rows = g.rows
-    images = [0] * len(order)
+    pos = {v: d for d, v in enumerate(order)}
+    levels: list[list[tuple[int, int]]] = [[] for _ in order]
+    for e, (u, w) in enumerate(h.edges):
+        a, b = sorted((pos[u], pos[w]))
+        levels[b].append((a, table(e)))
+    return levels
 
-    def rec(depth: int) -> int:
-        cand = full
-        for b in back_nbrs[depth]:
-            cand &= rows[images[b]]
-            if not cand:
-                return 0
-        if depth == len(order) - 1:
-            return cand.bit_count()
-        total = 0
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            images[depth] = v
-            total += rec(depth + 1)
-        return total
 
-    return rec(0)
+def _count_extensions(levels, tables, images: list[int], depth: int, full: int) -> int:
+    """Extensions of the images fixed at positions < depth to every position,
+    each back edge landing in an edge of its row table (bitset recursion)."""
+    cand = full
+    for pos, t in levels[depth]:
+        cand &= tables[t][images[pos]]
+        if not cand:
+            return 0
+    if depth == len(levels) - 1:
+        return cand.bit_count()
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        images[depth] = low.bit_length() - 1
+        total += _count_extensions(levels, tables, images, depth + 1, full)
+    return total
 
 
 def hom_count_fast(h: Motif, g: Graph) -> int:
     """Homomorphism count using a closed form when the shape allows one."""
-    kind = classify_motif(h)
-    iso = h.vertex_count - sum(1 for x in h.neighbor_lists() if x)
-    scale = g.n**iso
-    if kind[0] == "edge":
-        return 2 * g.edge_count() * scale
-    if kind[0] == "star":
-        return sum(d ** kind[1] for d in g.degrees()) * scale
-    if kind[0] == "triangle":
-        return 6 * g.triangle_count() * scale
-    if kind[0] == "cycle":
-        import numpy as np
-
-        a = g.adjacency_matrix()
-        return round(float(np.trace(np.linalg.matrix_power(a, kind[1])))) * scale
-    if kind[0] == "complete":
-        return _ordered_clique_count(g, kind[1]) * scale
-    return count_homomorphisms(h, g)
+    return _term(h).count(g)
 
 
-def _ordered_clique_count(g: Graph, r: int) -> int:
-    rows = g.rows
-    full = (1 << g.n) - 1
+# -- model terms: count, change statistic, batch count -------------------------
 
-    def rec(cand: int, depth: int) -> int:
-        if depth == r:
-            return 1
+
+class _Term:
+    """One motif as a model term; this base class handles the general shape.
+
+    count(g) is the homomorphism count; delta(g, i, j) its exact change when
+    edge ij goes from absent to present; batch(bits, n) the counts of the
+    rows of an edge-indicator matrix (columns: vertex pairs in lexicographic
+    order); statistic(b, g) is b times the density and exponent(b, g, i, j)
+    n^2 times its change, the term's share of the Glauber log-odds. g is a
+    Graph or the chain state: anything with n, bitmask rows and
+    triangle_count().
+
+    The general delta is the edge-rooted count, the discrete form of the
+    kernel derivative: for each motif edge k in both orientations, pin edge
+    k onto (i, j), map the edges before k into G - ij and those after k into
+    G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
+    Isolated motif vertices only scale counts by n each. The edge and
+    triangle classes evaluate their exponent (the triangle also its
+    statistic) in a fixed float order, which fixed-seed chains depend on.
+    """
+
+    def __init__(self, motif: Motif, arg: int | None = None):
+        self.motif = motif
+        self.arg = arg
+        self.active = [v for v, x in enumerate(motif.neighbor_lists()) if x]
+        self.iso = motif.vertex_count - len(self.active)
+
+    def count(self, g) -> int:
+        return count_homomorphisms(self.motif, g)
+
+    def delta(self, g, i: int, j: int) -> int:
+        minus, plus = list(g.rows), list(g.rows)
+        minus[i] &= ~(1 << j)
+        minus[j] &= ~(1 << i)
+        plus[i] |= 1 << j
+        plus[j] |= 1 << i
+        full = (1 << g.n) - 1
         total = 0
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            total += rec(cand & rows[v], depth + 1)
-        return total
+        for levels in self._rooted_levels:
+            for a, b in ((i, j), (j, i)):
+                images = [a, b] + [0] * (len(levels) - 2)
+                total += _count_extensions(levels, (minus, plus), images, 2, full)
+        return total * g.n**self.iso
 
-    count = rec(full, 0)
-    return count
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        pairs = list(itertools.combinations(range(n), 2))
+        return np.array(
+            [self.count(Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]])) for row in bits]
+        )
+
+    def statistic(self, b: float, g) -> float:
+        return b * self.count(g) / g.n**self.motif.vertex_count
+
+    def exponent(self, b: float, g, i: int, j: int) -> float:
+        n = g.n
+        return b * self.delta(g, i, j) * n**2 / n**self.motif.vertex_count
+
+    @functools.cached_property
+    def _rooted_levels(self):
+        return [
+            _search_levels(self.motif, [u, w], self.active, lambda e, k=k: int(e > k))
+            for k, (u, w) in enumerate(self.motif.edges)
+        ]
+
+
+class _EdgeTerm(_Term):
+    def count(self, g) -> int:
+        return sum(r.bit_count() for r in g.rows) * g.n**self.iso
+
+    def delta(self, g, i: int, j: int) -> int:
+        return 2 * g.n**self.iso
+
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        return 2 * bits.sum(axis=1) * n**self.iso
+
+    def exponent(self, b: float, g, i: int, j: int) -> float:
+        return 2.0 * b
+
+
+class _StarTerm(_Term):
+    def count(self, g) -> int:
+        return sum(r.bit_count() ** self.arg for r in g.rows) * g.n**self.iso
+
+    def delta(self, g, i: int, j: int) -> int:
+        present = g.rows[i] >> j & 1
+        ai = g.rows[i].bit_count() - present
+        aj = g.rows[j].bit_count() - present
+        s = self.arg
+        return (((ai + 1) ** s - ai**s) + ((aj + 1) ** s - aj**s)) * g.n**self.iso
+
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        incidence = np.zeros((bits.shape[1], n), dtype=np.int64)
+        for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+            incidence[t, i] = incidence[t, j] = 1
+        deg = bits.astype(np.int64) @ incidence
+        return (deg**self.arg).sum(axis=1) * n**self.iso
+
+
+class _TriangleTerm(_Term):
+    def count(self, g) -> int:
+        return 6 * g.triangle_count() * g.n**self.iso
+
+    def delta(self, g, i: int, j: int) -> int:
+        return 6 * (g.rows[i] & g.rows[j]).bit_count() * g.n**self.iso
+
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        pair_index = {p: t for t, p in enumerate(itertools.combinations(range(n), 2))}
+        trips = list(itertools.combinations(range(n), 3))
+        ia = np.array([pair_index[(a, b)] for a, b, c in trips], dtype=np.intp)
+        ib = np.array([pair_index[(a, c)] for a, b, c in trips], dtype=np.intp)
+        ic = np.array([pair_index[(b, c)] for a, b, c in trips], dtype=np.intp)
+        cnt = (bits[:, ia] & bits[:, ib] & bits[:, ic]).sum(axis=1)
+        return 6 * cnt * n**self.iso
+
+    def statistic(self, b: float, g) -> float:
+        return b * 6.0 * g.triangle_count() / g.n**3
+
+    def exponent(self, b: float, g, i: int, j: int) -> float:
+        return 6.0 * b * (g.rows[i] & g.rows[j]).bit_count() / g.n
+
+
+class _CycleTerm(_Term):
+    def count(self, g) -> int:
+        walks = np.trace(np.linalg.matrix_power(_adjacency(g), self.arg))
+        return round(float(walks)) * g.n**self.iso
+
+
+class _CompleteTerm(_Term):
+    def count(self, g) -> int:
+        levels = _search_levels(self.motif, [], self.active, lambda e: 0)
+        return _count_extensions(levels, (g.rows,), [0] * self.arg, 0, (1 << g.n) - 1) * g.n**self.iso
+
+
+_TERM_CLASSES = {
+    "edge": _EdgeTerm,
+    "star": _StarTerm,
+    "triangle": _TriangleTerm,
+    "cycle": _CycleTerm,
+    "complete": _CompleteTerm,
+    "general": _Term,
+}
+
+
+def _term(h: Motif) -> _Term:
+    """The term object of the motif's shape (see classify_motif)."""
+    kind = classify_motif(h)
+    return _TERM_CLASSES[kind[0]](h, *kind[1:])
 
 
 def hom_density_graph(h: Motif, g: Graph) -> float:

@@ -30,7 +30,11 @@ from .errors import (
     InstanceTooLargeError,
     OverflowGuardError,
 )
-from .graphs import Graph, Motif, classify_motif, hom_density_graph_fast
+from .graphs import Graph, Motif, _term
+
+# unused here; the benchmark's traced run (perfbench/tracing.py) wraps
+# mcmc.hom_density_graph_fast, so the name stays importable from this module
+from .graphs import hom_density_graph_fast  # noqa: F401
 from .variational import ModelSpec, maximize_scalar
 
 ENUMERATION_MAX_VERTICES = 6
@@ -77,138 +81,80 @@ class ChainConfig:
 
 
 class _ChainState:
-    """Mutable adjacency with incrementally tracked edge/degree/triangle counts."""
+    """Mutable adjacency rows with incrementally tracked edge and triangle counts.
 
-    __slots__ = ("n", "rows", "deg", "edges", "triangles")
+    Reads like a Graph to the motif terms: n, rows and triangle_count().
+    """
+
+    __slots__ = ("n", "rows", "edges", "triangles")
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.rows = list(g.rows)
-        self.deg = g.degrees()
         self.edges = g.edge_count()
         self.triangles = g.triangle_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def common(self, i: int, j: int) -> int:
-        return (self.rows[i] & self.rows[j]).bit_count()
+    def triangle_count(self) -> int:
+        return self.triangles
 
     def toggle(self, i: int, j: int):
-        c = self.common(i, j)
-        sign = -1 if self.has_edge(i, j) else 1
-        self.rows[i] ^= 1 << j
-        self.rows[j] ^= 1 << i
-        self.deg[i] += sign
-        self.deg[j] += sign
+        rows = self.rows
+        sign = -1 if rows[i] >> j & 1 else 1
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
         self.edges += sign
-        self.triangles += sign * c
+        self.triangles += sign * (rows[i] & rows[j]).bit_count()
 
     def graph(self) -> Graph:
         return Graph(self.n, self.rows)
 
 
-def _compile_terms(model: ModelSpec):
-    """Attach the fast-path classification to each model term once."""
-    return [(classify_motif(m), m, b) for m, b in model.terms]
+def _model_terms(model: ModelSpec):
+    """(coefficient, term object) for each model term with a nonzero coefficient."""
+    return [(b, _term(m)) for m, b in model.terms if b != 0.0]
 
 
-def _state_statistic(state: _ChainState, compiled) -> float:
-    n = state.n
-    total = 0.0
-    for kind, motif, b in compiled:
-        if b == 0.0:
-            continue
-        if kind[0] == "edge":
-            total += b * 2.0 * state.edges / n**2
-        elif kind[0] == "star":
-            j = kind[1]
-            total += b * sum(d**j for d in state.deg) / n ** (j + 1)
-        elif kind[0] == "triangle":
-            total += b * 6.0 * state.triangles / n**3
-        else:
-            total += b * hom_density_graph_fast(motif, state.graph())
-    return total
+# -- the chain driver ---------------------------------------------------------------
 
 
-def _toggle_exponent(state: _ChainState, compiled, i: int, j: int) -> float:
-    """n^2 (T with edge ij present - T with it absent), from local counts."""
-    n = state.n
-    present = state.has_edge(i, j)
-    delta = 0.0
-    slow_terms = []
-    for kind, motif, b in compiled:
-        if b == 0.0:
-            continue
-        if kind[0] == "edge":
-            delta += 2.0 * b
-        elif kind[0] == "star":
-            jj = kind[1]
-            ai = state.deg[i] - (1 if present else 0)
-            aj = state.deg[j] - (1 if present else 0)
-            dh = ((ai + 1) ** jj - ai**jj) + ((aj + 1) ** jj - aj**jj)
-            delta += b * dh * n**2 / n ** (jj + 1)
-        elif kind[0] == "triangle":
-            delta += 6.0 * b * state.common(i, j) / n
-        else:
-            slow_terms.append((motif, b))
-    if slow_terms:
-        g = state.graph()
-        g_on = g if present else g.with_edge_toggled(i, j)
-        g_off = g.with_edge_toggled(i, j) if present else g
-        for m, b in slow_terms:
-            delta += b * n**2 * (
-                hom_density_graph_fast(m, g_on) - hom_density_graph_fast(m, g_off)
-            )
-    return delta
+def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int, every: int, record):
+    """Run one chain for total steps, calling record(step) every `every`
+    steps after step burn, and at the last step.
 
-
-# -- single steps (pure: return a new Graph) -------------------------------------
-
-
-def metropolis_step(g: Graph, beta: float, rng) -> Graph:
-    """One move of the add/delete chain for the law proportional to e^{beta E}.
-
-    Pick a uniform vertex pair; add the edge if absent, else delete it with
-    probability e^{-beta}. Requires beta >= 0; for negative beta run the
-    chain on the complement graph at -beta instead.
+    With er_beta set this is the add/delete Metropolis chain for the law
+    proportional to e^{er_beta E}; otherwise it is Glauber dynamics for the
+    model terms. Each step picks a uniform vertex pair and a uniform coin;
+    they are drawn in 4096-step chunks, pair indices then coins, so a seed
+    gives the same chain whatever is recorded.
     """
-    if beta < 0.0:
-        raise DomainError(
-            "metropolis_step requires beta >= 0; apply the complement "
-            "transformation (run at -beta on the complemented graph)"
-        )
-    n = g.n
-    i, j = _random_pair(n, rng)
-    if not g.has_edge(i, j):
-        return g.with_edge_toggled(i, j)
-    if rng.random() < math.exp(-beta):
-        return g.with_edge_toggled(i, j)
-    return g
-
-
-def glauber_step(g: Graph, model: ModelSpec, rng) -> Graph:
-    """Resample one uniformly chosen edge slot from its conditional law."""
-    state = _ChainState(g)
-    compiled = _compile_terms(model)
-    i, j = _random_pair(g.n, rng)
-    expo = _toggle_exponent(state, compiled, i, j)
-    p_on = 1.0 / (1.0 + math.exp(-expo))
-    want = rng.random() < p_on
-    if want != g.has_edge(i, j):
-        return g.with_edge_toggled(i, j)
-    return g
-
-
-def _random_pair(n: int, rng) -> tuple[int, int]:
-    idx = int(rng.integers(0, n * (n - 1) // 2))
-    # row-major unrank of the pair index
-    i = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * idx)) // 2)
-    offset = idx - i * (2 * n - i - 1) // 2
-    return i, i + 1 + offset
-
-
-# -- chain runners ----------------------------------------------------------------
+    rng = _rng_from_seed(seed)
+    pairs = list(itertools.combinations(range(state.n), 2))
+    m = len(pairs)
+    exponents = [(b, term.exponent) for b, term in terms]
+    exp = math.exp
+    exp_neg_beta = math.exp(-er_beta) if er_beta is not None else 0.0
+    rows = state.rows
+    next_record = min(burn + every, total)
+    done = 0
+    while done < total:
+        count = min(4096, total - done)
+        pair_idx = rng.integers(0, m, size=count).tolist()
+        coins = rng.random(count).tolist()
+        for idx, coin in zip(pair_idx, coins):
+            i, j = pairs[idx]
+            if er_beta is not None:
+                if not rows[i] >> j & 1 or coin < exp_neg_beta:
+                    state.toggle(i, j)
+            else:
+                expo = 0.0
+                for b, exponent in exponents:
+                    expo += exponent(b, state, i, j)
+                if (coin < 1.0 / (1.0 + exp(-expo))) != rows[i] >> j & 1:
+                    state.toggle(i, j)
+            done += 1
+            if done == next_record:
+                record(done)
+                next_record = min(done + every, total)
 
 
 @dataclass
@@ -223,53 +169,34 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
     """Run a configured chain, recording counts every record_every steps.
 
     Records the initial state as step 0 and then every record_every steps,
-    including the final step. Returns the trace and the final graph.
+    including the final step. Returns the trace and the final graph. An
+    er_beta chain is the add/delete Metropolis chain, which needs beta >= 0;
+    for negative beta run it on the complement graph at -beta instead.
     """
     if config.steps is None or config.steps < 0:
         raise DomainError("run_chain needs steps >= 0")
+    if record_every < 1:
+        raise DomainError("record_every must be >= 1")
     if (config.er_beta is None) == (config.model is None):
         raise DomainError("set exactly one of er_beta (Metropolis) or model (Glauber)")
-    rng = _rng_from_seed(config.seed)
     state = _ChainState(config.start_graph())
-    compiled = _compile_terms(config.model) if config.model is not None else None
     if config.er_beta is not None and config.er_beta < 0.0:
         raise DomainError(
             "er chains require beta >= 0; apply the complement transformation"
         )
-    trace = [TraceRecord(0, state.edges, state.triangles, _trace_stat(state, compiled, config))]
-    pairs = list(itertools.combinations(range(config.n), 2))
-    m = len(pairs)
-    exp_neg_beta = math.exp(-config.er_beta) if config.er_beta is not None else 0.0
-    CHUNK = 4096
-    done = 0
-    while done < config.steps:
-        count = min(CHUNK, config.steps - done)
-        pair_idx = rng.integers(0, m, size=count)
-        coins = rng.random(count)
-        for t in range(count):
-            i, j = pairs[pair_idx[t]]
-            if compiled is None:
-                if not state.has_edge(i, j):
-                    state.toggle(i, j)
-                elif coins[t] < exp_neg_beta:
-                    state.toggle(i, j)
-            else:
-                expo = _toggle_exponent(state, compiled, i, j)
-                want = coins[t] < 1.0 / (1.0 + math.exp(-expo))
-                if want != state.has_edge(i, j):
-                    state.toggle(i, j)
-            done += 1
-            if done % record_every == 0 or done == config.steps:
-                trace.append(
-                    TraceRecord(done, state.edges, state.triangles, _trace_stat(state, compiled, config))
-                )
+    terms = _model_terms(config.model) if config.model is not None else []
+    trace = []
+
+    def record(step: int):
+        if config.model is None:
+            stat = config.er_beta * state.edges / state.n**2
+        else:
+            stat = sum((t.statistic(b, state) for b, t in terms), 0.0)
+        trace.append(TraceRecord(step, state.edges, state.triangles, stat))
+
+    record(0)
+    _drive(state, terms, config.er_beta, config.seed, config.steps, 0, record_every, record)
     return trace, state.graph()
-
-
-def _trace_stat(state: _ChainState, compiled, config: ChainConfig) -> float:
-    if compiled is not None:
-        return _state_statistic(state, compiled)
-    return config.er_beta * state.edges / state.n**2
 
 
 def _auto_is_er(model: ModelSpec) -> float | None:
@@ -297,58 +224,19 @@ def sample_motif_densities(
     """
     if thinning < 1:
         raise DomainError("thinning must be >= 1")
-    rng = _rng_from_seed(chain.seed)
     state = _ChainState(chain.start_graph())
-    compiled = _compile_terms(law)
     er_beta = _auto_is_er(law)
-    pairs = list(itertools.combinations(range(chain.n), 2))
-    m = len(pairs)
-    exp_neg_beta = math.exp(-er_beta) if er_beta is not None else 0.0
     span = n_samples * thinning
     burn = math.ceil(span / 9.0)  # 10% of the total run
-    total = burn + span
     out = np.empty((n_samples, len(motifs)))
-    kinds = [classify_motif(mm) for mm in motifs]
-    rec = 0
-    done = 0
-    CHUNK = 4096
-    while done < total:
-        count = min(CHUNK, total - done)
-        pair_idx = rng.integers(0, m, size=count)
-        coins = rng.random(count)
-        for t in range(count):
-            i, j = pairs[pair_idx[t]]
-            if er_beta is not None:
-                if not state.has_edge(i, j):
-                    state.toggle(i, j)
-                elif coins[t] < exp_neg_beta:
-                    state.toggle(i, j)
-            else:
-                expo = _toggle_exponent(state, compiled, i, j)
-                want = coins[t] < 1.0 / (1.0 + math.exp(-expo))
-                if want != state.has_edge(i, j):
-                    state.toggle(i, j)
-            done += 1
-            if done > burn and (done - burn) % thinning == 0 and rec < n_samples:
-                out[rec] = _density_vector(state, motifs, kinds)
-                rec += 1
+    terms = [_term(mm) for mm in motifs]
+    scales = [chain.n**mm.vertex_count for mm in motifs]
+
+    def record(step: int):
+        out[(step - burn) // thinning - 1] = [t.count(state) / s for t, s in zip(terms, scales)]
+
+    _drive(state, _model_terms(law), er_beta, chain.seed, burn + span, burn, thinning, record)
     return out
-
-
-def _density_vector(state: _ChainState, motifs, kinds) -> list[float]:
-    n = state.n
-    vec = []
-    for motif, kind in zip(motifs, kinds):
-        if kind[0] == "edge":
-            vec.append(2.0 * state.edges / n**2)
-        elif kind[0] == "star":
-            j = kind[1]
-            vec.append(sum(d**j for d in state.deg) / n ** (j + 1))
-        elif kind[0] == "triangle":
-            vec.append(6.0 * state.triangles / n**3)
-        else:
-            vec.append(hom_density_graph_fast(motif, state.graph()))
-    return vec
 
 
 # -- exact spectral theory of the independent-edge chain ---------------------------
@@ -431,14 +319,13 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
             f"instance too large: dense chain matrix needs m <= {DENSE_MATRIX_MAX_PAIRS}, got {m}"
         )
     pairs = list(itertools.combinations(range(n), 2))
-    compiled = _compile_terms(model)
+    terms = _model_terms(model)
     size = 1 << m
     k = np.zeros((size, size))
     for s in range(size):
         g = _graph_from_mask(n, s, pairs)
-        state = _ChainState(g)
         for t, (i, j) in enumerate(pairs):
-            expo = _toggle_exponent(state, compiled, i, j)
+            expo = sum((term.exponent(b, g, i, j) for b, term in terms), 0.0)
             p_on = 1.0 / (1.0 + math.exp(-expo))
             k[s, s | (1 << t)] += p_on / m
             k[s, s & ~(1 << t)] += (1.0 - p_on) / m
@@ -453,9 +340,10 @@ def _graph_from_mask(n: int, mask: int, pairs) -> Graph:
 def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
     """log of exp(n^2 T(G)) over all graphs, in edge-mask order."""
     m = math.comb(n, 2)
-    if m > DENSE_MATRIX_MAX_PAIRS:
+    if m > math.comb(ENUMERATION_MAX_VERTICES, 2):
         raise InstanceTooLargeError(
-            f"instance too large: enumeration needs m <= {DENSE_MATRIX_MAX_PAIRS}, got {m}"
+            f"instance too large: enumeration needs m <= "
+            f"{math.comb(ENUMERATION_MAX_VERTICES, 2)}, got {m}"
         )
     pairs = list(itertools.combinations(range(n), 2))
     masks = np.arange(1 << m, dtype=np.int64)
@@ -544,45 +432,12 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     lexicographic order. Edges, stars, and triangles are fully vectorized;
     other motifs fall back to a per-graph loop.
     """
-    pairs = list(itertools.combinations(range(n), 2))
-    m = len(pairs)
+    m = math.comb(n, 2)
     if bits.shape[1] != m:
         raise DomainError(f"bits must have {m} columns for n = {n}")
-    nsamp = bits.shape[0]
-    out = np.empty((nsamp, len(motifs)))
-    pair_index = {p: t for t, p in enumerate(pairs)}
-    incidence = None
-    triple_idx = None
-    slow_graphs = None
+    out = np.empty((bits.shape[0], len(motifs)))
     for col, motif in enumerate(motifs):
-        kind = classify_motif(motif)
-        if kind[0] == "edge":
-            out[:, col] = 2.0 * bits.sum(axis=1) / n**2
-        elif kind[0] == "star":
-            if incidence is None:
-                incidence = np.zeros((m, n), dtype=np.int64)
-                for t, (i, j) in enumerate(pairs):
-                    incidence[t, i] = incidence[t, j] = 1
-            deg = bits.astype(np.int64) @ incidence
-            out[:, col] = (deg ** kind[1]).sum(axis=1) / n ** (kind[1] + 1)
-        elif kind[0] == "triangle":
-            if triple_idx is None:
-                trips = list(itertools.combinations(range(n), 3))
-                triple_idx = (
-                    np.array([pair_index[(a, b)] for a, b, c in trips]),
-                    np.array([pair_index[(a, c)] for a, b, c in trips]),
-                    np.array([pair_index[(b, c)] for a, b, c in trips]),
-                )
-            ia, ib, ic = triple_idx
-            cnt = (bits[:, ia] & bits[:, ib] & bits[:, ic]).sum(axis=1)
-            out[:, col] = 6.0 * cnt / n**3
-        else:
-            if slow_graphs is None:
-                slow_graphs = [
-                    Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]])
-                    for row in bits
-                ]
-            out[:, col] = [hom_density_graph_fast(motif, g) for g in slow_graphs]
+        out[:, col] = _term(motif).batch(bits, n) / n**motif.vertex_count
     return out
 
 

@@ -29,7 +29,6 @@ from .graphons import (
     rate_entropy,
 )
 from .graphs import Graph, Motif, hom_density_graph_fast
-from .graphs import chromatic_number as chromatic_number  # re-exported: motif-level op used by the limit formulas
 
 GRID_POINTS = 10_000
 STATIONARITY_TOL = 1e-12
@@ -266,16 +265,11 @@ def applicability_check(model: ModelSpec) -> str:
     non_edge = [(m, b) for m, b in model.terms if m.edge_count >= 2]
     if all(b >= 0.0 for _, b in non_edge):
         return "nonneg_valid"
-    if all(classify_star(m) and b <= 0.0 for m, b in non_edge):
+    if all(graphs.classify_motif(m)[0] == "star" and b <= 0.0 for m, b in non_edge):
         return "nonpos_star_valid"
     if model.contraction_sum() < 2.0:
         return "contraction_valid"
     return "unknown"
-
-
-def classify_star(m: Motif) -> bool:
-    kind = graphs.classify_motif(m)
-    return kind[0] in ("edge", "star")
 
 
 # -- degeneracy and phase structure -------------------------------------------

@@ -37,6 +37,15 @@ def test_psi_zero_model(tmp_path):
     assert float(vals["psi_4"]) == pytest.approx(6 / 16 * math.log(2))
 
 
+def test_psi_exact_n6(tmp_path):
+    # n = 6 is the documented enumeration limit
+    out = tmp_path / "psi.txt"
+    code, text = run(out, ["psi", "--beta1", "0", "--beta2", "0", "--exact-n", "6"])
+    assert code == 0
+    vals = dict(ln.split(None, 1) for ln in body_lines(text))
+    assert float(vals["psi_6"]) == pytest.approx(15 / 36 * math.log(2))
+
+
 def test_psi_model_file(tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("edge 0\ntriangle 0\nstar:2 0\n")

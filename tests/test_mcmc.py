@@ -21,9 +21,7 @@ from ergmlab.mcmc import (
     estimate_importance,
     estimate_mcmle,
     fourier_coeff_exp_edges,
-    glauber_step,
     glauber_transition_matrix,
-    metropolis_step,
     mixing_cutoff,
     model_log_weights,
     run_chain,
@@ -42,15 +40,17 @@ def all_states(m):
 
 
 def test_metropolis_always_adds_missing_edges():
-    r = _rng_from_seed(0)
-    g = Graph.empty(4)
-    g2 = metropolis_step(g, 1.5, r)
-    assert g2.edge_count() == 1
+    # from the empty graph every proposed pair is missing, so each of the
+    # first steps adds an edge
+    for seed in range(5):
+        trace, final = run_chain(ChainConfig(4, steps=1, seed=seed, er_beta=1.5))
+        assert final.edge_count() == 1
+        assert [r.edges for r in trace] == [0, 1]
 
 
 def test_metropolis_rejects_negative_beta():
     with pytest.raises(DomainError, match="complement"):
-        metropolis_step(Graph.empty(3), -0.5, _rng_from_seed(0))
+        run_chain(ChainConfig(3, steps=1, seed=0, er_beta=-0.5))
 
 
 def test_metropolis_detailed_balance_dense():
@@ -70,25 +70,33 @@ def test_beta_zero_chain_is_symmetric_walk():
 
 
 def test_glauber_stationarity_dense_edge_triangle():
-    model = ModelSpec.edge_triangle(-0.45, 0.2)
-    k = glauber_transition_matrix(model, 3)
-    logw = model_log_weights(model, 3)
-    pi = np.exp(logw - _logsumexp(logw))
-    assert 0.5 * np.abs(pi @ k - pi).sum() < 1e-12
-    flow = pi[:, None] * k
-    assert np.max(np.abs(flow - flow.T)) < 1e-15
+    cases = [
+        (ModelSpec.edge_triangle(-0.45, 0.2), 3),
+        # motifs outside the closed forms: the chain runs on the edge-rooted
+        # change statistic, the weights on batch counts
+        (ModelSpec([(Motif.edge(), -0.3), (Motif.cycle(4), 0.9)]), 4),
+        (ModelSpec([(Motif.edge(), -0.3), (Motif.complete(4), 1.5)]), 4),
+        (ModelSpec([(Motif.edge(), -0.3), (Motif.parse("edgelist:0-1,1-2,2-3,1-3"), 0.7)]), 4),
+    ]
+    for model, n in cases:
+        k = glauber_transition_matrix(model, n)
+        logw = model_log_weights(model, n)
+        pi = np.exp(logw - _logsumexp(logw))
+        assert 0.5 * np.abs(pi @ k - pi).sum() < 1e-12
+        flow = pi[:, None] * k
+        assert np.max(np.abs(flow - flow.T)) < 1e-15
 
 
 def test_glauber_edge_only_on_probability():
-    # conditional on-probability for the pure edge model is the closed form
+    # conditional on-probability for the pure edge model is the closed form;
+    # at n = 2 every step resamples the one edge slot from it, so the states
+    # after each step are independent draws
     model = ModelSpec.edge_only(0.4)
     p_on = math.exp(0.8) / (1 + math.exp(0.8))
-    counts = 0
-    r = _rng_from_seed(7)
     trials = 4000
-    for _ in range(trials):
-        g = glauber_step(Graph.empty(2), model, r)
-        counts += g.edge_count()
+    trace, _ = run_chain(ChainConfig(2, steps=trials, seed=7, model=model), record_every=1)
+    assert len(trace) == trials + 1
+    counts = sum(r.edges for r in trace[1:])
     assert counts / trials == pytest.approx(p_on, abs=0.02)
 
 
@@ -249,12 +257,27 @@ def test_enumerate_guard():
         enumerate_psi_n(ModelSpec.edge_only(0.0), 7)
 
 
+def test_enumerate_psi_at_n6():
+    # n = 6 is the documented enumeration limit: m = 15, 2^15 graphs
+    beta1 = 0.35
+    psi = enumerate_psi_n(ModelSpec.edge_only(beta1), 6)
+    assert psi == pytest.approx(er_log_partition(2 * beta1, 6) / 36, rel=1e-12)
+
+
 def test_batch_densities_match_graph_densities():
     r = _rng_from_seed(11)
     n = 5
     m = math.comb(n, 2)
     bits = (r.random((40, m)) < 0.5).astype(np.int8)
-    motifs = [Motif.edge(), Motif.star(2), Motif.triangle(), Motif.cycle(4)]
+    motifs = [
+        Motif.edge(),
+        Motif.star(2),
+        Motif.triangle(),
+        Motif.cycle(4),
+        Motif.complete(4),
+        Motif.cycle(5),
+        Motif.parse("edgelist:0-2,2-3"),  # vertex 1 isolated
+    ]
     dens = batch_motif_densities(motifs, n, bits)
     pairs = list(itertools.combinations(range(n), 2))
     from ergmlab.graphs import hom_density_graph_fast

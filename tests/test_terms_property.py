@@ -1,0 +1,70 @@
+"""Property tests of the motif term objects against brute-force counting.
+
+For every builtin motif class and for random small edge-list motifs
+(isolated vertices included), on random graphs and random vertex pairs:
+the term's count is the homomorphism count and its integer delta is the
+exact change of that count when the pair's edge goes from absent to
+present, read from a Graph and from the chain state alike.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergmlab.graphs import Graph, Motif, _term, count_homomorphisms
+from ergmlab.mcmc import _ChainState
+
+BUILTIN = [
+    "edge",
+    "star:1",
+    "star:2",
+    "star:3",
+    "triangle",
+    "cycle:4",
+    "cycle:5",
+    "complete:4",
+    "complete:5",
+]
+
+
+@st.composite
+def motifs(draw):
+    if draw(st.booleans()):
+        return Motif.parse(draw(st.sampled_from(BUILTIN)))
+    v = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(v), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Motif(v, edges)
+
+
+@st.composite
+def graphs_with_pair(draw):
+    n = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [p for p, on in zip(pairs, present) if on])
+    i, j = draw(st.sampled_from(pairs))
+    if draw(st.booleans()):
+        i, j = j, i
+    return g, i, j, np.array([present], dtype=np.int8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(motifs(), graphs_with_pair())
+def test_term_count_and_delta_match_brute_force(h, case):
+    g, i, j, bits = case
+    term = _term(h)
+    on = g if g.has_edge(i, j) else g.with_edge_toggled(i, j)
+    off = g.with_edge_toggled(i, j) if g.has_edge(i, j) else g
+    change = count_homomorphisms(h, on) - count_homomorphisms(h, off)
+    count = count_homomorphisms(h, g)
+    for view in (g, _ChainState(g)):
+        assert term.delta(view, i, j) == change
+        assert term.count(view) == count
+        assert term.exponent(0.7, view, i, j) == pytest.approx(
+            0.7 * change * g.n**2 / g.n**h.vertex_count, rel=1e-12
+        )
+    assert term.batch(bits, g.n).tolist() == [count]
