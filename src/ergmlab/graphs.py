@@ -20,6 +20,9 @@ from .errors import DomainError, FormatError, InstanceTooLargeError
 MAX_VERTICES = 4096
 HOM_MAP_GUARD = 10**9
 CHROMATIC_VERTEX_GUARD = 12
+# the batched triangle count gathers rows in blocks of at most this many
+# (row, triple) entries, so each temporary stays near 1 MB whatever the batch
+_TRIANGLE_BLOCK_ENTRIES = 2**20
 
 
 class Graph:
@@ -531,6 +534,19 @@ class _StarTerm(_Term):
         return (deg**self.arg).sum(axis=1) * n**self.iso
 
 
+@functools.lru_cache(maxsize=8)
+def _triangle_pair_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair columns (ab, ac, bc) of every triple a < b < c, read-only."""
+    pair_index = {p: t for t, p in enumerate(itertools.combinations(range(n), 2))}
+    trips = list(itertools.combinations(range(n), 3))
+    cols = []
+    for u, w in ((0, 1), (0, 2), (1, 2)):
+        col = np.array([pair_index[(t[u], t[w])] for t in trips], dtype=np.intp)
+        col.flags.writeable = False
+        cols.append(col)
+    return tuple(cols)
+
+
 class _TriangleTerm(_Term):
     def count(self, g) -> int:
         return 6 * g.triangle_count() * g.n**self.iso
@@ -539,12 +555,12 @@ class _TriangleTerm(_Term):
         return 6 * (g.rows[i] & g.rows[j]).bit_count() * g.n**self.iso
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        pair_index = {p: t for t, p in enumerate(itertools.combinations(range(n), 2))}
-        trips = list(itertools.combinations(range(n), 3))
-        ia = np.array([pair_index[(a, b)] for a, b, c in trips], dtype=np.intp)
-        ib = np.array([pair_index[(a, c)] for a, b, c in trips], dtype=np.intp)
-        ic = np.array([pair_index[(b, c)] for a, b, c in trips], dtype=np.intp)
-        cnt = (bits[:, ia] & bits[:, ib] & bits[:, ic]).sum(axis=1)
+        ia, ib, ic = _triangle_pair_columns(n)
+        step = max(1, _TRIANGLE_BLOCK_ENTRIES // max(1, ia.size))
+        cnt = np.empty(bits.shape[0], dtype=np.int64)
+        for lo in range(0, bits.shape[0], step):
+            rows = bits[lo : lo + step]
+            cnt[lo : lo + step] = (rows[:, ia] & rows[:, ib] & rows[:, ic]).sum(axis=1)
         return 6 * cnt * n**self.iso
 
     def statistic(self, b: float, g) -> float:

@@ -41,6 +41,11 @@ ENUMERATION_MAX_VERTICES = 6
 DENSE_MATRIX_MAX_PAIRS = 12
 CHI_SQUARE_MAX_VERTICES = 10_000
 BURN_IN_FRACTION = 0.10
+# estimate_importance draws its graphs in row blocks of at most this many
+# uniforms (4 MB of doubles), whatever the batch
+_DRAW_BLOCK_UNIFORMS = 2**19
+# chi_square_distance sums its weights in chunks this long, which stay in cache
+_CHI_SQUARE_CHUNK = 2**16
 
 
 def _rng_from_seed(seed: int) -> np.random.Generator:
@@ -356,6 +361,30 @@ def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
 # -- chi-square distance and cutoff ------------------------------------------------
 
 
+_LOG_FACTORIALS = np.array([lgamma(k + 1) for k in range(64)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial(x: np.ndarray) -> np.ndarray:
+    """log(x!) of integer-valued floats x >= 0, to about 1e-15 relative.
+
+    Below 64 it reads a table of math.lgamma values; above, it sums the
+    Stirling series of lgamma(x + 1) through the 1/(1680 z^7) term, whose
+    first omitted term is below 1e-19 there.
+    """
+    small = x < _LOG_FACTORIALS.size
+    if small.all():
+        return _LOG_FACTORIALS[x.astype(np.intp)]
+    z = x + 1.0
+    r = 1.0 / z
+    r2 = r * r
+    tail = r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680)))
+    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + tail
+    if small.any():
+        out[small] = _LOG_FACTORIALS[x[small].astype(np.intp)]
+    return out
+
+
 def chi_square_distance(
     start: str, beta: float, n: int, ell: float, log: bool = False
 ) -> float:
@@ -379,11 +408,9 @@ def chi_square_distance(
     rate = 1.0 + math.exp(-beta)
     best = -math.inf
     total_log = -math.inf
-    for lo in range(1, m + 1, 1_000_000):
-        js = np.arange(lo, min(lo + 1_000_000, m + 1), dtype=np.float64)
-        logc = (
-            lgamma(m + 1) - np.array([lgamma(j + 1) + lgamma(m - j + 1) for j in js])
-        )
+    for lo in range(1, m + 1, _CHI_SQUARE_CHUNK):
+        js = np.arange(lo, min(lo + _CHI_SQUARE_CHUNK, m + 1), dtype=np.float64)
+        logc = lgamma(m + 1) - (_log_factorial(js) + _log_factorial(m - js))
         base = np.abs(1.0 - js * rate / m)
         with np.errstate(divide="ignore"):
             decay = np.where(base > 0.0, 2.0 * ell * np.log(base), -np.inf)
@@ -430,7 +457,10 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
 
     bits has one row per graph and one column per vertex pair in
     lexicographic order. Edges, stars, and triangles are fully vectorized;
-    other motifs fall back to a per-graph loop.
+    other motifs fall back to a per-graph loop. The triangle count gathers
+    the rows in blocks of max(1, 2^20 // C(n, 3)) rows, so each of its
+    temporaries holds at most about 2^20 entries (or one row) whatever the
+    number of rows; the counts stay exact integers.
     """
     m = math.comb(n, 2)
     if bits.shape[1] != m:
@@ -508,6 +538,12 @@ def estimate_importance(
     exp(n^2 T(G)) / Q(G). With self_normalized=True the proposal mass is
     used only up to its normalizing constant, as when Q comes from an
     unnormalized chain law.
+
+    batch sets only how many samples share one log-sum-exp before it is
+    folded into the running total. Memory does not grow with it: the graphs
+    are drawn and counted in fixed blocks of at most about 2^19 uniforms
+    (4 MB), which read the generator's stream in order, so the draws are
+    those of one draw per batch.
     """
     if proposal_p is None:
         proposal_p = max(maximize_scalar(model).maximizers)
@@ -520,13 +556,17 @@ def estimate_importance(
     log_p, log_q = math.log(proposal_p), math.log1p(-proposal_p)
     num_log = -math.inf
     den_log = -math.inf
+    block = max(1, _DRAW_BLOCK_UNIFORMS // m)
     remaining = n_samples
     while remaining > 0:
         take = min(batch, remaining)
-        bits = (rng.random((take, m)) < proposal_p).astype(np.int8)
-        dens = batch_motif_densities(motifs, n, bits)
-        stat = n**2 * (dens @ betas)
-        e_counts = bits.sum(axis=1)
+        stat = np.empty(take)
+        e_counts = np.empty(take, dtype=np.int64)
+        for lo in range(0, take, block):
+            bits = (rng.random((min(block, take - lo), m)) < proposal_p).astype(np.int8)
+            dens = batch_motif_densities(motifs, n, bits)
+            stat[lo : lo + block] = n**2 * (dens @ betas)
+            e_counts[lo : lo + block] = bits.sum(axis=1)
         if self_normalized:
             log_qbar = e_counts * (log_p - log_q)
             num_log = np.logaddexp(num_log, _logsumexp(stat - log_qbar))

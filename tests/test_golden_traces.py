@@ -1,9 +1,13 @@
-"""Fixed-seed chain outputs pinned to sha256 digests.
+"""Fixed-seed chain outputs pinned to sha256 digests, and fixed-seed
+importance estimates pinned bit for bit.
 
 The digests were recorded before the motif statistics and the chain loop
 were rewritten around one term object per motif, so they check that a seed
 still gives the same chain: the same pair and coin draws and the same
-accept/reject decision at every step, for every motif class.
+accept/reject decision at every step, for every motif class. The importance
+estimates were recorded before the sampler drew and counted its graphs in
+fixed blocks, so they check that the blocks read the same draws and give
+the same counts.
 """
 
 import contextlib
@@ -12,7 +16,7 @@ import io
 
 from ergmlab.cli import main
 from ergmlab.graphs import Motif
-from ergmlab.mcmc import ChainConfig, run_chain, sample_motif_densities
+from ergmlab.mcmc import ChainConfig, estimate_importance, run_chain, sample_motif_densities
 from ergmlab.variational import ModelSpec
 
 PAW = "edgelist:0-1,1-2,2-3,1-3"
@@ -40,6 +44,20 @@ GOLDEN = {
     "edgelist": "6906b0b35ea2b985dd3d738601537a360c980a7170657e092db35a6cc9644eba",
     "densities": "5519b7f2857eece6a648dae1351dd090e3bacb20275323ece040b09f3186ce88",
     "cli_sample": "395c05d8a2458b3cbebac51e34095d11267c3cd26333e584da58fcf053335185",
+}
+
+
+STAR_TRIANGLE = ModelSpec([(Motif.edge(), 0.1), (Motif.parse("star:2"), -0.15), (Motif.triangle(), 0.2)])
+
+# n = 30 with batch 1000 spans three batches, each counted in several
+# triangle row blocks; n = 6 draws its one batch in three draw blocks
+IMPORTANCE = {
+    "n30_batch1000": (dict(model=ModelSpec.edge_triangle(0.2, 0.1), n=30, n_samples=3_000,
+                           seed=31, batch=1000), "0x1.a11e116d0b0c3p+8"),
+    "n6_self_normalized": (dict(model=ModelSpec.edge_triangle(-0.3, 0.2), n=6, n_samples=100_000,
+                                seed=32, self_normalized=True), "0x1.b2186dc87f448p+2"),
+    "n8_star_batch777": (dict(model=STAR_TRIANGLE, n=8, n_samples=5_000, seed=33, batch=777),
+                         "0x1.547d7f5e278e2p+4"),
 }
 
 
@@ -78,3 +96,8 @@ def test_sampled_densities_match_golden():
 
 def test_cli_sample_matches_golden():
     assert cli_sample_digest() == GOLDEN["cli_sample"]
+
+
+def test_importance_estimates_match_golden():
+    for name, (kwargs, golden) in IMPORTANCE.items():
+        assert estimate_importance(**kwargs).estimate_log.hex() == golden, name

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from ergmlab.mcmc import (
     sample_motif_densities,
     variance_mcmc_mean,
 )
-from ergmlab.mcmc import _logsumexp, _rng_from_seed
+from ergmlab.graphs import _TRIANGLE_BLOCK_ENTRIES, hom_count_fast
+from ergmlab.mcmc import _log_factorial, _logsumexp, _rng_from_seed
 from ergmlab.variational import ModelSpec, maximize_scalar
 
 
@@ -205,6 +207,35 @@ def test_chi_square_lower_bound_inequality():
                 assert full >= lead - 1e-12
 
 
+def test_log_factorial_matches_lgamma():
+    # the geometric grid reaches past m = C(10_000, 2), the size guard's limit
+    x = np.concatenate([np.arange(5001.0), np.round(np.geomspace(5001.0, 5e7, 400))])
+    got = _log_factorial(x)
+    for xv, g in zip(x.tolist(), got.tolist()):
+        ref = math.lgamma(xv + 1)
+        assert abs(g - ref) <= 1e-13 * ref, xv
+
+
+# chi_square_distance values at the cutoff (beta = 0.7, c = 2), recorded with
+# the per-weight math.lgamma sum it replaced. Both versions take
+# log C(m, j) as a difference of lgamma values of size about 1e8, whose
+# rounding is about 1e-8 absolute (at m = 4,498,500 and j = 10^6 both were
+# 1.26e-8 from the exact math.log(math.comb(m, j))), so the values can agree
+# only to about 1e-8 relative.
+CHI_SQUARE_AT_CUTOFF = {
+    (1000, "empty"): 0.3132747965321614,
+    (1000, "complete"): 0.06951351206099741,
+    (3000, "empty"): 0.31328388682253144,
+    (3000, "complete"): 0.06951503272625406,
+}
+
+
+def test_chi_square_large_n_matches_recorded_values():
+    for (n, start), value in CHI_SQUARE_AT_CUTOFF.items():
+        ell = mixing_cutoff(n, 0.7, 2.0)
+        assert chi_square_distance(start, 0.7, n, ell) == pytest.approx(value, rel=1e-8), (n, start)
+
+
 def test_chi_square_overflow_guard():
     with pytest.raises(OverflowGuardError, match="log=True"):
         chi_square_distance("empty", 1.0, 60, 0)
@@ -288,7 +319,36 @@ def test_batch_densities_match_graph_densities():
             assert val == pytest.approx(hom_density_graph_fast(motif, g), abs=1e-12)
 
 
+def test_batch_triangle_counts_across_row_blocks():
+    tri = Motif.triangle()
+    r = _rng_from_seed(12)
+    step = _TRIANGLE_BLOCK_ENTRIES // math.comb(30, 3)
+    # n = 30 spans two full row blocks and a remainder; n = 2 has no triple
+    # and n = 3 one, so their blocks hold every row
+    for n, rows in ((30, 2 * step + 17), (2, 3000), (3, 3000)):
+        m = math.comb(n, 2)
+        bits = (r.random((rows, m)) < 0.5).astype(np.int8)
+        dens = batch_motif_densities([tri], n, bits)[:, 0]
+        pairs = list(itertools.combinations(range(n), 2))
+        for row, d in zip(bits, dens.tolist()):
+            g = Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]])
+            assert d == hom_count_fast(tri, g) / n**3
+
+
 # -- estimators -------------------------------------------------------------------------
+
+
+def test_importance_memory_stays_bounded():
+    # the graphs are drawn and counted in fixed blocks, so the peak does not
+    # grow with the batch (one 20,000-row batch array peaked at 243 MB)
+    model = ModelSpec.edge_triangle(0.2, 0.1)
+    tracemalloc.start()
+    try:
+        estimate_importance(model, 30, 20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_importance_zero_variance_at_matched_proposal():
