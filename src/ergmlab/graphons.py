@@ -9,6 +9,7 @@ entropy rate functionals, the cut norm, and the edge-derivative operator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string
@@ -27,6 +28,9 @@ CUT_DISTANCE_EXHAUSTIVE_MAX_BLOCKS = 8
 DENSITY_VERTEX_GUARD = 8
 DENSITY_SIZE_GUARD = 10**9
 DELTA_VERTEX_GUARD = 6
+# kernels with k^|V(H)| at most this many cells contract in numpy's C einsum
+# directly; larger ones along a greedy path that einsum searches per call
+DIRECT_EINSUM_MAX_CELLS = 2**16
 
 
 class StepGraphon:
@@ -181,11 +185,11 @@ def relative_edge_entropy(u, p: float):
 # -- densities and rates on step graphons ------------------------------------
 
 
-def _density_guard(h: Motif, k: int):
-    if h.vertex_count > DENSITY_VERTEX_GUARD:
+def _contraction_guard(h: Motif, k: int, vertex_guard: int):
+    if h.vertex_count > vertex_guard:
         raise InstanceTooLargeError(
             f"instance too large: motif has {h.vertex_count} vertices, "
-            f"guard is {DENSITY_VERTEX_GUARD}"
+            f"guard is {vertex_guard}"
         )
     if k**h.vertex_count > DENSITY_SIZE_GUARD:
         raise InstanceTooLargeError(
@@ -194,23 +198,64 @@ def _density_guard(h: Motif, k: int):
         )
 
 
+@functools.lru_cache(maxsize=256)
+def _motif_subscripts(h: Motif) -> tuple:
+    """Einsum subscripts of a motif's density and of each edge's delta term.
+
+    Each entry pairs a subscript string with its operand kinds: "v" for the
+    kernel values, "w" for the block weights and "1" for a ones vector that
+    puts a pinned vertex on no remaining edge among the inputs. Returns the
+    density entry and one entry per edge (r, s): the other edges and
+    vertices summed out, with r and s pinned to the output axes.
+    """
+    letters = string.ascii_lowercase[: h.vertex_count]
+    density = (
+        ",".join([letters[i] + letters[j] for i, j in h.edges] + list(letters)) + "->",
+        "v" * len(h.edges) + "w" * h.vertex_count,
+    )
+    terms = []
+    for r, s in h.edges:
+        rest = [e for e in h.edges if e != (r, s)]
+        subs = [letters[i] + letters[j] for i, j in rest]
+        kinds = "v" * len(rest)
+        for v in range(h.vertex_count):
+            if v not in (r, s):
+                subs.append(letters[v])
+                kinds += "w"
+        for v in (r, s):
+            if not any(v in e for e in rest):
+                subs.append(letters[v])
+                kinds += "1"
+        terms.append((",".join(subs) + "->" + letters[r] + letters[s], kinds))
+    return density, tuple(terms)
+
+
+def _contract(entries, g: StepGraphon, direct: bool) -> list:
+    """Contract each (subscripts, kinds) entry at a step kernel.
+
+    direct runs numpy's C einsum with no path search, which is fastest for
+    small kernels; otherwise einsum searches a greedy path.
+    """
+    operands = {"v": g.values, "w": g.weights}
+    if any("1" in kinds for _, kinds in entries):
+        operands["1"] = np.ones(g.k)
+    optimize = False if direct else "greedy"
+    return [
+        np.einsum(subscripts, *[operands[c] for c in kinds], optimize=optimize)
+        for subscripts, kinds in entries
+    ]
+
+
 def hom_density_graphon(h: Motif, g: StepGraphon) -> float:
     """Exact homomorphism density of the motif in a step kernel.
 
     Evaluates the block sum of the product of kernel values over motif edges,
-    weighted by block measures, via an optimized tensor contraction.
+    weighted by block measures, via a tensor contraction.
     """
-    _density_guard(h, g.k)
-    letters = string.ascii_lowercase[: h.vertex_count]
-    subs = []
-    ops = []
-    for i, j in h.edges:
-        subs.append(letters[i] + letters[j])
-        ops.append(g.values)
-    for v in range(h.vertex_count):
-        subs.append(letters[v])
-        ops.append(g.weights)
-    return float(np.einsum(",".join(subs) + "->", *ops, optimize="greedy"))
+    _contraction_guard(h, g.k, DENSITY_VERTEX_GUARD)
+    density, _ = _motif_subscripts(h)
+    direct = g.k**h.vertex_count <= DIRECT_EINSUM_MAX_CELLS
+    return float(_contract((density,), g, direct)[0])
 
 
 def rate_entropy(g: StepGraphon) -> float:
@@ -244,33 +289,11 @@ def delta_h(h: Motif, g: StepGraphon) -> np.ndarray:
     equation consume. For a single-edge motif the result is the all-ones
     matrix (empty product convention).
     """
-    if h.vertex_count > DELTA_VERTEX_GUARD:
-        raise InstanceTooLargeError(
-            f"instance too large: motif has {h.vertex_count} vertices, "
-            f"guard is {DELTA_VERTEX_GUARD}"
-        )
-    k = g.k
-    letters = string.ascii_lowercase[: h.vertex_count]
-    total = np.zeros((k, k))
-    for r, s in h.edges:
-        subs = []
-        ops = []
-        for i, j in h.edges:
-            if (i, j) == (r, s):
-                continue
-            subs.append(letters[i] + letters[j])
-            ops.append(g.values)
-        for v in range(h.vertex_count):
-            if v in (r, s):
-                continue
-            subs.append(letters[v])
-            ops.append(g.weights)
-        # dummy broadcast operands so the pinned axes always appear as inputs
-        for v in (r, s):
-            subs.append(letters[v])
-            ops.append(np.ones(k))
-        out = letters[r] + letters[s]
-        term = np.einsum(",".join(subs) + "->" + out, *ops, optimize="greedy")
+    _contraction_guard(h, g.k, DELTA_VERTEX_GUARD)
+    _, terms = _motif_subscripts(h)
+    direct = g.k**h.vertex_count <= DIRECT_EINSUM_MAX_CELLS
+    total = np.zeros((g.k, g.k))
+    for term in _contract(terms, g, direct):
         total += 0.5 * (term + term.T)
     return total
 

@@ -20,9 +20,9 @@ from .errors import DomainError, FormatError, InstanceTooLargeError
 MAX_VERTICES = 4096
 HOM_MAP_GUARD = 10**9
 CHROMATIC_VERTEX_GUARD = 12
-# the batched triangle count gathers rows in blocks of at most this many
-# (row, triple) entries, so each temporary stays near 1 MB whatever the batch
-_TRIANGLE_BLOCK_ENTRIES = 2**20
+# the batched star and triangle counts gather rows in blocks of at most this
+# many (row, index) entries, so each temporary stays near 1 MB whatever the batch
+_BATCH_BLOCK_ENTRIES = 2**20
 
 
 class Graph:
@@ -527,11 +527,25 @@ class _StarTerm(_Term):
         return (((ai + 1) ** s - ai**s) + ((aj + 1) ** s - aj**s)) * g.n**self.iso
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        incidence = np.zeros((bits.shape[1], n), dtype=np.int64)
-        for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-            incidence[t, i] = incidence[t, j] = 1
-        deg = bits.astype(np.int64) @ incidence
-        return (deg**self.arg).sum(axis=1) * n**self.iso
+        inc = _vertex_pair_columns(n)
+        step = max(1, _BATCH_BLOCK_ENTRIES // max(1, inc.size))
+        cnt = np.empty(bits.shape[0], dtype=np.int64)
+        for lo in range(0, bits.shape[0], step):
+            deg = bits[lo : lo + step][:, inc].sum(axis=2, dtype=np.int64)
+            cnt[lo : lo + step] = (deg**self.arg).sum(axis=1)
+        return cnt * n**self.iso
+
+
+@functools.lru_cache(maxsize=8)
+def _vertex_pair_columns(n: int) -> np.ndarray:
+    """Row v holds the columns of the n - 1 pairs that contain v, read-only."""
+    inc = [[] for _ in range(n)]
+    for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        inc[i].append(t)
+        inc[j].append(t)
+    out = np.array(inc, dtype=np.intp).reshape(n, n - 1)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -556,7 +570,7 @@ class _TriangleTerm(_Term):
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         ia, ib, ic = _triangle_pair_columns(n)
-        step = max(1, _TRIANGLE_BLOCK_ENTRIES // max(1, ia.size))
+        step = max(1, _BATCH_BLOCK_ENTRIES // max(1, ia.size))
         cnt = np.empty(bits.shape[0], dtype=np.int64)
         for lo in range(0, bits.shape[0], step):
             rows = bits[lo : lo + step]

@@ -457,10 +457,11 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
 
     bits has one row per graph and one column per vertex pair in
     lexicographic order. Edges, stars, and triangles are fully vectorized;
-    other motifs fall back to a per-graph loop. The triangle count gathers
-    the rows in blocks of max(1, 2^20 // C(n, 3)) rows, so each of its
-    temporaries holds at most about 2^20 entries (or one row) whatever the
-    number of rows; the counts stay exact integers.
+    other motifs fall back to a per-graph loop. The star and triangle counts
+    gather the rows in blocks of max(1, 2^20 // n(n - 1)) and
+    max(1, 2^20 // C(n, 3)) rows, so each of their temporaries holds at most
+    about 2^20 entries (or one row) whatever the number of rows; the counts
+    stay exact integers.
     """
     m = math.comb(n, 2)
     if bits.shape[1] != m:

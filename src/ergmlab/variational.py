@@ -369,8 +369,8 @@ def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition:
     for _ in range(60):
         mid = 0.5 * (aa + bb)
         model = ModelSpec.edge_triangle(beta1, mid)
-        gap = scalar_objective(model, u_high_local(model, u_high)) - scalar_objective(
-            model, u_high_local(model, u_low)
+        gap = scalar_objective(model, _local_maximizer(model, u_high)) - scalar_objective(
+            model, _local_maximizer(model, u_low)
         )
         if gap > 0.0:
             bb = mid
@@ -379,7 +379,7 @@ def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition:
     return PhaseTransition(0.5 * (aa + bb), u_low, u_high)
 
 
-def u_high_local(model: ModelSpec, seed: float) -> float:
+def _local_maximizer(model: ModelSpec, seed: float) -> float:
     """Track the local maximizer of the scalar objective nearest a seed."""
     x = min(max(seed, 1e-12), 1.0 - 1e-12)
     for _ in range(200):

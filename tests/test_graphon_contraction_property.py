@@ -1,0 +1,97 @@
+"""Property tests of the graphon contraction against brute-force block sums.
+
+For every builtin motif class and for random small edge-list motifs
+(isolated vertices included), on random step kernels with equal and unequal
+block weights: hom_density_graphon and delta_h equal a sum over every
+assignment of motif vertices to blocks, whether the contraction runs in
+numpy's C einsum directly or along einsum's greedy path.
+"""
+
+import itertools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergmlab import graphons
+from ergmlab.graphons import StepGraphon, delta_h, hom_density_graphon, to_step_graphon
+from ergmlab.graphs import Graph, Motif, hom_density_graph
+
+BUILTIN = ["edge", "star:2", "star:3", "triangle", "cycle:4", "cycle:5", "complete:4"]
+
+
+@st.composite
+def motifs(draw):
+    if draw(st.booleans()):
+        return Motif.parse(draw(st.sampled_from(BUILTIN)))
+    v = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(v), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Motif(v, edges)
+
+
+@st.composite
+def kernels(draw):
+    k = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    equal = draw(st.booleans())
+    return StepGraphon.random(k, np.random.default_rng(seed), equal_weights=equal)
+
+
+def brute_density(h: Motif, g: StepGraphon) -> float:
+    total = 0.0
+    for blocks in itertools.product(range(g.k), repeat=h.vertex_count):
+        term = 1.0
+        for v in blocks:
+            term *= g.weights[v]
+        for i, j in h.edges:
+            term *= g.values[blocks[i], blocks[j]]
+        total += term
+    return total
+
+
+def brute_delta(h: Motif, g: StepGraphon) -> np.ndarray:
+    total = np.zeros((g.k, g.k))
+    for r, s in h.edges:
+        term = np.zeros((g.k, g.k))
+        for blocks in itertools.product(range(g.k), repeat=h.vertex_count):
+            x = 1.0
+            for v in range(h.vertex_count):
+                if v not in (r, s):
+                    x *= g.weights[blocks[v]]
+            for i, j in h.edges:
+                if (i, j) != (r, s):
+                    x *= g.values[blocks[i], blocks[j]]
+            term[blocks[r], blocks[s]] += x
+        total += 0.5 * (term + term.T)
+    return total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(motifs(), kernels())
+def test_contraction_matches_brute_force_block_sum(h, g):
+    density, delta = brute_density(h, g), brute_delta(h, g)
+    # 0 sends every kernel down the greedy path, the default sends these
+    # small ones (k^|V(H)| <= 4^5) to the direct C einsum
+    for cells in (graphons.DIRECT_EINSUM_MAX_CELLS, 0):
+        with mock.patch.object(graphons, "DIRECT_EINSUM_MAX_CELLS", cells):
+            assert hom_density_graphon(h, g) == pytest.approx(density, abs=1e-12)
+            assert np.max(np.abs(delta_h(h, g) - delta), initial=0.0) <= 1e-12
+
+
+def test_contraction_above_direct_threshold_matches_graph_counts():
+    # 20^4 = 160,000 cells > 2^16: the greedy path, checked against the
+    # graph's own density and against delta of C4 = 4 A^3 / n^2 (each of the
+    # four edges, removed, leaves a 3-walk between its pinned ends)
+    n = 20
+    r = np.random.default_rng(20)
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.from_edges(n, [p for p in pairs if r.random() < 0.4])
+    kernel = to_step_graphon(g)
+    c4 = Motif.cycle(4)
+    assert n**c4.vertex_count > graphons.DIRECT_EINSUM_MAX_CELLS
+    assert hom_density_graphon(c4, kernel) == pytest.approx(hom_density_graph(c4, g), abs=1e-12)
+    a = g.adjacency_matrix().astype(float)
+    assert np.max(np.abs(delta_h(c4, kernel) - 4.0 * (a @ a @ a) / n**2)) <= 1e-12

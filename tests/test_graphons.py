@@ -307,6 +307,10 @@ def test_delta_is_density_gradient():
 def test_delta_guard():
     with pytest.raises(InstanceTooLargeError):
         delta_h(Motif(7, [(i, i + 1) for i in range(6)]), StepGraphon.constant(0.5))
+    # 200^4 > 1e9: the size guard raises before any contraction starts
+    big = StepGraphon.equal_blocks(np.full((200, 200), 0.5))
+    with pytest.raises(InstanceTooLargeError, match="exceeds"):
+        delta_h(Motif.complete(4), big)
 
 
 # -- type plumbing --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from ergmlab.mcmc import (
     sample_motif_densities,
     variance_mcmc_mean,
 )
-from ergmlab.graphs import _TRIANGLE_BLOCK_ENTRIES, hom_count_fast
+from ergmlab.graphs import _BATCH_BLOCK_ENTRIES, hom_count_fast
 from ergmlab.mcmc import _log_factorial, _logsumexp, _rng_from_seed
 from ergmlab.variational import ModelSpec, maximize_scalar
 
@@ -322,7 +322,7 @@ def test_batch_densities_match_graph_densities():
 def test_batch_triangle_counts_across_row_blocks():
     tri = Motif.triangle()
     r = _rng_from_seed(12)
-    step = _TRIANGLE_BLOCK_ENTRIES // math.comb(30, 3)
+    step = _BATCH_BLOCK_ENTRIES // math.comb(30, 3)
     # n = 30 spans two full row blocks and a remainder; n = 2 has no triple
     # and n = 3 one, so their blocks hold every row
     for n, rows in ((30, 2 * step + 17), (2, 3000), (3, 3000)):
@@ -333,6 +333,36 @@ def test_batch_triangle_counts_across_row_blocks():
         for row, d in zip(bits, dens.tolist()):
             g = Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]])
             assert d == hom_count_fast(tri, g) / n**3
+
+
+def test_batch_star_counts_across_row_blocks():
+    r = _rng_from_seed(13)
+    step = _BATCH_BLOCK_ENTRIES // (30 * 29)
+    # n = 30 spans two full row blocks and a remainder; at n = 2 and n = 3
+    # one block holds every row
+    for n, rows in ((30, 2 * step + 17), (2, 3000), (3, 3000)):
+        m = math.comb(n, 2)
+        bits = (r.random((rows, m)) < 0.5).astype(np.int8)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]]) for row in bits]
+        for star in (Motif.star(2), Motif.star(3)):
+            dens = batch_motif_densities([star], n, bits)[:, 0]
+            for g, d in zip(graphs, dens.tolist()):
+                assert d == hom_count_fast(star, g) / n ** star.vertex_count
+
+
+def test_batch_star_memory_stays_bounded():
+    # degrees are summed over fixed row blocks, so the peak does not grow
+    # with the rows (an int64 copy of the rows times an m x n incidence
+    # matrix peaked at 71 MB here)
+    bits = (_rng_from_seed(14).random((20_000, math.comb(30, 2))) < 0.5).astype(np.int8)
+    tracemalloc.start()
+    try:
+        batch_motif_densities([Motif.star(2)], 30, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- estimators -------------------------------------------------------------------------

@@ -224,6 +224,35 @@ def test_fixed_point_rejects_bad_damping():
         euler_lagrange_solve(ModelSpec.edge_only(0.0), StepGraphon.constant(0.5), damping=0.0)
 
 
+# Euler-Lagrange solutions recorded with the contraction that searched an
+# einsum path on every call. The direct C einsum sums the same block
+# products in another order, so each delta term can move by a few ulps and
+# the 1e-9 stopping rule can end the iteration a step apart; 1e-12 allows
+# for that (both solutions here came out bit-identical).
+EL_RECORDED = [
+    (
+        ModelSpec([(Motif.edge(), -0.3), (Motif.triangle(), 0.15), (Motif.star(2), -0.1), (Motif.cycle(4), 0.04)]),
+        StepGraphon([0.2, 0.3, 0.5], [[0.1, 0.7, 0.4], [0.7, 0.9, 0.2], [0.4, 0.2, 0.6]]),
+        [
+            [0.3507439454446798, 0.3507439458006749, 0.3507439455761113],
+            [0.3507439458006749, 0.3507439459918046, 0.3507439455550888],
+            [0.3507439455761113, 0.3507439455550888, 0.350743945684165],
+        ],
+    ),
+    (
+        ModelSpec([(Motif.edge(), 0.4), (Motif.complete(4), -0.1)]),
+        StepGraphon.equal_blocks([[0.9, 0.1], [0.1, 0.3]]),
+        [[0.6575668272906443, 0.6575668255228486], [0.6575668255228486, 0.6575668271651685]],
+    ),
+]
+
+
+def test_fixed_point_matches_recorded_values():
+    for model, init, values in EL_RECORDED:
+        sol, _ = euler_lagrange_solve(model, init, damping=0.5)
+        assert np.max(np.abs(sol.values - np.array(values))) <= 1e-12
+
+
 # -- extremal limits ---------------------------------------------------------------------
 
 
@@ -320,6 +349,38 @@ def test_graphon_search_recovers_constant_regime():
     assert rep.psi == pytest.approx(psi_limit_scalar(model), abs=1e-6)
     assert np.max(np.abs(rep.maximizers[0].values - u)) < 1e-3
     assert not rep.certified
+
+
+# graphon_search results recorded with the contraction that searched an
+# einsum path on every call. The objective moves by ulps, which can flip a
+# line-search comparison between nearly equal values; the ascent then takes
+# other steps, so psi agrees to 1e-12 but the kernel only to the ascent's
+# own accuracy (it moved by up to 8.7e-10 here; 1e-6 is allowed).
+SEARCH_RECORDED = [
+    (
+        ModelSpec([(Motif.edge(), 2.0), (Motif.star(2), 1.0), (Motif.triangle(), -12.0)]),
+        {"k": 2, "restarts": 4, "max_iter": 150, "seed": 7},
+        1.2506167046503145,
+        [[1e-06, 0.9975149143337079], [0.9975149143337079, 1e-06]],
+    ),
+    (
+        ModelSpec([(Motif.edge(), 0.1), (Motif.star(2), -1.5), (Motif.triangle(), 2.0)]),
+        {"k": 3, "restarts": 2, "max_iter": 100, "seed": 3},
+        0.6010328332018681,
+        [
+            [0.9978968122289493, 0.9978968131644211, 0.997896811934635],
+            [0.9978968131644211, 0.9978968122289424, 0.9978968119351963],
+            [0.997896811934635, 0.9978968119351963, 0.997896812238834],
+        ],
+    ),
+]
+
+
+def test_graphon_search_matches_recorded_values():
+    for model, kwargs, psi, values in SEARCH_RECORDED:
+        rep = graphon_search(model, **kwargs)
+        assert abs(rep.psi - psi) <= 1e-12
+        assert np.max(np.abs(rep.maximizers[0].values - np.array(values))) <= 1e-6
 
 
 def test_symmetry_breaking_check_directions():
