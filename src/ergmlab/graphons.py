@@ -31,6 +31,10 @@ DELTA_VERTEX_GUARD = 6
 # kernels with k^|V(H)| at most this many cells contract in numpy's C einsum
 # directly; larger ones along a greedy path that einsum searches per call
 DIRECT_EINSUM_MAX_CELLS = 2**16
+# the exact cut norm expands the low sign bits into one 0/1 table of at most
+# 2^12 rows and works in blocks of at most this many float entries
+_CUT_LOW_BITS = 12
+_CUT_BLOCK_ENTRIES = 2**20
 
 
 class StepGraphon:
@@ -333,12 +337,62 @@ def common_refinement(f: StepGraphon, g: StepGraphon):
 # -- cut norm -----------------------------------------------------------------
 
 
-def _bilinear_best(mass: np.ndarray, s_batch: np.ndarray):
-    """For each 0/1 row s, the max over 0/1 t of |s M t| and its maximizer."""
-    r = s_batch @ mass
-    pos = np.where(r > 0.0, r, 0.0).sum(axis=1)
-    neg = np.where(r < 0.0, -r, 0.0).sum(axis=1)
-    return r, pos, neg
+@functools.lru_cache(maxsize=None)
+def _sign_table(bits: int) -> np.ndarray:
+    """Row i is the 0/1 expansion of i over `bits` bits, low bit first (read-only)."""
+    idx = np.arange(1 << bits)
+    table = ((idx[:, None] >> np.arange(bits)) & 1).astype(float)
+    table.flags.writeable = False
+    return table
+
+
+def _cut_norm_exact(masses: np.ndarray):
+    """Exact cut norm of each mass matrix M in a (P, k, k) stack.
+
+    For a 0/1 row s the best 0/1 column set takes the positive (or the
+    negative) entries of r = s M, so the norm is the max over the 2^k rows
+    of pos = sum max(r, 0) and of neg = sum max(-r, 0) = pos - s.rowsum(M).
+    The rows r of the low min(k, 12) bits come from one 0/1 table product,
+    and each setting of the high bits adds one offset row to them; the work
+    runs in blocks of at most _CUT_BLOCK_ENTRIES float entries. Returns each
+    value, the index of its best row (bit i selects block i) and whether the
+    positive side attains it; ties go to the lowest index, positive first.
+    """
+    count, k, _ = masses.shape
+    low = min(k, _CUT_LOW_BITS)
+    table, high = _sign_table(low), _sign_table(k - low)
+    n_low, n_high = table.shape[0], high.shape[0]
+    row_totals = masses.sum(axis=2)
+    offsets = high @ masses[:, low:, :]  # (P, n_high, k)
+    offset_totals = row_totals[:, low:] @ high.T  # (P, n_high)
+    high_block = min(n_high, max(1, _CUT_BLOCK_ENTRIES // (n_low * k)))
+    p_block = max(1, _CUT_BLOCK_ENTRIES // (n_low * k * high_block))
+    if n_high > 1:
+        buf = np.empty((p_block, high_block, n_low, k))
+    ones = np.ones(k)
+    values = np.full(count, -1.0)
+    best = np.zeros(count, dtype=np.int64)
+    positive = np.ones(count, dtype=bool)
+    for p0 in range(0, count, p_block):
+        p1 = min(p0 + p_block, count)
+        rows = table @ masses[p0:p1, :low, :]  # (p, n_low, k)
+        totals = row_totals[p0:p1, :low] @ table.T  # (p, n_low)
+        for h0 in range(0, n_high, high_block):
+            h1 = min(h0 + high_block, n_high)
+            if n_high == 1:  # no high bits, so rows is not read again
+                r = rows[:, None]
+            else:
+                r = np.add(rows[:, None], offsets[p0:p1, h0:h1, None, :], out=buf[: p1 - p0, : h1 - h0])
+            pos = (np.maximum(r, 0.0, out=r) @ ones).reshape(p1 - p0, -1)
+            neg = pos - (totals[:, None] + offset_totals[p0:p1, h0:h1, None]).reshape(p1 - p0, -1)
+            for side, sides in ((True, pos), (False, neg)):
+                i = np.argmax(sides, axis=1)
+                v = sides[np.arange(p1 - p0), i]
+                better = v > values[p0:p1]
+                values[p0:p1][better] = v[better]
+                best[p0:p1][better] = h0 * n_low + i[better]
+                positive[p0:p1][better] = side
+    return values, best, positive
 
 
 def cut_norm_diff(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutNormResult:
@@ -355,27 +409,13 @@ def cut_norm_diff(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutNormResul
     mass = (w[:, None] * w[None, :]) * (fv - gv)
     k = len(w)
     if k <= CUT_NORM_EXACT_MAX_BLOCKS:
-        best_val = -1.0
-        best_s = 0
-        best_pos = True
-        chunk = 1 << min(k, 16)
-        arange = np.arange(k)
-        for start in range(0, 1 << k, chunk):
-            idx = np.arange(start, min(start + chunk, 1 << k), dtype=np.int64)
-            s_batch = (idx[:, None] >> arange[None, :]) & 1
-            r, pos, neg = _bilinear_best(mass, s_batch.astype(float))
-            i_pos = int(np.argmax(pos))
-            i_neg = int(np.argmax(neg))
-            if pos[i_pos] > best_val:
-                best_val, best_s, best_pos = float(pos[i_pos]), int(idx[i_pos]), True
-            if neg[i_neg] > best_val:
-                best_val, best_s, best_pos = float(neg[i_neg]), int(idx[i_neg]), False
-        s_vec = np.array([(best_s >> i) & 1 for i in range(k)], dtype=float)
+        values, best, positive = _cut_norm_exact(mass[None])
+        s_vec = ((int(best[0]) >> np.arange(k)) & 1).astype(float)
         r = s_vec @ mass
-        t_vec = (r > 0.0) if best_pos else (r < 0.0)
+        t_vec = (r > 0.0) if positive[0] else (r < 0.0)
         s_idx = tuple(int(i) for i in np.nonzero(s_vec)[0])
         t_idx = tuple(int(i) for i in np.nonzero(t_vec)[0])
-        return CutNormResult(max(best_val, 0.0), s_idx, t_idx, exact=True)
+        return CutNormResult(max(float(values[0]), 0.0), s_idx, t_idx, exact=True)
 
     rng = np.random.default_rng(np.random.Philox(key=seed))
     best_val, best_s, best_t = -1.0, np.zeros(k), np.zeros(k)
@@ -419,18 +459,25 @@ def cut_distance_upper(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutDist
     fr = f.refine_equal(k)
     gr = g.refine_equal(k)
 
+    if k <= CUT_DISTANCE_EXHAUSTIVE_MAX_BLOCKS:
+        # the mass matrices of a block of permutations go to the exact
+        # kernel at once; the block keeps them within its entry budget
+        ww = np.outer(fr.weights, fr.weights)
+        perms = itertools.permutations(range(k))
+        block = max(1, _CUT_BLOCK_ENTRIES // ((1 << k) * k))
+        best, best_perm = math.inf, tuple(range(k))
+        while chunk := list(itertools.islice(perms, block)):
+            p = np.array(chunk)
+            values = _cut_norm_exact(ww * (fr.values - gr.values[p[:, :, None], p[:, None, :]]))[0]
+            i = int(np.argmin(values))
+            if values[i] < best:
+                best, best_perm = float(values[i]), chunk[i]
+        return CutDistanceResult(best, best_perm, exhaustive=True)
+
     def dist_for(perm) -> float:
         perm = np.asarray(perm)
         gp = StepGraphon(gr.weights, gr.values[np.ix_(perm, perm)])
         return cut_norm_diff(fr, gp, seed=seed).value
-
-    if k <= CUT_DISTANCE_EXHAUSTIVE_MAX_BLOCKS:
-        best, best_perm = math.inf, tuple(range(k))
-        for perm in itertools.permutations(range(k)):
-            d = dist_for(perm)
-            if d < best:
-                best, best_perm = d, perm
-        return CutDistanceResult(best, best_perm, exhaustive=True)
 
     rng = np.random.default_rng(np.random.Philox(key=seed))
     perm = np.arange(k)

@@ -586,8 +586,44 @@ class _TriangleTerm(_Term):
 
 class _CycleTerm(_Term):
     def count(self, g) -> int:
-        walks = np.trace(np.linalg.matrix_power(_adjacency(g), self.arg))
-        return round(float(walks)) * g.n**self.iso
+        # closed walks tr(A^k) = sum_ij (A^h)_ij (A^(k-h))_ij, A symmetric
+        a = _adjacency(g)
+        x = a
+        for _ in range(self.arg // 2 - 1):
+            x = _exact_product(x, a)
+        y = x if self.arg % 2 == 0 else _exact_product(x, a)
+        return _exact_inner(x, y) * g.n**self.iso
+
+
+def _python_ints(x: np.ndarray) -> np.ndarray:
+    return x if x.dtype == object else x.astype(np.int64).astype(object)
+
+
+def _exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for nonnegative integer matrices, exactly.
+
+    A float BLAS product is exact while n max(x) max(y) < 2^53, since then
+    every partial sum is an integer below 2^53; otherwise Python ints.
+    """
+    if x.dtype == y.dtype == float and x.shape[1] * int(x.max()) * int(y.max()) < 2**53:
+        return x @ y
+    return _python_ints(x) @ _python_ints(y)
+
+
+def _exact_inner(x: np.ndarray, y: np.ndarray) -> int:
+    """sum_ij x_ij y_ij for nonnegative integer matrices, as a Python int.
+
+    Row sums run in int64, over blocks of about 2^16 entries, while
+    n max(x) max(y) < 2^63; otherwise in Python ints.
+    """
+    n = x.shape[1]
+    if x.dtype == y.dtype == float and n * int(x.max()) * int(y.max()) < 2**63:
+        step, total = max(1, 2**16 // n), 0
+        for i in range(0, len(x), step):
+            block = x[i : i + step].astype(np.int64) * y[i : i + step].astype(np.int64)
+            total += sum(block.sum(axis=1).tolist())
+        return total
+    return int((_python_ints(x) * _python_ints(y)).sum())
 
 
 class _CompleteTerm(_Term):

@@ -14,6 +14,7 @@ motif coefficient is driven to minus infinity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,6 +180,18 @@ def _objective_derivative(model: ModelSpec, u):
     return val
 
 
+@functools.lru_cache(maxsize=8)
+def _scalar_grid(grid_points: int) -> np.ndarray:
+    """The bracket grid of maximize_scalar: geometric towards both endpoints.
+
+    Shared by every call (and by threads), so it is read-only.
+    """
+    tail = np.geomspace(1e-14, 0.5, max(grid_points // 2, 64))
+    grid = np.unique(np.concatenate([tail, 1.0 - tail]))
+    grid.flags.writeable = False
+    return grid
+
+
 def maximize_scalar(model: ModelSpec, grid_points: int = GRID_POINTS) -> MaximizerReport:
     """All global maximizers of the scalar objective on [0, 1].
 
@@ -191,8 +204,7 @@ def maximize_scalar(model: ModelSpec, grid_points: int = GRID_POINTS) -> Maximiz
     objective value are all reported, which is how coexistence at a
     first-order transition becomes visible.
     """
-    tail = np.geomspace(1e-14, 0.5, max(grid_points // 2, 64))
-    grid = np.unique(np.concatenate([tail, 1.0 - tail]))
+    grid = _scalar_grid(grid_points)
     dvals = _objective_derivative(model, grid)
 
     def derivative(u: float) -> float:
@@ -204,9 +216,14 @@ def maximize_scalar(model: ModelSpec, grid_points: int = GRID_POINTS) -> Maximiz
         a, b = float(grid[i]), float(grid[i + 1])
         for _ in range(80):
             mid = 0.5 * (a + b)
+            # a step that leaves the bracket as it was repeats forever
             if derivative(mid) > 0.0:
+                if mid == a:
+                    break
                 a = mid
             else:
+                if mid == b:
+                    break
                 b = mid
         x = 0.5 * (a + b)
         # Newton polish; fall back to the bisection point if it strays

@@ -1,5 +1,7 @@
-"""Fixed-seed chain outputs pinned to sha256 digests, and fixed-seed
-importance estimates pinned bit for bit.
+"""Fixed-seed chain outputs pinned to sha256 digests, fixed-seed
+importance estimates pinned bit for bit, and the scalar free-energy layer
+(phase scan, degeneracy constants, phase-diagram and psi CLI output) pinned
+bit for bit.
 
 The digests were recorded before the motif statistics and the chain loop
 were rewritten around one term object per motif, so they check that a seed
@@ -7,7 +9,9 @@ still gives the same chain: the same pair and coin draws and the same
 accept/reject decision at every step, for every motif class. The importance
 estimates were recorded before the sampler drew and counted its graphs in
 fixed blocks, so they check that the blocks read the same draws and give
-the same counts.
+the same counts. The scalar values were recorded before the bisection in
+maximize_scalar stopped at its fixed point and its grid was cached, so they
+check that both changes leave every maximizer and psi value as it was.
 """
 
 import contextlib
@@ -17,7 +21,7 @@ import io
 from ergmlab.cli import main
 from ergmlab.graphs import Motif
 from ergmlab.mcmc import ChainConfig, estimate_importance, run_chain, sample_motif_densities
-from ergmlab.variational import ModelSpec
+from ergmlab.variational import ModelSpec, degeneracy_constants, phase_scan
 
 PAW = "edgelist:0-1,1-2,2-3,1-3"
 
@@ -101,3 +105,39 @@ def test_cli_sample_matches_golden():
 def test_importance_estimates_match_golden():
     for name, (kwargs, golden) in IMPORTANCE.items():
         assert estimate_importance(**kwargs).estimate_log.hex() == golden, name
+
+
+PHASE_SCAN_POINTS = "09b32c7a50d016425cb0cc46ef075f35a72e64fa3f857d635d155b60972a693e"
+PHASE_SCAN_JUMPS = [("0x1.32110a004c1fep-1", "0x1.f847ef635a8cep-2", "0x1.a0fcf9ea3218ep-1")]
+DEGENERACY = {
+    -5.0: ("0x1.b69f67d638f8fp-8", "0x1.ccccccccccccdp-1", "0x1.40005e0000000p+2"),
+    -3.0: ("0x1.848343c905446p-5", "0x1.aaaaaaaaaaaabp-1", "0x1.8028740000000p+1"),
+    -1.5: ("0x1.759b8355a1bafp-3", "0x1.5555555555556p-1", "0x1.85fb180000000p+0"),
+}
+CLI_SCALAR = {
+    "67813291c12077c1de7cbac68d1dd843ca7f58f4c053f9f92cfdd4b72536a437":
+        ["phase-diagram", "--beta1", "-1:1:12", "--beta2", "0:2:12"],
+    "57f6a2f36a9005b4e8ee2d72ea882abb442914c641efc854c1437f29f8d7e246":
+        ["psi", "--beta1", "-0.3", "--beta2", "0.4"],
+}
+
+
+def test_phase_scan_matches_golden():
+    res = phase_scan(-0.45, 0.0, 2.0, 200)
+    text = "".join(f"{b.hex()},{u.hex()},{psi.hex()},{m}\n" for b, u, psi, m in res.points)
+    assert _sha(text.encode()) == PHASE_SCAN_POINTS
+    assert [(j.beta2.hex(), j.u_low.hex(), j.u_high.hex()) for j in res.jumps] == PHASE_SCAN_JUMPS
+
+
+def test_degeneracy_constants_match_golden():
+    for beta1, golden in DEGENERACY.items():
+        rep = degeneracy_constants(beta1)
+        assert (rep.c1.hex(), rep.c2.hex(), rep.q_estimate.hex()) == golden, beta1
+
+
+def test_cli_scalar_output_matches_golden():
+    for golden, argv in CLI_SCALAR.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        assert _sha(buf.getvalue().encode()) == golden, argv[0]

@@ -102,6 +102,16 @@ def test_fast_paths_agree_with_brute_force():
             assert hom_count_fast(m, g) == count_homomorphisms(m, g)
 
 
+@pytest.mark.parametrize("n, lengths", [(300, range(3, 10)), (40, (23, 24))])
+def test_cycle_counts_exact_beyond_float(n, lengths):
+    # closed walks in K_n: tr(A^k) = (n-1)^k + (n-1)(-1)^k. The counts pass
+    # 2^53 (n = 300, k >= 7) and the int64 range (n = 40, k >= 23), where a
+    # rounded float trace is off and the exact path falls back to Python ints
+    g = Graph.complete(n)
+    for k in lengths:
+        assert hom_count_fast(Motif.cycle(k), g) == (n - 1) ** k + (n - 1) * (-1) ** k, k
+
+
 def test_size_guard():
     with pytest.raises(InstanceTooLargeError, match="instance too large"):
         count_homomorphisms(Motif.complete(8), Graph.complete(20))
