@@ -58,6 +58,11 @@ def _parse_range(spec: str) -> np.ndarray:
         raise UsageError(f"expected a number or lo:hi:steps, got {spec!r}")
 
 
+def _surface(beta1_grid: np.ndarray, beta2_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (beta1, beta2) pair of two grids, beta1 in the outer loop."""
+    return np.repeat(beta1_grid, len(beta2_grid)), np.tile(beta2_grid, len(beta1_grid))
+
+
 def _load_model(args) -> ModelSpec:
     if getattr(args, "model", None):
         with open(args.model, encoding="utf-8") as fh:
@@ -145,12 +150,11 @@ def _cmd_phase_diagram(args, argv):
             out.write(f"{b2:.12g},{u:.12g},{psi:.12g},{mult}")
     else:
         out.write("beta1,beta2,u_star,psi,multiplicity")
-        for b1 in beta1_grid:
-            for b2 in beta2_grid:
-                rep = variational.maximize_scalar(ModelSpec.edge_triangle(float(b1), float(b2)))
-                out.write(
-                    f"{b1:.12g},{b2:.12g},{max(rep.maximizers):.12g},{rep.psi:.12g},{len(rep.maximizers)}"
-                )
+        b1s, b2s = _surface(beta1_grid, beta2_grid)
+        for b1, b2, rep in zip(b1s, b2s, variational._edge_triangle_stack(b1s, b2s)):
+            out.write(
+                f"{b1:.12g},{b2:.12g},{max(rep.maximizers):.12g},{rep.psi:.12g},{len(rep.maximizers)}"
+            )
     out.finish()
     return 0
 
@@ -276,10 +280,9 @@ def _cmd_top_contour(args, argv):
     beta2_grid = _parse_range(args.beta2)
     out = _Output(args.out, argv, None)
     out.write("beta1,beta2,top")
-    for b1 in beta1_grid:
-        for b2 in beta2_grid:
-            top = variational.top_statistic(float(b1), float(b2), g)
-            out.write(f"{b1:.12g},{b2:.12g},{top:.12g}")
+    b1s, b2s = _surface(beta1_grid, beta2_grid)
+    for b1, b2, top in zip(b1s, b2s, variational._top_statistics(b1s, b2s, g)):
+        out.write(f"{b1:.12g},{b2:.12g},{top:.12g}")
     out.finish()
     return 0
 

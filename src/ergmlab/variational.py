@@ -166,17 +166,34 @@ def scalar_objective(model: ModelSpec, u) -> float:
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in [0, 1]")
-    val = -edge_entropy(u)
-    for e, b in model.exponents():
-        val = val + b * u**e
+    val = _objective(model.exponents(), u)
     return float(val) if np.ndim(val) == 0 else val
 
-def _objective_derivative(exps: list[tuple[int, float]], u):
-    """d/du of the scalar objective with exponents exps, valid on (0, 1)."""
-    u = np.asarray(u, dtype=float)
+
+def _objective(exps, u):
+    """The scalar objective with exponents exps at u in [0, 1].
+
+    A coefficient in exps may be an array shaped like u, one value per point.
+    """
+    val = -edge_entropy(u)
+    for e, b in exps:
+        val = val + b * u**e
+    return val
+
+
+def _objective_derivative(exps, u):
+    """d/du of the scalar objective with exponents exps at u in (0, 1).
+
+    u is a float or an array; a coefficient in exps may be an array shaped
+    like u, one value per point.
+    """
     val = -0.5 * np.log(u / (1.0 - u))
     for e, b in exps:
-        val = val + b * e * u ** (e - 1)
+        # u^0 and u^1 are exact; a higher power of a float goes through a
+        # 0-d array, where numpy gives the bits it gives inside an array
+        # (Python's float power can differ in the last bit)
+        power = 1.0 if e == 1 else u if e == 2 else np.asarray(u) ** (e - 1)
+        val = val + b * e * power
     return val
 
 
@@ -203,16 +220,41 @@ def _bisect(turned, lo: float, hi: float, tol: float = 0.0) -> tuple[float, floa
     return lo, hi
 
 
-@functools.lru_cache(maxsize=8)
-def _scalar_grid(grid_points: int) -> np.ndarray:
-    """The bracket grid of maximize_scalar: geometric towards both endpoints.
+# A stack's grid derivative is evaluated over blocks of at most this many
+# (model, grid point) entries, so a solve never holds a (models x grid)
+# array. On a 2-vCPU Xeon, one thread, blocks of 2^16 entries (512 KB per
+# float array) ran the grid stage of a 200-model scan about twice as fast
+# as blocks of 2^18.
+_BLOCK_ENTRIES = 2**16
+# Brackets are refined one at a time on floats below this count and in
+# lockstep on arrays at or above it. A lockstep step costs about the same
+# for any count, so lockstep overtook the one-at-a-time loop at about 10
+# brackets for edge-triangle models and 6 for edge + cycle:4 + complete:4
+# (same machine). A one-model solve has one to three brackets; a scan or a
+# surface has at least one per model.
+_LOCKSTEP_MIN_BRACKETS = 8
 
-    Shared by every call, so it is read-only.
+
+@functools.lru_cache(maxsize=8)
+def _scalar_grid(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket grid of maximize_scalar, geometric towards both endpoints,
+    and the entropy part -1/2 log(u/(1-u)) of the derivative on it.
+
+    Shared by every call, so both arrays are read-only.
     """
     tail = np.geomspace(1e-14, 0.5, max(grid_points // 2, 64))
     grid = np.unique(np.concatenate([tail, 1.0 - tail]))
-    grid.flags.writeable = False
-    return grid
+    slope = -0.5 * np.log(grid / (1.0 - grid))
+    grid.flags.writeable = slope.flags.writeable = False
+    return grid, slope
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_power(grid_points: int, k: int) -> np.ndarray:
+    """u^k on the bracket grid, read-only."""
+    power = _scalar_grid(grid_points)[0] ** k
+    power.flags.writeable = False
+    return power
 
 
 def maximize_scalar(model: ModelSpec, grid_points: int = GRID_POINTS) -> MaximizerReport:
@@ -227,53 +269,141 @@ def maximize_scalar(model: ModelSpec, grid_points: int = GRID_POINTS) -> Maximiz
     objective value are all reported, which is how coexistence at a
     first-order transition becomes visible.
     """
-    grid = _scalar_grid(grid_points)
     exps = model.exponents()
-    dvals = _objective_derivative(exps, grid)
+    return _maximize_stack([e for e, _ in exps], [[b for _, b in exps]], grid_points)[0]
 
-    def derivative(u: float) -> float:
-        return float(_objective_derivative(exps, u))
 
-    candidates: list[float] = []
-    sign_drop = np.nonzero((dvals[:-1] > 0.0) & (dvals[1:] <= 0.0))[0]
-    for i in sign_drop:
-        a, b = _bisect(
-            lambda u: derivative(u) <= 0.0, float(grid[i]), float(grid[i + 1])
+def _maximize_stack(edges, coefs, grid_points: int = GRID_POINTS) -> list[MaximizerReport]:
+    """maximize_scalar of a stack of models that share their edge counts.
+
+    coefs[m][t] is model m's coefficient of the term with edge count
+    edges[t]. Every step works elementwise with maximize_scalar's one-model
+    arithmetic, so each report is the one its model gets alone, whatever
+    else is in the stack.
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    n_models = len(coefs)
+    grid, slope = _scalar_grid(grid_points)
+    powers = [_grid_power(grid_points, e - 1) for e in edges]
+    rows = max(1, _BLOCK_ENTRIES // grid.size)
+    owners, cols = [], []
+    for start in range(0, n_models, rows):
+        # _objective_derivative's arithmetic on the grid, from cached parts
+        dvals = slope
+        for e, b, power in zip(edges, coefs[start : start + rows].T, powers):
+            dvals = dvals + b[:, None] * e * power
+        r, c = np.nonzero((dvals[:, :-1] > 0.0) & (dvals[:, 1:] <= 0.0))
+        owners.append(r + start)
+        cols.append(c)
+    owner, col = np.concatenate(owners), np.concatenate(cols)
+    bracket_coefs = coefs[owner]
+    xs = _refine_brackets(edges, bracket_coefs, grid[col], grid[col + 1])
+
+    # the objective of every candidate and of both endpoint fallbacks, once
+    ends = (float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)))
+    points = np.concatenate([xs, np.repeat(ends, n_models)])
+    point_coefs = np.concatenate([bracket_coefs, coefs, coefs])
+    objs = _objective(list(zip(edges, point_coefs.T)), points).tolist()
+
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n_models))]).tolist()
+    kept = []
+    for m in range(n_models):
+        candidates = xs[bounds[m] : bounds[m + 1]]
+        cand_objs = objs[bounds[m] : bounds[m + 1]]
+        # endpoint fallbacks cover maximizers within float resolution of 0 or
+        # 1; they join the candidate set only when strictly better than every
+        # interior root, so endpoint flatness cannot fake a coexistence
+        interior_best = max(cand_objs, default=-math.inf)
+        for end, at in zip(ends, (len(xs) + m, len(xs) + n_models + m)):
+            end_obj = objs[at]
+            if end_obj > interior_best + 1e-15:
+                candidates.append(end)
+                cand_objs.append(end_obj)
+        psi = max(cand_objs)
+        keep = sorted(
+            {x for x, o in zip(candidates, cand_objs) if psi - o <= MULTIPLICITY_TOL}
         )
-        x = 0.5 * (a + b)
-        # Newton polish; fall back to the bisection point if it strays
-        for _ in range(4):
-            d2 = _second_derivative(exps, x)
-            if d2 == 0.0:
-                break
-            step = derivative(x) / d2
-            xn = x - step
-            if not (a - 1e-12 <= xn <= b + 1e-12):
-                break
-            x = min(max(xn, 1e-300), 1.0 - 1e-16)
-        candidates.append(x)
-    # endpoint fallbacks cover maximizers within float resolution of 0 or 1;
-    # they join the candidate set only when strictly better than every
-    # interior root, so endpoint flatness cannot fake a coexistence
-    interior_best = max(
-        (scalar_objective(model, x) for x in candidates), default=-math.inf
-    )
-    for end in (float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0))):
-        if scalar_objective(model, end) > interior_best + 1e-15:
-            candidates.append(end)
+        # merge duplicates produced by adjacent brackets
+        merged: list[float] = []
+        for x in keep:
+            if not merged or x - merged[-1] > 1e-9:
+                merged.append(x)
+        kept.append((merged, psi))
 
-    objs = [scalar_objective(model, x) for x in candidates]
-    psi = max(objs)
-    keep = sorted(
-        {x for x, o in zip(candidates, objs) if psi - o <= MULTIPLICITY_TOL}
-    )
-    # merge duplicates produced by adjacent brackets
-    merged: list[float] = []
-    for x in keep:
-        if not merged or x - merged[-1] > 1e-9:
-            merged.append(x)
-    residuals = [abs(derivative(x)) for x in merged]
-    return MaximizerReport(merged, psi, residuals)
+    residual_coefs = np.repeat(coefs, [len(merged) for merged, _ in kept], axis=0)
+    residuals = np.abs(
+        _objective_derivative(
+            list(zip(edges, residual_coefs.T)),
+            np.array([x for merged, _ in kept for x in merged]),
+        )
+    ).tolist()
+    reports, at = [], 0
+    for merged, psi in kept:
+        reports.append(MaximizerReport(merged, psi, residuals[at : at + len(merged)]))
+        at += len(merged)
+    return reports
+
+
+def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """Bisect each sign-drop bracket [lo[k], hi[k]] of the derivative with
+    coefficients coefs[k] until its ends are adjacent floats, then take up to
+    four Newton steps from its midpoint.
+
+    Below _LOCKSTEP_MIN_BRACKETS brackets each one runs alone on floats. At
+    or above it all run in lockstep on arrays, one derivative call per step
+    serving every bracket; each bracket still visits the points it would
+    visit alone, and stops where it would stop alone.
+    """
+    if len(lo) < _LOCKSTEP_MIN_BRACKETS:
+        return [
+            _refine_bracket(list(zip(edges, row)), a, b)
+            for a, b, row in zip(lo.tolist(), hi.tolist(), coefs.tolist())
+        ]
+    exps = list(zip(edges, coefs.T))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not ((mid != lo) & (mid != hi)).any():
+            break
+        # a midpoint that rounds to an end lies on that end's side, so a
+        # bracket that has stopped moving stays as it is
+        turned = _objective_derivative(exps, mid) <= 0.0
+        lo, hi = np.where(turned, lo, mid), np.where(turned, mid, hi)
+
+    # the second derivative stays on floats: numpy's power of an array can
+    # differ in the last bit from the float power _refine_bracket uses
+    x = 0.5 * (lo + hi)
+    row_exps = [list(zip(edges, row)) for row in coefs.tolist()]
+    live = np.arange(len(x))
+    for _ in range(4):
+        xl = x[live]
+        d2 = np.array(
+            [_second_derivative(row_exps[k], v) for k, v in zip(live.tolist(), xl.tolist())],
+            dtype=float,
+        )
+        live, xl, d2 = live[d2 != 0.0], xl[d2 != 0.0], d2[d2 != 0.0]
+        xn = xl - _objective_derivative(list(zip(edges, coefs[live].T)), xl) / d2
+        inside = (lo[live] - 1e-12 <= xn) & (xn <= hi[live] + 1e-12)
+        live = live[inside]
+        x[live] = np.minimum(np.maximum(xn[inside], 1e-300), 1.0 - 1e-16)
+        if not live.size:
+            break
+    return x.tolist()
+
+
+def _refine_bracket(exps: list[tuple[int, float]], a: float, b: float) -> float:
+    """_refine_brackets for one bracket, on floats."""
+    a, b = _bisect(lambda u: float(_objective_derivative(exps, u)) <= 0.0, a, b)
+    # Newton polish; keep the last point if a step strays from the bracket
+    x = 0.5 * (a + b)
+    for _ in range(4):
+        d2 = _second_derivative(exps, x)
+        if d2 == 0.0:
+            break
+        xn = x - float(_objective_derivative(exps, x)) / d2
+        if not (a - 1e-12 <= xn <= b + 1e-12):
+            break
+        x = min(max(xn, 1e-300), 1.0 - 1e-16)
+    return x
 
 
 def psi_limit_scalar(model: ModelSpec) -> float:
@@ -355,16 +485,22 @@ def phase_scan(
     grid = np.linspace(beta2_lo, beta2_hi, steps)
     points = []
     stars = []
-    for b2 in grid:
-        rep = maximize_scalar(ModelSpec.edge_triangle(beta1, float(b2)))
+    for b2, rep in zip(grid.tolist(), _edge_triangle_stack(np.full(steps, beta1), grid)):
         u = max(rep.maximizers)
         stars.append(u)
-        points.append((float(b2), u, rep.psi, len(rep.maximizers)))
+        points.append((b2, u, rep.psi, len(rep.maximizers)))
     jumps = []
     for i in range(len(grid) - 1):
         if abs(stars[i + 1] - stars[i]) > JUMP_THRESHOLD:
             jumps.append(_refine_jump(beta1, float(grid[i]), float(grid[i + 1])))
     return PhaseScanResult(beta1, points, jumps)
+
+
+def _edge_triangle_stack(beta1s, beta2s) -> list[MaximizerReport]:
+    """maximize_scalar of every edge-triangle model (beta1s[k], beta2s[k]),
+    solved as one stack."""
+    edges = [Motif.edge().edge_count, Motif.triangle().edge_count]
+    return _maximize_stack(edges, np.column_stack([beta1s, beta2s]))
 
 
 def _top_maximizer(beta1: float, beta2: float) -> float:
@@ -394,10 +530,18 @@ def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition:
 
 
 def _local_maximizer(model: ModelSpec, seed: float) -> float:
-    """Track the local maximizer of the scalar objective nearest a seed."""
+    """Track the local maximizer of the scalar objective nearest a seed.
+
+    Newton runs for at most 200 steps. Near a maximizer it can cycle
+    through a few floats whose gaps never drop below 1e-16 (the ulp near
+    u = 0.8 is 1.1e-16); each step depends on the current point alone, so
+    such a cycle is cut short with the point the 200th step lands on.
+    """
     exps = model.exponents()
     x = min(max(seed, 1e-12), 1.0 - 1e-12)
-    for _ in range(200):
+    path = [x]
+    step_of = {x: 0}
+    for it in range(200):
         d2 = _second_derivative(exps, x)
         if d2 >= 0.0:
             break
@@ -406,6 +550,11 @@ def _local_maximizer(model: ModelSpec, seed: float) -> float:
         if abs(xn - x) < 1e-16:
             x = xn
             break
+        if xn in step_of:
+            first = step_of[xn]
+            return path[first + (200 - first) % (it + 1 - first)]
+        step_of[xn] = it + 1
+        path.append(xn)
         x = xn
     return x
 
@@ -518,13 +667,20 @@ def top_statistic(beta1: float, beta2: float, g: Graph) -> float:
     infimum over u of the statistic minus the scalar objective, computed
     with the same grid-plus-Newton maximizer.
     """
+    return _top_statistics([beta1], [beta2], g)[0]
+
+
+def _top_statistics(beta1s, beta2s, g: Graph) -> list[float]:
+    """top_statistic at every (beta1s[k], beta2s[k]), with one stacked solve."""
     if g.n < 3:
         raise DomainError("top statistic needs at least 3 vertices")
+    beta1s, beta2s = np.asarray(beta1s, dtype=float), np.asarray(beta2s, dtype=float)
     stat = (
-        2.0 * beta1 * g.edge_count() / g.n**2
-        + 6.0 * beta2 * g.triangle_count() / g.n**3
+        2.0 * beta1s * g.edge_count() / g.n**2
+        + 6.0 * beta2s * g.triangle_count() / g.n**3
     )
-    return stat - psi_limit_scalar(ModelSpec.edge_triangle(beta1, beta2))
+    psi = [rep.psi for rep in _edge_triangle_stack(beta1s, beta2s)]
+    return (stat - psi).tolist()
 
 
 # -- kernel search in uncertified regimes ---------------------------------------

@@ -141,3 +141,31 @@ def test_cli_scalar_output_matches_golden():
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0
         assert _sha(buf.getvalue().encode()) == golden, argv[0]
+
+
+# recorded before the scans and surfaces solved their models in one batched
+# pass: the 1-D phase-diagram path with its jump rows, and the top-contour
+# surface of a fixed 8-vertex graph with two triangles
+PHASE_DIAGRAM_SWEEP = "55e2f163b7b5bcffed9de4b892f0e9e0d90c96bbfe5b451ac6f3a47e5e44eacc"
+TOP_CONTOUR = "08e493454dd376220d602d772620b25f45e0d729243d72dfbcd38a76035b0e00"
+CONTOUR_GRAPH = "8\n0 1\n0 2\n1 2\n1 3\n2 3\n3 4\n4 5\n5 6\n6 7\n7 0\n2 5\n"
+
+
+def _cli_digest(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return _sha(buf.getvalue().encode())
+
+
+def test_cli_phase_sweep_matches_golden():
+    argv = ["phase-diagram", "--beta1", "-0.45", "--beta2", "0:2:200"]
+    assert _cli_digest(argv) == PHASE_DIAGRAM_SWEEP
+
+
+def test_cli_top_contour_matches_golden(tmp_path, monkeypatch):
+    # a relative graph path keeps the command header the same in every run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(CONTOUR_GRAPH)
+    argv = ["top-contour", "--graph", "g.txt", "--beta1", "-1:0.5:12", "--beta2", "-0.5:2:12"]
+    assert _cli_digest(argv) == TOP_CONTOUR

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergmlab.cli import main
 from ergmlab.errors import ConvergenceError, DomainError, FormatError
 from ergmlab.graphs import Graph, Motif
 from ergmlab.graphons import StepGraphon, edge_entropy, hom_density_graphon, rate_entropy, rate_relative
@@ -214,6 +218,27 @@ def test_phase_scan_monotone_for_nonnegative_couplings():
         res = phase_scan(beta1, 0.0, 2.0, 80)
         us = [p[1] for p in res.points]
         assert all(us[i + 1] >= us[i] - 1e-9 for i in range(len(us) - 1))
+
+
+def test_scan_and_surface_memory_stay_bounded():
+    # the stacked solve evaluates its grid derivative over fixed blocks of
+    # models, so the peak does not grow with the scan or the surface; with
+    # one model at a time the peaks were 0.27 MB (scan) and 0.68 MB (surface)
+    runs = {
+        "200-point phase_scan": lambda: phase_scan(-0.45, 0.0, 2.0, 200),
+        "40 x 40 phase-diagram": lambda: main(
+            ["phase-diagram", "--beta1", "-1:1:40", "--beta2", "0:2:40"]
+        ),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"
 
 
 def test_phase_scan_validates_steps():
