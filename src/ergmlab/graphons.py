@@ -171,8 +171,8 @@ def edge_entropy(u):
     """(1/2)[u log u + (1-u) log(1-u)] elementwise, with 0 log 0 = 0."""
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(u > 0.0, u * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-        t2 = np.where(u < 1.0, (1.0 - u) * np.log(np.where(u < 1.0, 1.0 - u, 1.0)), 0.0)
+        t1 = np.where(u > 0.0, u * np.log(u), 0.0)
+        t2 = np.where(u < 1.0, (1.0 - u) * np.log(1.0 - u), 0.0)
     out = 0.5 * (t1 + t2)
     return out if out.ndim else float(out)
 

@@ -105,9 +105,6 @@ class Graph:
                 r &= r - 1
         return out
 
-    def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -442,8 +439,8 @@ class _Term:
     rows of an edge-indicator matrix (columns: vertex pairs in lexicographic
     order); statistic(b, g) is b times the density and exponent(b, g, i, j)
     n^2 times its change, the term's share of the Glauber log-odds. g is a
-    Graph or the chain state: anything with n, bitmask rows and
-    triangle_count().
+    Graph or the chain state: anything with n, bitmask rows, edge_count()
+    and triangle_count().
 
     The general delta is the edge-rooted count, the discrete form of the
     kernel derivative: for each motif edge k in both orientations, pin edge
@@ -500,7 +497,7 @@ class _Term:
 
 class _EdgeTerm(_Term):
     def count(self, g) -> int:
-        return sum(r.bit_count() for r in g.rows) * g.n**self.iso
+        return 2 * g.edge_count() * g.n**self.iso
 
     def delta(self, g, i: int, j: int) -> int:
         return 2 * g.n**self.iso
@@ -526,9 +523,13 @@ class _StarTerm(_Term):
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         inc = _vertex_pair_columns(n)
         step = max(1, _BATCH_BLOCK_ENTRIES // max(1, inc.size))
-        cnt = np.empty(bits.shape[0], dtype=np.int64)
+        # every count is at most n (n - 1)^s n^iso: int64 below 2^63, else Python ints
+        exact = n * (n - 1) ** self.arg * n**self.iso >= 2**63
+        cnt = np.empty(bits.shape[0], dtype=object if exact else np.int64)
         for lo in range(0, bits.shape[0], step):
             deg = bits[lo : lo + step][:, inc].sum(axis=2, dtype=np.int64)
+            if exact:
+                deg = _python_ints(deg)
             cnt[lo : lo + step] = (deg**self.arg).sum(axis=1)
         return cnt * n**self.iso
 

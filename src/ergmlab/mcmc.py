@@ -88,7 +88,8 @@ class ChainConfig:
 class _ChainState:
     """Mutable adjacency rows with incrementally tracked edge and triangle counts.
 
-    Reads like a Graph to the motif terms: n, rows and triangle_count().
+    Reads like a Graph to the motif terms: n, rows, edge_count() and
+    triangle_count().
     """
 
     __slots__ = ("n", "rows", "edges", "triangles")
@@ -98,6 +99,9 @@ class _ChainState:
         self.rows = list(g.rows)
         self.edges = g.edge_count()
         self.triangles = g.triangle_count()
+
+    def edge_count(self) -> int:
+        return self.edges
 
     def triangle_count(self) -> int:
         return self.triangles
@@ -352,7 +356,6 @@ def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
             f"instance too large: enumeration needs m <= "
             f"{math.comb(ENUMERATION_MAX_VERTICES, 2)}, got {m}"
         )
-    pairs = list(itertools.combinations(range(n), 2))
     masks = np.arange(1 << m, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(m)[None, :]) & 1).astype(np.int8)
     dens = batch_motif_densities([mm for mm, _ in model.terms], n, bits)
@@ -408,7 +411,6 @@ def chi_square_distance(
     m = math.comb(n, 2)
     sign = 1.0 if start == "empty" else -1.0
     rate = 1.0 + math.exp(-beta)
-    best = -math.inf
     total_log = -math.inf
     for lo in range(1, m + 1, _CHI_SQUARE_CHUNK):
         js = np.arange(lo, min(lo + _CHI_SQUARE_CHUNK, m + 1), dtype=np.float64)
@@ -419,11 +421,7 @@ def chi_square_distance(
         if ell == 0:
             decay = np.zeros_like(base)
         terms = sign * beta * js + logc + decay
-        chunk_max = float(np.max(terms))
-        if chunk_max == -math.inf:
-            continue
-        best = max(best, chunk_max)
-        total_log = np.logaddexp(total_log, chunk_max + math.log(np.exp(terms - chunk_max).sum()))
+        total_log = np.logaddexp(total_log, _logsumexp(terms))
     if log:
         return float(total_log)
     if total_log > 700.0:

@@ -29,7 +29,7 @@ from ergmlab.mcmc import (
     sample_motif_densities,
     variance_mcmc_mean,
 )
-from ergmlab.graphs import _BATCH_BLOCK_ENTRIES, hom_count_fast
+from ergmlab.graphs import _BATCH_BLOCK_ENTRIES, _term, hom_count_fast
 from ergmlab.mcmc import _log_factorial, _logsumexp, _rng_from_seed
 from ergmlab.variational import ModelSpec, maximize_scalar
 
@@ -349,6 +349,23 @@ def test_batch_star_counts_across_row_blocks():
             dens = batch_motif_densities([star], n, bits)[:, 0]
             for g, d in zip(graphs, dens.tolist()):
                 assert d == hom_count_fast(star, g) / n ** star.vertex_count
+
+
+def test_batch_star_counts_exact_beyond_int64():
+    # at n = 40 the complete graph has 40 * 39^11 > 2^63 star:11 maps, which
+    # an int64 degree-power sum wraps to a negative density
+    n = 40
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = np.ones((2, len(pairs)), dtype=np.int8)
+    bits[1] = _rng_from_seed(15).random(len(pairs)) < 0.7
+    graphs = [Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]]) for row in bits]
+    assert graphs[0].rows == Graph.complete(n).rows
+    for star in (Motif.star(11), Motif.star(12)):
+        counts = [_term(star).count(g) for g in graphs]
+        assert max(counts) >= 2**63
+        assert _term(star).batch(bits, n).tolist() == counts
+        dens = batch_motif_densities([star], n, bits)[:, 0]
+        assert dens.tolist() == [c / n**star.vertex_count for c in counts]
 
 
 def test_batch_star_memory_stays_bounded():

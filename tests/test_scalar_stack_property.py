@@ -32,7 +32,7 @@ from ergmlab.variational import (
 )
 
 POOL = ["star:2", "star:3", "triangle", "cycle:4", "complete:4"]
-ROWS_PER_BLOCK = _BLOCK_ENTRIES // _scalar_grid(GRID_POINTS)[0].size
+ROWS_PER_BLOCK = _BLOCK_ENTRIES // _scalar_grid()[0].size
 
 
 def _derivative(exps, u):
