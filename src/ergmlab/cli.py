@@ -192,7 +192,7 @@ def _cmd_estimate_z(args, argv):
                 model0,
                 args.alpha,
                 args.samples,
-                args.samples2 or args.samples,
+                args.samples if args.samples2 is None else args.samples2,
                 cfg,
                 thinning=args.thinning,
             )

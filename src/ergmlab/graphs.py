@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -442,12 +443,14 @@ class _Term:
     Graph or the chain state: anything with n, bitmask rows, edge_count()
     and triangle_count().
 
-    The general delta is the edge-rooted count, the discrete form of the
-    kernel derivative: for each motif edge k in both orientations, pin edge
-    k onto (i, j), map the edges before k into G - ij and those after k into
-    G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
-    Isolated motif vertices only scale counts by n each. The edge and
-    triangle classes evaluate their exponent (the triangle also its
+    Edges, stars, triangles, cycles and cliques have closed-form integer
+    deltas in their subclasses; the general delta here serves the edge-list
+    motifs of no such shape. It is the edge-rooted count, the discrete form
+    of the kernel derivative: for each motif edge k in both orientations,
+    pin edge k onto (i, j), map the edges before k into G - ij and those
+    after k into G + ij; the sum over k telescopes to hom(H, G + ij) -
+    hom(H, G - ij). Isolated motif vertices only scale counts by n each. The
+    edge and triangle classes evaluate their exponent (the triangle also its
     statistic) in a fixed float order, which fixed-seed chains depend on.
     """
 
@@ -583,6 +586,19 @@ class _TriangleTerm(_Term):
 
 
 class _CycleTerm(_Term):
+    """hom(C_k, G) = tr(A^k), the closed walks of length k.
+
+    Write A for the adjacency matrix of G - ij and the toggle as U V^T, with
+    U = [e_i, e_j] and V = [e_j, e_i]. Then sum_k z^k tr((A + U V^T)^k) / k
+    - sum_k z^k tr(A^k) / k = -log det(I_2 - z V^T (I - zA)^-1 U), so the
+    delta depends only on the 2 x 2 blocks of walk counts M_t = V^T A^t U.
+    With D(z) = det(I_2 - sum_t z^(t+1) M_t) and -log D(z) = sum_m p_m z^m
+    / m, the delta is p_k, which Newton's identities give from D's integer
+    coefficients. For k = 4 this reduces to 8 w3 + 4 (d_i + d_j) + 2, with
+    d the degrees and w3 = (A^3)_ij = sum_{y in N(j)} |N(i) & N(y)|, all
+    taken in G - ij.
+    """
+
     def count(self, g) -> int:
         # closed walks tr(A^k) = sum_ij (A^h)_ij (A^(k-h))_ij, A symmetric
         a = _adjacency(g)
@@ -591,6 +607,90 @@ class _CycleTerm(_Term):
             x = _exact_product(x, a)
         y = x if self.arg % 2 == 0 else _exact_product(x, a)
         return _exact_inner(x, y) * g.n**self.iso
+
+    def delta(self, g, i: int, j: int) -> int:
+        rows = g.rows
+        if self.arg != 4:
+            return _cycle_change(_walk_blocks(rows, i, j, self.arg - 1), self.arg) * g.n**self.iso
+        ri, rj = rows[i] & ~(1 << j), rows[j] & ~(1 << i)
+        di, dj = ri.bit_count(), rj.bit_count()
+        if di < dj:
+            ri, rj = rj, ri
+        # w3 is symmetric in i and j: run over the smaller neighbourhood
+        w3 = 0
+        while rj:
+            y = rj.bit_length() - 1
+            w3 += (ri & rows[y]).bit_count()
+            rj ^= 1 << y
+        return (8 * w3 + 4 * (di + dj) + 2) * g.n**self.iso
+
+
+def _walk_blocks(rows, i: int, j: int, top: int) -> list[tuple[int, int, int]]:
+    """(A^t)_ii, (A^t)_ij and (A^t)_jj for t = 0..top, where A is the
+    adjacency matrix of the graph with bitmask rows rows and edge ij removed.
+
+    (A^t)_xy is the inner product of the walk vectors A^a e_x and
+    A^(t-a) e_y, so the walks run to length ceil(top / 2) only. Each walk
+    vector is a list of Python ints; a step reads the last one as bit planes
+    (plane b: the bitset of vertices whose walk count has bit b set), which
+    costs a popcount per vertex and plane.
+    """
+    n = len(rows)
+    rows = list(rows)
+    ri = rows[i] = rows[i] & ~(1 << j)
+    rj = rows[j] = rows[j] & ~(1 << i)
+    walks = [
+        tuple([int(v == x) for v in range(n)] for x in (i, j)),
+        tuple([r >> v & 1 for v in range(n)] for r in (ri, rj)),
+    ]
+    planes = ([ri], [rj])
+    while len(walks) <= (top + 1) // 2:
+        if len(walks) > 2:
+            planes = tuple(map(_bit_planes, walks[-1]))
+        walks.append(tuple(_adjacent_sums(rows, p) for p in planes))
+    blocks = []
+    for t in range(top + 1):
+        (xi, xj), (yi, yj) = walks[t // 2], walks[t - t // 2]
+        blocks.append(tuple(sum(map(operator.mul, x, y)) for x, y in ((xi, yi), (xi, yj), (xj, yj))))
+    return blocks
+
+
+def _adjacent_sums(rows, planes: list[int]) -> list[int]:
+    """A x for the vector x with the given bit planes: sum_b |N(v) & plane_b| 2^b at each v."""
+    sums = [0] * len(rows)
+    for b, p in enumerate(planes):
+        sums = [s + ((r & p).bit_count() << b) for s, r in zip(sums, rows)]
+    return sums
+
+
+def _bit_planes(counts: list[int]) -> list[int]:
+    """Bitset b of the result holds the vertices v whose counts[v] has bit b set.
+
+    The binary digits of the counts, vertex n - 1 first, are transposed into
+    one string per bit, which int(..., 2) reads with vertex v at bit v.
+    """
+    width = max(counts).bit_length()
+    digits = zip(*[format(c, f"0{width}b") for c in reversed(counts)])
+    return [int("".join(d), 2) for d in digits][::-1]
+
+
+def _cycle_change(blocks: list[tuple[int, int, int]], k: int) -> int:
+    """p_k, where -log D(z) = sum_m p_m z^m / m and D(z) = (1 - s_ij(z))^2 -
+    s_ii(z) s_jj(z), s_xy(z) = sum_t (A^t)_xy z^(t+1), from the blocks of
+    t = 0..k-1 (see _CycleTerm).
+
+    With D = 1 + c_1 z + c_2 z^2 + ..., Newton's identities read
+    p_m = -m c_m - sum_{l<m} c_l p_(m-l), all in Python ints.
+    """
+    ii, ij, jj = ([0] + list(s) for s in zip(*blocks))
+    c = [1] + [
+        -2 * ij[m] + sum(ij[a] * ij[m - a] - ii[a] * jj[m - a] for a in range(1, m))
+        for m in range(1, k + 1)
+    ]
+    p = [0]
+    for m in range(1, k + 1):
+        p.append(-m * c[m] - sum(c[l] * p[m - l] for l in range(1, m)))
+    return p[k]
 
 
 def _python_ints(x: np.ndarray) -> np.ndarray:
@@ -625,9 +725,30 @@ def _exact_inner(x: np.ndarray, y: np.ndarray) -> int:
 
 
 class _CompleteTerm(_Term):
+    """hom(K_r, G), the ordered r-cliques. The r-cliques that edge ij closes
+    are ij plus an (r-2)-clique of G[C], C = N(i) & N(j), and each is
+    ordered in r (r - 1) ways around the pair, so the delta is
+    r (r - 1) hom(K_(r-2), G[C]): for complete:4, 12 sum_{y in C} |N(y) & C|.
+    """
+
     def count(self, g) -> int:
-        levels = _search_levels(self.motif, [], self.active, lambda e: 0)
-        return _count_extensions(levels, (g.rows,), [0] * self.arg, 0, (1 << g.n) - 1) * g.n**self.iso
+        return _ordered_cliques(g.rows, (1 << g.n) - 1, self.arg) * g.n**self.iso
+
+    def delta(self, g, i: int, j: int) -> int:
+        r = self.arg
+        return r * (r - 1) * _ordered_cliques(g.rows, g.rows[i] & g.rows[j], r - 2) * g.n**self.iso
+
+
+def _ordered_cliques(rows, cand: int, s: int) -> int:
+    """hom(K_s, G[cand]) for s >= 2: ordered s-cliques inside the bitset cand."""
+    total = 0
+    rest = cand
+    while rest:
+        y = rest.bit_length() - 1
+        rest ^= 1 << y
+        inside = cand & rows[y]
+        total += inside.bit_count() if s == 2 else _ordered_cliques(rows, inside, s - 1)
+    return total
 
 
 _TERM_CLASSES = {

@@ -30,7 +30,7 @@ from .errors import (
     InstanceTooLargeError,
     OverflowGuardError,
 )
-from .graphs import Graph, Motif, _term
+from .graphs import Graph, Motif, _EdgeTerm, _term
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # mcmc.hom_density_graph_fast, so the name stays importable from this module
@@ -86,7 +86,8 @@ class ChainConfig:
 
 
 class _ChainState:
-    """Mutable adjacency rows with incrementally tracked edge and triangle counts.
+    """Mutable adjacency rows with edge and triangle counts, which the chain
+    driver updates on every toggle.
 
     Reads like a Graph to the motif terms: n, rows, edge_count() and
     triangle_count().
@@ -105,14 +106,6 @@ class _ChainState:
 
     def triangle_count(self) -> int:
         return self.triangles
-
-    def toggle(self, i: int, j: int):
-        rows = self.rows
-        sign = -1 if rows[i] >> j & 1 else 1
-        rows[i] ^= 1 << j
-        rows[j] ^= 1 << i
-        self.edges += sign
-        self.triangles += sign * (rows[i] & rows[j]).bit_count()
 
     def graph(self) -> Graph:
         return Graph(self.n, self.rows)
@@ -135,14 +128,27 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     model terms. Each step picks a uniform vertex pair and a uniform coin;
     they are drawn in 4096-step chunks, pair indices then coins, so a seed
     gives the same chain whatever is recorded.
+
+    The Glauber log-odds start from 0.0 plus the constant exponents 2b of
+    the model's leading edge terms and add the other terms' exponents in
+    model order, the float order of a sum over all terms. The edge and
+    triangle counts live in locals while the chain runs and are written
+    back to the state before each record and at the end.
     """
     rng = _rng_from_seed(seed)
     pairs = list(itertools.combinations(range(state.n), 2))
     m = len(pairs)
-    exponents = [(b, term.exponent) for b, term in terms]
+    lead = 0
+    start = 0.0
+    while lead < len(terms) and isinstance(terms[lead][1], _EdgeTerm):
+        start += 2.0 * terms[lead][0]
+        lead += 1
+    exponents = [(b, term.exponent) for b, term in terms[lead:]]
     exp = math.exp
-    exp_neg_beta = math.exp(-er_beta) if er_beta is not None else 0.0
+    metropolis = er_beta is not None
+    exp_neg_beta = math.exp(-er_beta) if metropolis else 0.0
     rows = state.rows
+    edges, triangles = state.edges, state.triangles
     next_record = min(burn + every, total)
     done = 0
     while done < total:
@@ -151,19 +157,30 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
         coins = rng.random(count).tolist()
         for idx, coin in zip(pair_idx, coins):
             i, j = pairs[idx]
-            if er_beta is not None:
-                if not rows[i] >> j & 1 or coin < exp_neg_beta:
-                    state.toggle(i, j)
+            present = rows[i] >> j & 1
+            if metropolis:
+                flip = not present or coin < exp_neg_beta
             else:
-                expo = 0.0
+                expo = start
                 for b, exponent in exponents:
                     expo += exponent(b, state, i, j)
-                if (coin < 1.0 / (1.0 + exp(-expo))) != rows[i] >> j & 1:
-                    state.toggle(i, j)
+                flip = (coin < 1.0 / (1.0 + exp(-expo))) != present
+            if flip:
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+                common = (rows[i] & rows[j]).bit_count()
+                if present:
+                    edges -= 1
+                    triangles -= common
+                else:
+                    edges += 1
+                    triangles += common
             done += 1
             if done == next_record:
+                state.edges, state.triangles = edges, triangles
                 record(done)
                 next_record = min(done + every, total)
+    state.edges, state.triangles = edges, triangles
 
 
 @dataclass
@@ -231,6 +248,8 @@ def sample_motif_densities(
     otherwise. Burn-in is 10% of the total run, then one record per
     thinning steps.
     """
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
     if thinning < 1:
         raise DomainError("thinning must be >= 1")
     state = _ChainState(chain.start_graph())
@@ -542,6 +561,8 @@ def estimate_importance(
     (4 MB), which read the generator's stream in order, so the draws are
     those of one draw per batch.
     """
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
     if proposal_p is None:
         proposal_p = max(maximize_scalar(model).maximizers)
     if not 0.0 < proposal_p < 1.0:
@@ -633,6 +654,8 @@ def estimate_acceptance_ratio(
     """
     if alpha_kind not in ("constant", "geometric-mean"):
         raise DomainError("alpha_kind must be 'constant' or 'geometric-mean'")
+    if min(n_samples_ref, n_samples_target) < 1:
+        raise DomainError("n_samples_ref and n_samples_target must be >= 1")
     _require_same_motifs(model, model0)
     motifs = [mm for mm, _ in model.terms]
     betas = np.array([b for _, b in model.terms])

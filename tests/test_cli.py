@@ -93,6 +93,20 @@ def test_degeneracy_guard_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["importance", "mcmle", "acceptance-ratio"])
+def test_estimate_z_zero_samples_exit_code(tmp_path, method, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("edge 0.2\ntriangle 0.1\n")
+    argv = ["estimate-z", "--method", method, "--model", str(model), "--model0", str(model),
+            "--n", "4", "--out", str(tmp_path / "est.txt")]
+    assert main(argv + ["--samples", "0"]) == 2
+    assert capsys.readouterr().err.startswith("numeric guard:")
+    if method == "acceptance-ratio":
+        # a zero second chain is rejected, not replaced by --samples steps
+        assert main(argv + ["--samples", "500", "--samples2", "0"]) == 2
+        assert capsys.readouterr().err.startswith("numeric guard:")
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
     assert main(["psi"]) == 1  # neither model nor inline betas

@@ -37,6 +37,10 @@ CHAINS = {
     "cycle4": ChainConfig(12, steps=3000, seed=104, model=_model("cycle:4", 0.4)),
     "complete4": ChainConfig(12, steps=3000, seed=105, model=_model("complete:4", 0.8)),
     "edgelist": ChainConfig(12, steps=3000, seed=106, model=_model(PAW, 0.5)),
+    # recorded while cycle:k and complete:r still ran the edge-rooted search
+    "cycle5": ChainConfig(12, steps=3000, seed=109, model=_model("cycle:5", 0.6)),
+    "cycle6": ChainConfig(12, steps=3000, seed=110, model=_model("cycle:6", 0.7)),
+    "complete5": ChainConfig(12, steps=3000, seed=111, model=_model("complete:5", 6.0)),
 }
 
 GOLDEN = {
@@ -46,6 +50,9 @@ GOLDEN = {
     "cycle4": "eda17b5e69bfe76b61d58000f7b3b7cee79f699a408220b1df280aeed2ca7df8",
     "complete4": "bc6ab57e6a62f005cbfca6e712871d76ab35f5740ed4a8982160ce93828108b6",
     "edgelist": "6906b0b35ea2b985dd3d738601537a360c980a7170657e092db35a6cc9644eba",
+    "cycle5": "4b93c517700a5ca274b10a67530c8c6645b770760258d0ea3712aed7fb01e531",
+    "cycle6": "f4497611f3d35bd8c20449d6d44844c82822060f8485d0125cac622fe7a38a4d",
+    "complete5": "dd4b0efb34ef862c58ebba26804198603d962f1895b29e046649cbd88bf40717",
     "densities": "5519b7f2857eece6a648dae1351dd090e3bacb20275323ece040b09f3186ce88",
     "cli_sample": "395c05d8a2458b3cbebac51e34095d11267c3cd26333e584da58fcf053335185",
 }

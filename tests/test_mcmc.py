@@ -430,6 +430,17 @@ def test_mcmle_requires_matching_motifs():
         )
 
 
+def test_estimators_reject_zero_samples():
+    model = ModelSpec.edge_triangle(0.2, 0.1)
+    with pytest.raises(DomainError, match="n_samples"):
+        estimate_importance(model, 4, 0, seed=0)
+    with pytest.raises(DomainError, match="n_samples"):
+        estimate_mcmle(model, model, 0, ChainConfig(4, seed=0))
+    for ref, target in ((0, 100), (100, 0), (-1, 100)):
+        with pytest.raises(DomainError, match="n_samples"):
+            estimate_acceptance_ratio(model, model, "constant", ref, target, ChainConfig(4, seed=0))
+
+
 def test_acceptance_ratio_identity():
     model = ModelSpec.edge_triangle(0.1, 0.05)
     res = estimate_acceptance_ratio(model, model, "constant", 400, 400, ChainConfig(4, seed=3))
@@ -630,3 +641,23 @@ def test_run_chain_start_states():
 def test_edge_indicator_order():
     g = Graph.from_edges(3, [(0, 2)])
     assert edge_indicator(g) == (0, 1, 0)
+
+
+def test_chain_counters_match_final_graph():
+    # the driver tracks edge and triangle counts per toggle; the last record
+    # must agree with a recount of the graph the chain ends on
+    model = ModelSpec([(Motif.edge(), -0.3), (Motif.triangle(), 0.4), (Motif.cycle(4), 0.2)])
+    for cfg in (
+        ChainConfig(9, steps=2000, seed=21, er_beta=0.4),
+        ChainConfig(9, steps=2000, seed=22, model=model),
+        ChainConfig(9, steps=2000, seed=23, model=model, start="complete"),
+    ):
+        trace, final = run_chain(cfg, record_every=300)
+        assert (trace[-1].edges, trace[-1].triangles) == (final.edge_count(), final.triangle_count())
+    # sample_motif_densities runs the same chain as run_chain for the same
+    # seed and step count, so the replayed final graph is the sampler's
+    chain = ChainConfig(9, seed=24, start="complete")
+    out = sample_motif_densities(model, [Motif.edge(), Motif.triangle()], 200, chain, thinning=3)
+    steps = math.ceil(600 / 9.0) + 600
+    _, final = run_chain(ChainConfig(9, steps=steps, seed=24, start="complete", model=model))
+    assert out[-1].tolist() == [2 * final.edge_count() / 9**2, 6 * final.triangle_count() / 9**3]

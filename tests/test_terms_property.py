@@ -25,8 +25,12 @@ BUILTIN = [
     "triangle",
     "cycle:4",
     "cycle:5",
+    "cycle:6",
+    "cycle:7",
+    "cycle:8",
     "complete:4",
     "complete:5",
+    "complete:6",
 ]
 
 
