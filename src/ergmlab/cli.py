@@ -23,7 +23,7 @@ from .errors import (
     InstanceTooLargeError,
     OverflowGuardError,
 )
-from .graphs import Graph, Motif
+from .graphs import Graph, Motif, _mask_bits, _rng_from_seed
 from .graphons import StepGraphon
 from .variational import ModelSpec
 
@@ -207,6 +207,7 @@ def _cmd_spectral_check(args, argv):
     betas = [float(x) for x in args.betas.split(",")]
     n = 3
     m = math.comb(n, 2)
+    bits = _mask_bits(m).tolist()
     worst = 0.0
     for beta in betas:
         k = mcmc.er_transition_matrix(beta, n)
@@ -215,12 +216,9 @@ def _cmd_spectral_check(args, argv):
         db = float(np.max(np.abs(flow - flow.T)))
         eig_resid = 0.0
         ortho = []
-        for mask in range(1 << m):
-            xi = [(mask >> t) & 1 for t in range(m)]
+        for xi in bits:
             comp = mcmc.er_eigen(xi, beta, m)
-            psi = np.array(
-                [comp.evaluate([(s >> t) & 1 for t in range(m)]) for s in range(1 << m)]
-            )
+            psi = np.array([comp.evaluate(x) for x in bits])
             eig_resid = max(eig_resid, float(np.max(np.abs(k @ psi - comp.eigenvalue * psi))))
             ortho.append(psi)
         gram = np.array([[float(np.sum(pi * a * b)) for b in ortho] for a in ortho])
@@ -247,8 +245,7 @@ def _cmd_euler_lagrange(args, argv):
     model = _load_model(args)
     out = _Output(args.out, argv, args.seed)
     if args.init == "random":
-        rng = np.random.default_rng(np.random.Philox(key=args.seed))
-        init = StepGraphon.random(args.blocks, rng)
+        init = StepGraphon.random(args.blocks, _rng_from_seed(args.seed))
     else:
         init = StepGraphon.equal_blocks(np.full((args.blocks, args.blocks), float(args.init)))
     sol, residual = variational.euler_lagrange_solve(

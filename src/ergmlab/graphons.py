@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError, InstanceTooLargeError
-from .graphs import Graph, Motif
+from .graphs import Graph, Motif, _rng_from_seed
 
 WEIGHT_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
@@ -417,7 +417,7 @@ def cut_norm_diff(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutNormResul
         t_idx = tuple(int(i) for i in np.nonzero(t_vec)[0])
         return CutNormResult(max(float(values[0]), 0.0), s_idx, t_idx, exact=True)
 
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = _rng_from_seed(seed)
     best_val, best_s, best_t = -1.0, np.zeros(k), np.zeros(k)
     for _ in range(32):
         s = (rng.random(k) < 0.5).astype(float)
@@ -479,7 +479,7 @@ def cut_distance_upper(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutDist
         gp = StepGraphon(gr.weights, gr.values[np.ix_(perm, perm)])
         return cut_norm_diff(fr, gp, seed=seed).value
 
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = _rng_from_seed(seed)
     perm = np.arange(k)
     best = cur = dist_for(perm)
     best_perm = perm.copy()

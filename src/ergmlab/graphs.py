@@ -308,6 +308,44 @@ class Motif:
         return f"Motif(v={self.vertex_count}, edges={list(self.edges)})"
 
 
+# -- vertex-pair order, edge masks and seeds ------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs i < j of an n-vertex graph in lexicographic order.
+
+    Column t of an edge-indicator row and bit t of an edge mask both stand
+    for pair t.
+    """
+    return tuple(itertools.combinations(range(n), 2))
+
+
+def _indicator_graph(n: int, row) -> Graph:
+    """The graph whose edges are the pairs of the nonzero entries of row."""
+    return Graph.from_edges(n, itertools.compress(_vertex_pairs(n), row))
+
+
+def _mask_bits(m: int) -> np.ndarray:
+    """The (2^m, m) int8 table whose row s holds the m bits of edge mask s."""
+    masks = np.arange(1 << m, dtype=np.int64)
+    return ((masks[:, None] >> np.arange(m)[None, :]) & 1).astype(np.int8)
+
+
+def _seed_key(seed: int) -> int:
+    """The 64-bit key of a seed: the seed modulo 2^64, so -1 keys 2^64 - 1."""
+    return int(seed) & (2**64 - 1)
+
+
+def _rng_from_seed(seed: int) -> np.random.Generator:
+    """The Philox stream keyed by _seed_key(seed).
+
+    Every seeded function of the package draws from one of these, so a seed
+    and its residue modulo 2^64 give the same results everywhere.
+    """
+    return np.random.default_rng(np.random.Philox(key=_seed_key(seed)))
+
+
 def _adjacency(g) -> np.ndarray:
     """Float 0/1 adjacency matrix of anything with n and bitmask rows."""
     width = (g.n + 7) // 8
@@ -344,23 +382,17 @@ def classify_motif(h: Motif) -> tuple:
 
 
 def _is_single_cycle(h: Motif) -> bool:
+    """Whether the edges form one cycle, for a motif whose vertices with an
+    edge all have degree 2 and whose edges are as many as those vertices:
+    the walk from one of them returns after edge_count steps."""
     nbrs = h.neighbor_lists()
     start = next(i for i in range(h.vertex_count) if nbrs[i])
-    if len(nbrs[start]) != 2:
-        return False
-    prev, cur = start, nbrs[start][0]
-    seen = {start}
-    count = 1
+    prev, cur, length = start, nbrs[start][0], 1
     while cur != start:
-        if cur in seen:
-            return False
-        seen.add(cur)
-        nxt = [x for x in nbrs[cur] if x != prev]
-        if len(nxt) != 1:
-            return False
-        prev, cur = cur, nxt[0]
-        count += 1
-    return count == h.edge_count
+        a, b = nbrs[cur]
+        prev, cur = cur, b if a == prev else a
+        length += 1
+    return length == h.edge_count
 
 
 # -- homomorphism counting ---------------------------------------------------
@@ -478,10 +510,7 @@ class _Term:
         return total * g.n**self.iso
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        pairs = list(itertools.combinations(range(n), 2))
-        return np.array(
-            [self.count(Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]])) for row in bits]
-        )
+        return np.array([self.count(_indicator_graph(n, row)) for row in bits])
 
     def statistic(self, b: float, g) -> float:
         return b * self.count(g) / g.n**self.motif.vertex_count
@@ -541,7 +570,7 @@ class _StarTerm(_Term):
 def _vertex_pair_columns(n: int) -> np.ndarray:
     """Row v holds the columns of the n - 1 pairs that contain v, read-only."""
     inc = [[] for _ in range(n)]
-    for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+    for t, (i, j) in enumerate(_vertex_pairs(n)):
         inc[i].append(t)
         inc[j].append(t)
     out = np.array(inc, dtype=np.intp).reshape(n, n - 1)
@@ -552,7 +581,7 @@ def _vertex_pair_columns(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _triangle_pair_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair columns (ab, ac, bc) of every triple a < b < c, read-only."""
-    pair_index = {p: t for t, p in enumerate(itertools.combinations(range(n), 2))}
+    pair_index = {p: t for t, p in enumerate(_vertex_pairs(n))}
     trips = list(itertools.combinations(range(n), 3))
     cols = []
     for u, w in ((0, 1), (0, 2), (1, 2)):
@@ -780,50 +809,20 @@ def hom_density_graph_fast(h: Motif, g: Graph) -> float:
 
 
 def chromatic_number(h: Motif) -> int:
-    """Exact chromatic number by branch and bound with a clique lower bound."""
+    """Exact chromatic number: the least k >= 2 (a motif has an edge) for
+    which a backtracking search, highest degree first, finds a proper
+    k-colouring."""
     if h.vertex_count > CHROMATIC_VERTEX_GUARD:
         raise InstanceTooLargeError(
             f"instance too large: chromatic number supports at most "
             f"{CHROMATIC_VERTEX_GUARD} vertices, got {h.vertex_count}"
         )
     nbrs = h.neighbor_lists()
-    verts = [v for v in range(h.vertex_count) if nbrs[v]]
-    if not verts:
-        return 1
-
-    clique = _greedy_clique(nbrs, verts)
-    lower = len(clique)
-    order = sorted(verts, key=lambda v: -len(nbrs[v]))
-    upper = _greedy_coloring_size(nbrs, order)
-    for k in range(lower, upper):
-        if _colorable(nbrs, order, k):
-            return k
-    return upper
-
-
-def _greedy_clique(nbrs, verts):
-    best: list[int] = []
-    for start in verts:
-        clique = [start]
-        cand = set(nbrs[start])
-        while cand:
-            v = max(cand, key=lambda x: len(cand & set(nbrs[x])))
-            clique.append(v)
-            cand &= set(nbrs[v])
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
-def _greedy_coloring_size(nbrs, order):
-    colors: dict[int, int] = {}
-    for v in order:
-        used = {colors[u] for u in nbrs[v] if u in colors}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return 1 + max(colors.values())
+    order = sorted((v for v in range(h.vertex_count) if nbrs[v]), key=lambda v: -len(nbrs[v]))
+    k = 2
+    while not _colorable(nbrs, order, k):
+        k += 1
+    return k
 
 
 def _colorable(nbrs, order, k):

@@ -16,7 +16,6 @@ edge-only ModelSpec with coefficient beta/2.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ from .errors import (
     InstanceTooLargeError,
     OverflowGuardError,
 )
-from .graphs import Graph, Motif, _EdgeTerm, _term
+from .graphs import (Graph, Motif, _EdgeTerm, _indicator_graph, _mask_bits, _rng_from_seed,
+                     _seed_key, _term, _vertex_pairs)
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # mcmc.hom_density_graph_fast, so the name stays importable from this module
@@ -46,11 +46,6 @@ BURN_IN_FRACTION = 0.10
 _DRAW_BLOCK_UNIFORMS = 2**19
 # chi_square_distance sums its weights in chunks this long, which stay in cache
 _CHI_SQUARE_CHUNK = 2**16
-
-
-def _rng_from_seed(seed: int) -> np.random.Generator:
-    """Counter-based generator so chains replicate exactly from a 64-bit seed."""
-    return np.random.default_rng(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
 
 # -- chain configuration and state ---------------------------------------------
@@ -136,7 +131,7 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     back to the state before each record and at the end.
     """
     rng = _rng_from_seed(seed)
-    pairs = list(itertools.combinations(range(state.n), 2))
+    pairs = _vertex_pairs(state.n)
     m = len(pairs)
     lead = 0
     start = 0.0
@@ -305,9 +300,7 @@ def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
 
 def edge_indicator(g: Graph) -> tuple[int, ...]:
     """Edge-indicator vector of a graph in lexicographic pair order."""
-    return tuple(
-        1 if g.has_edge(i, j) else 0 for i, j in itertools.combinations(range(g.n), 2)
-    )
+    return tuple(1 if g.has_edge(i, j) else 0 for i, j in _vertex_pairs(g.n))
 
 
 def _dense_pairs(n: int) -> int:
@@ -320,27 +313,34 @@ def _dense_pairs(n: int) -> int:
     return m
 
 
+def _flip_matrix(m: int, rule) -> np.ndarray:
+    """Dense transition matrix on the 2^m edge masks of a chain that picks a
+    uniform pair t and sets it present or absent in state s with the
+    probabilities rule(s, t) = (p_present, p_absent)."""
+    size = 1 << m
+    k = np.zeros((size, size))
+    for s in range(size):
+        for t in range(m):
+            p_present, p_absent = rule(s, t)
+            k[s, s | (1 << t)] += p_present / m
+            k[s, s & ~(1 << t)] += p_absent / m
+    return k
+
+
 def er_transition_matrix(beta: float, n: int) -> np.ndarray:
     """Dense transition matrix of the add/delete chain on all 2^m graphs."""
     if beta < 0.0:
         raise DomainError("er chains require beta >= 0")
     m = _dense_pairs(n)
-    size = 1 << m
-    k = np.zeros((size, size))
+    bits = _mask_bits(m).tolist()
     del_p = math.exp(-beta)
-    for s in range(size):
-        for t in range(m):
-            if not s >> t & 1:
-                k[s, s | (1 << t)] += 1.0 / m
-            else:
-                k[s, s & ~(1 << t)] += del_p / m
-                k[s, s] += (1.0 - del_p) / m
-    return k
+    # an absent pair is always added; a present one is deleted with e^-beta
+    return _flip_matrix(m, lambda s, t: (1.0 - del_p, del_p) if bits[s][t] else (1.0, 0.0))
 
 
 def er_stationary(beta: float, n: int) -> np.ndarray:
     m = math.comb(n, 2)
-    sizes = np.array([int(s).bit_count() for s in range(1 << m)])
+    sizes = _mask_bits(m).sum(axis=1)
     logw = beta * sizes - m * np.logaddexp(0.0, beta)
     return np.exp(logw)
 
@@ -348,23 +348,17 @@ def er_stationary(beta: float, n: int) -> np.ndarray:
 def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     """Dense transition matrix of Glauber dynamics for an arbitrary model."""
     m = _dense_pairs(n)
-    pairs = list(itertools.combinations(range(n), 2))
+    pairs = _vertex_pairs(n)
     terms = _model_terms(model)
-    size = 1 << m
-    k = np.zeros((size, size))
-    for s in range(size):
-        g = _graph_from_mask(n, s, pairs)
-        for t, (i, j) in enumerate(pairs):
-            expo = sum((term.exponent(b, g, i, j) for b, term in terms), 0.0)
-            p_on = 1.0 / (1.0 + math.exp(-expo))
-            k[s, s | (1 << t)] += p_on / m
-            k[s, s & ~(1 << t)] += (1.0 - p_on) / m
-    return k
+    graphs = [_indicator_graph(n, row) for row in _mask_bits(m)]
 
+    def rule(s, t):
+        i, j = pairs[t]
+        expo = sum((term.exponent(b, graphs[s], i, j) for b, term in terms), 0.0)
+        p_on = 1.0 / (1.0 + math.exp(-expo))
+        return p_on, 1.0 - p_on
 
-def _graph_from_mask(n: int, mask: int, pairs) -> Graph:
-    edges = [pairs[t] for t in range(len(pairs)) if mask >> t & 1]
-    return Graph.from_edges(n, edges)
+    return _flip_matrix(m, rule)
 
 
 def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
@@ -375,9 +369,7 @@ def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
             f"instance too large: enumeration needs m <= "
             f"{math.comb(ENUMERATION_MAX_VERTICES, 2)}, got {m}"
         )
-    masks = np.arange(1 << m, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(m)[None, :]) & 1).astype(np.int8)
-    dens = batch_motif_densities([mm for mm, _ in model.terms], n, bits)
+    dens = batch_motif_densities([mm for mm, _ in model.terms], n, _mask_bits(m))
     betas = np.array([b for _, b in model.terms])
     return n**2 * (dens @ betas)
 
@@ -563,6 +555,8 @@ def estimate_importance(
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if batch < 1:
+        raise DomainError("batch must be >= 1")
     if proposal_p is None:
         proposal_p = max(maximize_scalar(model).maximizers)
     if not 0.0 < proposal_p < 1.0:
@@ -660,7 +654,7 @@ def estimate_acceptance_ratio(
     motifs = [mm for mm, _ in model.terms]
     betas = np.array([b for _, b in model.terms])
     betas0 = np.array([b for _, b in model0.terms])
-    child_seeds = np.random.SeedSequence(chain.seed).generate_state(2, dtype=np.uint64)
+    child_seeds = np.random.SeedSequence(_seed_key(chain.seed)).generate_state(2, dtype=np.uint64)
     cfg_ref = ChainConfig(chain.n, seed=int(child_seeds[0]), start=chain.start)
     cfg_tgt = ChainConfig(chain.n, seed=int(child_seeds[1]), start=chain.start)
     dens_ref = sample_motif_densities(model0, motifs, n_samples_ref, cfg_ref, thinning)

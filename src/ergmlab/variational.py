@@ -29,7 +29,7 @@ from .graphons import (
     hom_density_graphon,
     rate_entropy,
 )
-from .graphs import Graph, Motif
+from .graphs import Graph, Motif, _rng_from_seed
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # variational.hom_density_graph_fast, so the name stays importable from this module
@@ -88,6 +88,10 @@ class ModelSpec:
         return cls(terms)
 
     def to_text(self) -> str:
+        """The 'motif beta' lines that from_text reads back, coefficients bit
+        for bit. A motif without a name is written as an edge list, which
+        reads back with 1 + its largest edge vertex vertices: an isolated
+        vertex above that is lost, which leaves every density unchanged."""
         lines = []
         for m, b in self.terms:
             name = m.name or f"edgelist:{','.join(f'{i}-{j}' for i, j in m.edges)}"
@@ -688,7 +692,7 @@ def graphon_search(
     the best kernel found, its objective value, and the sup-norm residual of
     the fixed-point equation at it; certified is always False.
     """
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = _rng_from_seed(seed)
     w = np.full(k, 1.0 / k)
     cell = np.outer(w, w) * (2.0 - np.eye(k))
 

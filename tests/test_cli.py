@@ -220,6 +220,29 @@ def test_euler_lagrange_random_init_reproducible(tmp_path):
     assert kernel.k == 3 and np.ptp(kernel.values) > 0.0
 
 
+@pytest.mark.parametrize("command", ["euler-lagrange", "estimate-z"])
+def test_negative_seed_runs_its_64_bit_residue(tmp_path, command):
+    # seed -1 keys the Philox stream of 2^64 - 1, as in every seeded function
+    if command == "euler-lagrange":
+        argv = ["euler-lagrange", "--beta1", "-0.3", "--beta2", "0.2", "--blocks", "3",
+                "--init", "random"]
+    else:
+        model = tmp_path / "model.txt"
+        model.write_text("edge 0.2\ntriangle 0.1\n")
+        model0 = tmp_path / "model0.txt"
+        model0.write_text("edge -0.1\ntriangle 0\n")
+        argv = ["estimate-z", "--method", "acceptance-ratio", "--model", str(model),
+                "--model0", str(model0), "--n", "4", "--samples", "500"]
+    runs = [run(tmp_path / "out.txt", argv + ["--seed", seed]) for seed in ("-1", str(2**64 - 1))]
+    assert runs[0][0] == runs[1][0] == 0
+    lines, residue = (body_lines(text) for _, text in runs)
+    if command == "estimate-z":
+        # the body names the seed as given; the estimate is the residue's
+        assert lines[1] == "seed -1" and residue[1] == f"seed {2**64 - 1}"
+        del lines[1], residue[1]
+    assert lines == residue
+
+
 def test_extremal_output(tmp_path):
     out = tmp_path / "ext.txt"
     code, text = run(out, ["extremal", "--motif", "triangle", "--beta1", "0"])

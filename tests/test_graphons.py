@@ -258,6 +258,15 @@ def test_cut_distance_annealed_mode_upper_bounds_zero_case():
     assert res.value < 0.25  # a sound upper bound that annealing should beat
 
 
+def test_negative_seed_runs_its_64_bit_residue():
+    r = rng(11)
+    f, g = StepGraphon.random(9, r), StepGraphon.random(9, r)
+    assert cut_distance_upper(f, g, seed=-1) == cut_distance_upper(f, g, seed=2**64 - 1)
+    # 30 blocks take the seeded alternating maximization
+    f, g = StepGraphon.random(30, r), StepGraphon.random(30, r)
+    assert cut_norm_diff(f, g, seed=-1) == cut_norm_diff(f, g, seed=2**64 - 1)
+
+
 # -- derivative operator -----------------------------------------------------------------
 
 

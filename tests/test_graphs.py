@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergmlab.errors import DomainError, FormatError, InstanceTooLargeError
 from ergmlab.graphs import (
@@ -152,6 +156,15 @@ def test_classify_motif():
     assert classify_motif(Motif.complete(5)) == ("complete", 5)
     two_edges = Motif(4, [(0, 1), (2, 3)])
     assert classify_motif(two_edges) == ("general",)
+    # every vertex with an edge has degree 2, as many edges as such vertices,
+    # but more than one cycle
+    two_triangles = Motif(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert classify_motif(two_triangles) == ("general",)
+    triangle_and_square = Motif(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    assert classify_motif(triangle_and_square) == ("general",)
+    # a relabelled 6-cycle with an isolated vertex (3)
+    hexagon = Motif(7, [(5, 0), (0, 6), (6, 2), (2, 4), (4, 1), (1, 5)])
+    assert classify_motif(hexagon) == ("cycle", 6)
 
 
 def test_chromatic_numbers():
@@ -167,7 +180,34 @@ def test_chromatic_numbers():
          (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
     )
     assert chromatic_number(petersen) == 3
+    # Groetzsch graph (the Mycielskian of C5): triangle-free, yet needs 4 colors
+    groetzsch = Motif(
+        11,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+        + [(5 + i, 10) for i in range(5)],
+    )
+    assert chromatic_number(groetzsch) == 4
+    assert chromatic_number(Motif.complete(12)) == 12
     assert Motif.triangle().chromatic == 3  # cached property
+
+
+def _brute_force_chromatic(h):
+    """Least k with a proper k-colouring, trying every colouring of every vertex."""
+    for k in itertools.count(1):
+        for colors in itertools.product(range(k), repeat=h.vertex_count):
+            if all(colors[i] != colors[j] for i, j in h.edges):
+                return k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_chromatic_number_matches_brute_force(data):
+    v = data.draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(v), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    h = Motif(v, edges)
+    assert chromatic_number(h) == _brute_force_chromatic(h)
 
 
 def test_chromatic_guard():

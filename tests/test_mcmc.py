@@ -441,6 +441,12 @@ def test_estimators_reject_zero_samples():
             estimate_acceptance_ratio(model, model, "constant", ref, target, ChainConfig(4, seed=0))
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_importance_rejects_empty_batch(batch):
+    with pytest.raises(DomainError, match="batch"):
+        estimate_importance(ModelSpec.edge_triangle(0.2, 0.1), 4, 100, seed=0, batch=batch)
+
+
 def test_acceptance_ratio_identity():
     model = ModelSpec.edge_triangle(0.1, 0.05)
     res = estimate_acceptance_ratio(model, model, "constant", 400, 400, ChainConfig(4, seed=3))

@@ -448,6 +448,13 @@ def test_graphon_search_matches_recorded_values():
         assert np.max(np.abs(rep.maximizers[0].values - np.array(values))) <= 1e-6
 
 
+def test_graphon_search_negative_seed_runs_its_64_bit_residue():
+    model = ModelSpec.edge_triangle(-0.45, 0.6)
+    reps = [graphon_search(model, k=3, restarts=4, max_iter=100, seed=s) for s in (-1, 2**64 - 1)]
+    assert reps[0].psi == reps[1].psi
+    assert np.array_equal(reps[0].maximizers[0].values, reps[1].maximizers[0].values)
+
+
 def test_symmetry_breaking_check_directions():
     broken = symmetry_breaking_check(ModelSpec.edge_triangle(0.0, -50.0))
     assert broken.broken
