@@ -3,7 +3,7 @@
 Every output file starts with comment lines echoing the exact command line,
 the seed in effect, and the package version, so a run can be reproduced
 byte for byte. Exit codes: 0 success, 1 usage error, 2 numeric-guard or
-domain error.
+domain error, including a malformed model or graph file.
 """
 
 from __future__ import annotations
@@ -58,20 +58,41 @@ def _parse_range(spec: str) -> np.ndarray:
         raise UsageError(f"expected a number or lo:hi:steps, got {spec!r}")
 
 
+def _parse_init(spec: str) -> str | float:
+    """Parse --init: 'random' or a constant kernel value."""
+    if spec == "random":
+        return spec
+    try:
+        return float(spec)
+    except ValueError:
+        raise UsageError(f"--init must be a number or 'random', got {spec!r}")
+
+
+def _parse_betas(spec: str) -> list[float]:
+    """Parse --betas: comma-separated numbers."""
+    try:
+        return [float(x) for x in spec.split(",")]
+    except ValueError:
+        raise UsageError(f"--betas must be comma-separated numbers, got {spec!r}")
+
+
 def _surface(beta1_grid: np.ndarray, beta2_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every (beta1, beta2) pair of two grids, beta1 in the outer loop."""
     return np.repeat(beta1_grid, len(beta2_grid)), np.tile(beta2_grid, len(beta1_grid))
 
 
+def _read(path: str, cls):
+    """cls.from_text of a UTF-8 file: a ModelSpec or a Graph."""
+    with open(path, encoding="utf-8") as fh:
+        return cls.from_text(fh.read())
+
+
 def _load_model(args) -> ModelSpec:
-    if getattr(args, "model", None):
-        with open(args.model, encoding="utf-8") as fh:
-            return ModelSpec.from_text(fh.read())
-    beta1 = getattr(args, "beta1", None)
-    beta2 = getattr(args, "beta2", None)
-    if beta1 is None:
+    if args.model:
+        return _read(args.model, ModelSpec)
+    if args.beta1 is None:
         raise UsageError("provide --model FILE or inline --beta1/--beta2")
-    return ModelSpec.edge_triangle(beta1, beta2 if beta2 is not None else 0.0)
+    return ModelSpec.edge_triangle(args.beta1, args.beta2)
 
 
 class _Output:
@@ -87,7 +108,7 @@ class _Output:
         ]
 
     def write(self, text: str):
-        self.lines.append(text)
+        self.lines.extend(text.splitlines())
 
     def finish(self):
         body = "\n".join(self.header + self.lines) + "\n"
@@ -101,46 +122,31 @@ class _Output:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_sample(args, argv):
+def _cmd_sample(args, out):
     model = _load_model(args)
-    out = _Output(args.out, argv, args.seed)
     cfg = mcmc.ChainConfig(args.n, steps=args.steps, seed=args.seed, start=args.start, model=model)
     trace, final = mcmc.run_chain(cfg, record_every=args.record_every)
     out.write("step,edges,triangles,statistic")
     for rec in trace:
         out.write(f"{rec.step},{rec.edges},{rec.triangles},{rec.statistic:.12g}")
-    out.finish()
-    return 0
 
 
-def _cmd_psi(args, argv):
+def _cmd_psi(args, out):
     model = _load_model(args)
-    out = _Output(args.out, argv, None)
     rep = variational.maximize_scalar(model)
     out.write(f"psi_limit {rep.psi:.12g}")
     out.write(f"maximizers {' '.join(f'{u:.12g}' for u in rep.maximizers)}")
     out.write(f"applicability {variational.applicability_check(model)}")
-    if args.exact_n:
+    if args.exact_n is not None:
         out.write(f"psi_{args.exact_n} {mcmc.enumerate_psi_n(model, args.exact_n):.12g}")
-    out.finish()
-    return 0
 
 
-def _cmd_phase_diagram(args, argv):
-    beta1_grid = _parse_range(args.beta1)
-    beta2_grid = _parse_range(args.beta2)
-    out = _Output(args.out, argv, None)
-    if len(beta1_grid) == 1:
-        res = variational.phase_scan(
-            float(beta1_grid[0]),
-            float(beta2_grid[0]),
-            float(beta2_grid[-1]),
-            len(beta2_grid),
-        )
+def _cmd_phase_diagram(args, out):
+    if len(args.beta1) == 1:
+        b2s = args.beta2
+        res = variational.phase_scan(float(args.beta1[0]), float(b2s[0]), float(b2s[-1]), len(b2s))
         out.write("beta2,u_star,psi,multiplicity")
-        rows = [
-            (b2, u, psi, mult) for (b2, u, psi, mult) in res.points
-        ]
+        rows = list(res.points)
         for jump in res.jumps:
             model = ModelSpec.edge_triangle(res.beta1, jump.beta2)
             psi = variational.scalar_objective(model, jump.u_low)
@@ -150,30 +156,24 @@ def _cmd_phase_diagram(args, argv):
             out.write(f"{b2:.12g},{u:.12g},{psi:.12g},{mult}")
     else:
         out.write("beta1,beta2,u_star,psi,multiplicity")
-        b1s, b2s = _surface(beta1_grid, beta2_grid)
+        b1s, b2s = _surface(args.beta1, args.beta2)
         for b1, b2, rep in zip(b1s, b2s, variational._edge_triangle_stack(b1s, b2s)):
             out.write(
                 f"{b1:.12g},{b2:.12g},{max(rep.maximizers):.12g},{rep.psi:.12g},{len(rep.maximizers)}"
             )
-    out.finish()
-    return 0
 
 
-def _cmd_degeneracy(args, argv):
-    out = _Output(args.out, argv, None)
+def _cmd_degeneracy(args, out):
     rep = variational.degeneracy_constants(args.beta1, args.beta2)
     out.write(f"c1 {rep.c1:.12g}")
     out.write(f"c2 {rep.c2:.12g}")
     out.write(f"q_estimate {rep.q_estimate:.12g}")
     if rep.regime is not None:
         out.write(f"regime {rep.regime}")
-    out.finish()
-    return 0
 
 
-def _cmd_estimate_z(args, argv):
+def _cmd_estimate_z(args, out):
     model = _load_model(args)
-    out = _Output(args.out, argv, args.seed)
     if args.method == "importance":
         res = mcmc.estimate_importance(
             model, args.n, args.samples, args.seed, proposal_p=args.proposal_p
@@ -181,8 +181,7 @@ def _cmd_estimate_z(args, argv):
     else:
         if not args.model0:
             raise UsageError(f"--model0 is required for method {args.method}")
-        with open(args.model0, encoding="utf-8") as fh:
-            model0 = ModelSpec.from_text(fh.read())
+        model0 = _read(args.model0, ModelSpec)
         cfg = mcmc.ChainConfig(args.n, seed=args.seed, start=args.start)
         if args.method == "mcmle":
             res = mcmc.estimate_mcmle(model, model0, args.samples, cfg, thinning=args.thinning)
@@ -196,20 +195,15 @@ def _cmd_estimate_z(args, argv):
                 cfg,
                 thinning=args.thinning,
             )
-    for ln in res.to_text().splitlines():
-        out.write(ln)
-    out.finish()
-    return 0
+    out.write(res.to_text())
 
 
-def _cmd_spectral_check(args, argv):
-    out = _Output(args.out, argv, None)
-    betas = [float(x) for x in args.betas.split(",")]
+def _cmd_spectral_check(args, out):
     n = 3
     m = math.comb(n, 2)
     bits = _mask_bits(m).tolist()
     worst = 0.0
-    for beta in betas:
+    for beta in args.betas:
         k = mcmc.er_transition_matrix(beta, n)
         pi = mcmc.er_stationary(beta, n)
         flow = pi[:, None] * k
@@ -237,51 +231,35 @@ def _cmd_spectral_check(args, argv):
         worst = max(worst, db, eig_resid, ortho_resid, chi_resid)
     out.write(f"worst_residual {worst:.3g}")
     out.write("PASS" if worst < 1e-10 else "FAIL")
-    out.finish()
-    return 0
 
 
-def _cmd_euler_lagrange(args, argv):
+def _cmd_euler_lagrange(args, out):
     model = _load_model(args)
-    out = _Output(args.out, argv, args.seed)
     if args.init == "random":
         init = StepGraphon.random(args.blocks, _rng_from_seed(args.seed))
     else:
-        init = StepGraphon.equal_blocks(np.full((args.blocks, args.blocks), float(args.init)))
+        init = StepGraphon.equal_blocks(np.full((args.blocks, args.blocks), args.init))
     sol, residual = variational.euler_lagrange_solve(
         model, init, damping=args.damping, max_iter=args.max_iter
     )
     out.write(f"residual {residual:.12g}")
-    for ln in sol.to_text().splitlines():
-        out.write(ln)
-    out.finish()
-    return 0
+    out.write(sol.to_text())
 
 
-def _cmd_extremal(args, argv):
-    out = _Output(args.out, argv, None)
+def _cmd_extremal(args, out):
     motif = Motif.parse(args.motif)
     kernel, psi = variational.extremal_limit(motif, args.beta1)
     out.write(f"chromatic_number {motif.chromatic}")
     out.write(f"psi_limit {psi:.12g}")
-    for ln in kernel.to_text().splitlines():
-        out.write(ln)
-    out.finish()
-    return 0
+    out.write(kernel.to_text())
 
 
-def _cmd_top_contour(args, argv):
-    with open(args.graph, encoding="utf-8") as fh:
-        g = Graph.from_text(fh.read())
-    beta1_grid = _parse_range(args.beta1)
-    beta2_grid = _parse_range(args.beta2)
-    out = _Output(args.out, argv, None)
+def _cmd_top_contour(args, out):
+    g = _read(args.graph, Graph)
     out.write("beta1,beta2,top")
-    b1s, b2s = _surface(beta1_grid, beta2_grid)
+    b1s, b2s = _surface(args.beta1, args.beta2)
     for b1, b2, top in zip(b1s, b2s, variational._top_statistics(b1s, b2s, g)):
         out.write(f"{b1:.12g},{b2:.12g},{top:.12g}")
-    out.finish()
-    return 0
 
 
 # -- wiring -----------------------------------------------------------------------
@@ -291,81 +269,65 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="ergmlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(sp):
-        sp.add_argument("--model", help="model file: one 'motif beta' per line")
-        sp.add_argument("--beta1", type=float, help="inline edge coefficient")
-        sp.add_argument("--beta2", type=float, help="inline triangle coefficient")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default: stdout)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    chain = argparse.ArgumentParser(add_help=False, parents=[seed])
+    chain.add_argument("--start", default="empty", choices=["empty", "complete"])
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", help="model file: one 'motif beta' per line")
+    model.add_argument("--beta1", type=float, help="inline edge coefficient")
+    model.add_argument("--beta2", type=float, default=0.0, help="inline triangle coefficient")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--beta1", type=_parse_range, required=True, help="value or lo:hi:steps")
+    grid.add_argument("--beta2", type=_parse_range, required=True, help="value or lo:hi:steps")
 
-    sp = sub.add_parser("sample", help="run Glauber dynamics and emit a CSV trace")
-    add_model_flags(sp)
+    def command(name, fn, parents, summary):
+        sp = sub.add_parser(name, parents=[out, *parents], help=summary)
+        sp.set_defaults(fn=fn)
+        return sp
+
+    sp = command("sample", _cmd_sample, [model, chain], "run Glauber dynamics and emit a CSV trace")
     sp.add_argument("--n", type=int, default=30)
     sp.add_argument("--steps", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--start", default="empty", choices=["empty", "complete"])
     sp.add_argument("--record-every", type=int, default=100)
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_sample)
 
-    sp = sub.add_parser("psi", help="limiting free energy via the scalar problem")
-    add_model_flags(sp)
-    sp.add_argument("--exact-n", type=int, help="also enumerate psi_n exactly (n <= 6)")
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_psi)
+    sp = command("psi", _cmd_psi, [model], "limiting free energy via the scalar problem")
+    sp.add_argument("--exact-n", type=int, help="also enumerate psi_n exactly (1 <= n <= 6)")
 
-    sp = sub.add_parser("phase-diagram", help="maximizer surface or sweep with jump rows")
-    sp.add_argument("--beta1", required=True, help="value or lo:hi:steps")
-    sp.add_argument("--beta2", required=True, help="value or lo:hi:steps")
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_phase_diagram)
+    command("phase-diagram", _cmd_phase_diagram, [grid], "maximizer surface or sweep with jump rows")
 
-    sp = sub.add_parser("degeneracy", help="sparse/dense dichotomy constants and q")
+    sp = command("degeneracy", _cmd_degeneracy, [], "sparse/dense dichotomy constants and q")
     sp.add_argument("--beta1", type=float, required=True)
     sp.add_argument("--beta2", type=float)
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_degeneracy)
 
-    sp = sub.add_parser("estimate-z", help="normalizing-constant estimators")
-    add_model_flags(sp)
+    sp = command("estimate-z", _cmd_estimate_z, [model, chain], "normalizing-constant estimators")
     sp.add_argument("--method", required=True, choices=["importance", "mcmle", "acceptance-ratio"])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--samples2", type=int)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--proposal-p", type=float)
     sp.add_argument("--model0", help="reference model file for ratio estimators")
     sp.add_argument("--alpha", default="constant", choices=["constant", "geometric-mean"])
     sp.add_argument("--thinning", type=int, default=1)
-    sp.add_argument("--start", default="empty", choices=["empty", "complete"])
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_estimate_z)
 
-    sp = sub.add_parser("spectral-check", help="exact spectral oracle suite at n = 3")
-    sp.add_argument("--betas", default="0,0.5,1")
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_spectral_check)
+    sp = command("spectral-check", _cmd_spectral_check, [], "exact spectral oracle suite at n = 3")
+    sp.add_argument("--betas", type=_parse_betas, default="0,0.5,1")
 
-    sp = sub.add_parser("euler-lagrange", help="damped fixed-point solve on block kernels")
-    add_model_flags(sp)
+    sp = command("euler-lagrange", _cmd_euler_lagrange, [model, seed],
+                 "damped fixed-point solve on block kernels")
     sp.add_argument("--blocks", type=int, default=1)
-    sp.add_argument("--init", default="0.5", help="constant init value or 'random'")
+    sp.add_argument("--init", type=_parse_init, default="0.5", help="constant init value or 'random'")
     sp.add_argument("--damping", type=float, default=0.5)
     sp.add_argument("--max-iter", type=int, default=20_000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_euler_lagrange)
 
-    sp = sub.add_parser("extremal", help="strong-negative-coefficient limit kernel")
+    sp = command("extremal", _cmd_extremal, [], "strong-negative-coefficient limit kernel")
     sp.add_argument("--motif", required=True)
     sp.add_argument("--beta1", type=float, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_extremal)
 
-    sp = sub.add_parser("top-contour", help="shifted log-likelihood surface for a graph")
+    sp = command("top-contour", _cmd_top_contour, [grid], "shifted log-likelihood surface for a graph")
     sp.add_argument("--graph", required=True, help="edge-list file")
-    sp.add_argument("--beta1", required=True, help="value or lo:hi:steps")
-    sp.add_argument("--beta2", required=True, help="value or lo:hi:steps")
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_top_contour)
 
     return p
 
@@ -377,17 +339,11 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join value flags with following tokens like '-1:1:3' that argparse
     would otherwise read as option names."""
     out = []
-    skip = False
-    for idx, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[idx + 1] if idx + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and len(nxt) > 1 and nxt[0] == "-" and (
-            nxt[1].isdigit() or nxt[1] == "."
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and len(tok) > 1 and tok[0] == "-" and (
+            tok[1].isdigit() or tok[1] == "."
         ):
-            out.append(f"{tok}={nxt}")
-            skip = True
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -399,11 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_negative_values(argv))
-        return args.fn(args, argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        out = _Output(args.out, argv, getattr(args, "seed", None))
+        args.fn(args, out)
+        out.finish()
+        return 0
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (InstanceTooLargeError, DomainError, OverflowGuardError, FormatError, ConvergenceError) as exc:

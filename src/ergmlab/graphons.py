@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError, InstanceTooLargeError
-from .graphs import Graph, Motif, _rng_from_seed
+from .graphs import Graph, Motif, _data_lines, _fields, _rng_from_seed
 
 WEIGHT_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
@@ -114,17 +114,13 @@ class StepGraphon:
 
     @classmethod
     def from_text(cls, text: str) -> "StepGraphon":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = _data_lines(text)
         if len(lines) < 2:
             raise FormatError("graphon file needs a block count and a weights line")
-        try:
-            k = int(lines[0])
-            weights = [float(x) for x in lines[1].split()]
-            rows = [[float(x) for x in ln.split()] for ln in lines[2 : 2 + k]]
-        except ValueError as exc:
-            raise FormatError(f"malformed graphon file: {exc}") from exc
-        if len(weights) != k or len(rows) != k or any(len(r) != k for r in rows):
+        (k,) = _fields(lines[0], int, 1, "bad graphon block count {}")
+        weights = _fields(lines[1], float, k, "bad graphon weights line {}")
+        rows = [_fields(ln, float, k, "bad graphon row {}") for ln in lines[2 : 2 + k]]
+        if len(rows) != k:
             raise FormatError("graphon file dimensions do not match the block count")
         v = np.asarray(rows)
         asym = np.max(np.abs(v - v.T))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FormatError, InstanceTooLargeError
+from .errors import DomainError, ErgmLabError, FormatError, InstanceTooLargeError
 
 MAX_VERTICES = 4096
 HOM_MAP_GUARD = 10**9
@@ -168,21 +168,11 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = _data_lines(text)
         if not lines:
             raise FormatError("empty graph file")
-        try:
-            n = int(lines[0])
-        except ValueError as exc:
-            raise FormatError(f"first line must be the vertex count, got {lines[0]!r}") from exc
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        return cls.from_edges(n, edges)
+        (n,) = _fields(lines[0], int, 1, "first line must be the vertex count, got {}")
+        return cls.from_edges(n, [_fields(ln, int, 2, "bad edge line {}") for ln in lines[1:]])
 
 
 class Motif:
@@ -306,6 +296,34 @@ class Motif:
         if self.name:
             return f"Motif({self.name})"
         return f"Motif(v={self.vertex_count}, edges={list(self.edges)})"
+
+
+# -- text formats ------------------------------------------------------------------
+
+
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of a text file that are neither blank nor # comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def _fields(line: str, kind, count: int, what: str) -> list:
+    """The count whitespace-separated fields of a data line, each converted by
+    kind: one callable for every field, or a tuple of one per field.
+
+    Raises FormatError(what.format(repr(line))) when the line has another
+    number of fields or a conversion raises a bare ValueError; the package's
+    own errors from a conversion pass through.
+    """
+    parts = line.split()
+    kinds = kind if isinstance(kind, tuple) else (kind,) * len(parts)
+    if len(parts) == count:
+        try:
+            return [k(p) for k, p in zip(kinds, parts)]
+        except ErgmLabError:
+            raise
+        except ValueError:
+            pass
+    raise FormatError(what.format(repr(line)))
 
 
 # -- vertex-pair order, edge masks and seeds ------------------------------------

@@ -40,7 +40,6 @@ from .variational import ModelSpec, maximize_scalar
 ENUMERATION_MAX_VERTICES = 6
 DENSE_MATRIX_MAX_PAIRS = 12
 CHI_SQUARE_MAX_VERTICES = 10_000
-BURN_IN_FRACTION = 0.10
 # estimate_importance draws its graphs in row blocks of at most this many
 # uniforms (4 MB of doubles), whatever the batch
 _DRAW_BLOCK_UNIFORMS = 2**19
@@ -130,6 +129,8 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     triangle counts live in locals while the chain runs and are written
     back to the state before each record and at the end.
     """
+    if state.n < 2:
+        raise DomainError(f"chains need n >= 2, got {state.n}")
     rng = _rng_from_seed(seed)
     pairs = _vertex_pairs(state.n)
     m = len(pairs)
@@ -363,6 +364,8 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
 
 def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
     """log of exp(n^2 T(G)) over all graphs, in edge-mask order."""
+    if n < 1:
+        raise DomainError(f"enumeration needs n >= 1, got {n}")
     m = math.comb(n, 2)
     if m > math.comb(ENUMERATION_MAX_VERTICES, 2):
         raise InstanceTooLargeError(
@@ -553,6 +556,8 @@ def estimate_importance(
     (4 MB), which read the generator's stream in order, so the draws are
     those of one draw per batch.
     """
+    if n < 2:
+        raise DomainError(f"importance sampling needs n >= 2, got {n}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     if batch < 1:

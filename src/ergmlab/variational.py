@@ -29,7 +29,7 @@ from .graphons import (
     hom_density_graphon,
     rate_entropy,
 )
-from .graphs import Graph, Motif, _rng_from_seed
+from .graphs import Graph, Motif, _data_lines, _fields, _rng_from_seed
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # variational.hom_density_graph_fast, so the name stays importable from this module
@@ -48,8 +48,9 @@ class ModelSpec:
     The statistic of a kernel h is sum_i beta_i t(H_i, h); for a graph G the
     same formula applies with graph homomorphism densities, so the edge term
     contributes 2 beta_1 E/n^2 and a triangle term 6 beta_2 T/n^3. Every
-    motif must contain at least one edge. By convention term 0 is usually
-    the single edge (a zero coefficient is fine).
+    motif contains at least one edge and every coefficient must be finite.
+    By convention term 0 is usually the single edge (a zero coefficient is
+    fine).
     """
 
     __slots__ = ("terms",)
@@ -58,9 +59,8 @@ class ModelSpec:
         terms = tuple((m, float(b)) for m, b in terms)
         if not terms:
             raise DomainError("model needs at least one term")
-        for m, _ in terms:
-            if m.edge_count < 1:
-                raise DomainError("every motif must contain at least one edge")
+        if not all(math.isfinite(b) for _, b in terms):
+            raise DomainError("model coefficients must be finite")
         self.terms = terms
 
     @classmethod
@@ -74,15 +74,8 @@ class ModelSpec:
     # text format: one "motif beta" pair per line
     @classmethod
     def from_text(cls, text: str) -> "ModelSpec":
-        terms = []
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad model line {ln!r} (want 'motif beta')")
-            terms.append((Motif.parse(parts[0]), float(parts[1])))
+        want = "bad model line {} (want 'motif beta')"
+        terms = [_fields(ln, (Motif.parse, float), 2, want) for ln in _data_lines(text)]
         if not terms:
             raise FormatError("model file has no terms")
         return cls(terms)

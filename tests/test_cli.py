@@ -113,6 +113,48 @@ def test_usage_error_exit_code():
     assert main(["psi", "--model", "/does/not/exist"]) == 1
 
 
+INPUT_FILES = {
+    "bad_edge.txt": "3\n0 x\n",
+    "bad_model.txt": "edge abc\n",
+    "nan_model.txt": "edge nan\n",
+    "inf_model.txt": "edge inf\n",
+    "model.txt": "edge 0.2\ntriangle 0.1\n",
+}
+
+# each case once ended in a traceback, or in exit 0 with a wrong or missing
+# answer; code 1 is a usage error, 2 a numeric guard
+INPUT_ERRORS = [
+    pytest.param("top-contour --graph bad_edge.txt --beta1 0 --beta2 0", 2, id="graph-bad-number"),
+    pytest.param("psi --model bad_model.txt", 2, id="model-bad-number"),
+    pytest.param("psi --beta1 nan", 2, id="psi-nan-beta"),
+    pytest.param("degeneracy --beta1 nan", 2, id="degeneracy-nan-beta"),
+    pytest.param("psi --model nan_model.txt", 2, id="model-nan"),
+    pytest.param("psi --model inf_model.txt", 2, id="model-inf"),
+    pytest.param("sample --n 1 --beta1 0.1", 2, id="sample-n1"),
+    pytest.param("estimate-z --method importance --beta1 0.1 --n 1 --samples 10", 2,
+                 id="importance-n1"),
+    pytest.param("estimate-z --method mcmle --model model.txt --model0 model.txt --n 1 --samples 10",
+                 2, id="mcmle-n1"),
+    pytest.param("estimate-z --method acceptance-ratio --model model.txt --model0 model.txt --n 1 "
+                 "--samples 10", 2, id="acceptance-ratio-n1"),
+    pytest.param("psi --beta1 0.1 --exact-n 0", 2, id="exact-n0"),
+    pytest.param("psi --beta1 0.1 --exact-n -1", 2, id="exact-n-negative"),
+    pytest.param("euler-lagrange --beta1 0.1 --init x", 1, id="init-not-a-number"),
+    pytest.param("spectral-check --betas x", 1, id="betas-not-numbers"),
+]
+
+
+@pytest.mark.parametrize("command, code", INPUT_ERRORS)
+def test_input_errors_exit_without_traceback(tmp_path, monkeypatch, capsys, command, code):
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(command.split()) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:" if code == 1 else "numeric guard:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_sample_trace_and_byte_reproducibility(tmp_path):
     args = [
         "sample", "--n", "12", "--steps", "400", "--beta1", "0.2", "--beta2", "0.1",

@@ -170,6 +170,40 @@ def test_cli_phase_sweep_matches_golden():
     assert _cli_digest(argv) == PHASE_DIAGRAM_SWEEP
 
 
+# recorded before the CLI declared its shared flags once and parsed every
+# flag value in the parser, for the commands no other pin runs
+CLI_COMMANDS = {
+    "e55471a0c3748222d48febcf261a64b1a1535d2e4d64d9ffd7418b19af926839":
+        "degeneracy --beta1 -5 --beta2 3",
+    "60e794cd9e30d8d6fe7574a9fa8d850bc005a714348f44748da8079e5c284b93":
+        "extremal --motif triangle --beta1 0",
+    "7905a28b7a18f4222754804630f69a8cb5aa9885d6e8daec4c72c5c847806469":
+        "euler-lagrange --beta1 -0.3 --beta2 0.2 --blocks 3 --init random --seed 7",
+    "a3dd5ccc612669362ab2a97e01c5d29708ab7c9bf20a0e8e307bad9369f4510b":
+        "estimate-z --method importance --beta1 0.2 --beta2 0.1 --n 4 --samples 2000 --seed 5",
+    "3e57416f5339e2a2226bd3728649cd41cc30484861b7272febc140dce93038fc":
+        "estimate-z --method mcmle --model model.txt --model0 model0.txt --n 4 --samples 2000 --seed 5",
+    "441399aa23a11d1e887b6c74cd54ed7e0a6c49b85e62a228ae51c274adc76b6c":
+        "estimate-z --method acceptance-ratio --model model.txt --model0 model0.txt --n 4 "
+        "--samples 2000 --seed 5",
+    "dcd995ce7defd574c198d0e483f53b998eda840b8cd8d4537a73e87f1a2489fd":
+        "psi --model psi_model.txt --exact-n 5",
+}
+CLI_FILES = {
+    "model.txt": "edge 0.2\ntriangle 0.1\n",
+    "model0.txt": "edge -0.1\ntriangle 0\n",
+    "psi_model.txt": "# a comment\nedge -0.3\n\ntriangle 0.4\nstar:2 0.1\n",
+}
+
+
+def test_cli_commands_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in CLI_FILES.items():
+        (tmp_path / name).write_text(text)
+    for golden, command in CLI_COMMANDS.items():
+        assert _cli_digest(command.split()) == golden, command
+
+
 def test_cli_top_contour_matches_golden(tmp_path, monkeypatch):
     # a relative graph path keeps the command header the same in every run
     monkeypatch.chdir(tmp_path)

@@ -342,6 +342,11 @@ def test_text_roundtrip_and_symmetrization():
     assert np.allclose(back.values, h.values)
     with pytest.raises(FormatError):
         StepGraphon.from_text("2\n0.5 0.5\n0.1 0.2\n0.9 0.1\n")
+    # malformed numbers and short rows name their line
+    for text in ("two\n0.5 0.5\n", "2\n0.5 x\n0.1 0.2\n0.2 0.1\n", "2\n0.5 0.5\n0.1 0.2\n0.2 y\n",
+                 "2\n0.5 0.5\n0.1\n0.2 0.1\n"):
+        with pytest.raises(FormatError, match="bad graphon"):
+            StepGraphon.from_text(text)
 
 
 def test_common_refinement_merges_drifted_boundaries():

@@ -233,6 +233,10 @@ def test_text_errors():
         Graph.from_text("3\n0 0\n")
     with pytest.raises(FormatError):
         Graph.from_text("3\n0 5\n")
+    # malformed numbers name their line
+    for text in ("3\n0 x\n", "3\n0 1.5\n", "3.0\n0 1\n"):
+        with pytest.raises(FormatError, match="line|vertex count"):
+            Graph.from_text(text)
 
 
 def test_toggle_and_immutability():

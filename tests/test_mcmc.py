@@ -288,6 +288,24 @@ def test_enumerate_guard():
         enumerate_psi_n(ModelSpec.edge_only(0.0), 7)
 
 
+def test_size_guards_raise_before_any_draw():
+    model = ModelSpec.edge_triangle(0.2, 0.1)
+    # one vertex leaves no pair to pick, even for a chain of zero steps
+    with pytest.raises(DomainError, match="n >= 2"):
+        run_chain(ChainConfig(1, steps=0, seed=0, model=model))
+    with pytest.raises(DomainError, match="n >= 2"):
+        sample_motif_densities(model, [Motif.edge()], 10, ChainConfig(1, seed=0))
+    with pytest.raises(DomainError, match="n >= 2"):
+        estimate_mcmle(model, model, 10, ChainConfig(1, seed=0))
+    with pytest.raises(DomainError, match="n >= 2"):
+        estimate_importance(model, 1, 10, seed=0)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="n >= 1"):
+            enumerate_psi_n(model, n)
+    # the one graph on one vertex has no edges, so psi_1 = 0
+    assert enumerate_psi_n(model, 1) == 0.0
+
+
 def test_enumerate_psi_at_n6():
     # n = 6 is the documented enumeration limit: m = 15, 2^15 graphs
     beta1 = 0.35

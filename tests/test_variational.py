@@ -482,6 +482,15 @@ def test_model_requires_edges_and_terms():
         ModelSpec.from_text("# only comments\n")
     with pytest.raises(DomainError):
         ModelSpec([])
+    # a malformed coefficient names its line; a motif error keeps its own message
+    with pytest.raises(FormatError, match="bad model line 'edge abc'"):
+        ModelSpec.from_text("edge -0.3\nedge abc\n")
+    with pytest.raises(FormatError, match="unknown motif"):
+        ModelSpec.from_text("heptagon 0.5\n")
+    # a non-finite coefficient has no scalar problem to solve
+    for text in ("edge nan\n", "edge 0.1\ntriangle inf\n", "edge -inf\n"):
+        with pytest.raises(DomainError, match="finite"):
+            ModelSpec.from_text(text)
 
 
 def test_contraction_sum():
