@@ -202,6 +202,7 @@ def _cmd_spectral_check(args, out):
     n = 3
     m = math.comb(n, 2)
     bits = _mask_bits(m).tolist()
+    # the residuals fold through numpy, which keeps a nan that Python's max drops
     worst = 0.0
     for beta in args.betas:
         k = mcmc.er_transition_matrix(beta, n)
@@ -213,7 +214,7 @@ def _cmd_spectral_check(args, out):
         for xi in bits:
             comp = mcmc.er_eigen(xi, beta, m)
             psi = np.array([comp.evaluate(x) for x in bits])
-            eig_resid = max(eig_resid, float(np.max(np.abs(k @ psi - comp.eigenvalue * psi))))
+            eig_resid = np.maximum(eig_resid, float(np.max(np.abs(k @ psi - comp.eigenvalue * psi))))
             ortho.append(psi)
         gram = np.array([[float(np.sum(pi * a * b)) for b in ortho] for a in ortho])
         ortho_resid = float(np.max(np.abs(gram - np.eye(1 << m))))
@@ -223,12 +224,12 @@ def _cmd_spectral_check(args, out):
             for start, idx in (("empty", 0), ("complete", (1 << m) - 1)):
                 brute = float(np.sum((kl[idx] - pi) ** 2 / pi))
                 closed = mcmc.chi_square_distance(start, beta, n, ell)
-                chi_resid = max(chi_resid, abs(brute - closed))
+                chi_resid = np.maximum(chi_resid, abs(brute - closed))
         out.write(
             f"beta {beta}: detailed_balance {db:.3g} eigen {eig_resid:.3g} "
             f"orthonormality {ortho_resid:.3g} chi_square {chi_resid:.3g}"
         )
-        worst = max(worst, db, eig_resid, ortho_resid, chi_resid)
+        worst = float(np.max([worst, db, eig_resid, ortho_resid, chi_resid]))
     out.write(f"worst_residual {worst:.3g}")
     out.write("PASS" if worst < 1e-10 else "FAIL")
 
@@ -238,7 +239,8 @@ def _cmd_euler_lagrange(args, out):
     if args.init == "random":
         init = StepGraphon.random(args.blocks, _rng_from_seed(args.seed))
     else:
-        init = StepGraphon.equal_blocks(np.full((args.blocks, args.blocks), args.init))
+        # a list, not np.full: a block count below 1 reaches equal_blocks' guard
+        init = StepGraphon.equal_blocks([[args.init] * args.blocks] * args.blocks)
     sol, residual = variational.euler_lagrange_solve(
         model, init, damping=args.damping, max_iter=args.max_iter
     )

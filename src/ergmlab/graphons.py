@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError, InstanceTooLargeError
-from .graphs import Graph, Motif, _data_lines, _fields, _rng_from_seed
+from .graphs import Graph, Motif, _data_lines, _fields, _mask_bits, _rng_from_seed
 
 WEIGHT_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
@@ -77,10 +77,14 @@ class StepGraphon:
     def equal_blocks(cls, values) -> "StepGraphon":
         values = np.asarray(values, dtype=float)
         k = values.shape[0]
+        if k < 1:
+            raise DomainError("a step graphon needs at least one block")
         return cls(np.full(k, 1.0 / k), values)
 
     @classmethod
     def random(cls, k: int, rng, equal_weights: bool = True) -> "StepGraphon":
+        if k < 1:
+            raise DomainError("a step graphon needs at least one block")
         if equal_weights:
             w = np.full(k, 1.0 / k)
         else:
@@ -335,9 +339,9 @@ def common_refinement(f: StepGraphon, g: StepGraphon):
 
 @functools.lru_cache(maxsize=None)
 def _sign_table(bits: int) -> np.ndarray:
-    """Row i is the 0/1 expansion of i over `bits` bits, low bit first (read-only)."""
-    idx = np.arange(1 << bits)
-    table = ((idx[:, None] >> np.arange(bits)) & 1).astype(float)
+    """_mask_bits(bits) in float: row i is the 0/1 expansion of i, low bit
+    first (read-only)."""
+    table = _mask_bits(bits).astype(float)
     table.flags.writeable = False
     return table
 

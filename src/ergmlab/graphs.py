@@ -82,14 +82,9 @@ class Graph:
 
     @classmethod
     def erdos_renyi(cls, n: int, p: float, rng) -> "Graph":
-        """Each of the C(n,2) edges present independently with probability p."""
-        rows = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return cls(n, rows)
+        """Each of the C(n,2) edges present independently with probability p,
+        one uniform per pair in pair order."""
+        return _indicator_graph(n, rng.random(math.comb(n, 2)) < p)
 
     # -- basics -----------------------------------------------------------
 

@@ -35,7 +35,7 @@ from .graphs import (Graph, Motif, _EdgeTerm, _indicator_graph, _mask_bits, _rng
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # mcmc.hom_density_graph_fast, so the name stays importable from this module
 from .graphs import hom_density_graph_fast  # noqa: F401
-from .variational import ModelSpec, maximize_scalar
+from .variational import ModelSpec, _check_finite, maximize_scalar
 
 ENUMERATION_MAX_VERTICES = 6
 DENSE_MATRIX_MAX_PAIRS = 12
@@ -107,7 +107,7 @@ class _ChainState:
 
 def _model_terms(model: ModelSpec):
     """(coefficient, term object) for each model term with a nonzero coefficient."""
-    return [(b, _term(m)) for m, b in model.terms if b != 0.0]
+    return [(b, _term(m)) for m, b in zip(model.motifs, model.betas) if b != 0.0]
 
 
 # -- the chain driver ---------------------------------------------------------------
@@ -160,7 +160,10 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
                 expo = start
                 for b, exponent in exponents:
                     expo += exponent(b, state, i, j)
-                flip = (coin < 1.0 / (1.0 + exp(-expo))) != present
+                try:
+                    flip = (coin < 1.0 / (1.0 + exp(-expo))) != present
+                except OverflowError:  # e^-expo beyond double range: on-probability 0
+                    flip = present
             if flip:
                 rows[i] ^= 1 << j
                 rows[j] ^= 1 << i
@@ -202,10 +205,10 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
     if (config.er_beta is None) == (config.model is None):
         raise DomainError("set exactly one of er_beta (Metropolis) or model (Glauber)")
     state = _ChainState(config.start_graph())
-    if config.er_beta is not None and config.er_beta < 0.0:
-        raise DomainError(
-            "er chains require beta >= 0; apply the complement transformation"
-        )
+    if config.er_beta is not None:
+        if config.er_beta < 0.0:
+            raise DomainError("er chains require beta >= 0; apply the complement transformation")
+        _check_finite(config.er_beta)
     terms = _model_terms(config.model) if config.model is not None else []
     trace = []
 
@@ -223,8 +226,8 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
 
 def _auto_is_er(model: ModelSpec) -> float | None:
     """If the law is a nonnegative independent-edge law, its Metropolis beta."""
-    if all(m.edge_count == 1 for m, _ in model.terms):
-        beta = 2.0 * sum(b for _, b in model.terms)
+    if all(e == 1 for e in model.edges):
+        beta = 2.0 * sum(model.betas)
         if beta >= 0.0:
             return beta
     return None
@@ -304,13 +307,12 @@ def edge_indicator(g: Graph) -> tuple[int, ...]:
     return tuple(1 if g.has_edge(i, j) else 0 for i, j in _vertex_pairs(g.n))
 
 
-def _dense_pairs(n: int) -> int:
-    """C(n, 2), after checking that a dense 2^C(n, 2) chain matrix is allowed."""
+def _checked_pairs(n: int, limit: int, what: str) -> int:
+    """C(n, 2), after checking it is at most limit; `what` names the table over
+    all 2^C(n, 2) graphs that the caller builds."""
     m = math.comb(n, 2)
-    if m > DENSE_MATRIX_MAX_PAIRS:
-        raise InstanceTooLargeError(
-            f"instance too large: dense chain matrix needs m <= {DENSE_MATRIX_MAX_PAIRS}, got {m}"
-        )
+    if m > limit:
+        raise InstanceTooLargeError(f"instance too large: {what} needs m <= {limit}, got {m}")
     return m
 
 
@@ -332,7 +334,8 @@ def er_transition_matrix(beta: float, n: int) -> np.ndarray:
     """Dense transition matrix of the add/delete chain on all 2^m graphs."""
     if beta < 0.0:
         raise DomainError("er chains require beta >= 0")
-    m = _dense_pairs(n)
+    _check_finite(beta)
+    m = _checked_pairs(n, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     bits = _mask_bits(m).tolist()
     del_p = math.exp(-beta)
     # an absent pair is always added; a present one is deleted with e^-beta
@@ -340,7 +343,8 @@ def er_transition_matrix(beta: float, n: int) -> np.ndarray:
 
 
 def er_stationary(beta: float, n: int) -> np.ndarray:
-    m = math.comb(n, 2)
+    """Stationary law of the add/delete chain on all 2^m graphs, n <= 6."""
+    m = _checked_pairs(n, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
     sizes = _mask_bits(m).sum(axis=1)
     logw = beta * sizes - m * np.logaddexp(0.0, beta)
     return np.exp(logw)
@@ -348,7 +352,7 @@ def er_stationary(beta: float, n: int) -> np.ndarray:
 
 def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     """Dense transition matrix of Glauber dynamics for an arbitrary model."""
-    m = _dense_pairs(n)
+    m = _checked_pairs(n, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     pairs = _vertex_pairs(n)
     terms = _model_terms(model)
     graphs = [_indicator_graph(n, row) for row in _mask_bits(m)]
@@ -356,7 +360,10 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     def rule(s, t):
         i, j = pairs[t]
         expo = sum((term.exponent(b, graphs[s], i, j) for b, term in terms), 0.0)
-        p_on = 1.0 / (1.0 + math.exp(-expo))
+        try:
+            p_on = 1.0 / (1.0 + math.exp(-expo))
+        except OverflowError:  # e^-expo beyond double range: on-probability 0
+            p_on = 0.0
         return p_on, 1.0 - p_on
 
     return _flip_matrix(m, rule)
@@ -366,15 +373,9 @@ def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
     """log of exp(n^2 T(G)) over all graphs, in edge-mask order."""
     if n < 1:
         raise DomainError(f"enumeration needs n >= 1, got {n}")
-    m = math.comb(n, 2)
-    if m > math.comb(ENUMERATION_MAX_VERTICES, 2):
-        raise InstanceTooLargeError(
-            f"instance too large: enumeration needs m <= "
-            f"{math.comb(ENUMERATION_MAX_VERTICES, 2)}, got {m}"
-        )
-    dens = batch_motif_densities([mm for mm, _ in model.terms], n, _mask_bits(m))
-    betas = np.array([b for _, b in model.terms])
-    return n**2 * (dens @ betas)
+    m = _checked_pairs(n, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
+    dens = batch_motif_densities(model.motifs, n, _mask_bits(m))
+    return n**2 * (dens @ np.array(model.betas))
 
 
 # -- chi-square distance and cutoff ------------------------------------------------
@@ -418,6 +419,7 @@ def chi_square_distance(
         raise DomainError("start must be 'empty' or 'complete'")
     if beta < 0.0:
         raise DomainError("chi_square_distance requires beta >= 0")
+    _check_finite(beta)
     if n < 2 or n > CHI_SQUARE_MAX_VERTICES:
         raise InstanceTooLargeError(
             f"instance too large: chi_square_distance supports 2 <= n <= {CHI_SQUARE_MAX_VERTICES}"
@@ -568,8 +570,7 @@ def estimate_importance(
         raise DomainError("proposal_p must lie in (0, 1)")
     rng = _rng_from_seed(seed)
     m = math.comb(n, 2)
-    motifs = [mm for mm, _ in model.terms]
-    betas = np.array([b for _, b in model.terms])
+    betas = np.array(model.betas)
     log_p, log_q = math.log(proposal_p), math.log1p(-proposal_p)
     num_log = -math.inf
     den_log = -math.inf
@@ -581,7 +582,7 @@ def estimate_importance(
         e_counts = np.empty(take, dtype=np.int64)
         for lo in range(0, take, block):
             bits = (rng.random((min(block, take - lo), m)) < proposal_p).astype(np.int8)
-            dens = batch_motif_densities(motifs, n, bits)
+            dens = batch_motif_densities(model.motifs, n, bits)
             stat[lo : lo + block] = n**2 * (dens @ betas)
             e_counts[lo : lo + block] = bits.sum(axis=1)
         if self_normalized:
@@ -615,11 +616,8 @@ def estimate_mcmle(
     attached in log domain.
     """
     _require_same_motifs(model, model0)
-    motifs = [mm for mm, _ in model.terms]
-    dbeta = np.array([b for _, b in model.terms]) - np.array(
-        [b for _, b in model0.terms]
-    )
-    dens = sample_motif_densities(model0, motifs, n_samples, chain, thinning=thinning)
+    dbeta = np.array(model.betas) - np.array(model0.betas)
+    dens = sample_motif_densities(model0, model.motifs, n_samples, chain, thinning=thinning)
     logw = chain.n**2 * (dens @ dbeta)
     estimate_log = _logsumexp(logw) - math.log(n_samples)
     bound = None
@@ -656,14 +654,12 @@ def estimate_acceptance_ratio(
     if min(n_samples_ref, n_samples_target) < 1:
         raise DomainError("n_samples_ref and n_samples_target must be >= 1")
     _require_same_motifs(model, model0)
-    motifs = [mm for mm, _ in model.terms]
-    betas = np.array([b for _, b in model.terms])
-    betas0 = np.array([b for _, b in model0.terms])
+    betas, betas0 = np.array(model.betas), np.array(model0.betas)
     child_seeds = np.random.SeedSequence(_seed_key(chain.seed)).generate_state(2, dtype=np.uint64)
     cfg_ref = ChainConfig(chain.n, seed=int(child_seeds[0]), start=chain.start)
     cfg_tgt = ChainConfig(chain.n, seed=int(child_seeds[1]), start=chain.start)
-    dens_ref = sample_motif_densities(model0, motifs, n_samples_ref, cfg_ref, thinning)
-    dens_tgt = sample_motif_densities(model, motifs, n_samples_target, cfg_tgt, thinning)
+    dens_ref = sample_motif_densities(model0, model.motifs, n_samples_ref, cfg_ref, thinning)
+    dens_tgt = sample_motif_densities(model, model.motifs, n_samples_target, cfg_tgt, thinning)
     n2 = chain.n**2
 
     def log_alpha(dens):
@@ -690,7 +686,7 @@ def estimate_acceptance_ratio(
 
 
 def _require_same_motifs(model: ModelSpec, model0: ModelSpec):
-    if [m for m, _ in model.terms] != [m for m, _ in model0.terms]:
+    if model.motifs != model0.motifs:
         raise DomainError("ratio estimators need models sharing one motif list")
 
 

@@ -50,18 +50,22 @@ class ModelSpec:
     contributes 2 beta_1 E/n^2 and a triangle term 6 beta_2 T/n^3. Every
     motif contains at least one edge and every coefficient must be finite.
     By convention term 0 is usually the single edge (a zero coefficient is
-    fine).
+    fine). A model is stored as the tuples motifs, betas and edges (edge counts).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("motifs", "betas", "edges")
 
     def __init__(self, terms):
         terms = tuple((m, float(b)) for m, b in terms)
         if not terms:
             raise DomainError("model needs at least one term")
-        if not all(math.isfinite(b) for _, b in terms):
-            raise DomainError("model coefficients must be finite")
-        self.terms = terms
+        self.motifs, self.betas = zip(*terms)
+        _check_finite(self.betas)
+        self.edges = tuple(m.edge_count for m in self.motifs)
+
+    @property
+    def terms(self) -> tuple[tuple[Motif, float], ...]:
+        return tuple(zip(self.motifs, self.betas))
 
     @classmethod
     def edge_triangle(cls, beta1: float, beta2: float) -> "ModelSpec":
@@ -91,20 +95,16 @@ class ModelSpec:
             lines.append(f"{name} {b:.17g}")
         return "\n".join(lines) + "\n"
 
-    def exponents(self) -> list[tuple[int, float]]:
-        """(edge count, coefficient) pairs, the data the scalar problem sees."""
-        return [(m.edge_count, b) for m, b in self.terms]
-
     def graphon_statistic(self, h: StepGraphon) -> float:
-        return sum(b * hom_density_graphon(m, h) for m, b in self.terms)
+        return sum(b * hom_density_graphon(m, h) for m, b in zip(self.motifs, self.betas))
 
     def contraction_sum(self) -> float:
-        return sum(abs(b) * m.edge_count * (m.edge_count - 1) for m, b in self.terms)
+        return sum(abs(b) * e * (e - 1) for e, b in zip(self.edges, self.betas))
 
     def delta_sum(self, h: StepGraphon) -> np.ndarray:
         """sum_i beta_i Delta_{H_i} h as a block matrix."""
         out = np.zeros((h.k, h.k))
-        for m, b in self.terms:
+        for m, b in zip(self.motifs, self.betas):
             if b != 0.0:
                 out += b * delta_h(m, h)
         return out
@@ -158,34 +158,40 @@ class PhaseScanResult:
 # -- the scalar problem -------------------------------------------------------
 
 
+def _check_finite(coefs) -> None:
+    """Raise DomainError unless every coefficient in coefs is finite."""
+    if not np.isfinite(coefs).all():
+        raise DomainError("model coefficients must be finite")
+
+
 def scalar_objective(model: ModelSpec, u) -> float:
     """sum_i beta_i u^{e(H_i)} - edge_entropy(u) on [0, 1]."""
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in [0, 1]")
-    val = _objective(model.exponents(), u)
+    val = _objective(model.edges, model.betas, u)
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _objective(exps, u):
-    """The scalar objective with exponents exps at u in [0, 1].
+def _objective(edges, coefs, u):
+    """The scalar objective of (edges, coefs) at u in [0, 1].
 
-    A coefficient in exps may be an array shaped like u, one value per point.
+    A coefficient may be an array shaped like u, one value per point.
     """
     val = -edge_entropy(u)
-    for e, b in exps:
+    for e, b in zip(edges, coefs):
         val = val + b * u**e
     return val
 
 
-def _objective_derivative(exps, u):
-    """d/du of the scalar objective with exponents exps at u in (0, 1).
+def _objective_derivative(edges, coefs, u):
+    """d/du of the scalar objective of (edges, coefs) at u in (0, 1).
 
-    u is a float or an array; a coefficient in exps may be an array shaped
-    like u, one value per point.
+    u is a float or an array; a coefficient may be an array shaped like u,
+    one value per point.
     """
     val = -0.5 * np.log(u / (1.0 - u))
-    for e, b in exps:
+    for e, b in zip(edges, coefs):
         # u^0 and u^1 are exact; a higher power of a float goes through a
         # 0-d array, where numpy gives the bits it gives inside an array
         # (Python's float power can differ in the last bit)
@@ -194,9 +200,9 @@ def _objective_derivative(exps, u):
     return val
 
 
-def _second_derivative(exps: list[tuple[int, float]], x: float) -> float:
-    """d^2/du^2 of the scalar objective with exponents exps at x in (0, 1)."""
-    d2 = sum(b * e * (e - 1) * x ** (e - 2) for e, b in exps if e >= 2)
+def _second_derivative(edges, coefs, x: float) -> float:
+    """d^2/du^2 of the scalar objective of (edges, float coefs) at x in (0, 1)."""
+    d2 = sum(b * e * (e - 1) * x ** (e - 2) for e, b in zip(edges, coefs) if e >= 2)
     return d2 - 0.5 / (x * (1.0 - x))
 
 
@@ -266,19 +272,19 @@ def maximize_scalar(model: ModelSpec) -> MaximizerReport:
     objective value are all reported, which is how coexistence at a
     first-order transition becomes visible.
     """
-    exps = model.exponents()
-    return _maximize_stack([e for e, _ in exps], [[b for _, b in exps]])[0]
+    return _maximize_stack(model.edges, [model.betas])[0]
 
 
 def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
     """maximize_scalar of a stack of models that share their edge counts.
 
     coefs[m][t] is model m's coefficient of the term with edge count
-    edges[t]. Every step works elementwise with maximize_scalar's one-model
-    arithmetic, so each report is the one its model gets alone, whatever
-    else is in the stack.
+    edges[t]; every coefficient must be finite. Every step works
+    elementwise with maximize_scalar's one-model arithmetic, so each report
+    is the one its model gets alone, whatever else is in the stack.
     """
     coefs = np.asarray(coefs, dtype=float)
+    _check_finite(coefs)
     n_models = len(coefs)
     grid, slope = _scalar_grid()
     powers = [_grid_power(e - 1) for e in edges]
@@ -300,7 +306,7 @@ def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
     ends = (float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)))
     points = np.concatenate([xs, np.repeat(ends, n_models)])
     point_coefs = np.concatenate([bracket_coefs, coefs, coefs])
-    objs = _objective(list(zip(edges, point_coefs.T)), points).tolist()
+    objs = _objective(edges, point_coefs.T, points).tolist()
 
     bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n_models))]).tolist()
     kept = []
@@ -328,12 +334,8 @@ def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
         kept.append((merged, psi))
 
     residual_coefs = np.repeat(coefs, [len(merged) for merged, _ in kept], axis=0)
-    residuals = np.abs(
-        _objective_derivative(
-            list(zip(edges, residual_coefs.T)),
-            np.array([x for merged, _ in kept for x in merged]),
-        )
-    ).tolist()
+    residual_xs = np.array([x for merged, _ in kept for x in merged])
+    residuals = np.abs(_objective_derivative(edges, residual_coefs.T, residual_xs)).tolist()
     reports, at = [], 0
     for merged, psi in kept:
         reports.append(MaximizerReport(merged, psi, residuals[at : at + len(merged)]))
@@ -351,34 +353,30 @@ def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float
     serving every bracket; each bracket still visits the points it would
     visit alone, and stops where it would stop alone.
     """
+    rows = coefs.tolist()
     if len(lo) < _LOCKSTEP_MIN_BRACKETS:
-        return [
-            _refine_bracket(list(zip(edges, row)), a, b)
-            for a, b, row in zip(lo.tolist(), hi.tolist(), coefs.tolist())
-        ]
-    exps = list(zip(edges, coefs.T))
+        return [_refine_bracket(edges, row, a, b) for a, b, row in zip(lo.tolist(), hi.tolist(), rows)]
     while True:
         mid = 0.5 * (lo + hi)
         if not ((mid != lo) & (mid != hi)).any():
             break
         # a midpoint that rounds to an end lies on that end's side, so a
         # bracket that has stopped moving stays as it is
-        turned = _objective_derivative(exps, mid) <= 0.0
+        turned = _objective_derivative(edges, coefs.T, mid) <= 0.0
         lo, hi = np.where(turned, lo, mid), np.where(turned, mid, hi)
 
     # the second derivative stays on floats: numpy's power of an array can
     # differ in the last bit from the float power _refine_bracket uses
     x = 0.5 * (lo + hi)
-    row_exps = [list(zip(edges, row)) for row in coefs.tolist()]
     live = np.arange(len(x))
     for _ in range(4):
         xl = x[live]
         d2 = np.array(
-            [_second_derivative(row_exps[k], v) for k, v in zip(live.tolist(), xl.tolist())],
+            [_second_derivative(edges, rows[k], v) for k, v in zip(live.tolist(), xl.tolist())],
             dtype=float,
         )
         live, xl, d2 = live[d2 != 0.0], xl[d2 != 0.0], d2[d2 != 0.0]
-        xn = xl - _objective_derivative(list(zip(edges, coefs[live].T)), xl) / d2
+        xn = xl - _objective_derivative(edges, coefs[live].T, xl) / d2
         inside = (lo[live] - 1e-12 <= xn) & (xn <= hi[live] + 1e-12)
         live = live[inside]
         x[live] = np.minimum(np.maximum(xn[inside], 1e-300), 1.0 - 1e-16)
@@ -387,16 +385,16 @@ def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float
     return x.tolist()
 
 
-def _refine_bracket(exps: list[tuple[int, float]], a: float, b: float) -> float:
+def _refine_bracket(edges, coefs: list[float], a: float, b: float) -> float:
     """_refine_brackets for one bracket, on floats."""
-    a, b = _bisect(lambda u: float(_objective_derivative(exps, u)) <= 0.0, a, b)
+    a, b = _bisect(lambda u: float(_objective_derivative(edges, coefs, u)) <= 0.0, a, b)
     # Newton polish; keep the last point if a step strays from the bracket
     x = 0.5 * (a + b)
     for _ in range(4):
-        d2 = _second_derivative(exps, x)
+        d2 = _second_derivative(edges, coefs, x)
         if d2 == 0.0:
             break
-        xn = x - float(_objective_derivative(exps, x)) / d2
+        xn = x - float(_objective_derivative(edges, coefs, x)) / d2
         if not (a - 1e-12 <= xn <= b + 1e-12):
             break
         x = min(max(xn, 1e-300), 1.0 - 1e-16)
@@ -458,6 +456,7 @@ def degeneracy_constants(beta1: float, beta2: float | None = None) -> Degeneracy
     q = 0.5 * (lo + hi)
     regime = None
     if beta2 is not None:
+        _check_finite(beta2)
         if beta2 < q - 0.01:
             regime = "sparse"
         elif beta2 > q + 0.01:
@@ -496,8 +495,7 @@ def phase_scan(
 def _edge_triangle_stack(beta1s, beta2s) -> list[MaximizerReport]:
     """maximize_scalar of every edge-triangle model (beta1s[k], beta2s[k]),
     solved as one stack."""
-    edges = [Motif.edge().edge_count, Motif.triangle().edge_count]
-    return _maximize_stack(edges, np.column_stack([beta1s, beta2s]))
+    return _maximize_stack((1, 3), np.column_stack([beta1s, beta2s]))
 
 
 def _top_maximizer(beta1: float, beta2: float) -> float:
@@ -534,15 +532,15 @@ def _local_maximizer(model: ModelSpec, seed: float) -> float:
     u = 0.8 is 1.1e-16); each step depends on the current point alone, so
     such a cycle is cut short with the point the 200th step lands on.
     """
-    exps = model.exponents()
+    edges, coefs = model.edges, model.betas
     x = min(max(seed, 1e-12), 1.0 - 1e-12)
     path = [x]
     step_of = {x: 0}
     for it in range(200):
-        d2 = _second_derivative(exps, x)
+        d2 = _second_derivative(edges, coefs, x)
         if d2 >= 0.0:
             break
-        step = float(_objective_derivative(exps, x)) / d2
+        step = float(_objective_derivative(edges, coefs, x)) / d2
         xn = min(max(x - step, 1e-15), 1.0 - 1e-15)
         if abs(xn - x) < 1e-16:
             x = xn
@@ -610,14 +608,18 @@ def extremal_limit(h: Motif, beta1: float) -> tuple[StepGraphon, float]:
     The limit is the complete (chi(H)-1)-equipartite kernel with edge value
     p = e^{2 beta1}/(1 + e^{2 beta1}), and the free energy tends to
     ((chi-2)/(2(chi-1))) log(1/(1-p)). A bipartite motif forces the single
-    empty block.
+    empty block. Where p rounds to 1, log(1/(1-p)) is 2 beta1 + log1p(e^{-2 beta1}).
     """
+    _check_finite(beta1)
     chi = h.chromatic
-    p = math.exp(2.0 * beta1) / (1.0 + math.exp(2.0 * beta1))
+    # p is 1.0 above beta1 = 18.4; the cap at 100 keeps e^{2 beta1} finite
+    p = math.exp(2.0 * min(beta1, 100.0)) / (1.0 + math.exp(2.0 * min(beta1, 100.0)))
     r = chi - 1
     values = p * (np.ones((r, r)) - np.eye(r))
     kernel = StepGraphon(np.full(r, 1.0 / r), values)
-    psi = (chi - 2) / (2.0 * (chi - 1)) * math.log(1.0 / (1.0 - p))
+    log_norm = (math.log(1.0 / (1.0 - p)) if p < 1.0
+                else 2.0 * beta1 + math.log1p(math.exp(-2.0 * beta1)))
+    psi = (chi - 2) / (2.0 * (chi - 1)) * log_norm
     return kernel, psi
 
 
@@ -632,6 +634,7 @@ def transitivity_limit(beta: float) -> StepGraphon:
     """
     if beta <= 0.0:
         raise DomainError("the transitivity model needs beta > 0")
+    _check_finite(beta)
     return StepGraphon.equal_blocks([[1.0, 0.5], [0.5, 1.0]])
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ergmlab import mcmc
 from ergmlab.cli import main
 from ergmlab.graphs import Graph
 from ergmlab.graphons import StepGraphon
@@ -119,6 +120,7 @@ INPUT_FILES = {
     "nan_model.txt": "edge nan\n",
     "inf_model.txt": "edge inf\n",
     "model.txt": "edge 0.2\ntriangle 0.1\n",
+    "graph.txt": "4\n0 1\n1 2\n2 0\n2 3\n",
 }
 
 # each case once ended in a traceback, or in exit 0 with a wrong or missing
@@ -141,6 +143,17 @@ INPUT_ERRORS = [
     pytest.param("psi --beta1 0.1 --exact-n -1", 2, id="exact-n-negative"),
     pytest.param("euler-lagrange --beta1 0.1 --init x", 1, id="init-not-a-number"),
     pytest.param("spectral-check --betas x", 1, id="betas-not-numbers"),
+    pytest.param("phase-diagram --beta1 nan --beta2 0:1:3", 2, id="sweep-nan-beta1"),
+    pytest.param("phase-diagram --beta1 -1:0:3 --beta2 nan", 2, id="surface-nan-beta2"),
+    pytest.param("phase-diagram --beta1 inf --beta2 0:1:3", 2, id="sweep-inf-beta1"),
+    pytest.param("top-contour --graph graph.txt --beta1 nan --beta2 0", 2, id="contour-nan-beta1"),
+    pytest.param("degeneracy --beta1 -5 --beta2 nan", 2, id="degeneracy-nan-beta2"),
+    pytest.param("degeneracy --beta1 -5 --beta2 inf", 2, id="degeneracy-inf-beta2"),
+    pytest.param("extremal --motif triangle --beta1 nan", 2, id="extremal-nan-beta"),
+    pytest.param("spectral-check --betas nan", 2, id="spectral-nan-beta"),
+    pytest.param("euler-lagrange --beta1 0.1 --blocks 0", 2, id="zero-blocks"),
+    pytest.param("euler-lagrange --beta1 0.1 --blocks -2", 2, id="negative-blocks"),
+    pytest.param("euler-lagrange --beta1 0.1 --blocks 0 --init random", 2, id="zero-random-blocks"),
 ]
 
 
@@ -153,6 +166,23 @@ def test_input_errors_exit_without_traceback(tmp_path, monkeypatch, capsys, comm
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:" if code == 1 else "numeric guard:")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_strong_coefficients_exit_zero(tmp_path):
+    code, text = run(tmp_path / "s.csv", ["sample", "--n", "5", "--steps", "10", "--beta1", "-400"])
+    assert code == 0
+    assert body_lines(text)[1:] == ["0,0,0,0", "10,0,0,0"]
+    code, text = run(tmp_path / "e.txt", ["extremal", "--motif", "triangle", "--beta1", "1000"])
+    assert code == 0
+    assert "psi_limit 500" in body_lines(text)
+
+
+def test_spectral_check_fails_on_a_nan_residual(tmp_path, monkeypatch):
+    # Python's max drops a nan that comes after a number; the fold must not
+    monkeypatch.setattr(mcmc, "chi_square_distance", lambda *args: math.nan)
+    code, text = run(tmp_path / "c.txt", ["spectral-check", "--betas", "0.5"])
+    assert code == 0
+    assert body_lines(text)[-2:] == ["worst_residual nan", "FAIL"]
 
 
 def test_sample_trace_and_byte_reproducibility(tmp_path):

@@ -334,6 +334,19 @@ def test_stepgraphon_validation():
         StepGraphon([0.5, 0.5], [[0.1, 0.2], [0.9, 0.1]])  # asymmetric
 
 
+def test_block_count_guards():
+    # lcm(7, 11) = 77 equal blocks exceed the 64-block refinement limit
+    f = StepGraphon.equal_blocks(np.full((7, 7), 0.5))
+    g = StepGraphon.equal_blocks(np.full((11, 11), 0.5))
+    with pytest.raises(DomainError, match="64 blocks"):
+        cut_distance_upper(f, g)
+    for k in (0, -2):
+        with pytest.raises(DomainError, match="at least one block"):
+            StepGraphon.random(k, rng())
+    with pytest.raises(DomainError, match="at least one block"):
+        StepGraphon.equal_blocks([])
+
+
 def test_text_roundtrip_and_symmetrization():
     r = rng(14)
     h = StepGraphon.random(3, r, equal_weights=False)

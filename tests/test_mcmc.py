@@ -304,6 +304,41 @@ def test_size_guards_raise_before_any_draw():
             enumerate_psi_n(model, n)
     # the one graph on one vertex has no edges, so psi_1 = 0
     assert enumerate_psi_n(model, 1) == 0.0
+    # size, range and finiteness guards of the dense laws, the closed forms
+    # and the batch counts
+    nan = math.nan
+    for error, match, call in [
+        (InstanceTooLargeError, "dense chain matrix", lambda: er_transition_matrix(0.5, 6)),
+        (InstanceTooLargeError, "dense chain matrix", lambda: glauber_transition_matrix(model, 6)),
+        (DomainError, "beta >= 0", lambda: er_transition_matrix(-0.5, 3)),
+        (DomainError, "start", lambda: chi_square_distance("middle", 0.5, 10, 5)),
+        (DomainError, "beta >= 0", lambda: chi_square_distance("empty", -0.5, 10, 5)),
+        (InstanceTooLargeError, "2 <= n", lambda: chi_square_distance("empty", 0.5, 1, 5)),
+        (InstanceTooLargeError, "2 <= n", lambda: chi_square_distance("empty", 0.5, 10_001, 5)),
+        (DomainError, "columns", lambda: batch_motif_densities([Motif.edge()], 4, np.zeros((2, 5)))),
+        (DomainError, "finite", lambda: er_transition_matrix(nan, 3)),
+        (DomainError, "finite", lambda: chi_square_distance("empty", nan, 10, 5)),
+        (DomainError, "finite", lambda: run_chain(ChainConfig(6, steps=200, seed=1, er_beta=nan))),
+        (DomainError, "finite", lambda: run_chain(ChainConfig(6, steps=200, seed=1, er_beta=math.inf))),
+        # a 2^21-row table at n = 7, and 2^28 rows (about 60 GB) at n = 8
+        (InstanceTooLargeError, "enumeration", lambda: er_stationary(0.5, 7)),
+    ]:
+        with pytest.raises(error, match=match):
+            call()
+
+
+def test_strong_negative_coefficients_switch_edges_off():
+    # e^-expo overflows a double below expo = -709.8: the on-probability is 0
+    model = ModelSpec.edge_only(-400.0)
+    trace, final = run_chain(ChainConfig(5, steps=500, seed=3, model=model), record_every=50)
+    assert final == Graph.empty(5)
+    assert all(rec.edges == 0 for rec in trace)
+    k = glauber_transition_matrix(model, 3)
+    assert np.all(np.isfinite(k))
+    assert np.allclose(k.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # no move adds an edge
+    masks = np.arange(8)
+    assert np.all(k[(masks[None, :] & ~masks[:, None]) != 0] == 0.0)
 
 
 def test_enumerate_psi_at_n6():

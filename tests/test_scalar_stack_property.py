@@ -60,7 +60,7 @@ def reference_maximize_scalar(model: ModelSpec) -> tuple[MaximizerReport, int]:
     """The report of the one-model solver and its number of brackets."""
     tail = np.geomspace(1e-14, 0.5, max(GRID_POINTS // 2, 64))
     grid = np.unique(np.concatenate([tail, 1.0 - tail]))
-    exps = model.exponents()
+    exps = list(zip(model.edges, model.betas))
     dvals = _derivative(exps, grid)
 
     def derivative(u):
@@ -105,7 +105,7 @@ def reference_maximize_scalar(model: ModelSpec) -> tuple[MaximizerReport, int]:
 
 def reference_local_maximizer(model: ModelSpec, seed: float) -> tuple[float, int]:
     """The tie-polish Newton loop run to its 200-step cap, and its step count."""
-    exps = model.exponents()
+    exps = list(zip(model.edges, model.betas))
     x = min(max(seed, 1e-12), 1.0 - 1e-12)
     for it in range(200):
         d2 = _second_derivative(exps, x)

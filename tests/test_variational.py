@@ -108,7 +108,7 @@ def test_stationarity_matches_constant_fixed_point():
         model = ModelSpec.edge_triangle(b1, b2)
         assert applicability_check(model) == "nonneg_valid"
         for u in maximize_scalar(model).maximizers:
-            expo = 2 * sum(b * e * u ** (e - 1) for e, b in model.exponents())
+            expo = 2 * sum(b * e * u ** (e - 1) for e, b in list(zip(model.edges, model.betas)))
             assert u == pytest.approx(math.exp(expo) / (1 + math.exp(expo)), abs=1e-9)
 
 
@@ -135,7 +135,7 @@ def test_maximizer_residual_within_rounding_bound(model):
     # (2^-52 times the sum of their magnitudes); a fixed absolute tolerance
     # fails near u = 1, where d2 is large.
     rep = maximize_scalar(model)
-    exps = model.exponents()
+    exps = list(zip(model.edges, model.betas))
     ends = (float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)))
     assert len(rep.stationarity_residuals) == len(rep.maximizers)
     for x, resid in zip(rep.maximizers, rep.stationarity_residuals):
@@ -351,6 +351,34 @@ def test_extremal_consistency_properties():
         expected = (chi - 2) / (2 * (chi - 1)) * math.log(1 / (1 - p))
         assert rate_relative(kernel, p) == pytest.approx(expected, abs=1e-10)
         assert psi == pytest.approx(expected, abs=1e-14)
+
+
+def test_extremal_limit_where_p_rounds_to_one():
+    # p = e^{2 beta1}/(1 + e^{2 beta1}) is 1.0 in floats, so log(1/(1-p)) is
+    # taken as 2 beta1 + log1p(e^{-2 beta1})
+    for beta1, psi_want in ((20.0, (40.0 + math.log1p(math.exp(-40.0))) / 4), (1000.0, 500.0)):
+        kernel, psi = extremal_limit(Motif.triangle(), beta1)
+        assert kernel.values[0, 1] == 1.0 and kernel.values[0, 0] == 0.0
+        assert psi == psi_want
+    kernel, psi = extremal_limit(Motif.cycle(4), 1000.0)
+    assert kernel.values[0, 0] == 0.0 and psi == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_coefficient_path_rejects_non_finite(bad):
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    for call in (
+        lambda: ModelSpec.edge_triangle(0.1, bad),
+        lambda: phase_scan(bad, 0.0, 1.0, 3),
+        lambda: top_statistic(bad, 0.0, g),
+        lambda: degeneracy_constants(-5.0, bad),
+        lambda: extremal_limit(Motif.triangle(), bad),
+    ):
+        with pytest.raises(DomainError, match="must be finite"):
+            call()
+    if bad > 0.0 or math.isnan(bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            transitivity_limit(bad)
 
 
 # -- transitivity model --------------------------------------------------------------------
