@@ -334,18 +334,16 @@ def _build_parser() -> _Parser:
     return p
 
 
-_VALUE_FLAGS = {"--beta1", "--beta2", "--proposal-p", "--init", "--damping"}
-
-
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join value flags with following tokens like '-1:1:3' that argparse
-    would otherwise read as option names."""
+    """Join each single-dash token such as '-inf' or '-1:1:3' to the long
+    option before it, which argparse would otherwise read as an option name.
+    Every long option but --help takes one value."""
     out = []
     for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS and len(tok) > 1 and tok[0] == "-" and (
-            tok[1].isdigit() or tok[1] == "."
-        ):
-            out[-1] = f"{out[-1]}={tok}"
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev != "--help"
+        if takes_value and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out

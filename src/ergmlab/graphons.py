@@ -100,6 +100,8 @@ class StepGraphon:
         """Refine an equal-block graphon into k_new equal blocks (k | k_new)."""
         if not _equal_weights(self.weights):
             raise DomainError("refine_equal requires equal block weights")
+        if k_new < 1:
+            raise DomainError("a step graphon needs at least one block")
         if k_new % self.k:
             raise DomainError(f"cannot refine {self.k} equal blocks into {k_new}")
         f = k_new // self.k

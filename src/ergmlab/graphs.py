@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -636,7 +635,10 @@ class _CycleTerm(_Term):
     delta depends only on the 2 x 2 blocks of walk counts M_t = V^T A^t U.
     With D(z) = det(I_2 - sum_t z^(t+1) M_t) and -log D(z) = sum_m p_m z^m
     / m, the delta is p_k, which Newton's identities give from D's integer
-    coefficients. For k = 4 this reduces to 8 w3 + 4 (d_i + d_j) + 2, with
+    coefficients. count and delta share one exact walk algebra: count
+    multiplies A by itself and delta steps the two walk rows of i and j
+    (_walk_blocks), both through _exact_product.
+    For k = 4 the delta reduces to 8 w3 + 4 (d_i + d_j) + 2, with
     d the degrees and w3 = (A^3)_ij = sum_{y in N(j)} |N(i) & N(y)|, all
     taken in G - ij.
     """
@@ -651,9 +653,9 @@ class _CycleTerm(_Term):
         return _exact_inner(x, y) * g.n**self.iso
 
     def delta(self, g, i: int, j: int) -> int:
-        rows = g.rows
         if self.arg != 4:
-            return _cycle_change(_walk_blocks(rows, i, j, self.arg - 1), self.arg) * g.n**self.iso
+            return _cycle_change(_walk_blocks(g, i, j, self.arg - 1), self.arg) * g.n**self.iso
+        rows = g.rows
         ri, rj = rows[i] & ~(1 << j), rows[j] & ~(1 << i)
         di, dj = ri.bit_count(), rj.bit_count()
         if di < dj:
@@ -667,53 +669,32 @@ class _CycleTerm(_Term):
         return (8 * w3 + 4 * (di + dj) + 2) * g.n**self.iso
 
 
-def _walk_blocks(rows, i: int, j: int, top: int) -> list[tuple[int, int, int]]:
+def _walk_blocks(g, i: int, j: int, top: int) -> list[tuple[int, int, int]]:
     """(A^t)_ii, (A^t)_ij and (A^t)_jj for t = 0..top, where A is the
-    adjacency matrix of the graph with bitmask rows rows and edge ij removed.
+    adjacency matrix of g with edge ij removed.
 
-    (A^t)_xy is the inner product of the walk vectors A^a e_x and
-    A^(t-a) e_y, so the walks run to length ceil(top / 2) only. Each walk
-    vector is a list of Python ints; a step reads the last one as bit planes
-    (plane b: the bitset of vertices whose walk count has bit b set), which
-    costs a popcount per vertex and plane.
+    A has no loops and no edge ij, so the blocks of t = 0 and 1 are
+    (1, 0, 1) and (0, 0, 0). For t >= 2, (A^t)_xy = (e_x A^a) . (e_y A^(t-a))
+    with a = floor(t / 2) >= 1, so the walk rows e_i A^a and e_j A^a run from
+    rows i and j of A to a = ceil(top / 2), and one Gram product of the
+    stacked walks holds every block. Walks and Gram are exact products,
+    floats below 2^53 and Python ints beyond, as in count.
     """
-    n = len(rows)
-    rows = list(rows)
-    ri = rows[i] = rows[i] & ~(1 << j)
-    rj = rows[j] = rows[j] & ~(1 << i)
-    walks = [
-        tuple([int(v == x) for v in range(n)] for x in (i, j)),
-        tuple([r >> v & 1 for v in range(n)] for r in (ri, rj)),
-    ]
-    planes = ([ri], [rj])
-    while len(walks) <= (top + 1) // 2:
-        if len(walks) > 2:
-            planes = tuple(map(_bit_planes, walks[-1]))
-        walks.append(tuple(_adjacent_sums(rows, p) for p in planes))
-    blocks = []
-    for t in range(top + 1):
-        (xi, xj), (yi, yj) = walks[t // 2], walks[t - t // 2]
-        blocks.append(tuple(sum(map(operator.mul, x, y)) for x, y in ((xi, yi), (xi, yj), (xj, yj))))
+    adj = _adjacency(g)
+    adj[i, j] = adj[j, i] = 0.0
+    walks = [adj[[i, j]]]
+    while len(walks) < (top + 1) // 2:
+        walks.append(_exact_product(walks[-1], adj))
+    if walks[-1].dtype == object:
+        walks = [_python_ints(w) for w in walks]
+    w = np.concatenate(walks)
+    # row 2a - 2 + x of w is e_x A^a, so gram[2a - 2 + x][2b - 2 + y] = (A^(a+b))_xy
+    gram = _python_ints(_exact_product(w, w.T)).tolist()
+    blocks = [(1, 0, 1), (0, 0, 0)]
+    for t in range(2, top + 1):
+        r, c = 2 * (t // 2) - 2, 2 * (t - t // 2) - 2
+        blocks.append((gram[r][c], gram[r][c + 1], gram[r + 1][c + 1]))
     return blocks
-
-
-def _adjacent_sums(rows, planes: list[int]) -> list[int]:
-    """A x for the vector x with the given bit planes: sum_b |N(v) & plane_b| 2^b at each v."""
-    sums = [0] * len(rows)
-    for b, p in enumerate(planes):
-        sums = [s + ((r & p).bit_count() << b) for s, r in zip(sums, rows)]
-    return sums
-
-
-def _bit_planes(counts: list[int]) -> list[int]:
-    """Bitset b of the result holds the vertices v whose counts[v] has bit b set.
-
-    The binary digits of the counts, vertex n - 1 first, are transposed into
-    one string per bit, which int(..., 2) reads with vertex v at bit v.
-    """
-    width = max(counts).bit_length()
-    digits = zip(*[format(c, f"0{width}b") for c in reversed(counts)])
-    return [int("".join(d), 2) for d in digits][::-1]
 
 
 def _cycle_change(blocks: list[tuple[int, int, int]], k: int) -> int:

@@ -292,6 +292,7 @@ def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
     The chain is a product of m two-state chains; the eigenvalue depends on
     xi only through its weight: 1 - |xi| (1 + e^{-beta})/m.
     """
+    _check_finite(beta)
     xi = tuple(int(b) for b in xi)
     if len(xi) != m:
         raise DomainError(f"xi has length {len(xi)}, expected m = {m}")
@@ -344,6 +345,7 @@ def er_transition_matrix(beta: float, n: int) -> np.ndarray:
 
 def er_stationary(beta: float, n: int) -> np.ndarray:
     """Stationary law of the add/delete chain on all 2^m graphs, n <= 6."""
+    _check_finite(beta)
     m = _checked_pairs(n, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
     sizes = _mask_bits(m).sum(axis=1)
     logw = beta * sizes - m * np.logaddexp(0.0, beta)
@@ -449,6 +451,7 @@ def chi_square_distance(
 
 def mixing_cutoff(n: int, beta: float, c: float) -> float:
     """Step count m(log m + c)/(2(1 + e^{-beta})) around which convergence happens."""
+    _check_finite(beta)
     if not 0.0 <= beta <= 1.0:
         warnings.warn(
             f"cutoff constants are proved for 0 <= beta <= 1; got beta = {beta}",
@@ -462,6 +465,7 @@ def er_log_partition(beta: float, n: int) -> float:
     """log of the independent-edge normalizing constant, m log(1 + e^beta)."""
     if n < 2:
         raise DomainError("er_log_partition needs n >= 2")
+    _check_finite(beta)
     return math.comb(n, 2) * float(np.logaddexp(0.0, beta))
 
 

@@ -123,48 +123,64 @@ INPUT_FILES = {
     "graph.txt": "4\n0 1\n1 2\n2 0\n2 3\n",
 }
 
-# each case once ended in a traceback, or in exit 0 with a wrong or missing
-# answer; code 1 is a usage error, 2 a numeric guard
+# each case once ended in a traceback, in exit 0 with a wrong or missing
+# answer, or ran no test of its guard; code 1 is a usage error, 2 a numeric
+# guard, and the message is part of the stderr line
+FINITE = "model coefficients must be finite"
+BLOCKS = "a step graphon needs at least one block"
 INPUT_ERRORS = [
-    pytest.param("top-contour --graph bad_edge.txt --beta1 0 --beta2 0", 2, id="graph-bad-number"),
-    pytest.param("psi --model bad_model.txt", 2, id="model-bad-number"),
-    pytest.param("psi --beta1 nan", 2, id="psi-nan-beta"),
-    pytest.param("degeneracy --beta1 nan", 2, id="degeneracy-nan-beta"),
-    pytest.param("psi --model nan_model.txt", 2, id="model-nan"),
-    pytest.param("psi --model inf_model.txt", 2, id="model-inf"),
-    pytest.param("sample --n 1 --beta1 0.1", 2, id="sample-n1"),
-    pytest.param("estimate-z --method importance --beta1 0.1 --n 1 --samples 10", 2,
+    pytest.param("top-contour --graph bad_edge.txt --beta1 0 --beta2 0", 2, "bad edge line '0 x'",
+                 id="graph-bad-number"),
+    pytest.param("psi --model bad_model.txt", 2, "bad model line 'edge abc'", id="model-bad-number"),
+    pytest.param("psi --beta1 nan", 2, FINITE, id="psi-nan-beta"),
+    pytest.param("degeneracy --beta1 nan", 2, FINITE, id="degeneracy-nan-beta"),
+    pytest.param("psi --model nan_model.txt", 2, FINITE, id="model-nan"),
+    pytest.param("psi --model inf_model.txt", 2, FINITE, id="model-inf"),
+    pytest.param("sample --n 1 --beta1 0.1", 2, "n >= 2", id="sample-n1"),
+    pytest.param("estimate-z --method importance --beta1 0.1 --n 1 --samples 10", 2, "n >= 2",
                  id="importance-n1"),
     pytest.param("estimate-z --method mcmle --model model.txt --model0 model.txt --n 1 --samples 10",
-                 2, id="mcmle-n1"),
+                 2, "n >= 2", id="mcmle-n1"),
     pytest.param("estimate-z --method acceptance-ratio --model model.txt --model0 model.txt --n 1 "
-                 "--samples 10", 2, id="acceptance-ratio-n1"),
-    pytest.param("psi --beta1 0.1 --exact-n 0", 2, id="exact-n0"),
-    pytest.param("psi --beta1 0.1 --exact-n -1", 2, id="exact-n-negative"),
-    pytest.param("euler-lagrange --beta1 0.1 --init x", 1, id="init-not-a-number"),
-    pytest.param("spectral-check --betas x", 1, id="betas-not-numbers"),
-    pytest.param("phase-diagram --beta1 nan --beta2 0:1:3", 2, id="sweep-nan-beta1"),
-    pytest.param("phase-diagram --beta1 -1:0:3 --beta2 nan", 2, id="surface-nan-beta2"),
-    pytest.param("phase-diagram --beta1 inf --beta2 0:1:3", 2, id="sweep-inf-beta1"),
-    pytest.param("top-contour --graph graph.txt --beta1 nan --beta2 0", 2, id="contour-nan-beta1"),
-    pytest.param("degeneracy --beta1 -5 --beta2 nan", 2, id="degeneracy-nan-beta2"),
-    pytest.param("degeneracy --beta1 -5 --beta2 inf", 2, id="degeneracy-inf-beta2"),
-    pytest.param("extremal --motif triangle --beta1 nan", 2, id="extremal-nan-beta"),
-    pytest.param("spectral-check --betas nan", 2, id="spectral-nan-beta"),
-    pytest.param("euler-lagrange --beta1 0.1 --blocks 0", 2, id="zero-blocks"),
-    pytest.param("euler-lagrange --beta1 0.1 --blocks -2", 2, id="negative-blocks"),
-    pytest.param("euler-lagrange --beta1 0.1 --blocks 0 --init random", 2, id="zero-random-blocks"),
+                 "--samples 10", 2, "n >= 2", id="acceptance-ratio-n1"),
+    pytest.param("psi --beta1 0.1 --exact-n 0", 2, "n >= 1", id="exact-n0"),
+    pytest.param("psi --beta1 0.1 --exact-n -1", 2, "n >= 1", id="exact-n-negative"),
+    pytest.param("euler-lagrange --beta1 0.1 --init x", 1, "--init must be a number",
+                 id="init-not-a-number"),
+    pytest.param("spectral-check --betas x", 1, "comma-separated numbers", id="betas-not-numbers"),
+    pytest.param("phase-diagram --beta1 nan --beta2 0:1:3", 2, FINITE, id="sweep-nan-beta1"),
+    pytest.param("phase-diagram --beta1 -1:0:3 --beta2 nan", 2, FINITE, id="surface-nan-beta2"),
+    pytest.param("phase-diagram --beta1 inf --beta2 0:1:3", 2, FINITE, id="sweep-inf-beta1"),
+    pytest.param("top-contour --graph graph.txt --beta1 nan --beta2 0", 2, FINITE, id="contour-nan-beta1"),
+    pytest.param("degeneracy --beta1 -5 --beta2 nan", 2, FINITE, id="degeneracy-nan-beta2"),
+    pytest.param("degeneracy --beta1 -5 --beta2 inf", 2, FINITE, id="degeneracy-inf-beta2"),
+    pytest.param("extremal --motif triangle --beta1 nan", 2, FINITE, id="extremal-nan-beta"),
+    pytest.param("spectral-check --betas nan", 2, FINITE, id="spectral-nan-beta"),
+    pytest.param("euler-lagrange --beta1 0.1 --blocks 0", 2, BLOCKS, id="zero-blocks"),
+    pytest.param("euler-lagrange --beta1 0.1 --blocks -2", 2, BLOCKS, id="negative-blocks"),
+    pytest.param("euler-lagrange --beta1 0.1 --blocks 0 --init random", 2, BLOCKS, id="zero-random-blocks"),
+    # a negative or non-finite value reaches its guard, whatever its spelling
+    pytest.param("psi --beta1 -inf", 2, FINITE, id="psi-minus-inf-beta1"),
+    pytest.param("psi --beta1 0.1 --beta2 -nan", 2, FINITE, id="psi-minus-nan-beta2"),
+    pytest.param("spectral-check --betas -1,0", 2, "beta >= 0", id="spectral-negative-beta"),
+    pytest.param("psi --beta1 --beta2 0.3", 1, "--beta1: expected one argument", id="flag-as-value"),
+    pytest.param("phase-diagram --beta1 0:1 --beta2 0", 1, "range must be lo:hi:steps", id="range-two-parts"),
+    pytest.param("phase-diagram --beta1 a:1:3 --beta2 0", 1, "bad range 'a:1:3'", id="range-bad-number"),
+    pytest.param("phase-diagram --beta1 0:1:1 --beta2 0", 1, "at least 2 steps", id="range-one-step"),
+    pytest.param("phase-diagram --beta1 x --beta2 0", 1, "expected a number or lo:hi:steps",
+                 id="range-not-a-number"),
 ]
 
 
-@pytest.mark.parametrize("command, code", INPUT_ERRORS)
-def test_input_errors_exit_without_traceback(tmp_path, monkeypatch, capsys, command, code):
+@pytest.mark.parametrize("command, code, message", INPUT_ERRORS)
+def test_input_errors_exit_without_traceback(tmp_path, monkeypatch, capsys, command, code, message):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text)
     assert main(command.split()) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:" if code == 1 else "numeric guard:")
+    assert message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 

@@ -345,6 +345,9 @@ def test_block_count_guards():
             StepGraphon.random(k, rng())
     with pytest.raises(DomainError, match="at least one block"):
         StepGraphon.equal_blocks([])
+    for k in (0, -3):
+        with pytest.raises(DomainError, match="at least one block"):
+            StepGraphon.constant(0.5).refine_equal(k)
 
 
 def test_text_roundtrip_and_symmetrization():

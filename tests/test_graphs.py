@@ -9,6 +9,7 @@ from ergmlab.errors import DomainError, FormatError, InstanceTooLargeError
 from ergmlab.graphs import (
     Graph,
     Motif,
+    _term,
     chromatic_number,
     classify_motif,
     count_homomorphisms,
@@ -110,10 +111,16 @@ def test_fast_paths_agree_with_brute_force():
 def test_cycle_counts_exact_beyond_float(n, lengths):
     # closed walks in K_n: tr(A^k) = (n-1)^k + (n-1)(-1)^k. The counts pass
     # 2^53 (n = 300, k >= 7) and the int64 range (n = 40, k >= 23), where a
-    # rounded float trace is off and the exact path falls back to Python ints
+    # rounded float trace is off and the exact path falls back to Python ints.
+    # The change statistic's walks reach the same fallbacks: its Gram product
+    # at n = 300, k >= 8 and the walks themselves at n = 40
     g = Graph.complete(n)
+    cut = g.with_edge_toggled(0, 1)
     for k in lengths:
-        assert hom_count_fast(Motif.cycle(k), g) == (n - 1) ** k + (n - 1) * (-1) ** k, k
+        cycle = Motif.cycle(k)
+        assert hom_count_fast(cycle, g) == (n - 1) ** k + (n - 1) * (-1) ** k, k
+        if k >= 5:
+            assert _term(cycle).delta(g, 0, 1) == hom_count_fast(cycle, g) - hom_count_fast(cycle, cut), k
 
 
 def test_size_guard():
@@ -237,6 +244,21 @@ def test_text_errors():
     for text in ("3\n0 x\n", "3\n0 1.5\n", "3.0\n0 1\n"):
         with pytest.raises(FormatError, match="line|vertex count"):
             Graph.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ([0b10, 0b01], "row count"),
+        ([0b010, 0b1001, 0b000], "bits beyond vertex 2"),
+        ([0b011, 0b001, 0b000], "self-loop at vertex 0"),
+        ([0b010, 0b000, 0b000], r"not symmetric at \(0, 1\)"),
+    ],
+    ids=["row-count", "bits-beyond-n", "self-loop", "asymmetric"],
+)
+def test_constructor_rejects_bad_rows(rows, match):
+    with pytest.raises(FormatError, match=match):
+        Graph(3, rows)
 
 
 def test_toggle_and_immutability():

@@ -307,6 +307,7 @@ def test_size_guards_raise_before_any_draw():
     # size, range and finiteness guards of the dense laws, the closed forms
     # and the batch counts
     nan = math.nan
+    chain = ChainConfig(4, seed=0)
     for error, match, call in [
         (InstanceTooLargeError, "dense chain matrix", lambda: er_transition_matrix(0.5, 6)),
         (InstanceTooLargeError, "dense chain matrix", lambda: glauber_transition_matrix(model, 6)),
@@ -322,9 +323,26 @@ def test_size_guards_raise_before_any_draw():
         (DomainError, "finite", lambda: run_chain(ChainConfig(6, steps=200, seed=1, er_beta=math.inf))),
         # a 2^21-row table at n = 7, and 2^28 rows (about 60 GB) at n = 8
         (InstanceTooLargeError, "enumeration", lambda: er_stationary(0.5, 7)),
+        # the argument checks of the chain driver and the estimators
+        (DomainError, "steps >= 0", lambda: run_chain(ChainConfig(6, steps=-1, seed=1, model=model))),
+        (DomainError, "record_every", lambda: run_chain(ChainConfig(6, steps=10, seed=1, model=model), 0)),
+        (DomainError, "thinning", lambda: sample_motif_densities(model, [Motif.edge()], 10, chain, 0)),
+        (DomainError, r"proposal_p must lie in \(0, 1\)", lambda: estimate_importance(model, 4, 10, 0, 0.0)),
+        (DomainError, r"proposal_p must lie in \(0, 1\)", lambda: estimate_importance(model, 4, 10, 0, 1.0)),
+        (DomainError, "alpha_kind", lambda: estimate_acceptance_ratio(model, model, "median", 10, 10, chain)),
     ]:
         with pytest.raises(error, match=match):
             call()
+    # the closed forms of the independent-edge chain take only a finite beta
+    for beta in (nan, math.inf, -math.inf):
+        for call in [
+            lambda: er_stationary(beta, 3),
+            lambda: er_eigen((0, 1, 0), beta, 3),
+            lambda: mixing_cutoff(30, beta, 0.0),
+            lambda: er_log_partition(beta, 4),
+        ]:
+            with pytest.raises(DomainError, match="finite"):
+                call()
 
 
 def test_strong_negative_coefficients_switch_edges_off():
