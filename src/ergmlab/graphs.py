@@ -23,6 +23,13 @@ CHROMATIC_VERTEX_GUARD = 12
 # the batched star and triangle counts gather rows in blocks of at most this
 # many (row, index) entries, so each temporary stays near 1 MB whatever the batch
 _BATCH_BLOCK_ENTRIES = 2**20
+# the exact inner product and the batch triangle product work in blocks of
+# about this many matrix entries (256 KB of float32)
+_PRODUCT_BLOCK_ENTRIES = 2**16
+# batch triangle counts take the stacked adjacency product from this n on and
+# the triple gather below it: per graph, the gather takes 0.16 us and the
+# product 0.21 us at n = 8, and 0.25 us against 0.22 us at n = 9
+_TRIANGLE_PRODUCT_MIN_N = 9
 
 
 class Graph:
@@ -603,6 +610,47 @@ def _triangle_pair_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(cols)
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_flat_indices(n: int) -> np.ndarray:
+    """The flat index i n + j of every pair i < j, in pair order, read-only."""
+    out = np.array([i * n + j for i, j in _vertex_pairs(n)], dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
+    """Triangles of each row: the triples whose three pair columns are all 1."""
+    ia, ib, ic = _triangle_pair_columns(n)
+    step = max(1, _BATCH_BLOCK_ENTRIES // max(1, ia.size))
+    cnt = np.empty(bits.shape[0], dtype=np.int64)
+    for lo in range(0, bits.shape[0], step):
+        rows = bits[lo : lo + step]
+        cnt[lo : lo + step] = (rows[:, ia] & rows[:, ib] & rows[:, ic]).sum(axis=1)
+    return cnt
+
+
+def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
+    """Triangles of each row: sum((A+ @ A+) * A+) for its strictly upper adjacency A+.
+
+    Triangle a < b < c is the one term A+_ab A+_bc A+_ac. The rows are
+    scattered into A+ in blocks of max(1, _PRODUCT_BLOCK_ENTRIES // n^2).
+    Every partial sum is an integer of at most C(n, 3), so float32 counts
+    exactly while C(n, 3) < 2^24 (n <= 466); larger n take float64.
+    """
+    dtype = np.float32 if math.comb(n, 3) < 2**24 else np.float64
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // n**2)
+    upper = np.zeros((min(step, bits.shape[0]), n * n), dtype=dtype)
+    flat = _upper_flat_indices(n)
+    cnt = np.empty(bits.shape[0], dtype=np.int64)
+    for lo in range(0, bits.shape[0], step):
+        rows = bits[lo : lo + step]
+        a = upper[: len(rows)]
+        a[:, flat] = rows
+        a = a.reshape(-1, n, n)
+        cnt[lo : lo + step] = np.einsum("kij,kij->k", a @ a, a)
+    return cnt
+
+
 class _TriangleTerm(_Term):
     def count(self, g) -> int:
         return 6 * g.triangle_count() * g.n**self.iso
@@ -611,13 +659,8 @@ class _TriangleTerm(_Term):
         return 6 * (g.rows[i] & g.rows[j]).bit_count() * g.n**self.iso
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        ia, ib, ic = _triangle_pair_columns(n)
-        step = max(1, _BATCH_BLOCK_ENTRIES // max(1, ia.size))
-        cnt = np.empty(bits.shape[0], dtype=np.int64)
-        for lo in range(0, bits.shape[0], step):
-            rows = bits[lo : lo + step]
-            cnt[lo : lo + step] = (rows[:, ia] & rows[:, ib] & rows[:, ic]).sum(axis=1)
-        return 6 * cnt * n**self.iso
+        by = _triangles_by_product if n >= _TRIANGLE_PRODUCT_MIN_N else _triangles_by_gather
+        return 6 * by(bits, n) * n**self.iso
 
     def statistic(self, b: float, g) -> float:
         return b * 6.0 * g.triangle_count() / g.n**3
@@ -734,12 +777,12 @@ def _exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _exact_inner(x: np.ndarray, y: np.ndarray) -> int:
     """sum_ij x_ij y_ij for nonnegative integer matrices, as a Python int.
 
-    Row sums run in int64, over blocks of about 2^16 entries, while
-    n max(x) max(y) < 2^63; otherwise in Python ints.
+    Row sums run in int64, over blocks of about _PRODUCT_BLOCK_ENTRIES
+    entries, while n max(x) max(y) < 2^63; otherwise in Python ints.
     """
     n = x.shape[1]
     if x.dtype == y.dtype == float and n * int(x.max()) * int(y.max()) < 2**63:
-        step, total = max(1, 2**16 // n), 0
+        step, total = max(1, _PRODUCT_BLOCK_ENTRIES // n), 0
         for i in range(0, len(x), step):
             block = x[i : i + step].astype(np.int64) * y[i : i + step].astype(np.int64)
             total += sum(block.sum(axis=1).tolist())

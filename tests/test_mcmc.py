@@ -29,7 +29,14 @@ from ergmlab.mcmc import (
     sample_motif_densities,
     variance_mcmc_mean,
 )
-from ergmlab.graphs import _BATCH_BLOCK_ENTRIES, _term, hom_count_fast
+from ergmlab.graphs import (
+    _BATCH_BLOCK_ENTRIES,
+    _PRODUCT_BLOCK_ENTRIES,
+    _TRIANGLE_PRODUCT_MIN_N,
+    _term,
+    classify_motif,
+    hom_count_fast,
+)
 from ergmlab.mcmc import _log_factorial, _logsumexp, _rng_from_seed
 from ergmlab.variational import ModelSpec, maximize_scalar
 
@@ -392,18 +399,35 @@ def test_batch_densities_match_graph_densities():
 
 def test_batch_triangle_counts_across_row_blocks():
     tri = Motif.triangle()
+    tri_iso = Motif.parse("edgelist:0-1,1-3,0-3")  # vertex 2 isolated
+    assert classify_motif(tri_iso) == ("triangle",)
     r = _rng_from_seed(12)
-    step = _BATCH_BLOCK_ENTRIES // math.comb(30, 3)
-    # n = 30 spans two full row blocks and a remainder; n = 2 has no triple
-    # and n = 3 one, so their blocks hold every row
-    for n, rows in ((30, 2 * step + 17), (2, 3000), (3, 3000)):
+    step = _PRODUCT_BLOCK_ENTRIES // 30**2
+    k = _TRIANGLE_PRODUCT_MIN_N
+    # n = 30 spans two full product blocks and a remainder; k - 1 and k sit
+    # on either side of the switch from the triple gather to the product;
+    # n = 2 has no triple and n = 3 one
+    for n, rows in ((30, 2 * step + 17), (k - 1, 500), (k, 500), (10, 500), (2, 3000), (3, 3000)):
         m = math.comb(n, 2)
         bits = (r.random((rows, m)) < 0.5).astype(np.int8)
-        dens = batch_motif_densities([tri], n, bits)[:, 0]
+        dens = batch_motif_densities([tri, tri_iso], n, bits)
         pairs = list(itertools.combinations(range(n), 2))
-        for row, d in zip(bits, dens.tolist()):
+        for row, (d, d_iso) in zip(bits, dens.tolist()):
             g = Graph.from_edges(n, [pairs[t] for t in np.nonzero(row)[0]])
             assert d == hom_count_fast(tri, g) / n**3
+            assert d_iso == 6 * g.triangle_count() * n / n**4
+
+
+@pytest.mark.parametrize("n", [466, 467])
+def test_batch_triangle_counts_exact_across_dtype_switch(n):
+    # C(466, 3) < 2^24 <= C(467, 3): the product runs in float32 at n = 466
+    # and in float64 at n = 467, and must count exactly on both sides
+    m = math.comb(n, 2)
+    bits = np.ones((2, m), dtype=np.int8)
+    bits[1] = _rng_from_seed(16).random(m) < 0.5
+    g = Graph.from_edges(n, [p for p, b in zip(itertools.combinations(range(n), 2), bits[1]) if b])
+    counts = _term(Motif.triangle()).batch(bits, n).tolist()
+    assert counts == [n * (n - 1) * (n - 2), 6 * g.triangle_count()]
 
 
 def test_batch_star_counts_across_row_blocks():
@@ -453,6 +477,19 @@ def test_batch_star_memory_stays_bounded():
     assert peak < 4 * 2**20
 
 
+def test_batch_triangle_memory_stays_bounded():
+    # the adjacency products run over fixed row blocks, so the peak does not
+    # grow with the rows
+    bits = (_rng_from_seed(17).random((20_000, math.comb(30, 2))) < 0.5).astype(np.int8)
+    tracemalloc.start()
+    try:
+        batch_motif_densities([Motif.triangle()], 30, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 # -- estimators -------------------------------------------------------------------------
 
 
@@ -467,6 +504,21 @@ def test_importance_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_importance_memory_stays_bounded_at_large_n():
+    # batch triangle counts keep no per-triple index, so n = 200 stays small
+    # (3 C(200, 3) cached gather indices peaked at 135 MB here)
+    model = ModelSpec.edge_triangle(0.2, 0.1)
+    tracemalloc.start()
+    try:
+        res = estimate_importance(model, 200, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # the triple gather gave the same bits
+    assert res.estimate_log.hex() == "0x1.2b1e8a02c4185p+14"
 
 
 def test_importance_zero_variance_at_matched_proposal():
