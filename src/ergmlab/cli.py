@@ -15,14 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, mcmc, variational
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ErgmLabError,
-    FormatError,
-    InstanceTooLargeError,
-    OverflowGuardError,
-)
+from .errors import ErgmLabError
 from .graphs import Graph, Motif, _mask_bits, _rng_from_seed
 from .graphons import StepGraphon
 from .variational import ModelSpec
@@ -362,11 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (InstanceTooLargeError, DomainError, OverflowGuardError, FormatError, ConvergenceError) as exc:
-        print(f"numeric guard: {exc}", file=sys.stderr)
-        return 2
     except ErgmLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric guard: {exc}", file=sys.stderr)
         return 2
 
 

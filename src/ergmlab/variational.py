@@ -229,10 +229,10 @@ def _bisect(turned, lo: float, hi: float, tol: float = 0.0) -> tuple[float, floa
 # float array) ran the grid stage of a 200-model scan about twice as fast
 # as blocks of 2^18.
 _BLOCK_ENTRIES = 2**16
-# Brackets are refined one at a time on floats below this count and in
+# Brackets are bisected one at a time on floats below this count and in
 # lockstep on arrays at or above it. A lockstep step costs about the same
-# for any count, so lockstep overtook the one-at-a-time loop at about 10
-# brackets for edge-triangle models and 6 for edge + cycle:4 + complete:4
+# for any count, so lockstep overtook the one-at-a-time loop at about 8
+# brackets for edge-triangle models and 5 for edge + cycle:4 + complete:4
 # (same machine). A one-model solve has one to three brackets; a scan or a
 # surface has at least one per model.
 _LOCKSTEP_MIN_BRACKETS = 8
@@ -345,50 +345,40 @@ def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
 
 def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float]:
     """Bisect each sign-drop bracket [lo[k], hi[k]] of the derivative with
-    coefficients coefs[k] until its ends are adjacent floats, then take up to
-    four Newton steps from its midpoint.
+    coefficients coefs[k] until its ends are adjacent floats, then polish
+    its midpoint with _newton_polish.
 
-    Below _LOCKSTEP_MIN_BRACKETS brackets each one runs alone on floats. At
-    or above it all run in lockstep on arrays, one derivative call per step
-    serving every bracket; each bracket still visits the points it would
-    visit alone, and stops where it would stop alone.
+    Below _LOCKSTEP_MIN_BRACKETS brackets each one is bisected alone on
+    floats. At or above it all are bisected in lockstep on arrays, one
+    derivative call per step serving every bracket; each bracket still
+    visits the points it would visit alone, and stops where it would stop
+    alone.
     """
     rows = coefs.tolist()
     if len(lo) < _LOCKSTEP_MIN_BRACKETS:
-        return [_refine_bracket(edges, row, a, b) for a, b, row in zip(lo.tolist(), hi.tolist(), rows)]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not ((mid != lo) & (mid != hi)).any():
-            break
-        # a midpoint that rounds to an end lies on that end's side, so a
-        # bracket that has stopped moving stays as it is
-        turned = _objective_derivative(edges, coefs.T, mid) <= 0.0
-        lo, hi = np.where(turned, lo, mid), np.where(turned, mid, hi)
-
-    # the second derivative stays on floats: numpy's power of an array can
-    # differ in the last bit from the float power _refine_bracket uses
-    x = 0.5 * (lo + hi)
-    live = np.arange(len(x))
-    for _ in range(4):
-        xl = x[live]
-        d2 = np.array(
-            [_second_derivative(edges, rows[k], v) for k, v in zip(live.tolist(), xl.tolist())],
-            dtype=float,
-        )
-        live, xl, d2 = live[d2 != 0.0], xl[d2 != 0.0], d2[d2 != 0.0]
-        xn = xl - _objective_derivative(edges, coefs[live].T, xl) / d2
-        inside = (lo[live] - 1e-12 <= xn) & (xn <= hi[live] + 1e-12)
-        live = live[inside]
-        x[live] = np.minimum(np.maximum(xn[inside], 1e-300), 1.0 - 1e-16)
-        if not live.size:
-            break
-    return x.tolist()
+        ends = [
+            _bisect(lambda u: float(_objective_derivative(edges, row, u)) <= 0.0, a, b)
+            for a, b, row in zip(lo.tolist(), hi.tolist(), rows)
+        ]
+    else:
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not ((mid != lo) & (mid != hi)).any():
+                break
+            # a midpoint that rounds to an end lies on that end's side, so a
+            # bracket that has stopped moving stays as it is
+            turned = _objective_derivative(edges, coefs.T, mid) <= 0.0
+            lo, hi = np.where(turned, lo, mid), np.where(turned, mid, hi)
+        ends = zip(lo.tolist(), hi.tolist())
+    return [_newton_polish(edges, row, a, b) for (a, b), row in zip(ends, rows)]
 
 
-def _refine_bracket(edges, coefs: list[float], a: float, b: float) -> float:
-    """_refine_brackets for one bracket, on floats."""
-    a, b = _bisect(lambda u: float(_objective_derivative(edges, coefs, u)) <= 0.0, a, b)
-    # Newton polish; keep the last point if a step strays from the bracket
+def _newton_polish(edges, coefs: list[float], a: float, b: float) -> float:
+    """Up to four Newton steps on floats from the midpoint of [a, b].
+
+    Keeps the last point if a step strays from the bracket, and stops once
+    a step lands on its own start, where every later step would land too.
+    """
     x = 0.5 * (a + b)
     for _ in range(4):
         d2 = _second_derivative(edges, coefs, x)
@@ -397,7 +387,10 @@ def _refine_bracket(edges, coefs: list[float], a: float, b: float) -> float:
         xn = x - float(_objective_derivative(edges, coefs, x)) / d2
         if not (a - 1e-12 <= xn <= b + 1e-12):
             break
-        x = min(max(xn, 1e-300), 1.0 - 1e-16)
+        xn = min(max(xn, 1e-300), 1.0 - 1e-16)
+        if xn == x:
+            break
+        x = xn
     return x
 
 
@@ -684,9 +677,14 @@ def graphon_search(
 
     Half the restarts start from soft uniform random kernels and half from
     random near-0/1 block patterns; the hard starts are what escape the
-    constant stationary kernel when symmetry is broken. The report carries
-    the best kernel found, its objective value, and the sup-norm residual of
-    the fixed-point equation at it; certified is always False.
+    constant stationary kernel when symmetry is broken. Every run returns
+    the best kernel found, with values in [1e-6, 1 - 1e-6]; psi is the
+    objective at that kernel, and the residual is the sup norm of
+    h - Phi(h) there. psi is a lower bound on the kernel problem's value
+    and certified is always False: nothing bounds its gap. At the default
+    max_iter, the edge-triangle model (0, -50) at k = 4 missed a gap below
+    0.02 to its limit (1/4) log 2, or a cut distance below 0.05 to the
+    bipartite kernel, for 12 of seeds 0-29 (perfbench/NOTES.md).
     """
     rng = _rng_from_seed(seed)
     w = np.full(k, 1.0 / k)

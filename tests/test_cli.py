@@ -108,6 +108,19 @@ def test_estimate_z_zero_samples_exit_code(tmp_path, method, capsys):
         assert capsys.readouterr().err.startswith("numeric guard:")
 
 
+def test_estimator_collapse_exit_code(tmp_path, capsys):
+    # a -1e308 edge coefficient collapses the geometric-mean denominator;
+    # numpy's overflow warnings may come first on stderr
+    model, model0 = tmp_path / "model.txt", tmp_path / "model0.txt"
+    model.write_text("edge 0.2\ntriangle 0.1\n")
+    model0.write_text("edge -1e308\ntriangle 0\n")
+    argv = ["estimate-z", "--method", "acceptance-ratio", "--model", str(model), "--model0", str(model0),
+            "--n", "4", "--samples", "200", "--seed", "1", "--alpha", "geometric-mean",
+            "--out", str(tmp_path / "est.txt")]
+    assert main(argv) == 2
+    assert "numeric guard: denominator sample mean collapsed" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
     assert main(["psi"]) == 1  # neither model nor inline betas

@@ -348,6 +348,21 @@ def test_block_count_guards():
     for k in (0, -3):
         with pytest.raises(DomainError, match="at least one block"):
             StepGraphon.constant(0.5).refine_equal(k)
+    half = np.full((2, 2), 0.5)
+    # two partitions of 2100 random cuts merge to more than 4096 blocks
+    r = rng(3)
+    wide = [r.uniform(0.5, 1.0, 2100) for _ in range(2)]
+    for match, call in [
+        ("nonempty vector", lambda: StepGraphon([], [])),
+        ("nonnegative", lambda: StepGraphon([1.5, -0.5], half)),
+        (r"values must be 1x1, got \(1, 2\)", lambda: StepGraphon([1.0], [[0.5, 0.5]])),
+        ("requires equal block weights", lambda: StepGraphon([0.25, 0.75], half).refine_equal(4)),
+        ("cannot refine 2 equal blocks into 3", lambda: StepGraphon.equal_blocks(half).refine_equal(3)),
+        ("exceed 4096 blocks", lambda: common_refinement(
+            *(StepGraphon(w / w.sum(), np.zeros((2100, 2100))) for w in wide))),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            call()
 
 
 def test_text_roundtrip_and_symmetrization():
@@ -362,6 +377,11 @@ def test_text_roundtrip_and_symmetrization():
     for text in ("two\n0.5 0.5\n", "2\n0.5 x\n0.1 0.2\n0.2 0.1\n", "2\n0.5 0.5\n0.1 0.2\n0.2 y\n",
                  "2\n0.5 0.5\n0.1\n0.2 0.1\n"):
         with pytest.raises(FormatError, match="bad graphon"):
+            StepGraphon.from_text(text)
+    # a block count alone, and a file one value row short
+    for text, match in [("1\n", "block count and a weights line"),
+                        ("2\n0.5 0.5\n0.1 0.2\n", "dimensions do not match")]:
+        with pytest.raises(FormatError, match=match):
             StepGraphon.from_text(text)
 
 

@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from ergmlab.errors import DomainError, FormatError, InstanceTooLargeError
 from ergmlab.graphs import (
+    _SYMMETRY_LOOP_MAX_N,
+    MAX_VERTICES,
     Graph,
     Motif,
     _term,
@@ -132,12 +136,18 @@ def test_size_guard():
 
 
 def test_motif_invariants():
-    with pytest.raises(DomainError):
-        Motif(3, [])  # no edges
-    with pytest.raises(DomainError):
-        Motif(3, [(0, 0)])  # loop
-    with pytest.raises(DomainError):
-        Motif(3, [(0, 1), (1, 0)])  # duplicate
+    for match, call in [
+        ("at least one edge", lambda: Motif(3, [])),
+        ("self-loop", lambda: Motif(3, [(0, 0)])),
+        ("duplicate", lambda: Motif(3, [(0, 1), (1, 0)])),
+        ("at least one vertex", lambda: Motif(0, [(0, 1)])),
+        (r"edge \(0, 2\) out of range", lambda: Motif(2, [(0, 2)])),
+        ("j >= 1", lambda: Motif.star(0)),
+        ("j >= 3", lambda: Motif.cycle(2)),
+        ("r >= 2", lambda: Motif.complete(1)),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            call()
     assert Motif.star(4).edge_count == 4
     assert Motif.cycle(5).edge_count == 5
     assert Motif.complete(4).edge_count == 6
@@ -151,8 +161,13 @@ def test_motif_parse():
     assert Motif.parse("complete:5") == Motif.complete(5)
     inline = Motif.parse("edgelist:0-1,1-2,2-0")
     assert inline.edge_count == 3 and inline.chromatic == 3
-    with pytest.raises(FormatError):
-        Motif.parse("heptagon")
+    for spec, match in [
+        ("heptagon", "unknown motif"),
+        ("star:x", "bad motif argument in 'star:x'"),
+        ("edgelist:0-x", "bad edge '0-x' in 'edgelist:0-x'"),
+    ]:
+        with pytest.raises(FormatError, match=match):
+            Motif.parse(spec)
 
 
 def test_classify_motif():
@@ -246,19 +261,43 @@ def test_text_errors():
             Graph.from_text(text)
 
 
+# the same faults with the same messages on both sides of the symmetry
+# check's switch; the decoded matrix must name the pair the loop names first
+BIG = _SYMMETRY_LOOP_MAX_N + 1
+PAD = [0] * (BIG - 3)
+
+
 @pytest.mark.parametrize(
-    "rows, match",
+    "n, rows, match",
     [
-        ([0b10, 0b01], "row count"),
-        ([0b010, 0b1001, 0b000], "bits beyond vertex 2"),
-        ([0b011, 0b001, 0b000], "self-loop at vertex 0"),
-        ([0b010, 0b000, 0b000], r"not symmetric at \(0, 1\)"),
+        (3, [0b10, 0b01], "row count"),
+        (3, [0b010, 0b1001, 0b000], "bits beyond vertex 2"),
+        (3, [0b011, 0b001, 0b000], "self-loop at vertex 0"),
+        (3, [0b010, 0b000, 0b000], r"not symmetric at \(0, 1\)"),
+        (BIG, [0b10, 0b01] + PAD, "row count"),
+        (BIG, [0b010, 0b001 | 1 << BIG, 0b000] + PAD, f"bits beyond vertex {BIG - 1}"),
+        (BIG, [0b011, 0b001, 0b000] + PAD, "self-loop at vertex 0"),
+        (BIG, [0b010, 0b000, 0b000] + PAD[:-1] + [0b100], r"not symmetric at \(0, 1\)"),
     ],
-    ids=["row-count", "bits-beyond-n", "self-loop", "asymmetric"],
+    ids=["row-count", "bits-beyond-n", "self-loop", "asymmetric",
+         "row-count-decoded", "bits-beyond-n-decoded", "self-loop-decoded", "asymmetric-decoded"],
 )
-def test_constructor_rejects_bad_rows(rows, match):
+def test_constructor_rejects_bad_rows(n, rows, match):
     with pytest.raises(FormatError, match=match):
-        Graph(3, rows)
+        Graph(n, rows)
+
+
+def test_complete_graph_at_the_vertex_cap():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        g = Graph.complete(MAX_VERTICES)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == MAX_VERTICES * (MAX_VERTICES - 1) // 2
+    assert elapsed < 10.0 and peak < 64 * 2**20, (elapsed, peak)
 
 
 def test_toggle_and_immutability():
@@ -266,6 +305,8 @@ def test_toggle_and_immutability():
     g2 = g.with_edge_toggled(0, 1)
     assert g.edge_count() == 0 and g2.edge_count() == 1
     assert g2.with_edge_toggled(0, 1) == g
+    with pytest.raises(DomainError, match="self-loop"):
+        g.with_edge_toggled(1, 1)
 
 
 def test_vertex_cap():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ergmlab.errors import DomainError, InstanceTooLargeError, OverflowGuardError
+from ergmlab.errors import DomainError, EstimatorCollapseError, InstanceTooLargeError, OverflowGuardError
 from ergmlab.graphs import Graph, Motif
 from ergmlab.mcmc import (
     ChainConfig,
@@ -337,6 +337,19 @@ def test_size_guards_raise_before_any_draw():
         (DomainError, r"proposal_p must lie in \(0, 1\)", lambda: estimate_importance(model, 4, 10, 0, 0.0)),
         (DomainError, r"proposal_p must lie in \(0, 1\)", lambda: estimate_importance(model, 4, 10, 0, 1.0)),
         (DomainError, "alpha_kind", lambda: estimate_acceptance_ratio(model, model, "median", 10, 10, chain)),
+        # a -1e308 edge coefficient overflows the target draws' log weights,
+        # so the denominator's log mean is not finite
+        (EstimatorCollapseError, "denominator sample mean collapsed", lambda: estimate_acceptance_ratio(
+            model, ModelSpec.edge_triangle(-1e308, 0.0), "geometric-mean", 200, 200, ChainConfig(4, seed=1))),
+        (DomainError, "start graph size",
+         lambda: run_chain(ChainConfig(5, steps=0, start=Graph.empty(4), model=model))),
+        (DomainError, "unknown start 'middle'",
+         lambda: run_chain(ChainConfig(5, steps=0, start="middle", model=model))),
+        (DomainError, "edge-indicator length", lambda: er_eigen((0, 1, 0), 0.5, 3).evaluate((0, 1))),
+        (DomainError, "n >= 2", lambda: er_log_partition(0.5, 1)),
+        (DomainError, "0 <= j <= m", lambda: fourier_coeff_exp_edges(0.1, 0.5, -1, 3)),
+        (DomainError, "must align", lambda: variance_mcmc_mean([0.1, 0.2], [0.5], 10)),
+        (DomainError, "n_samples >= 1", lambda: variance_mcmc_mean([0.1], [0.5], 0)),
     ]:
         with pytest.raises(error, match=match):
             call()
@@ -763,6 +776,11 @@ def test_run_chain_start_states():
     cfg = ChainConfig(5, steps=0, seed=0, model=model, start="complete")
     trace, final = run_chain(cfg)
     assert final == Graph.complete(5)
+    # a given start graph is the chain's step-0 state, with its counts
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])
+    trace, final = run_chain(ChainConfig(5, steps=0, seed=0, model=model, start=g))
+    assert final == g
+    assert [(r.step, r.edges, r.triangles) for r in trace] == [(0, 3, 1)]
     with pytest.raises(DomainError):
         run_chain(ChainConfig(5, steps=10, seed=0))  # neither model nor er_beta
 

@@ -413,6 +413,8 @@ def test_transitivity_rewrite_identity():
 
 def test_top_statistic_empty_graph_zero_betas():
     assert top_statistic(0.0, 0.0, Graph.empty(6)) == pytest.approx(-0.5 * math.log(2))
+    with pytest.raises(DomainError, match="at least 3 vertices"):
+        top_statistic(0.0, 0.0, Graph.empty(2))
 
 
 def test_top_statistic_depends_only_on_edges_when_beta2_zero():
