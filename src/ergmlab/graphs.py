@@ -30,13 +30,6 @@ _PRODUCT_BLOCK_ENTRIES = 2**16
 # the triple gather below it: per graph, the gather takes 0.16 us and the
 # product 0.21 us at n = 8, and 0.25 us against 0.22 us at n = 9
 _TRIANGLE_PRODUCT_MIN_N = 9
-# Graph checks symmetry pair by pair on the bitmask rows up to this n and on
-# the decoded 0/1 matrix above it. The pair loop's bit work grows like n^3
-# (Graph.complete(4096) took 1.9 s with it, 0.13 s without); it beats the
-# decode only at small n: 1.8 against 5.6 us at n = 6, where enumeration
-# builds one graph per row, 6.1 against 6.4 us at n = 12 and 10.3 against
-# 6.5 us at n = 16
-_SYMMETRY_LOOP_MAX_N = 12
 
 
 class Graph:
@@ -64,17 +57,14 @@ class Graph:
                     raise FormatError(f"row {i} has bits beyond vertex {n - 1}")
                 if r >> i & 1:
                     raise FormatError(f"self-loop at vertex {i}")
-            if n <= _SYMMETRY_LOOP_MAX_N:
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if (rows[i] >> j & 1) != (rows[j] >> i & 1):
-                            raise FormatError(f"adjacency not symmetric at ({i}, {j})")
-            else:
-                bits = _bit_matrix(n, rows)
-                if not np.array_equal(bits, bits.T):
-                    # the first pair in row order has i < j, as in the loop
-                    i, j = np.argwhere(bits != bits.T)[0].tolist()
-                    raise FormatError(f"adjacency not symmetric at ({i}, {j})")
+            # one decode and one comparison with the transpose (a pair loop
+            # over the bitmask rows does bit work growing like n^3)
+            bits = _bit_matrix(n, rows)
+            mismatch = bits != bits.T
+            if mismatch.any():
+                # the first pair in row order has i < j
+                i, j = divmod(int(mismatch.argmax()), n)
+                raise FormatError(f"adjacency not symmetric at ({i}, {j})")
             self.rows = rows
 
     # -- constructors -----------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ergmlab.errors import DomainError, FormatError, InstanceTooLargeError
 from ergmlab.graphs import (
-    _SYMMETRY_LOOP_MAX_N,
     MAX_VERTICES,
     Graph,
     Motif,
@@ -261,9 +260,9 @@ def test_text_errors():
             Graph.from_text(text)
 
 
-# the same faults with the same messages on both sides of the symmetry
-# check's switch; the decoded matrix must name the pair the loop names first
-BIG = _SYMMETRY_LOOP_MAX_N + 1
+# the same faults with the same messages on a larger graph, whose asymmetric
+# rows hold a second, later offending pair: the first in row order is named
+BIG = 65
 PAD = [0] * (BIG - 3)
 
 
@@ -280,7 +279,7 @@ PAD = [0] * (BIG - 3)
         (BIG, [0b010, 0b000, 0b000] + PAD[:-1] + [0b100], r"not symmetric at \(0, 1\)"),
     ],
     ids=["row-count", "bits-beyond-n", "self-loop", "asymmetric",
-         "row-count-decoded", "bits-beyond-n-decoded", "self-loop-decoded", "asymmetric-decoded"],
+         "row-count-n65", "bits-beyond-n-n65", "self-loop-n65", "asymmetric-n65"],
 )
 def test_constructor_rejects_bad_rows(n, rows, match):
     with pytest.raises(FormatError, match=match):
