@@ -23,8 +23,9 @@ CHROMATIC_VERTEX_GUARD = 12
 # the batched star and triangle counts gather rows in blocks of at most this
 # many (row, index) entries, so each temporary stays near 1 MB whatever the batch
 _BATCH_BLOCK_ENTRIES = 2**20
-# the exact inner product and the batch triangle product work in blocks of
-# about this many matrix entries (256 KB of float32)
+# the exact inner product (and the product it contracts) and the batch
+# triangle product work in blocks of about this many matrix entries (256 KB of
+# float32)
 _PRODUCT_BLOCK_ENTRIES = 2**16
 # batch triangle counts take the stacked adjacency product from this n on and
 # the triple gather below it: per graph, the gather takes 0.16 us and the
@@ -153,7 +154,7 @@ class Graph:
         return Graph(self.n, rows)
 
     def adjacency_matrix(self):
-        return _adjacency(self)
+        return _bit_matrix(self.n, self.rows).astype(float)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -378,8 +379,9 @@ def _bit_matrix(n: int, rows) -> np.ndarray:
 
 
 def _adjacency(g) -> np.ndarray:
-    """Float 0/1 adjacency matrix of anything with n and bitmask rows."""
-    return _bit_matrix(g.n, g.rows).astype(float)
+    """float32 0/1 adjacency matrix of anything with n and bitmask rows, the
+    width in which the exact walk products start (see _exact_product)."""
+    return _bit_matrix(g.n, g.rows).astype(np.float32)
 
 
 # -- structural classification used for fast counting paths -----------------
@@ -563,7 +565,11 @@ class _EdgeTerm(_Term):
         return 2 * g.n**self.iso
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        return 2 * bits.sum(axis=1) * n**self.iso
+        return self.batch_from_edges(bits.sum(axis=1), n)
+
+    def batch_from_edges(self, edges: np.ndarray, n: int) -> np.ndarray:
+        """The batch counts from the rows' edge counts."""
+        return 2 * edges * n**self.iso
 
     def exponent(self, b: float, g, i: int, j: int) -> float:
         return 2.0 * b
@@ -643,10 +649,11 @@ def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
 
     Triangle a < b < c is the one term A+_ab A+_bc A+_ac. The rows are
     scattered into A+ in blocks of max(1, _PRODUCT_BLOCK_ENTRIES // n^2).
-    Every partial sum is an integer of at most C(n, 3), so float32 counts
-    exactly while C(n, 3) < 2^24 (n <= 466); larger n take float64.
+    Every partial sum is an integer of at most C(n, 3), so the counts run in
+    _exact_width(C(n, 3)): float32 while C(n, 3) < 2^24 (n <= 466), float64
+    beyond (C(n, 3) < 2^53 at every n up to MAX_VERTICES).
     """
-    dtype = np.float32 if math.comb(n, 3) < 2**24 else np.float64
+    dtype = _exact_width(math.comb(n, 3))
     step = max(1, _PRODUCT_BLOCK_ENTRIES // n**2)
     upper = np.zeros((min(step, bits.shape[0]), n * n), dtype=dtype)
     flat = _upper_flat_indices(n)
@@ -688,21 +695,20 @@ class _CycleTerm(_Term):
     With D(z) = det(I_2 - sum_t z^(t+1) M_t) and -log D(z) = sum_m p_m z^m
     / m, the delta is p_k, which Newton's identities give from D's integer
     coefficients. count and delta share one exact walk algebra: count
-    multiplies A by itself and delta steps the two walk rows of i and j
-    (_walk_blocks), both through _exact_product.
+    forms A^h, h = floor(k/2), from Gram products (even powers) and products
+    with A (odd ones), then takes tr(A^k) = <A^h, A^(k-h)>, contracting A^h
+    against A^h A in row blocks for odd k instead of forming A^(h+1); delta
+    steps the two walk rows of i and j (_walk_blocks). All of it runs through
+    _exact_product and _exact_inner, in the narrowest exact width.
     For k = 4 the delta reduces to 8 w3 + 4 (d_i + d_j) + 2, with
     d the degrees and w3 = (A^3)_ij = sum_{y in N(j)} |N(i) & N(y)|, all
     taken in G - ij.
     """
 
     def count(self, g) -> int:
-        # closed walks tr(A^k) = sum_ij (A^h)_ij (A^(k-h))_ij, A symmetric
         a = _adjacency(g)
-        x = a
-        for _ in range(self.arg // 2 - 1):
-            x = _exact_product(x, a)
-        y = x if self.arg % 2 == 0 else _exact_product(x, a)
-        return _exact_inner(x, y) * g.n**self.iso
+        x = _symmetric_power(a, self.arg // 2)
+        return _exact_inner(x, x, a if self.arg % 2 else None) * g.n**self.iso
 
     def delta(self, g, i: int, j: int) -> int:
         if self.arg != 4:
@@ -729,8 +735,8 @@ def _walk_blocks(g, i: int, j: int, top: int) -> list[tuple[int, int, int]]:
     (1, 0, 1) and (0, 0, 0). For t >= 2, (A^t)_xy = (e_x A^a) . (e_y A^(t-a))
     with a = floor(t / 2) >= 1, so the walk rows e_i A^a and e_j A^a run from
     rows i and j of A to a = ceil(top / 2), and one Gram product of the
-    stacked walks holds every block. Walks and Gram are exact products,
-    floats below 2^53 and Python ints beyond, as in count.
+    stacked walks holds every block. Walks and Gram are exact products in
+    the narrowest exact width, as in count.
     """
     adj = _adjacency(g)
     adj[i, j] = adj[j, i] = 0.0
@@ -741,7 +747,7 @@ def _walk_blocks(g, i: int, j: int, top: int) -> list[tuple[int, int, int]]:
         walks = [_python_ints(w) for w in walks]
     w = np.concatenate(walks)
     # row 2a - 2 + x of w is e_x A^a, so gram[2a - 2 + x][2b - 2 + y] = (A^(a+b))_xy
-    gram = _python_ints(_exact_product(w, w.T)).tolist()
+    gram = _python_ints(_exact_product(w)).tolist()
     blocks = [(1, 0, 1), (0, 0, 0)]
     for t in range(2, top + 1):
         r, c = 2 * (t // 2) - 2, 2 * (t - t // 2) - 2
@@ -768,35 +774,77 @@ def _cycle_change(blocks: list[tuple[int, int, int]], k: int) -> int:
     return p[k]
 
 
+def _symmetric_power(a: np.ndarray, h: int) -> np.ndarray:
+    """A^h of a symmetric nonnegative integer matrix, exactly: an even power
+    as the Gram product of A^(h/2), an odd one as A^(h-1) A."""
+    if h == 1:
+        return a
+    if h % 2:
+        return _exact_product(_symmetric_power(a, h - 1), a)
+    return _exact_product(_symmetric_power(a, h // 2))
+
+
 def _python_ints(x: np.ndarray) -> np.ndarray:
     return x if x.dtype == object else x.astype(np.int64).astype(object)
 
 
-def _exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for nonnegative integer matrices, exactly.
+def _exact_width(bound: int):
+    """The narrowest type that sums nonnegative integers exactly while every
+    partial sum is at most bound: float32 below 2^24, float64 below 2^53,
+    Python ints (object) beyond."""
+    return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else object
 
-    A float BLAS product is exact while n max(x) max(y) < 2^53, since then
-    every partial sum is an integer below 2^53; otherwise Python ints.
+
+def _in_width(x: np.ndarray, dtype) -> np.ndarray:
+    """x as dtype (no copy when it already is), or as Python ints for object."""
+    return _python_ints(x) if dtype is object else x.astype(dtype, copy=False)
+
+
+def _exact_product(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """x @ y, or the Gram product x @ x.T when y is None, for nonnegative
+    integer matrices, exactly.
+
+    Every partial sum is an integer of at most n max(x) max(y), so the
+    product runs in _exact_width of that bound: float32 BLAS below 2^24,
+    float64 below 2^53, Python ints beyond. The Gram product converts x once
+    and multiplies it by its own transpose, which numpy hands to BLAS syrk
+    at half the flops.
     """
-    if x.dtype == y.dtype == float and x.shape[1] * int(x.max()) * int(y.max()) < 2**53:
-        return x @ y
-    return _python_ints(x) @ _python_ints(y)
+    top = int(x.max())
+    dtype = _exact_width(x.shape[1] * top * (top if y is None else int(y.max())))
+    x = _in_width(x, dtype)
+    return x @ (x.T if y is None else _in_width(y, dtype))
 
 
-def _exact_inner(x: np.ndarray, y: np.ndarray) -> int:
-    """sum_ij x_ij y_ij for nonnegative integer matrices, as a Python int.
+def _exact_inner(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None) -> int:
+    """sum_ij x_ij w_ij for nonnegative integer matrices, as a Python int,
+    where w = y, or w = y @ z when z is given.
 
-    Row sums run in int64, over blocks of about _PRODUCT_BLOCK_ENTRIES
-    entries, while n max(x) max(y) < 2^63; otherwise in Python ints.
+    Works in row blocks of about _PRODUCT_BLOCK_ENTRIES entries, so y @ z is
+    never held whole: each block of w is an exact product of rows of y with
+    z, in the width of the whole product, to which z is converted once. The
+    row sums of x * w run in the narrowest exact width for
+    n max(x) max(w): _exact_width, with int64 between 2^53 and 2^63.
     """
     n = x.shape[1]
-    if x.dtype == y.dtype == float and n * int(x.max()) * int(y.max()) < 2**63:
-        step, total = max(1, _PRODUCT_BLOCK_ENTRIES // n), 0
-        for i in range(0, len(x), step):
-            block = x[i : i + step].astype(np.int64) * y[i : i + step].astype(np.int64)
-            total += sum(block.sum(axis=1).tolist())
-        return total
-    return int((_python_ints(x) * _python_ints(y)).sum())
+    top = int(y.max())
+    if z is not None:
+        top *= y.shape[1] * int(z.max())  # bounds every entry and partial sum of y @ z
+        product_width = _exact_width(top)
+        z = _in_width(z, product_width)
+    bound = n * int(x.max()) * top
+    dtype = np.int64 if 2**53 <= bound < 2**63 else _exact_width(bound)
+    step, total = max(1, _PRODUCT_BLOCK_ENTRIES // n), 0
+    for lo in range(0, len(x), step):
+        w = y[lo : lo + step]
+        if z is not None:
+            w = _in_width(w, product_width) @ z
+        xs, ws = _in_width(x[lo : lo + step], dtype), _in_width(w, dtype)
+        if dtype is object:
+            total += int((xs * ws).sum())
+        else:
+            total += sum(np.einsum("ij,ij->i", xs, ws).astype(np.int64).tolist())
+    return total
 
 
 class _CompleteTerm(_Term):

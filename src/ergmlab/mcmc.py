@@ -43,8 +43,11 @@ CHI_SQUARE_MAX_VERTICES = 10_000
 # estimate_importance draws its graphs in row blocks of at most this many
 # uniforms (4 MB of doubles), whatever the batch
 _DRAW_BLOCK_UNIFORMS = 2**19
-# chi_square_distance sums its weights in chunks this long, which stay in cache
-_CHI_SQUARE_CHUNK = 2**16
+# chi_square_distance sums its weights in chunks this long, which stay in
+# cache, and stops after the first chunk past which the rest is provably below
+# e^_CHI_SQUARE_TAIL_LOG of the sum so far
+_CHI_SQUARE_CHUNK = 2**12
+_CHI_SQUARE_TAIL_LOG = -40.0
 
 
 # -- chain configuration and state ---------------------------------------------
@@ -303,11 +306,6 @@ def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
     return SpectralComponent(xi, eigenvalue, weight, beta)
 
 
-def edge_indicator(g: Graph) -> tuple[int, ...]:
-    """Edge-indicator vector of a graph in lexicographic pair order."""
-    return tuple(1 if g.has_edge(i, j) else 0 for i, j in _vertex_pairs(g.n))
-
-
 def _checked_pairs(n: int, limit: int, what: str) -> int:
     """C(n, 2), after checking it is at most limit; `what` names the table over
     all 2^C(n, 2) graphs that the caller builds."""
@@ -413,9 +411,23 @@ def chi_square_distance(
     """Chi-square distance to stationarity after ell steps, in closed form.
 
     Sums, over component weights j = 1..m, the binomially weighted squared
-    eigenfunction mass e^{+-beta j} C(m, j) |1 - j(1+e^{-beta})/m|^{2 ell},
-    evaluated with log-domain binomials. Raises OverflowGuardError when the
-    value exceeds double range unless log=True.
+    eigenfunction mass t_j = e^{+-beta j} C(m, j) |1 - j r/m|^{2 ell} with
+    r = 1 + e^{-beta}, evaluated with log-domain binomials, in chunks of
+    _CHI_SQUARE_CHUNK weights. Raises OverflowGuardError when the value
+    exceeds double range unless log=True.
+
+    The sum stops early once the rest is provably negligible. Below the
+    zero j* = m/r of the base, log t_j is concave in j for ell >= 0, since
+    log C(m, j) and log(1 - j r/m) are; so once the last increment
+    d = log t_J - log t_(J-1) of a chunk is negative, the terms left below
+    j* sum to at most t_J e^d / (1 - e^d). Above j* the base is at most
+    r - 1 = e^{-beta}, so the terms there sum to at most
+    (1 + e^{+-beta})^m e^{-2 ell beta}. After a chunk that is not the last,
+    if both bounds are below e^-40 of the sum so far, the rest is dropped:
+    it would move the sum by less than 2 e^-40 = 8.5e-18 relative, below
+    its float rounding. Otherwise (beta = 0, ell = 0, or ell too small for
+    the second bound) every weight is summed, so m <= _CHI_SQUARE_CHUNK
+    (n <= 91) is always the full one-chunk sum.
     """
     if start not in ("empty", "complete"):
         raise DomainError("start must be 'empty' or 'complete'")
@@ -429,17 +441,29 @@ def chi_square_distance(
     m = math.comb(n, 2)
     sign = 1.0 if start == "empty" else -1.0
     rate = 1.0 + math.exp(-beta)
+    # log of the bound on all terms past the zero of the base (see the docstring)
+    right_log = m * float(np.logaddexp(0.0, sign * beta)) - 2.0 * ell * beta
     total_log = -math.inf
     for lo in range(1, m + 1, _CHI_SQUARE_CHUNK):
-        js = np.arange(lo, min(lo + _CHI_SQUARE_CHUNK, m + 1), dtype=np.float64)
+        hi = min(lo + _CHI_SQUARE_CHUNK, m + 1)
+        js = np.arange(lo, hi, dtype=np.float64)
         logc = lgamma(m + 1) - (_log_factorial(js) + _log_factorial(m - js))
-        base = np.abs(1.0 - js * rate / m)
-        with np.errstate(divide="ignore"):
-            decay = np.where(base > 0.0, 2.0 * ell * np.log(base), -np.inf)
-        if ell == 0:
-            decay = np.zeros_like(base)
+        decay = 0.0
+        if ell != 0:
+            base = np.abs(1.0 - js * rate / m)
+            with np.errstate(divide="ignore"):
+                decay = np.where(base > 0.0, 2.0 * ell * np.log(base), -np.inf)
         terms = sign * beta * js + logc + decay
         total_log = np.logaddexp(total_log, _logsumexp(terms))
+        if hi > m or not ell > 0.0:
+            continue
+        left_log = -math.inf
+        if js[-1] * rate < m:
+            d = float(terms[-1] - terms[-2])
+            left_log = float(terms[-1]) + d - math.log(-math.expm1(d)) if d < 0.0 else math.inf
+        cut = total_log + _CHI_SQUARE_TAIL_LOG
+        if left_log < cut and right_log < cut:
+            break
     if log:
         return float(total_log)
     if total_log > 700.0:
@@ -578,6 +602,11 @@ def estimate_importance(
     rng = _rng_from_seed(seed)
     m = math.comb(n, 2)
     betas = np.array(model.betas)
+    # the edge terms' columns come from the rows' edge counts, which the
+    # proposal mass needs anyway; the other terms go through the batch counts
+    terms = [_term(motif) for motif in model.motifs]
+    is_edge = np.array([isinstance(t, _EdgeTerm) for t in terms], dtype=bool)
+    others = [motif for motif, e in zip(model.motifs, is_edge) if not e]
     log_p, log_q = math.log(proposal_p), math.log1p(-proposal_p)
     num_log = -math.inf
     den_log = -math.inf
@@ -589,9 +618,13 @@ def estimate_importance(
         e_counts = np.empty(take, dtype=np.int64)
         for lo in range(0, take, block):
             bits = (rng.random((min(block, take - lo), m)) < proposal_p).astype(np.int8)
-            dens = batch_motif_densities(model.motifs, n, bits)
+            edges = bits.sum(axis=1)
+            dens = np.empty((len(bits), len(terms)))
+            dens[:, ~is_edge] = batch_motif_densities(others, n, bits)
+            for col in np.flatnonzero(is_edge):
+                dens[:, col] = terms[col].batch_from_edges(edges, n) / n ** model.motifs[col].vertex_count
             stat[lo : lo + block] = n**2 * (dens @ betas)
-            e_counts[lo : lo + block] = bits.sum(axis=1)
+            e_counts[lo : lo + block] = edges
         if self_normalized:
             log_qbar = e_counts * (log_p - log_q)
             num_log = np.logaddexp(num_log, _logsumexp(stat - log_qbar))
@@ -669,21 +702,23 @@ def estimate_acceptance_ratio(
     dens_tgt = sample_motif_densities(model, model.motifs, n_samples_target, cfg_tgt, thinning)
     n2 = chain.n**2
 
-    def log_alpha(dens):
-        if alpha_kind == "constant":
-            return np.zeros(len(dens))
-        return -0.5 * n2 * (dens @ (betas + betas0))
+    def log_mean(dens, coefs, side):
+        # a log weight beyond double range leaves this side's mean at 0 or
+        # inf; numpy raises at the overflow instead of warning, and so do we
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                logw = n2 * (dens @ coefs)
+                if alpha_kind == "geometric-mean":
+                    logw = logw + -0.5 * n2 * (dens @ (betas + betas0))
+            except FloatingPointError:
+                raise EstimatorCollapseError(
+                    f"{side} sample mean collapsed to zero or overflowed; "
+                    "the two laws are too far apart"
+                ) from None
+        return _logsumexp(logw) - math.log(len(dens))
 
-    log_num = _logsumexp(n2 * (dens_ref @ betas) + log_alpha(dens_ref)) - math.log(
-        n_samples_ref
-    )
-    log_den = _logsumexp(n2 * (dens_tgt @ betas0) + log_alpha(dens_tgt)) - math.log(
-        n_samples_target
-    )
-    if not np.isfinite(log_den):
-        raise EstimatorCollapseError(
-            "denominator sample mean collapsed to zero; the two laws are too far apart"
-        )
+    log_den = log_mean(dens_tgt, betas0, "denominator")
+    log_num = log_mean(dens_ref, betas, "numerator")
     return EstimatorResult(
         float(log_num - log_den),
         n_samples_ref + n_samples_target,

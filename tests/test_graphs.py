@@ -12,6 +12,9 @@ from ergmlab.graphs import (
     MAX_VERTICES,
     Graph,
     Motif,
+    _exact_inner,
+    _exact_product,
+    _python_ints,
     _term,
     chromatic_number,
     classify_motif,
@@ -124,6 +127,81 @@ def test_cycle_counts_exact_beyond_float(n, lengths):
         assert hom_count_fast(cycle, g) == (n - 1) ** k + (n - 1) * (-1) ** k, k
         if k >= 5:
             assert _term(cycle).delta(g, 0, 1) == hom_count_fast(cycle, g) - hom_count_fast(cycle, cut), k
+
+
+def _cut_complete_walks(n, k):
+    """tr(A^k) for K_n minus one edge, in Python ints: eigenvalue -1 (n - 3
+    times), 0 (on e_0 - e_1) and the two of [[0, n-2], [2, n-3]], the
+    quotient on the cut pair and the rest."""
+    p = [[1, 0], [0, 1]]
+    for _ in range(k):
+        p = [[2 * p[0][1], (n - 2) * p[0][0] + (n - 3) * p[0][1]],
+             [2 * p[1][1], (n - 2) * p[1][0] + (n - 3) * p[1][1]]]
+    return (n - 3) * (-1) ** k + p[0][0] + p[1][1]
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_cycle_counts_exact_across_float32_width(n):
+    # A^4 = (A^2)(A^2)^T, the row sums of <A^2, A^2> and the Gram product
+    # of the pair's two-step walks have partial sums up to n (n-1)^2, which
+    # passes 2^24, the float32 limit, between n = 256 and 257; both sides
+    # must count exactly, against closed forms for K_n and K_n minus an edge
+    g = Graph.complete(n)
+    cut = g.with_edge_toggled(0, 1)
+    for k in range(4, 10):
+        cycle = Motif.cycle(k)
+        full, minus = (n - 1) ** k + (n - 1) * (-1) ** k, _cut_complete_walks(n, k)
+        assert hom_count_fast(cycle, g) == full, k
+        assert hom_count_fast(cycle, cut) == minus, k
+        assert _term(cycle).delta(g, 0, 1) == full - minus, k
+        assert _term(cycle).delta(cut, 0, 1) == full - minus, k
+
+
+# (n, max x, max y): n max(x) max(y) just below and just above the float32
+# (2^24) and float64 (2^53) limits of exact sums; each product is odd, so a
+# sum that reaches it is not representable one width down
+EXACT_WIDTH_BOUNDS = [
+    (255, 273, 241),  # 2^24 - 1: float32
+    (257, 257, 255),  # 2^24 + 65279: float64
+    (6361, 69431, 20394401),  # 2^53 - 1: float64
+    (1025, 2**21 + 1, 2**22 + 1),  # 2^53 + 8.8e12: int64 row sums, Python-int products
+]
+
+
+def _int_matrix(r, rows, cols, top, full_row):
+    """Nonnegative ints up to top with one row of all top (so some sum reaches the bound)."""
+    x = r.integers(0, top + 1, size=(rows, cols), dtype=np.int64)
+    x[full_row] = top
+    return x
+
+
+@pytest.mark.parametrize("n, mx, my", EXACT_WIDTH_BOUNDS)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_product_and_inner_match_python_ints(n, mx, my, seed):
+    r = rng(seed)
+    x = _int_matrix(r, 3, n, mx, 0)
+    y = _int_matrix(r, 2, n, my, 1).T  # n x 2, column 1 all my
+    ref = [[sum(a * b for a, b in zip(row, col)) for col in y.T.tolist()] for row in x.tolist()]
+    assert ref[0][1] == n * mx * my
+    for dtype in (np.float32, np.float64, object):
+        if dtype is np.float32 and max(mx, my) >= 2**24:
+            continue
+        got = _exact_product(x.astype(dtype), y.astype(dtype))
+        assert _python_ints(got).tolist() == ref, dtype
+    # the Gram product x x^T, and <x, w> for w = y2 and for w = y2 @ z
+    gram = _python_ints(_exact_product(x.astype(np.float64))).tolist()
+    assert gram == [[sum(a * b for a, b in zip(u, v)) for v in x.tolist()] for u in x.tolist()]
+    y2 = _int_matrix(r, 3, n, my, 0)
+    inner = sum(a * b for u, v in zip(x.tolist(), y2.tolist()) for a, b in zip(u, v))
+    assert _exact_inner(x.astype(np.float32), y2.astype(np.float64)) == inner
+    z = np.zeros((n, n), dtype=np.int64)
+    z[np.arange(n), np.arange(n)] = 1  # y2 @ z = y2, the contraction runs its product path
+    z[0, 1] = 1
+    w = y2.copy()
+    w[:, 1] += y2[:, 0]
+    contracted = sum(a * b for u, v in zip(x.tolist(), w.tolist()) for a, b in zip(u, v))
+    assert _exact_inner(x.astype(np.float32), y2, z.astype(np.uint8)) == contracted
 
 
 def test_size_guard():

@@ -1,6 +1,8 @@
 import itertools
 import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from ergmlab.mcmc import (
     ChainConfig,
     batch_motif_densities,
     chi_square_distance,
-    edge_indicator,
     enumerate_psi_n,
     er_eigen,
     er_log_partition,
@@ -243,6 +244,56 @@ def test_chi_square_large_n_matches_recorded_values():
         assert chi_square_distance(start, 0.7, n, ell) == pytest.approx(value, rel=1e-8), (n, start)
 
 
+def _chi_square_full_logs(beta, n, ell, chunk=2**12):
+    """log chi-square of the empty and the complete start, summing every
+    weight j = 1..m with no tail cut, in chunks of 2^12 weights."""
+    m = math.comb(n, 2)
+    rate = 1.0 + math.exp(-beta)
+    logs = [-math.inf, -math.inf]
+    for lo in range(1, m + 1, chunk):
+        js = np.arange(lo, min(lo + chunk, m + 1), dtype=np.float64)
+        logc = math.lgamma(m + 1) - (_log_factorial(js) + _log_factorial(m - js))
+        decay = 0.0
+        if ell != 0:
+            base = np.abs(1.0 - js * rate / m)
+            with np.errstate(divide="ignore"):
+                decay = np.where(base > 0.0, 2.0 * ell * np.log(base), -np.inf)
+        for k, sign in enumerate((1.0, -1.0)):
+            logs[k] = np.logaddexp(logs[k], _logsumexp(sign * beta * js + logc + decay))
+    return logs
+
+
+@pytest.mark.parametrize("n", [91, 200, 1000])
+def test_chi_square_tail_cut_matches_full_sum(n):
+    # the early stop drops terms provably below e^-40 of the sum, so every
+    # value stays within 1e-14 relative of the full sum (on the log scale for
+    # values beyond double range); at n = 91 (m = 4095, one chunk) nothing can
+    # be cut, and the value is the full sum's to the bit
+    for beta in (0.0, 0.3, 1.0):
+        for ell in (0.0, 3.0, mixing_cutoff(n, beta, 2.0)):
+            for start, ref in zip(("empty", "complete"), _chi_square_full_logs(beta, n, ell)):
+                got = chi_square_distance(start, beta, n, ell, log=True)
+                if n == 91:
+                    assert got == ref, (beta, ell, start)
+                assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (beta, ell, start)
+                if ref < 700.0:
+                    value = chi_square_distance(start, beta, n, ell)
+                    assert value == pytest.approx(math.exp(ref), rel=1e-14, abs=0.0)
+
+
+def test_chi_square_tail_cut_at_the_size_limit():
+    # n = 10,000 (m = 49,995,000) at the cutoff: the full sum takes seconds,
+    # the cut sum stops after its first chunk
+    n, beta = 10_000, 0.5
+    ell = mixing_cutoff(n, beta, 2.0)
+    refs = _chi_square_full_logs(beta, n, ell)
+    for start, ref in zip(("empty", "complete"), refs):
+        t0 = time.perf_counter()
+        value = chi_square_distance(start, beta, n, ell)
+        assert time.perf_counter() - t0 < 1.0
+        assert value == pytest.approx(math.exp(ref), rel=1e-14, abs=0.0), start
+
+
 def test_chi_square_overflow_guard():
     with pytest.raises(OverflowGuardError, match="log=True"):
         chi_square_distance("empty", 1.0, 60, 0)
@@ -338,7 +389,8 @@ def test_size_guards_raise_before_any_draw():
         (DomainError, r"proposal_p must lie in \(0, 1\)", lambda: estimate_importance(model, 4, 10, 0, 1.0)),
         (DomainError, "alpha_kind", lambda: estimate_acceptance_ratio(model, model, "median", 10, 10, chain)),
         # a -1e308 edge coefficient overflows the target draws' log weights,
-        # so the denominator's log mean is not finite
+        # so the denominator's log mean is not finite; the overflow is caught
+        # where it happens, before numpy can warn
         (EstimatorCollapseError, "denominator sample mean collapsed", lambda: estimate_acceptance_ratio(
             model, ModelSpec.edge_triangle(-1e308, 0.0), "geometric-mean", 200, 200, ChainConfig(4, seed=1))),
         (DomainError, "start graph size",
@@ -351,7 +403,9 @@ def test_size_guards_raise_before_any_draw():
         (DomainError, "must align", lambda: variance_mcmc_mean([0.1, 0.2], [0.5], 10)),
         (DomainError, "n_samples >= 1", lambda: variance_mcmc_mean([0.1], [0.5], 0)),
     ]:
-        with pytest.raises(error, match=match):
+        # every guard raises without a numpy RuntimeWarning first
+        with pytest.raises(error, match=match), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             call()
     # the closed forms of the independent-edge chain take only a finite beta
     for beta in (nan, math.inf, -math.inf):
@@ -783,11 +837,6 @@ def test_run_chain_start_states():
     assert [(r.step, r.edges, r.triangles) for r in trace] == [(0, 3, 1)]
     with pytest.raises(DomainError):
         run_chain(ChainConfig(5, steps=10, seed=0))  # neither model nor er_beta
-
-
-def test_edge_indicator_order():
-    g = Graph.from_edges(3, [(0, 2)])
-    assert edge_indicator(g) == (0, 1, 0)
 
 
 def test_chain_counters_match_final_graph():
