@@ -215,8 +215,10 @@ def _cmd_spectral_check(args, out):
         for ell in range(0, 21):
             kl = np.linalg.matrix_power(k, ell)
             for start, idx in (("empty", 0), ("complete", (1 << m) - 1)):
-                brute = float(np.sum((kl[idx] - pi) ** 2 / pi))
+                # the closed form first: its overflow guard fires before the
+                # brute-force sum divides by a pi that underflowed to 0
                 closed = mcmc.chi_square_distance(start, beta, n, ell)
+                brute = float(np.sum((kl[idx] - pi) ** 2 / pi))
                 chi_resid = np.maximum(chi_resid, abs(brute - closed))
         out.write(
             f"beta {beta}: detailed_balance {db:.3g} eigen {eig_resid:.3g} "

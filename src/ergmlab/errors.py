@@ -31,8 +31,12 @@ class ConvergenceError(ErgmLabError):
 
 
 class EstimatorCollapseError(ErgmLabError):
-    """A ratio estimator produced a degenerate (zero or non-finite) denominator."""
+    """A ratio estimator (MCMLE or the acceptance ratio) met a log weight
+    beyond double range, so a sample mean of its weights collapsed to zero or
+    overflowed."""
 
 
 class OverflowGuardError(ErgmLabError):
-    """A closed-form value exceeds double range; use the log-domain output mode."""
+    """A value exceeds double range: a closed form (use the log-domain output
+    mode where one exists) or a +inf or nan log weight of the exact or
+    importance sum."""

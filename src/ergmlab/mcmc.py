@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lgamma
 
 import numpy as np
@@ -286,7 +286,11 @@ class SpectralComponent:
         if len(x) != len(self.xi):
             raise DomainError("edge-indicator length does not match xi")
         dot = sum(a & b for a, b in zip(self.xi, x))
-        return (-1.0) ** dot * math.exp(0.5 * self.beta * (self.weight - 2 * dot))
+        power = 0.5 * self.beta * (self.weight - 2 * dot)
+        try:
+            return (-1.0) ** dot * math.exp(power)
+        except OverflowError:
+            raise OverflowGuardError(f"eigenfunction value exp({power:.6g}) exceeds double range") from None
 
 
 def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
@@ -375,7 +379,23 @@ def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
         raise DomainError(f"enumeration needs n >= 1, got {n}")
     m = _checked_pairs(n, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
     dens = batch_motif_densities(model.motifs, n, _mask_bits(m))
-    return n**2 * (dens @ np.array(model.betas))
+    return _log_weights(dens, np.array(model.betas), n)
+
+
+def _log_weights(dens: np.ndarray, betas: np.ndarray, n: int) -> np.ndarray:
+    """n^2 (dens @ betas), the log weights of the exact and importance sums.
+
+    A -inf log weight is an exact zero weight and stays; a +inf or nan one
+    raises OverflowGuardError, which numpy would otherwise warn about and
+    carry into a nan sum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = n**2 * (dens @ betas)
+    if not (logw < math.inf).all():
+        raise OverflowGuardError(
+            f"a log weight n^2 T(G) exceeds double range at n = {n}; the coefficients are too strong"
+        )
+    return logw
 
 
 # -- chi-square distance and cutoff ------------------------------------------------
@@ -413,8 +433,9 @@ def chi_square_distance(
     Sums, over component weights j = 1..m, the binomially weighted squared
     eigenfunction mass t_j = e^{+-beta j} C(m, j) |1 - j r/m|^{2 ell} with
     r = 1 + e^{-beta}, evaluated with log-domain binomials, in chunks of
-    _CHI_SQUARE_CHUNK weights. Raises OverflowGuardError when the value
-    exceeds double range unless log=True.
+    _CHI_SQUARE_CHUNK weights. Raises DomainError unless ell is finite and
+    >= 0, and OverflowGuardError when the value exceeds double range unless
+    log=True.
 
     The sum stops early once the rest is provably negligible. Below the
     zero j* = m/r of the base, log t_j is concave in j for ell >= 0, since
@@ -434,6 +455,8 @@ def chi_square_distance(
     if beta < 0.0:
         raise DomainError("chi_square_distance requires beta >= 0")
     _check_finite(beta)
+    if not 0.0 <= ell < math.inf:
+        raise DomainError(f"chi_square_distance needs a finite step count ell >= 0, got {ell}")
     if n < 2 or n > CHI_SQUARE_MAX_VERTICES:
         raise InstanceTooLargeError(
             f"instance too large: chi_square_distance supports 2 <= n <= {CHI_SQUARE_MAX_VERTICES}"
@@ -623,7 +646,7 @@ def estimate_importance(
             dens[:, ~is_edge] = batch_motif_densities(others, n, bits)
             for col in np.flatnonzero(is_edge):
                 dens[:, col] = terms[col].batch_from_edges(edges, n) / n ** model.motifs[col].vertex_count
-            stat[lo : lo + block] = n**2 * (dens @ betas)
+            stat[lo : lo + block] = _log_weights(dens, betas, n)
             e_counts[lo : lo + block] = edges
         if self_normalized:
             log_qbar = e_counts * (log_p - log_q)
@@ -653,13 +676,12 @@ def estimate_mcmle(
     exp(n^2 (T - T0)(G)). Unbiased for the ratio (target over reference),
     but its relative standard deviation grows exponentially in n^2 for any
     fixed parameter gap; for independent-edge pairs the closed-form bound is
-    attached in log domain.
+    attached in log domain. A log weight beyond double range raises
+    EstimatorCollapseError.
     """
     _require_same_motifs(model, model0)
     dbeta = np.array(model.betas) - np.array(model0.betas)
-    dens = sample_motif_densities(model0, model.motifs, n_samples, chain, thinning=thinning)
-    logw = chain.n**2 * (dens @ dbeta)
-    estimate_log = _logsumexp(logw) - math.log(n_samples)
+    estimate_log = _reweighted_log_mean(model0, dbeta, n_samples, chain, thinning, "reweighted")
     bound = None
     target_beta = _auto_is_er(model)
     chain_beta = _auto_is_er(model0)
@@ -695,36 +717,43 @@ def estimate_acceptance_ratio(
         raise DomainError("n_samples_ref and n_samples_target must be >= 1")
     _require_same_motifs(model, model0)
     betas, betas0 = np.array(model.betas), np.array(model0.betas)
-    child_seeds = np.random.SeedSequence(_seed_key(chain.seed)).generate_state(2, dtype=np.uint64)
-    cfg_ref = ChainConfig(chain.n, seed=int(child_seeds[0]), start=chain.start)
-    cfg_tgt = ChainConfig(chain.n, seed=int(child_seeds[1]), start=chain.start)
-    dens_ref = sample_motif_densities(model0, model.motifs, n_samples_ref, cfg_ref, thinning)
-    dens_tgt = sample_motif_densities(model, model.motifs, n_samples_target, cfg_tgt, thinning)
-    n2 = chain.n**2
-
-    def log_mean(dens, coefs, side):
-        # a log weight beyond double range leaves this side's mean at 0 or
-        # inf; numpy raises at the overflow instead of warning, and so do we
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                logw = n2 * (dens @ coefs)
-                if alpha_kind == "geometric-mean":
-                    logw = logw + -0.5 * n2 * (dens @ (betas + betas0))
-            except FloatingPointError:
-                raise EstimatorCollapseError(
-                    f"{side} sample mean collapsed to zero or overflowed; "
-                    "the two laws are too far apart"
-                ) from None
-        return _logsumexp(logw) - math.log(len(dens))
-
-    log_den = log_mean(dens_tgt, betas0, "denominator")
-    log_num = log_mean(dens_ref, betas, "numerator")
+    alpha = betas + betas0 if alpha_kind == "geometric-mean" else None
+    # the reference chain runs on the first child seed, the target chain on the second
+    seeds = np.random.SeedSequence(_seed_key(chain.seed)).generate_state(2, dtype=np.uint64)
+    log_den = _reweighted_log_mean(model, betas0, n_samples_target, replace(chain, seed=int(seeds[1])),
+                                   thinning, "denominator", alpha)
+    log_num = _reweighted_log_mean(model0, betas, n_samples_ref, replace(chain, seed=int(seeds[0])),
+                                   thinning, "numerator", alpha)
     return EstimatorResult(
         float(log_num - log_den),
         n_samples_ref + n_samples_target,
         "acceptance_ratio",
         chain.seed,
     )
+
+
+def _reweighted_log_mean(law, coefs, n_samples, chain, thinning, side, alpha=None) -> float:
+    """log of the mean weight exp(n^2 dens @ coefs) over n_samples draws of
+    the law's motif densities from a chain on it, the reduction both ratio
+    estimators take of each chain; alpha adds the geometric-mean factor
+    exp(-n^2 dens @ alpha / 2).
+
+    A log weight beyond double range leaves the mean at 0 or inf. numpy
+    raises at the overflow instead of warning, and this turns that into an
+    EstimatorCollapseError naming the side.
+    """
+    dens = sample_motif_densities(law, law.motifs, n_samples, chain, thinning)
+    n2 = chain.n**2
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            logw = n2 * (dens @ coefs)
+            if alpha is not None:
+                logw = logw + -0.5 * n2 * (dens @ alpha)
+        except FloatingPointError:
+            raise EstimatorCollapseError(
+                f"{side} sample mean collapsed to zero or overflowed; the two laws are too far apart"
+            ) from None
+    return _logsumexp(logw) - math.log(n_samples)
 
 
 def _require_same_motifs(model: ModelSpec, model0: ModelSpec):
@@ -819,26 +848,42 @@ def er_mcmle_variance_constants(
     F = 1 + ((1 - e^{beta_target - beta_chain}) / (1 + e^{beta_target}))^2;
     the relative standard deviation explodes exponentially in m whenever the
     parameters differ.
+
+    Every constant is formed in log domain, from log(1 + e^x) and expm1, so a
+    finite pair never overflows: the logs stay finite, and a field beyond
+    double range reads inf.
     """
     m = math.comb(n, 2)
     a = beta_target - beta_chain
-    per_edge_mean = (1.0 + math.exp(beta_target)) / (1.0 + math.exp(beta_chain))
-    factor = 1.0 + ((1.0 - math.exp(a)) / (1.0 + math.exp(a + beta_chain))) ** 2
-    denom = 2.0 * (1.0 + math.exp(-beta_chain))
-    log_mean = m * math.log(per_edge_mean)
-    log_ratio = math.log(m / denom) + _log_expm1(m * math.log(factor))
+    # log|1 - e^a|, then log F = log(1 + r^2) with r = (1 - e^a) / (1 + e^{beta_target})
+    log_gap = max(a, 0.0) + math.log(-math.expm1(-abs(a))) if a != 0.0 else -math.inf
+    log_factor = float(np.logaddexp(0.0, 2.0 * (log_gap - np.logaddexp(0.0, beta_target))))
+    log_per_edge = float(np.logaddexp(0.0, beta_target) - np.logaddexp(0.0, beta_chain))
+    log_denom = math.log(2.0) + float(np.logaddexp(0.0, -beta_chain))
+    log_ratio = math.log(m) - log_denom + _log_expm1(m * log_factor)
     return McmleVarianceConstants(
         m=m,
-        per_edge_mean=per_edge_mean,
-        per_edge_variance_factor=factor,
-        prefactor_denominator=denom,
-        log_mean=log_mean,
+        per_edge_mean=_exp_or_inf(log_per_edge),
+        per_edge_variance_factor=_exp_or_inf(log_factor),
+        prefactor_denominator=_exp_or_inf(log_denom),
+        log_mean=m * log_per_edge,
         log_variance_ratio=log_ratio,
-        sigma_over_mu=math.exp(0.5 * log_ratio) if log_ratio < 1400.0 else math.inf,
+        sigma_over_mu=_exp_or_inf(0.5 * log_ratio),
     )
 
 
 def _log_expm1(x: float) -> float:
+    """log(e^x - 1) for x >= 0; -inf at x = 0, where F = 1 and the variance is 0."""
     if x > 50.0:
         return x
+    if x == 0.0:
+        return -math.inf
     return math.log(math.expm1(x))
+
+
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where it exceeds double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf

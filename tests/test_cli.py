@@ -138,6 +138,8 @@ INPUT_FILES = {
     "inf_model.txt": "edge inf\n",
     "model.txt": "edge 0.2\ntriangle 0.1\n",
     "graph.txt": "4\n0 1\n1 2\n2 0\n2 3\n",
+    "huge_model.txt": "edge 1e308\ntriangle 0\n",
+    "tiny_model.txt": "edge -1e308\ntriangle 0\n",
 }
 
 # each case once ended in a traceback, in exit 0 with a wrong or missing
@@ -180,6 +182,13 @@ INPUT_ERRORS = [
     pytest.param("psi --beta1 -inf", 2, FINITE, id="psi-minus-inf-beta1"),
     pytest.param("psi --beta1 0.1 --beta2 -nan", 2, FINITE, id="psi-minus-nan-beta2"),
     pytest.param("spectral-check --betas -1,0", 2, "beta >= 0", id="spectral-negative-beta"),
+    pytest.param("estimate-z --method mcmle --model tiny_model.txt --model0 model.txt --n 4 --samples 200 --seed 1",
+                 2, "reweighted sample mean collapsed", id="mcmle-collapse"),
+    pytest.param("psi --model huge_model.txt --exact-n 4", 2, "exceeds double range", id="exact-weight-overflow"),
+    pytest.param("estimate-z --method importance --model huge_model.txt --n 4 --samples 200 --proposal-p 0.5",
+                 2, "exceeds double range", id="importance-weight-overflow"),
+    pytest.param("spectral-check --betas 500", 2, "eigenfunction value", id="spectral-eigenfunction-overflow"),
+    pytest.param("spectral-check --betas 400", 2, "chi-square value", id="spectral-chi-square-overflow"),
     pytest.param("psi --beta1 --beta2 0.3", 1, "--beta1: expected one argument", id="flag-as-value"),
     pytest.param("phase-diagram --beta1 0:1 --beta2 0", 1, "range must be lo:hi:steps", id="range-two-parts"),
     pytest.param("phase-diagram --beta1 a:1:3 --beta2 0", 1, "bad range 'a:1:3'", id="range-bad-number"),
@@ -208,6 +217,49 @@ def test_strong_coefficients_exit_zero(tmp_path):
     code, text = run(tmp_path / "e.txt", ["extremal", "--motif", "triangle", "--beta1", "1000"])
     assert code == 0
     assert "psi_limit 500" in body_lines(text)
+
+
+# each once printed a nan or -inf estimate, or a traceback or a guard only
+# after numpy warnings
+WEIGHT_GUARDS = [param for param in INPUT_ERRORS if param.id in (
+    "mcmle-collapse", "exact-weight-overflow", "importance-weight-overflow",
+    "spectral-eigenfunction-overflow", "spectral-chi-square-overflow",
+)]
+
+
+@pytest.mark.parametrize("command, code, message", WEIGHT_GUARDS)
+def test_weight_guards_print_no_warning(tmp_path, monkeypatch, command, code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(command.split()) == code
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_strong_coefficients_in_ratio_and_exact_sums(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edge400.txt").write_text("edge 400\n")
+    (tmp_path / "edge01.txt").write_text("edge 0.1\n")
+    (tmp_path / "tiny_model.txt").write_text(INPUT_FILES["tiny_model.txt"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # e^800 lies beyond double range, but the MCMLE bound is formed in log domain
+        code, text = run(tmp_path / "m.txt", ["estimate-z", "--method", "mcmle", "--model", "edge400.txt",
+                                              "--model0", "edge01.txt", "--n", "4", "--samples", "200"])
+        assert code == 0
+        vals = dict(ln.split(None, 1) for ln in body_lines(text))
+        assert math.isfinite(float(vals["variance_bound_log"]))
+        # one law on both sides has weight 1 and variance 0
+        code, text = run(tmp_path / "s.txt", ["estimate-z", "--method", "mcmle", "--model", "edge01.txt",
+                                              "--model0", "edge01.txt", "--n", "4", "--samples", "200"])
+        assert code == 0
+        assert "variance_bound_log -inf" in body_lines(text)
+        # every graph with an edge has weight exactly 0, so psi_4 = 0
+        code, text = run(tmp_path / "p.txt", ["psi", "--model", "tiny_model.txt", "--exact-n", "4"])
+        assert code == 0
+        assert "psi_4 0" in body_lines(text)
 
 
 def test_spectral_check_fails_on_a_nan_residual(tmp_path, monkeypatch):

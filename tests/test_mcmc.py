@@ -341,6 +341,14 @@ def test_enumerate_psi_matches_er_partition():
     assert psi == pytest.approx(er_log_partition(2 * beta1, n) / n**2, rel=1e-12)
 
 
+def test_exact_sum_keeps_zero_weights():
+    # a -inf log weight is an exact zero weight: only the empty graph keeps
+    # weight 1, so psi_4 = 0, and the sum reaches it without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert enumerate_psi_n(ModelSpec.edge_triangle(-1e308, 0.0), 4) == 0.0
+
+
 def test_enumerate_guard():
     with pytest.raises(InstanceTooLargeError):
         enumerate_psi_n(ModelSpec.edge_only(0.0), 7)
@@ -393,6 +401,20 @@ def test_size_guards_raise_before_any_draw():
         # where it happens, before numpy can warn
         (EstimatorCollapseError, "denominator sample mean collapsed", lambda: estimate_acceptance_ratio(
             model, ModelSpec.edge_triangle(-1e308, 0.0), "geometric-mean", 200, 200, ChainConfig(4, seed=1))),
+        # MCMLE reweights by the same reduction, so its overflow raises the same way
+        (EstimatorCollapseError, "reweighted sample mean collapsed", lambda: estimate_mcmle(
+            ModelSpec.edge_triangle(-1e308, 0.0), model, 200, ChainConfig(4, seed=1))),
+        # a +inf log weight in the exact and importance sums would read nan
+        (OverflowGuardError, "exceeds double range",
+         lambda: enumerate_psi_n(ModelSpec.edge_triangle(1e308, 0.0), 4)),
+        (OverflowGuardError, "exceeds double range",
+         lambda: estimate_importance(ModelSpec.edge_triangle(1e308, 0.0), 4, 200, 0, 0.5)),
+        # e^{beta |xi| / 2} overflows once 1.5 beta > 709.78
+        (OverflowGuardError, "eigenfunction value", lambda: er_eigen((1, 1, 1), 500.0, 3).evaluate((0, 0, 0))),
+        # the step count of the chi-square distance is finite and >= 0
+        (DomainError, "ell >= 0", lambda: chi_square_distance("empty", 0.5, 10, -5)),
+        (DomainError, "ell >= 0", lambda: chi_square_distance("empty", 0.5, 10, nan)),
+        (DomainError, "ell >= 0", lambda: chi_square_distance("empty", 0.5, 10, math.inf)),
         (DomainError, "start graph size",
          lambda: run_chain(ChainConfig(5, steps=0, start=Graph.empty(4), model=model))),
         (DomainError, "unknown start 'middle'",
@@ -804,6 +826,36 @@ def test_mcmle_variance_constants_worked_example():
     assert c.prefactor_denominator == pytest.approx(2.7358, abs=5e-4)
     assert c.per_edge_variance_factor == pytest.approx(1.042, abs=5e-4)
     assert c.sigma_over_mu == pytest.approx(95_431, rel=0.01)
+
+
+def test_mcmle_variance_constants_beyond_double_range():
+    # e^800 overflows a double, but the constants are formed in log domain
+    c = er_mcmle_variance_constants(800.0, 0.2, 4)
+    exact = 6 * (800.0 + math.log1p(math.exp(-800.0)) - math.log1p(math.exp(0.2)))
+    assert c.log_mean == pytest.approx(exact, rel=1e-12)
+    assert math.isfinite(c.log_variance_ratio)
+    assert c.per_edge_mean == math.inf
+    # equal parameters reweight by 1: zero variance, not a math domain error
+    same = er_mcmle_variance_constants(0.6, 0.6, 4)
+    assert (same.log_mean, same.log_variance_ratio, same.sigma_over_mu) == (0.0, -math.inf, 0.0)
+
+
+def test_mcmle_variance_bound_matches_high_precision():
+    # log(1 + r^2) through log1p keeps the bound to a few ulps where the
+    # ratio's square is far below 1 (the float log of 1 + r^2 lost 1e-10)
+    from decimal import Decimal, localcontext
+
+    for bt, bc, n in [(0.6, 0.2, 4), (2.0, 1.0, 30), (40.0, 10.0, 4), (10.0, 40.0, 12), (0.0, 5.0, 100)]:
+        m = math.comb(n, 2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            t, c, a = Decimal(bt), Decimal(bc), Decimal(bt - bc)
+            factor = 1 + ((1 - a.exp()) / (1 + t.exp())) ** 2
+            exact = ((m / (2 * (1 + (-c).exp()))).ln() + (factor**m - 1).ln()
+                     + 2 * m * ((1 + t.exp()) / (1 + c.exp())).ln())
+        consts = er_mcmle_variance_constants(bt, bc, n)
+        bound = consts.log_variance_ratio + 2.0 * consts.log_mean
+        assert bound == pytest.approx(float(exact), rel=1e-14), (bt, bc, n)
 
 
 # -- chain runner ------------------------------------------------------------------------
