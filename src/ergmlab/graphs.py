@@ -500,10 +500,10 @@ class _Term:
     count(g) is the homomorphism count; delta(g, i, j) its exact change when
     edge ij goes from absent to present; batch(bits, n) the counts of the
     rows of an edge-indicator matrix (columns: vertex pairs in lexicographic
-    order); statistic(b, g) is b times the density and exponent(b, g, i, j)
-    n^2 times its change, the term's share of the Glauber log-odds. g is a
-    Graph or the chain state: anything with n, bitmask rows, edge_count()
-    and triangle_count().
+    order). g is a Graph or the chain state: anything with n, bitmask rows,
+    edge_count() and triangle_count(). A term holds no coefficient: a model
+    weighs every term as coefficient times density, count / n^v, and the
+    chain's log-odds read delta alone (mcmc._log_odds).
 
     Edges, stars, triangles, cycles and cliques have closed-form integer
     deltas in their subclasses; the general delta here serves the edge-list
@@ -511,9 +511,7 @@ class _Term:
     of the kernel derivative: for each motif edge k in both orientations,
     pin edge k onto (i, j), map the edges before k into G - ij and those
     after k into G + ij; the sum over k telescopes to hom(H, G + ij) -
-    hom(H, G - ij). Isolated motif vertices only scale counts by n each. The
-    edge and triangle classes evaluate their exponent (the triangle also its
-    statistic) in a fixed float order, which fixed-seed chains depend on.
+    hom(H, G - ij). Isolated motif vertices only scale counts by n each.
     """
 
     def __init__(self, motif: Motif, arg: int | None = None):
@@ -542,13 +540,6 @@ class _Term:
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         return np.array([self.count(_indicator_graph(n, row)) for row in bits])
 
-    def statistic(self, b: float, g) -> float:
-        return b * self.count(g) / g.n**self.motif.vertex_count
-
-    def exponent(self, b: float, g, i: int, j: int) -> float:
-        n = g.n
-        return b * self.delta(g, i, j) * n**2 / n**self.motif.vertex_count
-
     @functools.cached_property
     def _rooted_levels(self):
         return [
@@ -570,9 +561,6 @@ class _EdgeTerm(_Term):
     def batch_from_edges(self, edges: np.ndarray, n: int) -> np.ndarray:
         """The batch counts from the rows' edge counts."""
         return 2 * edges * n**self.iso
-
-    def exponent(self, b: float, g, i: int, j: int) -> float:
-        return 2.0 * b
 
 
 class _StarTerm(_Term):
@@ -677,12 +665,6 @@ class _TriangleTerm(_Term):
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         by = _triangles_by_product if n >= _TRIANGLE_PRODUCT_MIN_N else _triangles_by_gather
         return 6 * by(bits, n) * n**self.iso
-
-    def statistic(self, b: float, g) -> float:
-        return b * 6.0 * g.triangle_count() / g.n**3
-
-    def exponent(self, b: float, g, i: int, j: int) -> float:
-        return 6.0 * b * (g.rows[i] & g.rows[j]).bit_count() / g.n
 
 
 class _CycleTerm(_Term):

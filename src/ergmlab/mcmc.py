@@ -113,6 +113,19 @@ def _model_terms(model: ModelSpec):
     return [(b, _term(m)) for m, b in zip(model.motifs, model.betas) if b != 0.0]
 
 
+def _log_odds(terms, n: int):
+    """The Glauber log-odds of adding edge ij to g, n^2 sum_i b_i delta_i / n^(v_i),
+    as (constant, [(scale, delta)]): the log-odds is constant plus
+    scale * delta(g, i, j) over the list, in model order, with
+    scale = b / n^(v - 2). An edge term's delta is the count of one edge
+    whatever g and ij, so every edge term is folded into the constant,
+    wherever it sits in the model.
+    """
+    scaled = [(b / n ** (t.motif.vertex_count - 2), t) for b, t in terms]
+    constant = sum((s * t.batch_from_edges(1, n) for s, t in scaled if isinstance(t, _EdgeTerm)), 0.0)
+    return constant, [(s, t.delta) for s, t in scaled if not isinstance(t, _EdgeTerm)]
+
+
 # -- the chain driver ---------------------------------------------------------------
 
 
@@ -126,23 +139,17 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     they are drawn in 4096-step chunks, pair indices then coins, so a seed
     gives the same chain whatever is recorded.
 
-    The Glauber log-odds start from 0.0 plus the constant exponents 2b of
-    the model's leading edge terms and add the other terms' exponents in
-    model order, the float order of a sum over all terms. The edge and
-    triangle counts live in locals while the chain runs and are written
-    back to the state before each record and at the end.
+    The Glauber log-odds of each step are _log_odds' constant plus its
+    scaled deltas, added in model order. The edge and triangle counts live
+    in locals while the chain runs and are written back to the state before
+    each record and at the end.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
     rng = _rng_from_seed(seed)
     pairs = _vertex_pairs(state.n)
     m = len(pairs)
-    lead = 0
-    start = 0.0
-    while lead < len(terms) and isinstance(terms[lead][1], _EdgeTerm):
-        start += 2.0 * terms[lead][0]
-        lead += 1
-    exponents = [(b, term.exponent) for b, term in terms[lead:]]
+    constant, weighted = _log_odds(terms, state.n)
     exp = math.exp
     metropolis = er_beta is not None
     exp_neg_beta = math.exp(-er_beta) if metropolis else 0.0
@@ -160,9 +167,9 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
             if metropolis:
                 flip = not present or coin < exp_neg_beta
             else:
-                expo = start
-                for b, exponent in exponents:
-                    expo += exponent(b, state, i, j)
+                expo = constant
+                for scale, delta in weighted:
+                    expo += scale * delta(state, i, j)
                 try:
                     flip = (coin < 1.0 / (1.0 + exp(-expo))) != present
                 except OverflowError:  # e^-expo beyond double range: on-probability 0
@@ -219,7 +226,7 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
         if config.model is None:
             stat = config.er_beta * state.edges / state.n**2
         else:
-            stat = sum((t.statistic(b, state) for b, t in terms), 0.0)
+            stat = sum((b * (t.count(state) / state.n**t.motif.vertex_count) for b, t in terms), 0.0)
         trace.append(TraceRecord(step, state.edges, state.triangles, stat))
 
     record(0)
@@ -358,12 +365,12 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     """Dense transition matrix of Glauber dynamics for an arbitrary model."""
     m = _checked_pairs(n, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     pairs = _vertex_pairs(n)
-    terms = _model_terms(model)
+    constant, weighted = _log_odds(_model_terms(model), n)
     graphs = [_indicator_graph(n, row) for row in _mask_bits(m)]
 
     def rule(s, t):
         i, j = pairs[t]
-        expo = sum((term.exponent(b, graphs[s], i, j) for b, term in terms), 0.0)
+        expo = sum((scale * delta(graphs[s], i, j) for scale, delta in weighted), constant)
         try:
             p_on = 1.0 / (1.0 + math.exp(-expo))
         except OverflowError:  # e^-expo beyond double range: on-probability 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .errors import ConvergenceError, DomainError, FormatError
+from .errors import ConvergenceError, DomainError, FormatError, OverflowGuardError
 from .graphons import (
     StepGraphon,
     delta_h,
@@ -279,12 +279,18 @@ def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
     """maximize_scalar of a stack of models that share their edge counts.
 
     coefs[m][t] is model m's coefficient of the term with edge count
-    edges[t]; every coefficient must be finite. Every step works
-    elementwise with maximize_scalar's one-model arithmetic, so each report
-    is the one its model gets alone, whatever else is in the stack.
+    edges[t]; every coefficient must be finite, and so must each model's
+    sum_t |coefs[m][t]| edges[t], which bounds every derivative term,
+    partial sum and objective on [0, 1]. Every step works elementwise with
+    maximize_scalar's one-model arithmetic, so each report is the one its
+    model gets alone, whatever else is in the stack.
     """
     coefs = np.asarray(coefs, dtype=float)
     _check_finite(coefs)
+    with np.errstate(over="ignore"):
+        bound = np.abs(coefs) @ np.asarray(edges, dtype=float)
+    if not (bound < math.inf).all():
+        raise OverflowGuardError("a model's sum of |beta_i| e(H_i) exceeds double range")
     n_models = len(coefs)
     grid, slope = _scalar_grid()
     powers = [_grid_power(e - 1) for e in edges]
@@ -655,10 +661,7 @@ def _top_statistics(beta1s, beta2s, g: Graph) -> list[float]:
     if g.n < 3:
         raise DomainError("top statistic needs at least 3 vertices")
     beta1s, beta2s = np.asarray(beta1s, dtype=float), np.asarray(beta2s, dtype=float)
-    stat = (
-        2.0 * beta1s * g.edge_count() / g.n**2
-        + 6.0 * beta2s * g.triangle_count() / g.n**3
-    )
+    stat = beta1s * (2 * g.edge_count() / g.n**2) + beta2s * (6 * g.triangle_count() / g.n**3)
     psi = [rep.psi for rep in _edge_triangle_stack(beta1s, beta2s)]
     return (stat - psi).tolist()
 

@@ -189,6 +189,10 @@ INPUT_ERRORS = [
                  2, "exceeds double range", id="importance-weight-overflow"),
     pytest.param("spectral-check --betas 500", 2, "eigenfunction value", id="spectral-eigenfunction-overflow"),
     pytest.param("spectral-check --betas 400", 2, "chi-square value", id="spectral-chi-square-overflow"),
+    # sum |beta_i| e(H_i) = 1e308 + 3e308 is beyond double range
+    pytest.param("psi --beta1 1e308 --beta2 -1e308", 2, "exceeds double range", id="scalar-bound-overflow"),
+    pytest.param("phase-diagram --beta1 1e308:1e308:2 --beta2 -1e308", 2, "exceeds double range",
+                 id="surface-bound-overflow"),
     pytest.param("psi --beta1 --beta2 0.3", 1, "--beta1: expected one argument", id="flag-as-value"),
     pytest.param("phase-diagram --beta1 0:1 --beta2 0", 1, "range must be lo:hi:steps", id="range-two-parts"),
     pytest.param("phase-diagram --beta1 a:1:3 --beta2 0", 1, "bad range 'a:1:3'", id="range-bad-number"),
@@ -223,7 +227,8 @@ def test_strong_coefficients_exit_zero(tmp_path):
 # after numpy warnings
 WEIGHT_GUARDS = [param for param in INPUT_ERRORS if param.id in (
     "mcmle-collapse", "exact-weight-overflow", "importance-weight-overflow",
-    "spectral-eigenfunction-overflow", "spectral-chi-square-overflow",
+    "spectral-eigenfunction-overflow", "spectral-chi-square-overflow", "scalar-bound-overflow",
+    "surface-bound-overflow",
 )]
 
 
@@ -260,6 +265,47 @@ def test_strong_coefficients_in_ratio_and_exact_sums(tmp_path, monkeypatch):
         code, text = run(tmp_path / "p.txt", ["psi", "--model", "tiny_model.txt", "--exact-n", "4"])
         assert code == 0
         assert "psi_4 0" in body_lines(text)
+
+
+def test_opposite_strong_coefficients_sample_without_nan(tmp_path):
+    # a triangle-free state once weighed -inf * 0 = nan into the statistic and
+    # the first log-odds, so the chain never left the empty graph
+    model = tmp_path / "strong.txt"
+    model.write_text("edge 1e308\ntriangle -1e308\n")
+    code, text = run(tmp_path / "s.csv", ["sample", "--model", str(model), "--n", "5", "--steps", "20"])
+    assert code == 0
+    rows = [row.split(",") for row in body_lines(text)[1:]]
+    assert rows[0] == ["0", "0", "0", "0"]
+    assert all(math.isfinite(float(row[3])) for row in rows)
+    assert int(rows[-1][1]) > 0
+
+
+def test_top_contour_at_a_strong_edge_coefficient(tmp_path):
+    # 1e308 (2 E / n^2) - psi = 1e308 (4 / 16) - 1e308; 2 * 1e308 once overflowed to top inf
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("4\n0 1\n1 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path / "t.txt", ["top-contour", "--graph", str(gpath), "--beta1", "1e308",
+                                              "--beta2", "0"])
+    assert code == 0
+    assert body_lines(text)[-1] == "1e+308,0,-7.5e+307"
+
+
+def test_spectral_check_passes_at_strong_beta(tmp_path):
+    # at beta = 20 the chi-square residual is 8.25e11 on values near 1.1e26
+    code, text = run(tmp_path / "c.txt", ["spectral-check", "--betas", "5,20"])
+    assert code == 0
+    assert body_lines(text)[-2:] == ["worst_residual 8.25e+11", "PASS"]
+
+
+def test_spectral_check_fails_on_a_relative_error(tmp_path, monkeypatch):
+    # a closed form off by 1e-9 relative fails where its values are large
+    closed = mcmc.chi_square_distance
+    monkeypatch.setattr(mcmc, "chi_square_distance", lambda *args: closed(*args) * (1.0 + 1e-9))
+    code, text = run(tmp_path / "c.txt", ["spectral-check", "--betas", "20"])
+    assert code == 0
+    assert body_lines(text)[-1] == "FAIL"
 
 
 def test_spectral_check_fails_on_a_nan_residual(tmp_path, monkeypatch):

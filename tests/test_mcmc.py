@@ -87,6 +87,11 @@ def test_glauber_stationarity_dense_edge_triangle():
         (ModelSpec([(Motif.edge(), -0.3), (Motif.cycle(4), 0.9)]), 4),
         (ModelSpec([(Motif.edge(), -0.3), (Motif.complete(4), 1.5)]), 4),
         (ModelSpec([(Motif.edge(), -0.3), (Motif.parse("edgelist:0-1,1-2,2-3,1-3"), 0.7)]), 4),
+        # every edge term folds into the log-odds' constant: one after another
+        # term, one with an isolated vertex, and two of them
+        (ModelSpec([(Motif.triangle(), 0.3), (Motif.edge(), -0.2)]), 4),
+        (ModelSpec([(Motif(3, [(0, 1)]), -0.2), (Motif.triangle(), 0.3)]), 4),
+        (ModelSpec([(Motif.edge(), -0.3), (Motif.star(2), 0.4), (Motif.edge(), 0.1)]), 4),
     ]
     for model, n in cases:
         k = glauber_transition_matrix(model, n)

@@ -4,7 +4,8 @@ For every builtin motif class and for random small edge-list motifs
 (isolated vertices included), on random graphs and random vertex pairs:
 the term's count is the homomorphism count and its integer delta is the
 exact change of that count when the pair's edge goes from absent to
-present, read from a Graph and from the chain state alike.
+present, read from a Graph and from the chain state alike; the Glauber
+log-odds built from it is n^2 times the change of the density.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergmlab.graphs import Graph, Motif, _term, count_homomorphisms
-from ergmlab.mcmc import _ChainState
+from ergmlab.mcmc import _ChainState, _log_odds
 
 BUILTIN = [
     "edge",
@@ -68,7 +69,7 @@ def test_term_count_and_delta_match_brute_force(h, case):
     for view in (g, _ChainState(g)):
         assert term.delta(view, i, j) == change
         assert term.count(view) == count
-        assert term.exponent(0.7, view, i, j) == pytest.approx(
-            0.7 * change * g.n**2 / g.n**h.vertex_count, rel=1e-12
-        )
+        constant, weighted = _log_odds([(0.7, term)], g.n)
+        log_odds = sum((scale * delta(view, i, j) for scale, delta in weighted), constant)
+        assert log_odds == pytest.approx(0.7 * change * g.n**2 / g.n**h.vertex_count, rel=1e-12)
     assert term.batch(bits, g.n).tolist() == [count]

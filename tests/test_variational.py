@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergmlab.cli import main
-from ergmlab.errors import ConvergenceError, DomainError, FormatError
+from ergmlab.errors import ConvergenceError, DomainError, FormatError, OverflowGuardError
 from ergmlab.graphs import Graph, Motif
 from ergmlab.graphons import StepGraphon, edge_entropy, hom_density_graphon, rate_entropy, rate_relative
 from ergmlab.variational import (
@@ -379,6 +380,25 @@ def test_every_coefficient_path_rejects_non_finite(bad):
     if bad > 0.0 or math.isnan(bad):
         with pytest.raises(DomainError, match="must be finite"):
             transitivity_limit(bad)
+
+
+def test_scalar_solver_rejects_a_coefficient_sum_beyond_double_range():
+    # sum |beta_i| e(H_i) = 1e308 + 3 * 1e308 bounds the derivative on [0, 1];
+    # the solver once overflowed and reported psi 1.996e292 at u = 1, where
+    # the maximum of 1e308 (u - u^3) is about 3.85e307 at u = 1/sqrt(3)
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: maximize_scalar(ModelSpec.edge_triangle(1e308, -1e308)),
+            lambda: phase_scan(1e308, -1e308, 0.0, 3),
+            lambda: top_statistic(1e308, -1e308, g),
+        ):
+            with pytest.raises(OverflowGuardError, match="exceeds double range"):
+                call()
+        # below the bound the solve runs: 1e308 + 3 * 2e307 is finite
+        rep = maximize_scalar(ModelSpec.edge_triangle(1e308, -2e307))
+    assert math.isfinite(rep.psi)
 
 
 # -- transitivity model --------------------------------------------------------------------
