@@ -41,7 +41,7 @@ ENUMERATION_MAX_VERTICES = 6
 DENSE_MATRIX_MAX_PAIRS = 12
 CHI_SQUARE_MAX_VERTICES = 10_000
 # estimate_importance draws its graphs in row blocks of at most this many
-# uniforms (4 MB of doubles), whatever the batch
+# uniforms (4 MB of doubles)
 _DRAW_BLOCK_UNIFORMS = 2**19
 # chi_square_distance sums its weights in chunks this long, which stay in
 # cache, and stops after the first chunk past which the rest is provably below
@@ -113,15 +113,34 @@ def _model_terms(model: ModelSpec):
     return [(b, _term(m)) for m, b in zip(model.motifs, model.betas) if b != 0.0]
 
 
+def _log_odds_unit(terms, n: int) -> float:
+    """The power of two that _log_odds divides every Glauber log-odds by.
+
+    It is 1 while n^2 sum_i |b_i|, a bound on every log-odds at n
+    (delta_i <= n^(v_i)), is below double range, and otherwise brings that
+    bound below 2^1020, so the scaled sum never overflows and terms of
+    opposite sign never meet as inf - inf. Dividing by a power of two is
+    exact away from subnormals, so a log-odds that fits in a double gets the
+    same bits at every unit; only the product with the unit may overflow, to
+    a signed inf.
+    """
+    if sum(abs(b) for b, _ in terms) * n * n < math.inf:
+        return 1.0
+    # max |b| < 2^e, so the bound is below 2^(e + bit_length(len(terms) n^2))
+    e = math.frexp(max(abs(b) for b, _ in terms))[1] + (len(terms) * n * n).bit_length()
+    return math.ldexp(1.0, e - 1020)
+
+
 def _log_odds(terms, n: int):
     """The Glauber log-odds of adding edge ij to g, n^2 sum_i b_i delta_i / n^(v_i),
-    as (constant, [(scale, delta)]): the log-odds is constant plus
-    scale * delta(g, i, j) over the list, in model order, with
-    scale = b / n^(v - 2). An edge term's delta is the count of one edge
-    whatever g and ij, so every edge term is folded into the constant,
-    wherever it sits in the model.
+    divided by unit = _log_odds_unit(terms, n), as (constant, [(scale, delta)]):
+    the log-odds is unit times constant plus scale * delta(g, i, j) over the
+    list, in model order, with scale = b / unit / n^(v - 2). An edge term's
+    delta is the count of one edge whatever g and ij, so every edge term is
+    folded into the constant, wherever it sits in the model.
     """
-    scaled = [(b / n ** (t.motif.vertex_count - 2), t) for b, t in terms]
+    unit = _log_odds_unit(terms, n)
+    scaled = [(b / unit / n ** (t.motif.vertex_count - 2), t) for b, t in terms]
     constant = sum((s * t.batch_from_edges(1, n) for s, t in scaled if isinstance(t, _EdgeTerm)), 0.0)
     return constant, [(s, t.delta) for s, t in scaled if not isinstance(t, _EdgeTerm)]
 
@@ -140,15 +159,17 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     gives the same chain whatever is recorded.
 
     The Glauber log-odds of each step are _log_odds' constant plus its
-    scaled deltas, added in model order. The edge and triangle counts live
-    in locals while the chain runs and are written back to the state before
-    each record and at the end.
+    scaled deltas, added in model order, times _log_odds_unit. The edge and
+    triangle counts live in locals while the chain runs and are written back
+    to the state before each record and at the end.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
     rng = _rng_from_seed(seed)
     pairs = _vertex_pairs(state.n)
     m = len(pairs)
+    # one multiply both scales the log-odds back and negates it
+    neg_unit = -_log_odds_unit(terms, state.n)
     constant, weighted = _log_odds(terms, state.n)
     exp = math.exp
     metropolis = er_beta is not None
@@ -171,8 +192,8 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
                 for scale, delta in weighted:
                     expo += scale * delta(state, i, j)
                 try:
-                    flip = (coin < 1.0 / (1.0 + exp(-expo))) != present
-                except OverflowError:  # e^-expo beyond double range: on-probability 0
+                    flip = (coin < 1.0 / (1.0 + exp(expo * neg_unit))) != present
+                except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
                     flip = present
             if flip:
                 rows[i] ^= 1 << j
@@ -307,6 +328,8 @@ def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
     xi only through its weight: 1 - |xi| (1 + e^{-beta})/m.
     """
     _check_finite(beta)
+    if beta < 0.0:
+        raise DomainError("er chains require beta >= 0")
     xi = tuple(int(b) for b in xi)
     if len(xi) != m:
         raise DomainError(f"xi has length {len(xi)}, expected m = {m}")
@@ -365,15 +388,17 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     """Dense transition matrix of Glauber dynamics for an arbitrary model."""
     m = _checked_pairs(n, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     pairs = _vertex_pairs(n)
-    constant, weighted = _log_odds(_model_terms(model), n)
+    terms = _model_terms(model)
+    unit = _log_odds_unit(terms, n)
+    constant, weighted = _log_odds(terms, n)
     graphs = [_indicator_graph(n, row) for row in _mask_bits(m)]
 
     def rule(s, t):
         i, j = pairs[t]
         expo = sum((scale * delta(graphs[s], i, j) for scale, delta in weighted), constant)
         try:
-            p_on = 1.0 / (1.0 + math.exp(-expo))
-        except OverflowError:  # e^-expo beyond double range: on-probability 0
+            p_on = 1.0 / (1.0 + math.exp(-expo * unit))
+        except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
             p_on = 0.0
         return p_on, 1.0 - p_on
 
@@ -505,7 +530,9 @@ def chi_square_distance(
 
 def mixing_cutoff(n: int, beta: float, c: float) -> float:
     """Step count m(log m + c)/(2(1 + e^{-beta})) around which convergence happens."""
-    _check_finite(beta)
+    if n < 2:
+        raise DomainError(f"mixing_cutoff needs n >= 2, got {n}")
+    _check_finite([beta, c])
     if not 0.0 <= beta <= 1.0:
         warnings.warn(
             f"cutoff constants are proved for 0 <= beta <= 1; got beta = {beta}",
@@ -602,7 +629,6 @@ def estimate_importance(
     seed: int,
     proposal_p: float | None = None,
     self_normalized: bool = False,
-    batch: int = 100_000,
 ) -> EstimatorResult:
     """Importance-sample the normalizing sum from an independent-edge proposal.
 
@@ -613,18 +639,16 @@ def estimate_importance(
     used only up to its normalizing constant, as when Q comes from an
     unnormalized chain law.
 
-    batch sets only how many samples share one log-sum-exp before it is
-    folded into the running total. Memory does not grow with it: the graphs
-    are drawn and counted in fixed blocks of at most about 2^19 uniforms
-    (4 MB), which read the generator's stream in order, so the draws are
-    those of one draw per batch.
+    The graphs are drawn, counted and folded into a running log-sum-exp in
+    blocks of max(1, 2^19 // C(n, 2)) graphs, at most 2^19 uniforms (4 MB),
+    which read the generator's stream in order; so memory is one block
+    whatever n_samples, and the first k blocks of a run are the draws of
+    any run with the same seed and at least k blocks.
     """
     if n < 2:
         raise DomainError(f"importance sampling needs n >= 2, got {n}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    if batch < 1:
-        raise DomainError("batch must be >= 1")
     if proposal_p is None:
         proposal_p = max(maximize_scalar(model).maximizers)
     if not 0.0 < proposal_p < 1.0:
@@ -641,28 +665,21 @@ def estimate_importance(
     num_log = -math.inf
     den_log = -math.inf
     block = max(1, _DRAW_BLOCK_UNIFORMS // m)
-    remaining = n_samples
-    while remaining > 0:
-        take = min(batch, remaining)
-        stat = np.empty(take)
-        e_counts = np.empty(take, dtype=np.int64)
-        for lo in range(0, take, block):
-            bits = (rng.random((min(block, take - lo), m)) < proposal_p).astype(np.int8)
-            edges = bits.sum(axis=1)
-            dens = np.empty((len(bits), len(terms)))
-            dens[:, ~is_edge] = batch_motif_densities(others, n, bits)
-            for col in np.flatnonzero(is_edge):
-                dens[:, col] = terms[col].batch_from_edges(edges, n) / n ** model.motifs[col].vertex_count
-            stat[lo : lo + block] = _log_weights(dens, betas, n)
-            e_counts[lo : lo + block] = edges
+    for lo in range(0, n_samples, block):
+        bits = (rng.random((min(block, n_samples - lo), m)) < proposal_p).astype(np.int8)
+        edges = bits.sum(axis=1)
+        dens = np.empty((len(bits), len(terms)))
+        dens[:, ~is_edge] = batch_motif_densities(others, n, bits)
+        for col in np.flatnonzero(is_edge):
+            dens[:, col] = terms[col].batch_from_edges(edges, n) / n ** model.motifs[col].vertex_count
+        stat = _log_weights(dens, betas, n)
         if self_normalized:
-            log_qbar = e_counts * (log_p - log_q)
+            log_qbar = edges * (log_p - log_q)
             num_log = np.logaddexp(num_log, _logsumexp(stat - log_qbar))
             den_log = np.logaddexp(den_log, _logsumexp(-log_qbar))
         else:
-            log_mass = e_counts * log_p + (m - e_counts) * log_q
+            log_mass = edges * log_p + (m - edges) * log_q
             num_log = np.logaddexp(num_log, _logsumexp(stat - log_mass))
-        remaining -= take
     if self_normalized:
         estimate_log = num_log - den_log + m * math.log(2.0)
     else:
@@ -782,13 +799,33 @@ def fourier_coeff_exp_edges(
     e^{beta j / 2} component factor, giving the true inner product against
     the stationary law; the two are verified against dense summation in the
     test suite.
+
+    The coefficient is formed in log domain, as er_mcmle_variance_constants
+    forms its constants, so a value within double range comes back finite
+    and one beyond it raises OverflowGuardError.
     """
+    _check_finite([a, beta])
     if not 0 <= j <= m:
         raise DomainError("need 0 <= j <= m")
-    raw = (1.0 - math.exp(a)) ** j * (1.0 + math.exp(a + beta)) ** (m - j)
-    if not normalized:
-        return raw
-    return raw * math.exp(0.5 * beta * j) / (1.0 + math.exp(beta)) ** m
+    # logaddexp of arguments beyond double range apart is the larger one
+    with np.errstate(over="ignore"):
+        if normalized:
+            # log((1 + e^{a+beta}) / (1 + e^beta)) and log(e^{beta/2} / (1 + e^beta))
+            rise = float(np.logaddexp(-np.logaddexp(0.0, beta), a - np.logaddexp(0.0, -beta)))
+            fall = -float(np.logaddexp(-0.5 * beta, 0.5 * beta))
+        else:
+            rise, fall = float(np.logaddexp(0.0, a + beta)), 0.0
+    # m times the mean log factor, so the two products never meet as inf - inf
+    share = j / m if m else 0.0
+    mean = (1.0 - share) * rise
+    if j:  # (1 - e^a)^0 = 1 also at a = 0
+        mean += share * (_log_gap(a) + fall)
+    log_value = m * mean
+    value = _exp_or_inf(log_value)
+    if not value < math.inf:
+        raise OverflowGuardError(f"expansion coefficient exp({log_value:.6g}) exceeds double range")
+    # 1 - e^a is negative for a > 0
+    return -value if a > 0.0 and j % 2 else value
 
 
 @dataclass
@@ -860,10 +897,12 @@ def er_mcmle_variance_constants(
     finite pair never overflows: the logs stay finite, and a field beyond
     double range reads inf.
     """
+    if n < 2:
+        raise DomainError(f"er_mcmle_variance_constants needs n >= 2, got {n}")
+    _check_finite([beta_target, beta_chain])
     m = math.comb(n, 2)
-    a = beta_target - beta_chain
-    # log|1 - e^a|, then log F = log(1 + r^2) with r = (1 - e^a) / (1 + e^{beta_target})
-    log_gap = max(a, 0.0) + math.log(-math.expm1(-abs(a))) if a != 0.0 else -math.inf
+    # log F = log(1 + r^2) with r = (1 - e^a) / (1 + e^{beta_target})
+    log_gap = _log_gap(beta_target - beta_chain)
     log_factor = float(np.logaddexp(0.0, 2.0 * (log_gap - np.logaddexp(0.0, beta_target))))
     log_per_edge = float(np.logaddexp(0.0, beta_target) - np.logaddexp(0.0, beta_chain))
     log_denom = math.log(2.0) + float(np.logaddexp(0.0, -beta_chain))
@@ -877,6 +916,11 @@ def er_mcmle_variance_constants(
         log_variance_ratio=log_ratio,
         sigma_over_mu=_exp_or_inf(0.5 * log_ratio),
     )
+
+
+def _log_gap(a: float) -> float:
+    """log|1 - e^a|; -inf at a = 0."""
+    return max(a, 0.0) + math.log(-math.expm1(-abs(a))) if a != 0.0 else -math.inf
 
 
 def _log_expm1(x: float) -> float:

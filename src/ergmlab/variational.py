@@ -560,7 +560,9 @@ def fixed_point_map(model: ModelSpec, h: StepGraphon) -> StepGraphon:
     """One application of the logistic fixed-point map that maximizers satisfy:
     h <- exp(2 D)/(1 + exp(2 D)) blockwise, D = sum_i beta_i Delta_{H_i} h."""
     d = model.delta_sum(h)
-    values = 1.0 / (1.0 + np.exp(-2.0 * d))
+    # e^{-2D} overflows to inf where the logistic is 0, which it then reads exactly
+    with np.errstate(over="ignore"):
+        values = 1.0 / (1.0 + np.exp(-2.0 * d))
     return StepGraphon(h.weights, values)
 
 
@@ -689,6 +691,10 @@ def graphon_search(
     0.02 to its limit (1/4) log 2, or a cut distance below 0.05 to the
     bipartite kernel, for 12 of seeds 0-29 (perfbench/NOTES.md).
     """
+    if k < 1:
+        raise DomainError(f"graphon_search needs k >= 1, got {k}")
+    if restarts < 1:
+        raise DomainError(f"graphon_search needs restarts >= 1, got {restarts}")
     rng = _rng_from_seed(seed)
     w = np.full(k, 1.0 / k)
     cell = np.outer(w, w) * (2.0 - np.eye(k))

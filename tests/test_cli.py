@@ -280,6 +280,19 @@ def test_opposite_strong_coefficients_sample_without_nan(tmp_path):
     assert int(rows[-1][1]) > 0
 
 
+def test_opposite_strong_coefficients_keep_the_complete_graph(tmp_path):
+    # in K_5 every pair has 3 common neighbours, where the log-odds of
+    # edge -1e308 + triangle 1e308 is 2e308 (0.6 * 3 - 1) = 1.6e308 > 0; its two
+    # parts once met as -inf + inf = nan, which emptied the graph in 30 steps
+    model = tmp_path / "strong.txt"
+    model.write_text("edge -1e308\ntriangle 1e308\n")
+    code, text = run(tmp_path / "s.csv", ["sample", "--model", str(model), "--n", "5", "--steps", "40",
+                                          "--record-every", "10", "--start", "complete"])
+    assert code == 0
+    rows = [row.split(",") for row in body_lines(text)[1:]]
+    assert [row[1] for row in rows] == ["10"] * 5
+
+
 def test_top_contour_at_a_strong_edge_coefficient(tmp_path):
     # 1e308 (2 E / n^2) - psi = 1e308 (4 / 16) - 1e308; 2 * 1e308 once overflowed to top inf
     gpath = tmp_path / "g.txt"

@@ -60,15 +60,16 @@ GOLDEN = {
 
 STAR_TRIANGLE = ModelSpec([(Motif.edge(), 0.1), (Motif.parse("star:2"), -0.15), (Motif.triangle(), 0.2)])
 
-# n = 30 with batch 1000 spans three batches, each counted in several
-# triangle row blocks; n = 6 draws its one batch in three draw blocks
+# 3,000 samples at n = 30 span three draw blocks of 1,205 graphs, each
+# counted in several triangle row blocks; n = 6 draws its 100,000 samples in
+# three draw blocks
 IMPORTANCE = {
-    "n30_batch1000": (dict(model=ModelSpec.edge_triangle(0.2, 0.1), n=30, n_samples=3_000,
-                           seed=31, batch=1000), "0x1.a11e116d0b0c3p+8"),
+    "n30_three_blocks": (dict(model=ModelSpec.edge_triangle(0.2, 0.1), n=30, n_samples=3_000,
+                              seed=31), "0x1.a11e116d0b0c2p+8"),
     "n6_self_normalized": (dict(model=ModelSpec.edge_triangle(-0.3, 0.2), n=6, n_samples=100_000,
                                 seed=32, self_normalized=True), "0x1.b2186dc87f448p+2"),
-    "n8_star_batch777": (dict(model=STAR_TRIANGLE, n=8, n_samples=5_000, seed=33, batch=777),
-                         "0x1.547d7f5e278e2p+4"),
+    "n8_star": (dict(model=STAR_TRIANGLE, n=8, n_samples=5_000, seed=33),
+                "0x1.547d7f5e278e2p+4"),
 }
 
 

@@ -38,7 +38,8 @@ from ergmlab.graphs import (
     classify_motif,
     hom_count_fast,
 )
-from ergmlab.mcmc import _log_factorial, _logsumexp, _rng_from_seed
+from ergmlab.mcmc import (_DRAW_BLOCK_UNIFORMS, _log_factorial, _log_odds, _log_odds_unit, _logsumexp,
+                          _model_terms, _rng_from_seed)
 from ergmlab.variational import ModelSpec, maximize_scalar
 
 
@@ -427,6 +428,16 @@ def test_size_guards_raise_before_any_draw():
         (DomainError, "edge-indicator length", lambda: er_eigen((0, 1, 0), 0.5, 3).evaluate((0, 1))),
         (DomainError, "n >= 2", lambda: er_log_partition(0.5, 1)),
         (DomainError, "0 <= j <= m", lambda: fourier_coeff_exp_edges(0.1, 0.5, -1, 3)),
+        # the closed forms need two vertices and finite inputs, and take the
+        # chain's beta >= 0
+        (DomainError, "n >= 2", lambda: mixing_cutoff(1, 0.5, 2.0)),
+        (DomainError, "finite", lambda: mixing_cutoff(10, 0.5, nan)),
+        (DomainError, "n >= 2", lambda: er_mcmle_variance_constants(0.1, 0.2, 1)),
+        (DomainError, "finite", lambda: er_mcmle_variance_constants(nan, 0.2, 4)),
+        (DomainError, "finite", lambda: fourier_coeff_exp_edges(nan, 0.5, 1, 3)),
+        (DomainError, "beta >= 0", lambda: er_eigen([0, 1, 0], -800.0, 3)),
+        # (1 - e^800) (1 + e^800.5)^2 = -e^2401.0 is beyond double range
+        (OverflowGuardError, "exceeds double range", lambda: fourier_coeff_exp_edges(800.0, 0.5, 1, 3)),
         (DomainError, "must align", lambda: variance_mcmc_mean([0.1, 0.2], [0.5], 10)),
         (DomainError, "n_samples >= 1", lambda: variance_mcmc_mean([0.1], [0.5], 0)),
     ]:
@@ -458,6 +469,30 @@ def test_strong_negative_coefficients_switch_edges_off():
     # no move adds an edge
     masks = np.arange(8)
     assert np.all(k[(masks[None, :] & ~masks[:, None]) != 0] == 0.0)
+
+
+def test_opposite_strong_coefficients_give_a_finite_glauber_matrix():
+    # edge -1e308 + triangle 1e308: the log-odds -2e308 + 1.5e308 c at c common
+    # neighbours (n = 4) once summed -inf + inf = nan in 34 entries of 10 rows
+    model = ModelSpec([(Motif.edge(), -1e308), (Motif.triangle(), 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        k = glauber_transition_matrix(model, 4)
+    assert np.all(np.isfinite(k))
+    assert np.allclose(k.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_log_odds_in_units_keep_their_bits():
+    # n^2 (|b_1| + |b_2|) = 9.9e308 is beyond double range, so the log-odds
+    # are summed in units of a power of two; each still equals the unscaled
+    # sum 2 b_1 + (b_2 / n) 6c to the bit
+    n, b1, b2 = 30, -1e305, 1e306
+    terms = _model_terms(ModelSpec([(Motif.edge(), b1), (Motif.triangle(), b2)]))
+    unit = _log_odds_unit(terms, n)
+    constant, [(scale, _)] = _log_odds(terms, n)
+    assert unit > 1.0
+    for c in range(n - 1):
+        assert unit * (constant + scale * (6 * c)) == 2 * b1 + b2 / n * (6 * c)
 
 
 def test_enumerate_psi_at_n6():
@@ -631,6 +666,28 @@ def test_importance_matches_enumeration():
     assert res_sn.estimate_log == pytest.approx(truth, rel=0.01)
 
 
+def test_importance_estimate_does_not_depend_on_the_draw_blocks():
+    # the draw blocks read the generator's stream in order, so one, two or
+    # three and a part blocks give the log mean of the same leading draws
+    # taken in one piece, up to the rounding of the log-sum-exp
+    model = ModelSpec.edge_triangle(0.2, 0.1)
+    n, p = 30, 0.4
+    m = math.comb(n, 2)
+    block = _DRAW_BLOCK_UNIFORMS // m
+    for n_samples in (block, 2 * block, 3 * block + 17):
+        bits = (_rng_from_seed(7).random((n_samples, m)) < p).astype(np.int8)
+        edges = bits.sum(axis=1)
+        logw = n**2 * (batch_motif_densities(model.motifs, n, bits) @ np.array(model.betas))
+        log_mass = edges * math.log(p) + (m - edges) * math.log1p(-p)
+        log_qbar = edges * (math.log(p) - math.log1p(-p))
+        want = _logsumexp(logw - log_mass) - math.log(n_samples)
+        want_sn = _logsumexp(logw - log_qbar) - _logsumexp(-log_qbar) + m * math.log(2.0)
+        got = estimate_importance(model, n, n_samples, seed=7, proposal_p=p)
+        got_sn = estimate_importance(model, n, n_samples, seed=7, proposal_p=p, self_normalized=True)
+        assert got.estimate_log == pytest.approx(want, rel=1e-14)
+        assert got_sn.estimate_log == pytest.approx(want_sn, rel=1e-14)
+
+
 def test_mcmle_identity_ratio():
     model = ModelSpec.edge_triangle(0.2, 0.1)
     res = estimate_mcmle(model, model, 300, ChainConfig(4, seed=2))
@@ -656,12 +713,6 @@ def test_estimators_reject_zero_samples():
     for ref, target in ((0, 100), (100, 0), (-1, 100)):
         with pytest.raises(DomainError, match="n_samples"):
             estimate_acceptance_ratio(model, model, "constant", ref, target, ChainConfig(4, seed=0))
-
-
-@pytest.mark.parametrize("batch", [0, -1])
-def test_importance_rejects_empty_batch(batch):
-    with pytest.raises(DomainError, match="batch"):
-        estimate_importance(ModelSpec.edge_triangle(0.2, 0.1), 4, 100, seed=0, batch=batch)
 
 
 def test_acceptance_ratio_identity():
@@ -772,6 +823,15 @@ def test_fourier_coeff_weight_zero_is_unnormalized_mean():
     sizes = np.array([int(s).bit_count() for s in masks])
     brute = float(np.sum(np.exp(a * sizes) * np.exp(beta * sizes)))
     assert fourier_coeff_exp_edges(a, beta, 0, m) == pytest.approx(brute, rel=1e-12)
+
+
+def test_fourier_coeff_in_double_range_past_overflowing_factors():
+    # (1 - e) (1 + e^801)^2 e^400 / (1 + e^800)^3 is -(e - 1) e^-398 up to a
+    # factor 1 + O(e^-800), though e^801 alone is beyond double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = fourier_coeff_exp_edges(1.0, 800.0, 1, 3, normalized=True)
+    assert value == pytest.approx(-(math.e - 1.0) * math.exp(-398.0), rel=1e-12)
 
 
 def test_fourier_coeff_normalized_matches_dense_inner_products():

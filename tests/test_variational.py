@@ -290,6 +290,17 @@ def test_fixed_point_rejects_bad_damping():
         euler_lagrange_solve(ModelSpec.edge_only(0.0), StepGraphon.constant(0.5), damping=0.0)
 
 
+def test_fixed_point_map_saturates_without_warning():
+    # at beta2 = -400 the exponent -2D reaches about 1,700, e^{-2D} overflows
+    # to inf, and the logistic reads 0, the value it rounds to anyway
+    model = ModelSpec.edge_triangle(0.0, -400.0)
+    h = StepGraphon.equal_blocks([[0.9, 0.8], [0.8, 0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        phi = fixed_point_map(model, h)
+    assert np.all(phi.values == 0.0)
+
+
 # Euler-Lagrange solutions recorded with the contraction that searched an
 # einsum path on every call. The direct C einsum sums the same block
 # products in another order, so each delta term can move by a few ulps and
@@ -496,6 +507,17 @@ def test_graphon_search_matches_recorded_values():
         rep = graphon_search(model, **kwargs)
         assert abs(rep.psi - psi) <= 1e-12
         assert np.max(np.abs(rep.maximizers[0].values - np.array(values))) <= 1e-6
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"k": 0}, "k >= 1"),
+    ({"k": -1}, "k >= 1"),
+    ({"restarts": 0}, "restarts >= 1"),
+    ({"restarts": -1}, "restarts >= 1"),
+])
+def test_graphon_search_rejects_an_empty_search(kwargs, match):
+    with pytest.raises(DomainError, match=match):
+        graphon_search(ModelSpec.edge_triangle(0.2, 0.1), **kwargs)
 
 
 def test_graphon_search_negative_seed_runs_its_64_bit_residue():
