@@ -29,7 +29,7 @@ from .errors import (
     InstanceTooLargeError,
     OverflowGuardError,
 )
-from .graphs import (Graph, Motif, _EdgeTerm, _indicator_graph, _mask_bits, _rng_from_seed,
+from .graphs import (Graph, Motif, _EdgeTerm, _mask_bits, _rng_from_seed,
                      _seed_key, _term, _vertex_pairs)
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
@@ -133,16 +133,18 @@ def _log_odds_unit(terms, n: int) -> float:
 
 def _log_odds(terms, n: int):
     """The Glauber log-odds of adding edge ij to g, n^2 sum_i b_i delta_i / n^(v_i),
-    divided by unit = _log_odds_unit(terms, n), as (constant, [(scale, delta)]):
-    the log-odds is unit times constant plus scale * delta(g, i, j) over the
-    list, in model order, with scale = b / unit / n^(v - 2). An edge term's
-    delta is the count of one edge whatever g and ij, so every edge term is
-    folded into the constant, wherever it sits in the model.
+    divided by unit = _log_odds_unit(terms, n), as (constant, [(scale, term)]):
+    the log-odds is unit times constant plus scale * term.delta(g, i, j) over
+    the list, in model order, with scale = b / unit / n^(v - 2). This is the
+    one place that forms the scale; the chain reads it with delta, the dense
+    matrix with the batch counts of g + ij and g - ij. An edge term's delta
+    is the count of one edge whatever g and ij, so every edge term is folded
+    into the constant, wherever it sits in the model.
     """
     unit = _log_odds_unit(terms, n)
     scaled = [(b / unit / n ** (t.motif.vertex_count - 2), t) for b, t in terms]
     constant = sum((s * t.batch_from_edges(1, n) for s, t in scaled if isinstance(t, _EdgeTerm)), 0.0)
-    return constant, [(s, t.delta) for s, t in scaled if not isinstance(t, _EdgeTerm)]
+    return constant, [(s, t) for s, t in scaled if not isinstance(t, _EdgeTerm)]
 
 
 # -- the chain driver ---------------------------------------------------------------
@@ -171,6 +173,7 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     # one multiply both scales the log-odds back and negates it
     neg_unit = -_log_odds_unit(terms, state.n)
     constant, weighted = _log_odds(terms, state.n)
+    weighted = [(scale, term.delta) for scale, term in weighted]
     exp = math.exp
     metropolis = er_beta is not None
     exp_neg_beta = math.exp(-er_beta) if metropolis else 0.0
@@ -330,6 +333,8 @@ def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
     _check_finite(beta)
     if beta < 0.0:
         raise DomainError("er chains require beta >= 0")
+    if m < 1:
+        raise DomainError(f"the add/delete chain needs m >= 1 pairs, got {m}")
     xi = tuple(int(b) for b in xi)
     if len(xi) != m:
         raise DomainError(f"xi has length {len(xi)}, expected m = {m}")
@@ -340,76 +345,91 @@ def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
     return SpectralComponent(xi, eigenvalue, weight, beta)
 
 
-def _checked_pairs(n: int, limit: int, what: str) -> int:
-    """C(n, 2), after checking it is at most limit; `what` names the table over
-    all 2^C(n, 2) graphs that the caller builds."""
+def _checked_pairs(n: int, least: int, limit: int, what: str) -> int:
+    """C(n, 2), after checking n >= least and C(n, 2) <= limit; `what` names
+    the table over all 2^C(n, 2) graphs that the caller builds."""
+    if n < least:
+        raise DomainError(f"{what} needs n >= {least}, got {n}")
     m = math.comb(n, 2)
     if m > limit:
         raise InstanceTooLargeError(f"instance too large: {what} needs m <= {limit}, got {m}")
     return m
 
 
-def _flip_matrix(m: int, rule) -> np.ndarray:
+def _flip_matrix(p_on: np.ndarray, p_off: np.ndarray) -> np.ndarray:
     """Dense transition matrix on the 2^m edge masks of a chain that picks a
     uniform pair t and sets it present or absent in state s with the
-    probabilities rule(s, t) = (p_present, p_absent)."""
-    size = 1 << m
+    probabilities p_on[s, t] and p_off[s, t], two (2^m, m) flip tables.
+
+    Each pair adds its column of the present moves, then of the absent ones;
+    an entry gets its terms in pair order, as a loop over (state, pair)
+    would add them."""
+    size, m = p_on.shape
+    states = np.arange(size)
     k = np.zeros((size, size))
-    for s in range(size):
-        for t in range(m):
-            p_present, p_absent = rule(s, t)
-            k[s, s | (1 << t)] += p_present / m
-            k[s, s & ~(1 << t)] += p_absent / m
+    for t in range(m):
+        k[states, states | (1 << t)] += p_on[:, t] / m
+        k[states, states & ~(1 << t)] += p_off[:, t] / m
     return k
 
 
 def er_transition_matrix(beta: float, n: int) -> np.ndarray:
     """Dense transition matrix of the add/delete chain on all 2^m graphs."""
+    m = _checked_pairs(n, 2, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     if beta < 0.0:
         raise DomainError("er chains require beta >= 0")
     _check_finite(beta)
-    m = _checked_pairs(n, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
-    bits = _mask_bits(m).tolist()
+    bits = _mask_bits(m)
     del_p = math.exp(-beta)
     # an absent pair is always added; a present one is deleted with e^-beta
-    return _flip_matrix(m, lambda s, t: (1.0 - del_p, del_p) if bits[s][t] else (1.0, 0.0))
+    return _flip_matrix(np.where(bits, 1.0 - del_p, 1.0), np.where(bits, del_p, 0.0))
 
 
 def er_stationary(beta: float, n: int) -> np.ndarray:
-    """Stationary law of the add/delete chain on all 2^m graphs, n <= 6."""
+    """Stationary law of the add/delete chain on all 2^m graphs, 1 <= n <= 6."""
+    m = _checked_pairs(n, 1, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
     _check_finite(beta)
-    m = _checked_pairs(n, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
     sizes = _mask_bits(m).sum(axis=1)
     logw = beta * sizes - m * np.logaddexp(0.0, beta)
     return np.exp(logw)
 
 
 def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
-    """Dense transition matrix of Glauber dynamics for an arbitrary model."""
-    m = _checked_pairs(n, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
-    pairs = _vertex_pairs(n)
+    """Dense transition matrix of Glauber dynamics for an arbitrary model.
+
+    The log-odds of setting pair t in state s are _log_odds' constant plus,
+    for each term in model order, its scale times the term's change
+    counts[s | 2^t] - counts[s & ~2^t], with counts the term's batch counts
+    of all 2^m graphs (the table the exact weights read). As in the chain,
+    a log-odds whose e^(-log-odds) is beyond double range gives
+    on-probability 0, and every entry has the bits of the chain's
+    on-probability.
+    """
+    m = _checked_pairs(n, 2, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     terms = _model_terms(model)
     unit = _log_odds_unit(terms, n)
     constant, weighted = _log_odds(terms, n)
-    graphs = [_indicator_graph(n, row) for row in _mask_bits(m)]
-
-    def rule(s, t):
-        i, j = pairs[t]
-        expo = sum((scale * delta(graphs[s], i, j) for scale, delta in weighted), constant)
-        try:
-            p_on = 1.0 / (1.0 + math.exp(-expo * unit))
-        except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
-            p_on = 0.0
-        return p_on, 1.0 - p_on
-
-    return _flip_matrix(m, rule)
+    bits = _mask_bits(m)
+    states, flips = np.arange(1 << m)[:, None], 1 << np.arange(m)
+    on, off = states | flips, states & ~flips
+    expo = np.full(bits.shape, constant)
+    for scale, term in weighted:
+        counts = term.batch(bits, n)
+        # exact integer changes, rounded to doubles as the chain's scale * delta rounds them
+        expo += scale * (counts[on] - counts[off]).astype(float)
+    with np.errstate(over="ignore"):
+        neg = -expo * unit
+    # the chain step's libm exp, once per distinct log-odds: numpy's vector
+    # exp can differ from it in the last bit
+    values, where = np.unique(neg, return_inverse=True)
+    e = np.array([_exp_or_inf(v) for v in values.tolist()])
+    p_on = (1.0 / (1.0 + e))[where].reshape(neg.shape)
+    return _flip_matrix(p_on, 1.0 - p_on)
 
 
 def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
     """log of exp(n^2 T(G)) over all graphs, in edge-mask order."""
-    if n < 1:
-        raise DomainError(f"enumeration needs n >= 1, got {n}")
-    m = _checked_pairs(n, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
+    m = _checked_pairs(n, 1, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
     dens = batch_motif_densities(model.motifs, n, _mask_bits(m))
     return _log_weights(dens, np.array(model.betas), n)
 
@@ -532,7 +552,9 @@ def mixing_cutoff(n: int, beta: float, c: float) -> float:
     """Step count m(log m + c)/(2(1 + e^{-beta})) around which convergence happens."""
     if n < 2:
         raise DomainError(f"mixing_cutoff needs n >= 2, got {n}")
-    _check_finite([beta, c])
+    _check_finite(beta)
+    if not math.isfinite(c):
+        raise DomainError(f"the cutoff offset c must be finite, got {c}")
     if not 0.0 <= beta <= 1.0:
         warnings.warn(
             f"cutoff constants are proved for 0 <= beta <= 1; got beta = {beta}",

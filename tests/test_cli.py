@@ -405,7 +405,13 @@ def test_spectral_check_passes(tmp_path):
     out = tmp_path / "spec.txt"
     code, text = run(out, ["spectral-check"])
     assert code == 0
-    assert text.rstrip().endswith("PASS")
+    assert body_lines(text) == [
+        "beta 0.0: detailed_balance 0 eigen 5.55e-17 orthonormality 2.22e-16 chi_square 6.22e-15",
+        "beta 0.5: detailed_balance 3.47e-18 eigen 2.22e-16 orthonormality 4.44e-16 chi_square 1.07e-14",
+        "beta 1.0: detailed_balance 1.39e-17 eigen 1.11e-15 orthonormality 2.22e-16 chi_square 1.42e-14",
+        "worst_residual 1.42e-14",
+        "PASS",
+    ]
 
 
 def test_euler_lagrange_output(tmp_path):

@@ -11,7 +11,10 @@ estimates were recorded before the sampler drew and counted its graphs in
 fixed blocks, so they check that the blocks read the same draws and give
 the same counts. The scalar values were recorded before the bisection in
 maximize_scalar stopped at its fixed point and its grid was cached, so they
-check that both changes leave every maximizer and psi value as it was.
+check that both changes leave every maximizer and psi value as it was. The
+dense transition matrices were recorded while they were still built one
+(state, pair) entry at a time, so they check that the per-pair flip table
+gives every entry the same bits.
 """
 
 import contextlib
@@ -20,7 +23,8 @@ import io
 
 from ergmlab.cli import main
 from ergmlab.graphs import Motif
-from ergmlab.mcmc import ChainConfig, estimate_importance, run_chain, sample_motif_densities
+from ergmlab.mcmc import (ChainConfig, er_transition_matrix, estimate_importance, glauber_transition_matrix,
+                          run_chain, sample_motif_densities)
 from ergmlab.variational import ModelSpec, degeneracy_constants, phase_scan
 
 PAW = "edgelist:0-1,1-2,2-3,1-3"
@@ -211,3 +215,35 @@ def test_cli_top_contour_matches_golden(tmp_path, monkeypatch):
     (tmp_path / "g.txt").write_text(CONTOUR_GRAPH)
     argv = ["top-contour", "--graph", "g.txt", "--beta1", "-1:0.5:12", "--beta2", "-0.5:2:12"]
     assert _cli_digest(argv) == TOP_CONTOUR
+
+
+# recorded while the dense chain matrices were built one (state, pair) entry
+# at a time from per-state graphs and the change statistics
+ER_MATRICES = {
+    (0.0, 3): "97e7116ad419ff67c6dbed17f7a2af11e43185e6ef0e684cd90bb93bd54b2e03",
+    (0.5, 3): "272119935f022419e6b0ec0a6c648e1a0fe1a7f4e92dd20287019a9903e05156",
+    (20.0, 5): "b2344991b84de55502589b57c9e99f2645aa902ba4a86188920631635fb1c3e9",
+}
+GLAUBER_MATRICES = {
+    "edge_triangle_n5": (ModelSpec.edge_triangle(-0.45, 0.2), 5,
+                         "fb03168799d6e022ca88389858fdd30bd6e3d29354f09fbd03a7075ee068b80c"),
+    "cycle4_n4": (ModelSpec([(Motif.edge(), -0.3), (Motif.cycle(4), 0.9)]), 4,
+                  "a7c2abab421c02bc7afcb9a4f7c8e0da7b303b28dbe286a7ec11637a64bcc6ea"),
+    # two interacting terms whose log-odds numpy's vector exp rounds
+    # differently from the chain's libm exp on some hosts
+    "star3_triangle_n5": (ModelSpec([(Motif.star(3), 0.5), (Motif.triangle(), -0.7), (Motif.edge(), 0.2)]), 5,
+                          "16cebab67cd6dfd58157e3b857f10edebfe82f7665df8dd3684a5a0aa534e852"),
+    # log-odds beyond double range in both directions: on-probabilities 0 and 1
+    "opposite_n5": (ModelSpec.edge_triangle(-1e308, 1e308), 5,
+                    "ac72b004723b1ece137164f92de56e6b03daa9385d7e2e7753b867f29723c6b7"),
+}
+
+
+def test_er_transition_matrices_match_golden():
+    for (beta, n), golden in ER_MATRICES.items():
+        assert _sha(er_transition_matrix(beta, n).tobytes()) == golden, (beta, n)
+
+
+def test_glauber_transition_matrices_match_golden():
+    for name, (model, n, golden) in GLAUBER_MATRICES.items():
+        assert _sha(glauber_transition_matrix(model, n).tobytes()) == golden, name

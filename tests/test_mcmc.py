@@ -93,6 +93,9 @@ def test_glauber_stationarity_dense_edge_triangle():
         (ModelSpec([(Motif.triangle(), 0.3), (Motif.edge(), -0.2)]), 4),
         (ModelSpec([(Motif(3, [(0, 1)]), -0.2), (Motif.triangle(), 0.3)]), 4),
         (ModelSpec([(Motif.edge(), -0.3), (Motif.star(2), 0.4), (Motif.edge(), 0.1)]), 4),
+        # n = 5 is the largest size the dense guard allows: 2^10 states
+        (ModelSpec.edge_triangle(-0.45, 0.2), 5),
+        (ModelSpec([(Motif.edge(), -0.3), (Motif.star(2), 0.4), (Motif.edge(), 0.1)]), 5),
     ]
     for model, n in cases:
         k = glauber_transition_matrix(model, n)
@@ -383,6 +386,15 @@ def test_size_guards_raise_before_any_draw():
     for error, match, call in [
         (InstanceTooLargeError, "dense chain matrix", lambda: er_transition_matrix(0.5, 6)),
         (InstanceTooLargeError, "dense chain matrix", lambda: glauber_transition_matrix(model, 6)),
+        # every table over the 2^C(n, 2) graphs checks n from below too: a
+        # dense matrix needs a pair to pick, enumeration one vertex
+        (DomainError, "dense chain matrix needs n >= 2", lambda: er_transition_matrix(0.5, 1)),
+        (DomainError, "dense chain matrix needs n >= 2", lambda: glauber_transition_matrix(model, 1)),
+        (DomainError, "dense chain matrix needs n >= 2", lambda: glauber_transition_matrix(model, 0)),
+        (DomainError, "dense chain matrix needs n >= 2", lambda: er_transition_matrix(0.5, -2)),
+        (DomainError, "enumeration needs n >= 1", lambda: er_stationary(0.5, -1)),
+        (DomainError, "enumeration needs n >= 1", lambda: er_stationary(0.5, 0)),
+        (DomainError, "m >= 1", lambda: er_eigen([], 0.5, 0)),
         (DomainError, "beta >= 0", lambda: er_transition_matrix(-0.5, 3)),
         (DomainError, "start", lambda: chi_square_distance("middle", 0.5, 10, 5)),
         (DomainError, "beta >= 0", lambda: chi_square_distance("empty", -0.5, 10, 5)),
@@ -431,7 +443,7 @@ def test_size_guards_raise_before_any_draw():
         # the closed forms need two vertices and finite inputs, and take the
         # chain's beta >= 0
         (DomainError, "n >= 2", lambda: mixing_cutoff(1, 0.5, 2.0)),
-        (DomainError, "finite", lambda: mixing_cutoff(10, 0.5, nan)),
+        (DomainError, "offset c must be finite", lambda: mixing_cutoff(10, 0.5, nan)),
         (DomainError, "n >= 2", lambda: er_mcmle_variance_constants(0.1, 0.2, 1)),
         (DomainError, "finite", lambda: er_mcmle_variance_constants(nan, 0.2, 4)),
         (DomainError, "finite", lambda: fourier_coeff_exp_edges(nan, 0.5, 1, 3)),

@@ -70,6 +70,6 @@ def test_term_count_and_delta_match_brute_force(h, case):
         assert term.delta(view, i, j) == change
         assert term.count(view) == count
         constant, weighted = _log_odds([(0.7, term)], g.n)
-        log_odds = sum((scale * delta(view, i, j) for scale, delta in weighted), constant)
+        log_odds = sum((scale * t.delta(view, i, j) for scale, t in weighted), constant)
         assert log_odds == pytest.approx(0.7 * change * g.n**2 / g.n**h.vertex_count, rel=1e-12)
     assert term.batch(bits, g.n).tolist() == [count]
