@@ -125,7 +125,7 @@ class StepGraphon:
             raise FormatError("graphon file needs a block count and a weights line")
         (k,) = _fields(lines[0], int, 1, "bad graphon block count {}")
         weights = _fields(lines[1], float, k, "bad graphon weights line {}")
-        rows = [_fields(ln, float, k, "bad graphon row {}") for ln in lines[2 : 2 + k]]
+        rows = [_fields(ln, float, k, "bad graphon row {}") for ln in lines[2:]]
         if len(rows) != k:
             raise FormatError("graphon file dimensions do not match the block count")
         v = np.asarray(rows)

@@ -428,11 +428,12 @@ def _is_single_cycle(h: Motif) -> bool:
 # -- homomorphism counting ---------------------------------------------------
 
 
-def count_homomorphisms(h: Motif, g: Graph) -> int:
+def _search_homomorphisms(h: Motif, g: Graph) -> int:
     """Number of maps V(H) -> V(G) sending every edge of H to an edge of G.
 
     Exact brute force with pruning on partial assignments; the guard refuses
-    instances with |V(G)|^|V(H)| above 10^9.
+    instances with |V(G)|^|V(H)| above 10^9. It counts the edge-list shapes
+    of the general term and is the oracle the term kernels are tested against.
     """
     if g.n**h.vertex_count > HOM_MAP_GUARD:
         raise InstanceTooLargeError(
@@ -486,32 +487,30 @@ def _count_extensions(levels, tables, images: list[int], depth: int, full: int) 
     return total
 
 
-def hom_count_fast(h: Motif, g: Graph) -> int:
-    """Homomorphism count using a closed form when the shape allows one."""
-    return _term(h).count(g)
-
-
 # -- model terms: count, change statistic, batch count -------------------------
 
 
 class _Term:
     """One motif as a model term; this base class handles the general shape.
 
-    count(g) is the homomorphism count; delta(g, i, j) its exact change when
-    edge ij goes from absent to present; batch(bits, n) the counts of the
-    rows of an edge-indicator matrix (columns: vertex pairs in lexicographic
-    order). g is a Graph or the chain state: anything with n, bitmask rows,
-    edge_count() and triangle_count(). A term holds no coefficient: a model
-    weighs every term as coefficient times density, count / n^v, and the
-    chain's log-odds read delta alone (mcmc._log_odds).
+    count(g) is the homomorphism count, the one count_homomorphisms reads;
+    delta(g, i, j) its exact change when edge ij goes from absent to
+    present; batch(bits, n) the counts of the rows of an edge-indicator
+    matrix (columns: vertex pairs in lexicographic order). g is a Graph or
+    the chain state: anything with n, bitmask rows, edge_count() and
+    triangle_count(). A term holds no coefficient: a model weighs every term
+    as coefficient times density, count / n^v, and the chain's log-odds read
+    delta alone (mcmc._log_odds).
 
     Edges, stars, triangles, cycles and cliques have closed-form integer
-    deltas in their subclasses; the general delta here serves the edge-list
-    motifs of no such shape. It is the edge-rooted count, the discrete form
-    of the kernel derivative: for each motif edge k in both orientations,
-    pin edge k onto (i, j), map the edges before k into G - ij and those
-    after k into G + ij; the sum over k telescopes to hom(H, G + ij) -
-    hom(H, G - ij). Isolated motif vertices only scale counts by n each.
+    counts and deltas in their subclasses, with no size guard. The general
+    count and delta here serve the edge-list motifs of no such shape: the
+    count is the bitset search, whose map guard refuses |V(G)|^|V(H)| above
+    10^9, and the delta is the edge-rooted count, the discrete form of the
+    kernel derivative: for each motif edge k in both orientations, pin edge
+    k onto (i, j), map the edges before k into G - ij and those after k into
+    G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
+    Isolated motif vertices only scale counts by n each.
     """
 
     def __init__(self, motif: Motif, arg: int | None = None):
@@ -521,7 +520,7 @@ class _Term:
         self.iso = motif.vertex_count - len(self.active)
 
     def count(self, g) -> int:
-        return count_homomorphisms(self.motif, g)
+        return _search_homomorphisms(self.motif, g)
 
     def delta(self, g, i: int, j: int) -> int:
         minus, plus = list(g.rows), list(g.rows)
@@ -830,29 +829,29 @@ def _exact_inner(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None) -> i
 
 
 class _CompleteTerm(_Term):
-    """hom(K_r, G), the ordered r-cliques. The r-cliques that edge ij closes
-    are ij plus an (r-2)-clique of G[C], C = N(i) & N(j), and each is
-    ordered in r (r - 1) ways around the pair, so the delta is
-    r (r - 1) hom(K_(r-2), G[C]): for complete:4, 12 sum_{y in C} |N(y) & C|.
+    """hom(K_r, G) = r! times the r-cliques of G. The r-cliques that edge ij
+    closes are ij plus an (r-2)-clique of G[C], C = N(i) & N(j), so the delta
+    is r! times the (r-2)-cliques of G[C]: for complete:4, 24 times the edges
+    of G[C].
     """
 
     def count(self, g) -> int:
-        return _ordered_cliques(g.rows, (1 << g.n) - 1, self.arg) * g.n**self.iso
+        return math.factorial(self.arg) * _cliques(g.rows, (1 << g.n) - 1, self.arg) * g.n**self.iso
 
     def delta(self, g, i: int, j: int) -> int:
         r = self.arg
-        return r * (r - 1) * _ordered_cliques(g.rows, g.rows[i] & g.rows[j], r - 2) * g.n**self.iso
+        return math.factorial(r) * _cliques(g.rows, g.rows[i] & g.rows[j], r - 2) * g.n**self.iso
 
 
-def _ordered_cliques(rows, cand: int, s: int) -> int:
-    """hom(K_s, G[cand]) for s >= 2: ordered s-cliques inside the bitset cand."""
+def _cliques(rows, cand: int, s: int) -> int:
+    """The s-cliques inside the bitset cand for s >= 2, each found once: from
+    its highest vertex y, with the other s - 1 among the lower neighbours of y."""
     total = 0
-    rest = cand
-    while rest:
-        y = rest.bit_length() - 1
-        rest ^= 1 << y
+    while cand:
+        y = cand.bit_length() - 1
+        cand ^= 1 << y
         inside = cand & rows[y]
-        total += inside.bit_count() if s == 2 else _ordered_cliques(rows, inside, s - 1)
+        total += inside.bit_count() if s == 2 else _cliques(rows, inside, s - 1)
     return total
 
 
@@ -872,13 +871,25 @@ def _term(h: Motif) -> _Term:
     return _TERM_CLASSES[kind[0]](h, *kind[1:])
 
 
+def count_homomorphisms(h: Motif, g: Graph) -> int:
+    """Number of maps V(H) -> V(G) sending every edge of H to an edge of G.
+
+    Exact at any size for edges, stars, triangles, cycles and cliques, whose
+    term kernels count in closed form; the other (edge-list) shapes take the
+    bitset search, which refuses |V(G)|^|V(H)| above 10^9.
+    """
+    return _term(h).count(g)
+
+
 def hom_density_graph(h: Motif, g: Graph) -> float:
-    """Probability that a uniformly random map V(H) -> V(G) is a homomorphism."""
+    """Probability that a uniformly random map V(H) -> V(G) is a homomorphism:
+    count_homomorphisms(h, g) / |V(G)|^|V(H)|, under the same guard."""
     return count_homomorphisms(h, g) / g.n**h.vertex_count
 
 
-def hom_density_graph_fast(h: Motif, g: Graph) -> float:
-    return hom_count_fast(h, g) / g.n**h.vertex_count
+# kept only because the benchmark calls graphs.hom_count_fast; ROADMAP item 1,
+# the benchmark change, deletes it
+hom_count_fast = count_homomorphisms
 
 
 # -- chromatic number --------------------------------------------------------

@@ -29,11 +29,12 @@ from .graphons import (
     hom_density_graphon,
     rate_entropy,
 )
-from .graphs import Graph, Motif, _data_lines, _fields, _rng_from_seed
+from .graphs import Graph, Motif, _data_lines, _fields, _rng_from_seed, hom_density_graph
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # variational.hom_density_graph_fast, so the name stays importable from this module
-from .graphs import hom_density_graph_fast  # noqa: F401
+# until ROADMAP item 1, the benchmark change, deletes it
+from .graphs import hom_density_graph as hom_density_graph_fast  # noqa: F401
 
 GRID_POINTS = 10_000
 MULTIPLICITY_TOL = 1e-7
@@ -663,7 +664,8 @@ def _top_statistics(beta1s, beta2s, g: Graph) -> list[float]:
     if g.n < 3:
         raise DomainError("top statistic needs at least 3 vertices")
     beta1s, beta2s = np.asarray(beta1s, dtype=float), np.asarray(beta2s, dtype=float)
-    stat = beta1s * (2 * g.edge_count() / g.n**2) + beta2s * (6 * g.triangle_count() / g.n**3)
+    edge, triangle = (hom_density_graph(m, g) for m in (Motif.edge(), Motif.triangle()))
+    stat = beta1s * edge + beta2s * triangle
     psi = [rep.psi for rep in _edge_triangle_stack(beta1s, beta2s)]
     return (stat - psi).tolist()
 

@@ -378,9 +378,10 @@ def test_text_roundtrip_and_symmetrization():
                  "2\n0.5 0.5\n0.1\n0.2 0.1\n"):
         with pytest.raises(FormatError, match="bad graphon"):
             StepGraphon.from_text(text)
-    # a block count alone, and a file one value row short
+    # a block count alone, and a file one value row short or one row long
     for text, match in [("1\n", "block count and a weights line"),
-                        ("2\n0.5 0.5\n0.1 0.2\n", "dimensions do not match")]:
+                        ("2\n0.5 0.5\n0.1 0.2\n", "dimensions do not match"),
+                        ("2\n0.5 0.5\n0.1 0.2\n0.2 0.3\n9 9\n", "dimensions do not match")]:
         with pytest.raises(FormatError, match=match):
             StepGraphon.from_text(text)
 

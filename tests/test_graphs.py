@@ -15,11 +15,11 @@ from ergmlab.graphs import (
     _exact_inner,
     _exact_product,
     _python_ints,
+    _search_homomorphisms,
     _term,
     chromatic_number,
     classify_motif,
     count_homomorphisms,
-    hom_count_fast,
     hom_density_graph,
 )
 
@@ -80,7 +80,7 @@ def test_triangle_count_matches_hom_count():
     for _ in range(25):
         n = int(r.integers(2, 9))
         g = Graph.erdos_renyi(n, r.uniform(0.1, 0.9), r)
-        assert 6 * g.triangle_count() == count_homomorphisms(Motif.triangle(), g)
+        assert 6 * g.triangle_count() == _search_homomorphisms(Motif.triangle(), g)
 
 
 def test_hom_count_invariant_under_relabeling():
@@ -110,7 +110,7 @@ def test_fast_paths_agree_with_brute_force():
         n = int(r.integers(3, 7))
         g = Graph.erdos_renyi(n, r.uniform(0.1, 0.9), r)
         for m in motifs:
-            assert hom_count_fast(m, g) == count_homomorphisms(m, g)
+            assert count_homomorphisms(m, g) == _search_homomorphisms(m, g)
 
 
 @pytest.mark.parametrize("n, lengths", [(300, range(3, 10)), (40, (23, 24))])
@@ -124,9 +124,10 @@ def test_cycle_counts_exact_beyond_float(n, lengths):
     cut = g.with_edge_toggled(0, 1)
     for k in lengths:
         cycle = Motif.cycle(k)
-        assert hom_count_fast(cycle, g) == (n - 1) ** k + (n - 1) * (-1) ** k, k
+        full = count_homomorphisms(cycle, g)
+        assert full == (n - 1) ** k + (n - 1) * (-1) ** k, k
         if k >= 5:
-            assert _term(cycle).delta(g, 0, 1) == hom_count_fast(cycle, g) - hom_count_fast(cycle, cut), k
+            assert _term(cycle).delta(g, 0, 1) == full - count_homomorphisms(cycle, cut), k
 
 
 def _cut_complete_walks(n, k):
@@ -151,8 +152,8 @@ def test_cycle_counts_exact_across_float32_width(n):
     for k in range(4, 10):
         cycle = Motif.cycle(k)
         full, minus = (n - 1) ** k + (n - 1) * (-1) ** k, _cut_complete_walks(n, k)
-        assert hom_count_fast(cycle, g) == full, k
-        assert hom_count_fast(cycle, cut) == minus, k
+        assert count_homomorphisms(cycle, g) == full, k
+        assert count_homomorphisms(cycle, cut) == minus, k
         assert _term(cycle).delta(g, 0, 1) == full - minus, k
         assert _term(cycle).delta(cut, 0, 1) == full - minus, k
 
@@ -206,7 +207,26 @@ def test_exact_product_and_inner_match_python_ints(n, mx, my, seed):
 
 def test_size_guard():
     with pytest.raises(InstanceTooLargeError, match="instance too large"):
-        count_homomorphisms(Motif.complete(8), Graph.complete(20))
+        _search_homomorphisms(Motif.complete(8), Graph.complete(20))
+    # an edge-list shape has no closed form, so the public count takes the
+    # guarded search: the paw into K_200 needs 200^4 > 10^9 maps
+    paw = Motif.parse("edgelist:0-1,1-2,2-0,2-3")
+    assert classify_motif(paw) == ("general",)
+    for count in (count_homomorphisms, hom_density_graph):
+        with pytest.raises(InstanceTooLargeError, match="instance too large"):
+            count(paw, Graph.complete(200))
+
+
+def test_public_count_answers_closed_forms_beyond_the_map_guard():
+    # 1001^3 and 20^8 maps are beyond the search's guard; the term kernels
+    # count triangles and cliques of K_n as falling factorials
+    triangle, k8 = Motif.triangle(), Motif.complete(8)
+    big, k20 = Graph.complete(1001), Graph.complete(20)
+    assert hom_density_graph(triangle, big) == 1001 * 1000 * 999 / 1001**3
+    assert count_homomorphisms(k8, k20) == 5079110400 == 20 * 19 * 18 * 17 * 16 * 15 * 14 * 13
+    for h, g in ((triangle, big), (k8, k20)):
+        with pytest.raises(InstanceTooLargeError, match="instance too large"):
+            _search_homomorphisms(h, g)
 
 
 # -- motifs ---------------------------------------------------------------------

@@ -5,7 +5,8 @@ For every builtin motif class and for random small edge-list motifs
 the term's count is the homomorphism count and its integer delta is the
 exact change of that count when the pair's edge goes from absent to
 present, read from a Graph and from the chain state alike; the Glauber
-log-odds built from it is n^2 times the change of the density.
+log-odds built from it is n^2 times the change of the density. The public
+count and density, which read the term, agree with the search too.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmlab.graphs import Graph, Motif, _term, count_homomorphisms
+from ergmlab.graphs import Graph, Motif, _search_homomorphisms, _term, count_homomorphisms, hom_density_graph
 from ergmlab.mcmc import _ChainState, _log_odds
 
 BUILTIN = [
@@ -64,8 +65,10 @@ def test_term_count_and_delta_match_brute_force(h, case):
     term = _term(h)
     on = g if g.has_edge(i, j) else g.with_edge_toggled(i, j)
     off = g.with_edge_toggled(i, j) if g.has_edge(i, j) else g
-    change = count_homomorphisms(h, on) - count_homomorphisms(h, off)
-    count = count_homomorphisms(h, g)
+    change = _search_homomorphisms(h, on) - _search_homomorphisms(h, off)
+    count = _search_homomorphisms(h, g)
+    assert count_homomorphisms(h, g) == count
+    assert hom_density_graph(h, g) == count / g.n**h.vertex_count
     for view in (g, _ChainState(g)):
         assert term.delta(view, i, j) == change
         assert term.count(view) == count
