@@ -391,8 +391,10 @@ def classify_motif(h: Motif) -> tuple:
     """Recognize the shapes with closed-form counts.
 
     Returns one of ("edge",), ("star", j), ("triangle",), ("cycle", j),
-    ("complete", r), or ("general",). Isolated vertices only scale counts by
-    powers of n and are folded into the classification.
+    ("complete", r), or ("general",), read from the full motif: isolated
+    vertices do not change the class. The term of that class counts the
+    motif's active part (its vertices with an edge, relabelled in order);
+    isolated vertices scale only the public count (count_homomorphisms).
     """
     degs = [len(x) for x in h.neighbor_lists()]
     active = [d for d in degs if d > 0]
@@ -432,20 +434,23 @@ def _search_homomorphisms(h: Motif, g: Graph) -> int:
     """Number of maps V(H) -> V(G) sending every edge of H to an edge of G.
 
     Exact brute force with pruning on partial assignments; the guard refuses
-    instances with |V(G)|^|V(H)| above 10^9. It counts the edge-list shapes
-    of the general term and is the oracle the term kernels are tested against.
+    instances with |V(G)|^|V(H)| above 10^9. The general term runs it on its
+    motif's active part, so the public count's guard reads |V(G)|^(active
+    vertices) and isolated vertices scale only that count. On the full
+    motif, isolated vertices included, it is the oracle the term kernels
+    and the public count are tested against.
     """
     if g.n**h.vertex_count > HOM_MAP_GUARD:
         raise InstanceTooLargeError(
             f"instance too large: |V(G)|^|V(H)| = {g.n}^{h.vertex_count} "
             f"exceeds the {HOM_MAP_GUARD} map guard"
         )
-    levels = _search_levels(h, [], range(h.vertex_count), lambda e: 0)
+    levels = _search_levels(h, [], lambda e: 0)
     return _count_extensions(levels, (g.rows,), [0] * len(levels), 0, (1 << g.n) - 1)
 
 
-def _search_levels(h: Motif, order: list[int], vertices, table) -> list[list[tuple[int, int]]]:
-    """Plan of the bitset recursion below over the given motif vertices.
+def _search_levels(h: Motif, order: list[int], table) -> list[list[tuple[int, int]]]:
+    """Plan of the bitset recursion below over the motif's vertices.
 
     Extends order by the other vertices, those with a placed neighbor first
     and high degree first so pruning bites early. Lists, for each position,
@@ -454,7 +459,7 @@ def _search_levels(h: Motif, order: list[int], vertices, table) -> list[list[tup
     """
     nbrs = h.neighbor_lists()
     order = list(order)
-    remaining = [v for v in vertices if v not in order]
+    remaining = [v for v in range(h.vertex_count) if v not in order]
     while remaining:
         anchored = [v for v in remaining if any(u in order for u in nbrs[v])]
         v = max(anchored or remaining, key=lambda x: len(nbrs[x]))
@@ -493,31 +498,32 @@ def _count_extensions(levels, tables, images: list[int], depth: int, full: int) 
 class _Term:
     """One motif as a model term; this base class handles the general shape.
 
-    count(g) is the homomorphism count, the one count_homomorphisms reads;
-    delta(g, i, j) its exact change when edge ij goes from absent to
+    A term counts its motif's active part: motif is the given motif without
+    its isolated vertices, the others relabelled in order, since a density
+    cannot see an isolated vertex. count(g) is the homomorphism count of
+    that part, which count_homomorphisms alone scales by n per isolated
+    vertex; delta(g, i, j) its exact change when edge ij goes from absent to
     present; batch(bits, n) the counts of the rows of an edge-indicator
     matrix (columns: vertex pairs in lexicographic order). g is a Graph or
     the chain state: anything with n, bitmask rows, edge_count() and
     triangle_count(). A term holds no coefficient: a model weighs every term
-    as coefficient times density, count / n^v, and the chain's log-odds read
-    delta alone (mcmc._log_odds).
+    as coefficient times density, count / n^v with v the vertices of the
+    term's motif, and the chain's log-odds read delta alone (mcmc._log_odds).
 
     Edges, stars, triangles, cycles and cliques have closed-form integer
     counts and deltas in their subclasses, with no size guard. The general
     count and delta here serve the edge-list motifs of no such shape: the
-    count is the bitset search, whose map guard refuses |V(G)|^|V(H)| above
-    10^9, and the delta is the edge-rooted count, the discrete form of the
-    kernel derivative: for each motif edge k in both orientations, pin edge
-    k onto (i, j), map the edges before k into G - ij and those after k into
-    G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
-    Isolated motif vertices only scale counts by n each.
+    count is the bitset search, whose map guard refuses |V(G)|^(active
+    vertices) above 10^9, and the delta is the edge-rooted count, the
+    discrete form of the kernel derivative: for each motif edge k in both
+    orientations, pin edge k onto (i, j), map the edges before k into
+    G - ij and those after k into G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
     """
 
     def __init__(self, motif: Motif, arg: int | None = None):
-        self.motif = motif
+        active = [v for v, x in enumerate(motif.neighbor_lists()) if x]
+        self.motif = Motif(len(active), [(active.index(u), active.index(w)) for u, w in motif.edges])
         self.arg = arg
-        self.active = [v for v, x in enumerate(motif.neighbor_lists()) if x]
-        self.iso = motif.vertex_count - len(self.active)
 
     def count(self, g) -> int:
         return _search_homomorphisms(self.motif, g)
@@ -534,7 +540,7 @@ class _Term:
             for a, b in ((i, j), (j, i)):
                 images = [a, b] + [0] * (len(levels) - 2)
                 total += _count_extensions(levels, (minus, plus), images, 2, full)
-        return total * g.n**self.iso
+        return total
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         return np.array([self.count(_indicator_graph(n, row)) for row in bits])
@@ -542,49 +548,49 @@ class _Term:
     @functools.cached_property
     def _rooted_levels(self):
         return [
-            _search_levels(self.motif, [u, w], self.active, lambda e, k=k: int(e > k))
+            _search_levels(self.motif, [u, w], lambda e, k=k: int(e > k))
             for k, (u, w) in enumerate(self.motif.edges)
         ]
 
 
 class _EdgeTerm(_Term):
     def count(self, g) -> int:
-        return 2 * g.edge_count() * g.n**self.iso
+        return 2 * g.edge_count()
 
     def delta(self, g, i: int, j: int) -> int:
-        return 2 * g.n**self.iso
+        return 2
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        return self.batch_from_edges(bits.sum(axis=1), n)
+        return self.batch_from_edges(bits.sum(axis=1))
 
-    def batch_from_edges(self, edges: np.ndarray, n: int) -> np.ndarray:
+    def batch_from_edges(self, edges: np.ndarray) -> np.ndarray:
         """The batch counts from the rows' edge counts."""
-        return 2 * edges * n**self.iso
+        return 2 * edges
 
 
 class _StarTerm(_Term):
     def count(self, g) -> int:
-        return sum(r.bit_count() ** self.arg for r in g.rows) * g.n**self.iso
+        return sum(r.bit_count() ** self.arg for r in g.rows)
 
     def delta(self, g, i: int, j: int) -> int:
         present = g.rows[i] >> j & 1
         ai = g.rows[i].bit_count() - present
         aj = g.rows[j].bit_count() - present
         s = self.arg
-        return (((ai + 1) ** s - ai**s) + ((aj + 1) ** s - aj**s)) * g.n**self.iso
+        return ((ai + 1) ** s - ai**s) + ((aj + 1) ** s - aj**s)
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         inc = _vertex_pair_columns(n)
         step = max(1, _BATCH_BLOCK_ENTRIES // max(1, inc.size))
-        # every count is at most n (n - 1)^s n^iso: int64 below 2^63, else Python ints
-        exact = n * (n - 1) ** self.arg * n**self.iso >= 2**63
+        # every count is at most n (n - 1)^s: int64 below 2^63, else Python ints
+        exact = n * (n - 1) ** self.arg >= 2**63
         cnt = np.empty(bits.shape[0], dtype=object if exact else np.int64)
         for lo in range(0, bits.shape[0], step):
             deg = bits[lo : lo + step][:, inc].sum(axis=2, dtype=np.int64)
             if exact:
                 deg = _python_ints(deg)
             cnt[lo : lo + step] = (deg**self.arg).sum(axis=1)
-        return cnt * n**self.iso
+        return cnt
 
 
 @functools.lru_cache(maxsize=8)
@@ -656,14 +662,14 @@ def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
 
 class _TriangleTerm(_Term):
     def count(self, g) -> int:
-        return 6 * g.triangle_count() * g.n**self.iso
+        return 6 * g.triangle_count()
 
     def delta(self, g, i: int, j: int) -> int:
-        return 6 * (g.rows[i] & g.rows[j]).bit_count() * g.n**self.iso
+        return 6 * (g.rows[i] & g.rows[j]).bit_count()
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         by = _triangles_by_product if n >= _TRIANGLE_PRODUCT_MIN_N else _triangles_by_gather
-        return 6 * by(bits, n) * n**self.iso
+        return 6 * by(bits, n)
 
 
 class _CycleTerm(_Term):
@@ -689,11 +695,11 @@ class _CycleTerm(_Term):
     def count(self, g) -> int:
         a = _adjacency(g)
         x = _symmetric_power(a, self.arg // 2)
-        return _exact_inner(x, x, a if self.arg % 2 else None) * g.n**self.iso
+        return _exact_inner(x, x, a if self.arg % 2 else None)
 
     def delta(self, g, i: int, j: int) -> int:
         if self.arg != 4:
-            return _cycle_change(_walk_blocks(g, i, j, self.arg - 1), self.arg) * g.n**self.iso
+            return _cycle_change(_walk_blocks(g, i, j, self.arg - 1), self.arg)
         rows = g.rows
         ri, rj = rows[i] & ~(1 << j), rows[j] & ~(1 << i)
         di, dj = ri.bit_count(), rj.bit_count()
@@ -705,7 +711,7 @@ class _CycleTerm(_Term):
             y = rj.bit_length() - 1
             w3 += (ri & rows[y]).bit_count()
             rj ^= 1 << y
-        return (8 * w3 + 4 * (di + dj) + 2) * g.n**self.iso
+        return 8 * w3 + 4 * (di + dj) + 2
 
 
 def _walk_blocks(g, i: int, j: int, top: int) -> list[tuple[int, int, int]]:
@@ -836,11 +842,11 @@ class _CompleteTerm(_Term):
     """
 
     def count(self, g) -> int:
-        return math.factorial(self.arg) * _cliques(g.rows, (1 << g.n) - 1, self.arg) * g.n**self.iso
+        return math.factorial(self.arg) * _cliques(g.rows, (1 << g.n) - 1, self.arg)
 
     def delta(self, g, i: int, j: int) -> int:
         r = self.arg
-        return math.factorial(r) * _cliques(g.rows, g.rows[i] & g.rows[j], r - 2) * g.n**self.iso
+        return math.factorial(r) * _cliques(g.rows, g.rows[i] & g.rows[j], r - 2)
 
 
 def _cliques(rows, cand: int, s: int) -> int:
@@ -874,11 +880,16 @@ def _term(h: Motif) -> _Term:
 def count_homomorphisms(h: Motif, g: Graph) -> int:
     """Number of maps V(H) -> V(G) sending every edge of H to an edge of G.
 
+    The term of h counts the maps of its active part, the motif vertices
+    with an edge; each isolated vertex of h may go anywhere, so this count,
+    and no term kernel, scales that count by |V(G)|^(isolated vertices).
     Exact at any size for edges, stars, triangles, cycles and cliques, whose
     term kernels count in closed form; the other (edge-list) shapes take the
-    bitset search, which refuses |V(G)|^|V(H)| above 10^9.
+    bitset search, whose map guard refuses |V(G)|^(active vertices) above
+    10^9.
     """
-    return _term(h).count(g)
+    term = _term(h)
+    return term.count(g) * g.n ** (h.vertex_count - term.motif.vertex_count)
 
 
 def hom_density_graph(h: Motif, g: Graph) -> float:

@@ -136,7 +136,8 @@ def _log_odds(terms, n: int):
     """The Glauber log-odds of adding edge ij to g, n^2 sum_i b_i delta_i / n^(v_i),
     divided by unit = _log_odds_unit(terms, n), as (constant, [(scale, term)]):
     the log-odds is unit times constant plus scale * term.delta(g, i, j) over
-    the list, in model order, with scale = b / unit / n^(v - 2). This is the
+    the list, in model order, with scale = b / unit / n^(v - 2) and v the
+    vertices of the term's motif, the active part (graphs._Term). This is the
     one place that forms the scale; the chain reads it with delta, the dense
     matrix with the batch counts of g + ij and g - ij. An edge term's delta
     is the count of one edge whatever g and ij, so every edge term is folded
@@ -144,7 +145,7 @@ def _log_odds(terms, n: int):
     """
     unit = _log_odds_unit(terms, n)
     scaled = [(b / unit / n ** (t.motif.vertex_count - 2), t) for b, t in terms]
-    constant = sum((s * t.batch_from_edges(1, n) for s, t in scaled if isinstance(t, _EdgeTerm)), 0.0)
+    constant = sum((s * t.batch_from_edges(1) for s, t in scaled if isinstance(t, _EdgeTerm)), 0.0)
     return constant, [(s, t) for s, t in scaled if not isinstance(t, _EdgeTerm)]
 
 
@@ -292,7 +293,7 @@ def sample_motif_densities(
     burn = math.ceil(span / 9.0)  # 10% of the total run
     out = np.empty((n_samples, len(motifs)))
     terms = [_term(mm) for mm in motifs]
-    scales = [chain.n**mm.vertex_count for mm in motifs]
+    scales = [chain.n**t.motif.vertex_count for t in terms]
 
     def record(step: int):
         out[(step - burn) // thinning - 1] = [t.count(state) / s for t, s in zip(terms, scales)]
@@ -594,8 +595,8 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     if bits.shape[1] != m:
         raise DomainError(f"bits must have {m} columns for n = {n}")
     out = np.empty((bits.shape[0], len(motifs)))
-    for col, motif in enumerate(motifs):
-        out[:, col] = _term(motif).batch(bits, n) / n**motif.vertex_count
+    for col, term in enumerate(map(_term, motifs)):
+        out[:, col] = term.batch(bits, n) / n**term.motif.vertex_count
     return out
 
 
@@ -694,7 +695,7 @@ def estimate_importance(
         dens = np.empty((len(bits), len(terms)))
         dens[:, ~is_edge] = batch_motif_densities(others, n, bits)
         for col in np.flatnonzero(is_edge):
-            dens[:, col] = terms[col].batch_from_edges(edges, n) / n ** model.motifs[col].vertex_count
+            dens[:, col] = terms[col].batch_from_edges(edges) / n ** terms[col].motif.vertex_count
         stat = _log_weights(dens, betas, n)
         if self_normalized:
             log_qbar = edges * (log_p - log_q)

@@ -471,10 +471,16 @@ def phase_scan(
 ) -> PhaseScanResult:
     """Global maximizer along a sweep in the triangle coefficient.
 
-    Adjacent-point jumps larger than 0.1 are refined by bisection to a
-    window of 1e-6 and then polished so the two branch values coexist
-    within the maximizer multiplicity tolerance; each jump is reported with
-    the two coexisting maximizers.
+    Adjacent-point jumps larger than 0.1 are refined between the sorted
+    ends of their cell, so an ascending and a descending grid refine alike.
+    A point is on the high branch when its top maximizer is nearer the
+    high end's than the low end's, so a branch that drifts smoothly inside
+    the cell is not mistaken for a jump; bisection on that test narrows the
+    jump to a window of 1e-6, which is then polished so the two branch
+    values coexist within the maximizer multiplicity tolerance. A refined
+    jump is reported, with its two coexisting maximizers, only when they
+    differ by more than 0.1: a cell whose maximizer moved that far without
+    a jump refines to two equal branches and is dropped.
     """
     if steps < 2:
         raise DomainError("phase_scan needs at least 2 steps")
@@ -488,7 +494,9 @@ def phase_scan(
     jumps = []
     for i in range(len(grid) - 1):
         if abs(stars[i + 1] - stars[i]) > JUMP_THRESHOLD:
-            jumps.append(_refine_jump(beta1, float(grid[i]), float(grid[i + 1])))
+            jump = _refine_jump(beta1, *sorted((float(grid[i]), float(grid[i + 1]))))
+            if abs(jump.u_high - jump.u_low) > JUMP_THRESHOLD:
+                jumps.append(jump)
     return PhaseScanResult(beta1, points, jumps)
 
 
@@ -504,10 +512,12 @@ def _top_maximizer(beta1: float, beta2: float) -> float:
 
 
 def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition:
-    u_lo_side = _top_maximizer(beta1, lo)
+    # the top maximizer grows with beta2, so one above the middle of the two
+    # ends' maximizers is nearer the high end's
+    middle = 0.5 * (_top_maximizer(beta1, lo) + _top_maximizer(beta1, hi))
 
     def on_high_branch(b2: float) -> bool:
-        return abs(_top_maximizer(beta1, b2) - u_lo_side) > JUMP_THRESHOLD
+        return _top_maximizer(beta1, b2) > middle
 
     a, b = _bisect(on_high_branch, lo, hi, JUMP_LOCATION_TOL)
     # polish until the two branch objectives tie to high precision, so a

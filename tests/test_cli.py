@@ -70,6 +70,17 @@ def test_phase_diagram_jump_row(tmp_path):
     assert len(grid_rows) == 200
 
 
+def test_phase_diagram_descending_sweep_prints_the_ascending_body(tmp_path):
+    bodies = []
+    for grid in ("0:2:5", "2:0:5"):
+        code, text = run(tmp_path / "pd.csv", ["phase-diagram", "--beta1", "-0.45", "--beta2", grid])
+        assert code == 0
+        bodies.append(body_lines(text))
+    assert bodies[0] == bodies[1]
+    assert [r for r in bodies[0] if r.endswith(",2")] == [bodies[0][3]]
+    assert bodies[0][3].startswith("0.5977")
+
+
 def test_phase_diagram_surface(tmp_path):
     out = tmp_path / "surface.csv"
     code, text = run(out, ["phase-diagram", "--beta1", "-1:0:3", "--beta2", "0:1:4"])
@@ -359,6 +370,18 @@ def test_estimate_z_importance(tmp_path):
 
     truth = 16 * enumerate_psi_n(ModelSpec.edge_triangle(0.2, 0.1), 4)
     assert float(vals["estimate_log"]) == pytest.approx(truth, rel=0.02)
+
+
+def test_motif_with_isolated_vertices_runs_at_its_active_size(tmp_path):
+    # 5 of the 10 motif vertices carry an edge: the map guard reads 12^5,
+    # which the chain and the importance sampler stay within at n = 12
+    model = tmp_path / "model.txt"
+    model.write_text("edge -0.3\nedgelist:0-1,1-2,2-0,2-3,3-9 0.2\n")
+    for argv in (["sample", "--n", "12", "--steps", "3000"],
+                 ["estimate-z", "--method", "importance", "--n", "12", "--samples", "2000"]):
+        code, text = run(tmp_path / "out.txt", argv + ["--model", str(model)])
+        assert code == 0, argv
+        assert body_lines(text)
 
 
 def test_estimate_z_mcmle_requires_model0(tmp_path):

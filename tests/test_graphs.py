@@ -229,6 +229,23 @@ def test_public_count_answers_closed_forms_beyond_the_map_guard():
             _search_homomorphisms(h, g)
 
 
+def test_public_count_scales_isolated_motif_vertices_once():
+    # the term counts the active part, vertices 0, 1, 2, 3 and 9 relabelled
+    # 0..4, and only the public count multiplies by 12 per isolated vertex,
+    # so the map guard reads 12^5 maps, not 12^10
+    h = Motif.parse("edgelist:0-1,1-2,2-0,2-3,3-9")
+    active = Motif(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    g = Graph.complete(12)
+    assert _term(h).motif == active
+    assert classify_motif(h) == classify_motif(active) == ("general",)
+    hom = _search_homomorphisms(active, g)
+    assert hom == 12 * 11 * 10 * 11 * 11
+    assert count_homomorphisms(h, g) == hom * 12**5
+    assert hom_density_graph(h, g) == hom / 12**5
+    with pytest.raises(InstanceTooLargeError, match=r"12\^10 exceeds"):
+        _search_homomorphisms(h, g)
+
+
 # -- motifs ---------------------------------------------------------------------
 
 

@@ -987,3 +987,25 @@ def test_chain_counters_match_final_graph():
     steps = math.ceil(600 / 9.0) + 600
     _, final = run_chain(ChainConfig(9, steps=steps, seed=24, start="complete", model=model))
     assert out[-1].tolist() == [2 * final.edge_count() / 9**2, 6 * final.triangle_count() / 9**3]
+
+
+
+@pytest.mark.parametrize("padded, plain", [("edgelist:0-1,1-3,0-3", "triangle"), ("edgelist:0-2,2-3", "star:2")])
+def test_isolated_motif_vertices_keep_every_result_bit_identical(padded, plain):
+    # a density cannot see an isolated motif vertex, and a term counts its
+    # motif's active part, so a motif padded with one runs the same numbers
+    bits = np.array(all_states(10), dtype=np.int8)
+
+    def results(spec):
+        h = Motif.parse(spec)
+        model = ModelSpec([(Motif.edge(), -0.3), (h, 0.4)])
+        return [
+            run_chain(ChainConfig(8, steps=3000, seed=3, model=model), record_every=50),
+            batch_motif_densities([h], 5, bits).tobytes(),
+            sample_motif_densities(model, [Motif.edge(), h], 200, ChainConfig(8, seed=4), 3).tobytes(),
+            enumerate_psi_n(model, 5),
+            glauber_transition_matrix(model, 4).tobytes(),
+            estimate_importance(model, 8, 3000, seed=2),
+        ]
+
+    assert results(padded) == results(plain)

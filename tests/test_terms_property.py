@@ -4,7 +4,8 @@ For every builtin motif class and for random small edge-list motifs
 (isolated vertices included), on random graphs and random vertex pairs:
 the term's count is the homomorphism count and its integer delta is the
 exact change of that count when the pair's edge goes from absent to
-present, read from a Graph and from the chain state alike; the Glauber
+present, read from a Graph and from the chain state alike, once scaled by
+n per isolated motif vertex (a term counts its motif's active part); the Glauber
 log-odds built from it is n^2 times the change of the density. The public
 count and density, which read the term, agree with the search too.
 """
@@ -67,12 +68,14 @@ def test_term_count_and_delta_match_brute_force(h, case):
     off = g.with_edge_toggled(i, j) if g.has_edge(i, j) else g
     change = _search_homomorphisms(h, on) - _search_homomorphisms(h, off)
     count = _search_homomorphisms(h, g)
+    # the term counts the active part; isolated vertices scale only the public count
+    iso = g.n ** (h.vertex_count - term.motif.vertex_count)
     assert count_homomorphisms(h, g) == count
     assert hom_density_graph(h, g) == count / g.n**h.vertex_count
     for view in (g, _ChainState(g)):
-        assert term.delta(view, i, j) == change
-        assert term.count(view) == count
+        assert term.delta(view, i, j) * iso == change
+        assert term.count(view) * iso == count
         constant, weighted = _log_odds([(0.7, term)], g.n)
         log_odds = sum((scale * t.delta(view, i, j) for scale, t in weighted), constant)
         assert log_odds == pytest.approx(0.7 * change * g.n**2 / g.n**h.vertex_count, rel=1e-12)
-    assert term.batch(bits, g.n).tolist() == [count]
+    assert (term.batch(bits, g.n) * iso).tolist() == [count]

@@ -212,6 +212,18 @@ def test_phase_scan_jump_structure():
         assert phase_scan(beta1, 0.0, 2.0, 120).jumps == []
 
 
+@pytest.mark.parametrize("steps", [5, 6, 8, 10, 200])
+def test_phase_scan_finds_the_one_jump_on_coarse_and_descending_grids(steps):
+    # a branch that drifts more than 0.1 inside one coarse cell is no jump,
+    # and a descending grid refines its cells between their sorted ends
+    for lo, hi in ((0.0, 2.0), (2.0, 0.0)):
+        jumps = phase_scan(-0.45, lo, hi, steps).jumps
+        assert len(jumps) == 1, (steps, lo, hi)
+        assert jumps[0].beta2 == pytest.approx(0.597786, abs=1e-6)
+        assert jumps[0].u_low == pytest.approx(0.4925, abs=1e-4)
+        assert jumps[0].u_high == pytest.approx(0.8144, abs=1e-4)
+
+
 def test_phase_scan_monotone_for_nonnegative_couplings():
     # the maximizer curve never decreases in the triangle coefficient, on
     # smooth stretches and across the upward jump alike
