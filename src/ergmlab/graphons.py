@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError, InstanceTooLargeError
-from .graphs import Graph, Motif, _data_lines, _fields, _mask_bits, _rng_from_seed
+from .graphs import Graph, Motif, _data_lines, _fields, _mask_bits, _rng_from_seed, _term
 
 WEIGHT_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
@@ -192,6 +192,8 @@ def relative_edge_entropy(u, p: float):
 
 
 def _contraction_guard(h: Motif, k: int, vertex_guard: int):
+    """Refuse a contraction of the active motif h over k blocks beyond the
+    vertex guard or the k^|V(h)| cell guard."""
     if h.vertex_count > vertex_guard:
         raise InstanceTooLargeError(
             f"instance too large: motif has {h.vertex_count} vertices, "
@@ -205,6 +207,13 @@ def _contraction_guard(h: Motif, k: int, vertex_guard: int):
 
 
 @functools.lru_cache(maxsize=256)
+def _active_part(h: Motif) -> Motif:
+    """The motif without its isolated vertices, the rest relabelled in order
+    (the term's motif, _term(h).motif): a density cannot see them."""
+    return _term(h).motif
+
+
+@functools.lru_cache(maxsize=256)
 def _motif_subscripts(h: Motif) -> tuple:
     """Einsum subscripts of a motif's density and of each edge's delta term.
 
@@ -212,17 +221,19 @@ def _motif_subscripts(h: Motif) -> tuple:
     kernel values, "w" for the block weights and "1" for a ones vector that
     puts a pinned vertex on no remaining edge among the inputs. Returns the
     density entry and one entry per edge (r, s): the other edges and
-    vertices summed out, with r and s pinned to the output axes.
+    vertices summed out, with r and s pinned to the output axes. The value
+    subscripts lead with "...", so one entry serves a (k, k) value array
+    and an (R, k, k) stack of them.
     """
     letters = string.ascii_lowercase[: h.vertex_count]
     density = (
-        ",".join([letters[i] + letters[j] for i, j in h.edges] + list(letters)) + "->",
+        ",".join(["..." + letters[i] + letters[j] for i, j in h.edges] + list(letters)) + "->...",
         "v" * len(h.edges) + "w" * h.vertex_count,
     )
     terms = []
     for r, s in h.edges:
         rest = [e for e in h.edges if e != (r, s)]
-        subs = [letters[i] + letters[j] for i, j in rest]
+        subs = ["..." + letters[i] + letters[j] for i, j in rest]
         kinds = "v" * len(rest)
         for v in range(h.vertex_count):
             if v not in (r, s):
@@ -232,36 +243,59 @@ def _motif_subscripts(h: Motif) -> tuple:
             if not any(v in e for e in rest):
                 subs.append(letters[v])
                 kinds += "1"
-        terms.append((",".join(subs) + "->" + letters[r] + letters[s], kinds))
+        terms.append((",".join(subs) + "->..." + letters[r] + letters[s], kinds))
     return density, tuple(terms)
 
 
-def _contract(entries, g: StepGraphon, direct: bool) -> list:
-    """Contract each (subscripts, kinds) entry at a step kernel.
+class _Contraction:
+    """The density and delta contractions of one motif at fixed block weights.
 
-    direct runs numpy's C einsum with no path search, which is fastest for
-    small kernels; otherwise einsum searches a greedy path.
+    Built once per call of hom_density_graphon and delta_h, and once per
+    kernel solve: it guards the motif's active part at len(weights) blocks,
+    looks up its subscripts, binds the weight and ones operands and picks
+    the direct C einsum or the greedy path (DIRECT_EINSUM_MAX_CELLS).
+    density and delta take a (k, k) value array, or an (R, k, k) stack of
+    them, whose slices match the single-array values within a few ulps:
+    einsum may sum a stack in another order.
     """
-    operands = {"v": g.values, "w": g.weights}
-    if any("1" in kinds for _, kinds in entries):
-        operands["1"] = np.ones(g.k)
-    optimize = False if direct else "greedy"
-    return [
-        np.einsum(subscripts, *[operands[c] for c in kinds], optimize=optimize)
-        for subscripts, kinds in entries
-    ]
+
+    __slots__ = ("_density", "_terms", "_operands", "_optimize")
+
+    def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int):
+        h = _active_part(h)
+        k = len(weights)
+        _contraction_guard(h, k, vertex_guard)
+        self._density, self._terms = _motif_subscripts(h)
+        self._operands = {"w": weights, "1": np.ones(k)}
+        self._optimize = False if k**h.vertex_count <= DIRECT_EINSUM_MAX_CELLS else "greedy"
+
+    def _run(self, entry, values: np.ndarray) -> np.ndarray:
+        subscripts, kinds = entry
+        operands = [values if c == "v" else self._operands[c] for c in kinds]
+        return np.einsum(subscripts, *operands, optimize=self._optimize)
+
+    def density(self, values: np.ndarray):
+        """t(H, .) of the kernel (a numpy scalar), or of each kernel in a stack."""
+        return self._run(self._density, values)
+
+    def delta(self, values: np.ndarray) -> np.ndarray:
+        """Delta_H of the kernel, or of each kernel in a stack (see delta_h)."""
+        total = np.zeros(values.shape)
+        for entry in self._terms:
+            term = self._run(entry, values)
+            total += 0.5 * (term + term.swapaxes(-1, -2))
+        return total
 
 
 def hom_density_graphon(h: Motif, g: StepGraphon) -> float:
     """Exact homomorphism density of the motif in a step kernel.
 
-    Evaluates the block sum of the product of kernel values over motif edges,
-    weighted by block measures, via a tensor contraction.
+    Evaluates the block sum of the product of kernel values over the edges
+    of the motif's active part, weighted by block measures, via a tensor
+    contraction; isolated motif vertices, which a density cannot see, are
+    dropped first, so only the active vertices meet the size guards.
     """
-    _contraction_guard(h, g.k, DENSITY_VERTEX_GUARD)
-    density, _ = _motif_subscripts(h)
-    direct = g.k**h.vertex_count <= DIRECT_EINSUM_MAX_CELLS
-    return float(_contract((density,), g, direct)[0])
+    return float(_Contraction(h, g.weights, DENSITY_VERTEX_GUARD).density(g.values))
 
 
 def rate_entropy(g: StepGraphon) -> float:
@@ -293,15 +327,10 @@ def delta_h(h: Motif, g: StepGraphon) -> np.ndarray:
     orientations, so the result is the symmetric kernel gradient that both
     the directional-derivative identity and the maximizer fixed-point
     equation consume. For a single-edge motif the result is the all-ones
-    matrix (empty product convention).
+    matrix (empty product convention). Like hom_density_graphon it reads the
+    motif's active part.
     """
-    _contraction_guard(h, g.k, DELTA_VERTEX_GUARD)
-    _, terms = _motif_subscripts(h)
-    direct = g.k**h.vertex_count <= DIRECT_EINSUM_MAX_CELLS
-    total = np.zeros((g.k, g.k))
-    for term in _contract(terms, g, direct):
-        total += 0.5 * (term + term.T)
-    return total
+    return _Contraction(h, g.weights, DELTA_VERTEX_GUARD).delta(g.values)
 
 
 # -- common refinement --------------------------------------------------------

@@ -909,14 +909,15 @@ hom_count_fast = count_homomorphisms
 def chromatic_number(h: Motif) -> int:
     """Exact chromatic number: the least k >= 2 (a motif has an edge) for
     which a backtracking search, highest degree first, finds a proper
-    k-colouring."""
-    if h.vertex_count > CHROMATIC_VERTEX_GUARD:
-        raise InstanceTooLargeError(
-            f"instance too large: chromatic number supports at most "
-            f"{CHROMATIC_VERTEX_GUARD} vertices, got {h.vertex_count}"
-        )
+    k-colouring. Isolated vertices take any colour, so only the active
+    vertices (those with an edge) are coloured and meet the size guard."""
     nbrs = h.neighbor_lists()
     order = sorted((v for v in range(h.vertex_count) if nbrs[v]), key=lambda v: -len(nbrs[v]))
+    if len(order) > CHROMATIC_VERTEX_GUARD:
+        raise InstanceTooLargeError(
+            f"instance too large: chromatic number supports at most "
+            f"{CHROMATIC_VERTEX_GUARD} active vertices, got {len(order)}"
+        )
     k = 2
     while not _colorable(nbrs, order, k):
         k += 1

@@ -384,6 +384,25 @@ def test_motif_with_isolated_vertices_runs_at_its_active_size(tmp_path):
         assert body_lines(text)
 
 
+def test_graphon_commands_read_the_active_part_of_a_motif(tmp_path):
+    # with vertex 13 (and the isolated 3..12, or 4..12) dropped, each motif
+    # is an isolated-vertex-free one, whose output it must print bit for bit
+    padded, plain = tmp_path / "padded.txt", tmp_path / "plain.txt"
+    padded.write_text("edge -0.3\nedgelist:0-1,1-2,2-0,2-3,3-13 0.2\n")
+    plain.write_text("edge -0.3\nedgelist:0-1,1-2,2-0,2-3,3-4 0.2\n")
+    outputs = {}
+    for argv in (["extremal", "--motif", "edgelist:0-1,1-2,2-0,2-13", "--beta1", "-2"],
+                 ["extremal", "--motif", "edgelist:0-1,1-2,2-0,2-3", "--beta1", "-2"],
+                 ["euler-lagrange", "--model", str(padded), "--blocks", "2"],
+                 ["euler-lagrange", "--model", str(plain), "--blocks", "2"]):
+        code, text = run(tmp_path / "out.txt", argv)
+        assert code == 0, argv
+        outputs.setdefault(argv[0], []).append(body_lines(text))
+    for command, (first, second) in outputs.items():
+        assert first == second, command
+    assert outputs["extremal"][0][0] == "chromatic_number 3"
+
+
 def test_estimate_z_mcmle_requires_model0(tmp_path):
     out = tmp_path / "est.txt"
     code = main(

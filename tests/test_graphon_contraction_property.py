@@ -95,3 +95,64 @@ def test_contraction_above_direct_threshold_matches_graph_counts():
     assert hom_density_graphon(c4, kernel) == pytest.approx(hom_density_graph(c4, g), abs=1e-12)
     a = g.adjacency_matrix().astype(float)
     assert np.max(np.abs(delta_h(c4, kernel) - 4.0 * (a @ a @ a) / n**2)) <= 1e-12
+
+
+# -- the stacked contraction of the kernel solvers ------------------------------------------------
+
+
+@st.composite
+def solver_motifs(draw):
+    """Every motif class within the delta guard of 6 vertices, and edge
+    lists with isolated vertices up to 8 vertices (at most 6 active)."""
+    if draw(st.booleans()):
+        return Motif.parse(draw(st.sampled_from(BUILTIN + ["star:5", "cycle:6", "complete:5"])))
+    v = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(v), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=9, unique=True))
+    if len({x for e in edges for x in e}) > graphons.DELTA_VERTEX_GUARD:
+        edges = edges[:1]
+    return Motif(v, edges)
+
+
+def plain_contraction(h: Motif, g: StepGraphon):
+    """Density and delta of the motif's active part as the contraction ran
+    before its subscripts led with "...": the same subscripts without it."""
+    density, terms = graphons._motif_subscripts(graphons._active_part(h))
+    operands = {"v": g.values, "w": g.weights, "1": np.ones(g.k)}
+
+    def run(subscripts, kinds):
+        return np.einsum(subscripts.replace("...", ""), *[operands[c] for c in kinds], optimize=False)
+
+    total = np.zeros((g.k, g.k))
+    for term in (run(*entry) for entry in terms):
+        total += 0.5 * (term + term.T)
+    return run(*density), total
+
+
+def ulps(stacked, single) -> float:
+    """Largest elementwise gap in units of the last place of the larger value."""
+    stacked, single = np.asarray(stacked), np.asarray(single)
+    gap = np.abs(stacked - single) / np.spacing(np.maximum(np.abs(stacked), np.abs(single)))
+    return float(np.max(gap, initial=0.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(solver_motifs(), st.integers(1, 6), st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_contraction_matches_single_kernels(h, k, count, equal, seed):
+    r = np.random.default_rng(seed)
+    w = np.full(k, 1.0 / k) if equal else r.dirichlet(np.ones(k))
+    stack = np.stack([StepGraphon.random(k, r).values for _ in range(count)])
+    op = graphons._Contraction(h, w, graphons.DELTA_VERTEX_GUARD)
+    densities, deltas = op.density(stack), np.broadcast_to(op.delta(stack), stack.shape)
+    for i in range(count):
+        g = StepGraphon(w, stack[i])
+        density, delta = plain_contraction(h, g)
+        # a single kernel keeps every bit of the plain subscripts, through
+        # the operator and through the public functions
+        assert op.density(stack[i]).tobytes() == density.tobytes()
+        assert op.delta(stack[i]).tobytes() == delta.tobytes()
+        assert hom_density_graphon(h, g) == float(density)
+        assert delta_h(h, g).tobytes() == delta.tobytes()
+        # einsum may sum a stack in another order
+        assert ulps(densities[i], density) <= 4
+        assert ulps(deltas[i], delta) <= 4

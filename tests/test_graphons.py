@@ -322,6 +322,18 @@ def test_delta_guard():
         delta_h(Motif.complete(4), big)
 
 
+def test_contractions_read_the_active_part_of_a_motif():
+    # 5 of the 14 vertices carry an edge: within the delta guard of 6, and
+    # with 13 dropped the motif is the isolated-vertex-free one, bit for bit
+    padded = Motif.parse("edgelist:0-1,1-2,2-0,2-3,3-13")
+    plain = Motif.parse("edgelist:0-1,1-2,2-0,2-3,3-4")
+    g = StepGraphon([0.2, 0.3, 0.5], [[0.1, 0.7, 0.4], [0.7, 0.9, 0.2], [0.4, 0.2, 0.6]])
+    assert hom_density_graphon(padded, g) == hom_density_graphon(plain, g)
+    assert delta_h(padded, g).tobytes() == delta_h(plain, g).tobytes()
+    # 30 vertices, one edge: more than the einsum alphabet, and the density guard
+    assert hom_density_graphon(Motif(30, [(0, 29)]), g) == hom_density_graphon(Motif.edge(), g)
+
+
 # -- type plumbing --------------------------------------------------------------------------
 
 

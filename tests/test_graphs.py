@@ -347,8 +347,14 @@ def test_chromatic_number_matches_brute_force(data):
 
 
 def test_chromatic_guard():
+    # the guard counts active vertices: a 13-vertex path exceeds it
     with pytest.raises(InstanceTooLargeError):
-        chromatic_number(Motif(13, [(0, 1)]))
+        chromatic_number(Motif(13, [(i, i + 1) for i in range(12)]))
+
+
+def test_chromatic_number_ignores_isolated_vertices():
+    assert chromatic_number(Motif(13, [(0, 1)])) == 2
+    assert chromatic_number(Motif.parse("edgelist:0-1,1-2,2-0,2-13")) == 3
 
 
 # -- graph plumbing ---------------------------------------------------------------

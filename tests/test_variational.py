@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergmlab.cli import main
-from ergmlab.errors import ConvergenceError, DomainError, FormatError, OverflowGuardError
-from ergmlab.graphs import Graph, Motif
+from ergmlab import variational
+from ergmlab.errors import (ConvergenceError, DomainError, FormatError, InstanceTooLargeError,
+                            OverflowGuardError)
+from ergmlab.graphs import Graph, Motif, _rng_from_seed
 from ergmlab.graphons import StepGraphon, edge_entropy, hom_density_graphon, rate_entropy, rate_relative
 from ergmlab.variational import (
     ModelSpec,
@@ -313,6 +315,41 @@ def test_fixed_point_map_saturates_without_warning():
     assert np.all(phi.values == 0.0)
 
 
+def test_kernel_operator_keeps_the_bits_of_the_model_methods():
+    # a zero coefficient, a motif with an isolated vertex (2), unequal weights
+    model = ModelSpec([(Motif.edge(), -0.3), (Motif.triangle(), 0.0),
+                       (Motif.parse("edgelist:0-1,1-3,0-3"), 0.4), (Motif.cycle(4), -0.2)])
+    r = rng(23)
+    for k in (1, 2, 3, 5):
+        h = StepGraphon.random(k, r, equal_weights=False)
+        op = variational._KernelOperator(model, h.weights, statistic=True)
+        assert op.delta(h.values).tobytes() == model.delta_sum(h).tobytes()
+        assert op.statistic(h.values) == model.graphon_statistic(h)
+
+
+def test_kernel_check_is_exact_and_lets_a_mirrored_nan_pass():
+    check = variational._check_kernels
+    check(np.array([[0.0, 0.7], [0.7, 1.0]]))
+    check(np.full((3, 2, 2), np.nan))  # as in StepGraphon
+    for bad in ([[0.2, 0.7], [np.nextafter(0.7, 1.0), 1.0]], [[-1e-300, 0.5], [0.5, 0.5]],
+                [[0.5, 0.5], [0.5, np.nextafter(1.0, 2.0)]], [[0.5, np.nan], [0.5, 0.5]]):
+        with pytest.raises(DomainError, match="symmetric"):
+            check(np.array([np.full((2, 2), 0.5), bad]))
+
+
+def test_kernel_solvers_keep_their_guard_order():
+    path7, path9 = (Motif(v, [(i, i + 1) for i in range(v - 1)]) for v in (7, 9))
+    # the search meets every term's density guard (8 vertices) before any
+    # delta guard (6 vertices)
+    with pytest.raises(InstanceTooLargeError, match="guard is 8"):
+        graphon_search(ModelSpec([(Motif.edge(), 0.1), (path7, -1.0), (path9, 0.1)]), k=2, restarts=2)
+    with pytest.raises(InstanceTooLargeError, match="guard is 6"):
+        graphon_search(ModelSpec([(Motif.edge(), 0.1), (path7, -1.0)]), k=2, restarts=2)
+    # the fixed-point solver guards only the terms with a nonzero coefficient
+    sol, _ = euler_lagrange_solve(ModelSpec([(Motif.edge(), 0.1), (path7, 0.0)]), StepGraphon.constant(0.5))
+    assert sol.values[0, 0] == pytest.approx(closed_form_u(0.1), abs=1e-9)
+
+
 # Euler-Lagrange solutions recorded with the contraction that searched an
 # einsum path on every call. The direct C einsum sums the same block
 # products in another order, so each delta term can move by a few ulps and
@@ -519,6 +556,58 @@ def test_graphon_search_matches_recorded_values():
         rep = graphon_search(model, **kwargs)
         assert abs(rep.psi - psi) <= 1e-12
         assert np.max(np.abs(rep.maximizers[0].values - np.array(values))) <= 1e-6
+
+
+def sequential_search(model, k, restarts, max_iter, seed):
+    """The search one restart after another, each step on StepGraphon and
+    the model's own methods: the reference of the lockstep search."""
+    r = _rng_from_seed(seed)
+    w = np.full(k, 1.0 / k)
+    cell = np.outer(w, w) * (2.0 - np.eye(k))
+
+    def objective(v):
+        h = StepGraphon(w, v)
+        return model.graphon_statistic(h) - rate_entropy(h)
+
+    best_val, best_v = -np.inf, None
+    for restart in range(restarts):
+        if restart % 2 == 0:
+            a = r.uniform(0.05, 0.95, (k, k))
+            v = 0.5 * (a + a.T)
+        else:
+            pattern = r.integers(0, 2, (k, k)).astype(float)
+            v = 0.05 + 0.9 * (np.triu(pattern) + np.triu(pattern, 1).T)
+        v = np.clip(v, 1e-6, 1.0 - 1e-6)
+        step, f0 = 0.5, objective(v)
+        for _ in range(max_iter):
+            grad = cell * (model.delta_sum(StepGraphon(w, v)) - 0.5 * np.log(v / (1.0 - v)))
+            while step > 1e-14:
+                vn = np.clip(v + step * grad, 1e-6, 1.0 - 1e-6)
+                f1 = objective(vn)
+                if f1 > f0:
+                    break
+                step *= 0.5
+            else:
+                break
+            v, f0, step = vn, f1, step * 1.5
+        if f0 > best_val:
+            best_val, best_v = f0, v
+    return best_val, best_v
+
+
+def test_lockstep_search_matches_the_sequential_search():
+    # a stacked contraction can move a value by a few ulps, which can flip a
+    # line-search comparison between nearly equal values: psi to 1e-12 and
+    # the kernel to 1e-6, as in the recorded values above
+    models = [ModelSpec.edge_triangle(-0.45, 0.6), ModelSpec.edge_triangle(1.0, -5.0),
+              ModelSpec([(Motif.edge(), 0.3), (Motif.cycle(4), -4.0), (Motif.star(3), 0.5)])]
+    for model in models:
+        for k in (1, 2, 4):
+            for seed in (0, 1):
+                rep = graphon_search(model, k=k, restarts=5, max_iter=60, seed=seed)
+                psi, values = sequential_search(model, k, 5, 60, seed)
+                assert abs(rep.psi - psi) <= 1e-12
+                assert np.max(np.abs(rep.maximizers[0].values - values)) <= 1e-6
 
 
 @pytest.mark.parametrize("kwargs, match", [
