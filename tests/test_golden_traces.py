@@ -131,6 +131,12 @@ CLI_SCALAR = {
         ["phase-diagram", "--beta1", "-1:1:12", "--beta2", "0:2:12"],
     "57f6a2f36a9005b4e8ee2d72ea882abb442914c641efc854c1437f29f8d7e246":
         ["psi", "--beta1", "-0.3", "--beta2", "0.4"],
+    # recorded before the threshold bisection ran through a tie-estimate
+    # window; the first prints "regime near-transition"
+    "6881f9de1ae11fbf894274b046ceadba8e96c2f1c745e4513bbff899a2968d9c":
+        ["degeneracy", "--beta1", "-3", "--beta2", "3.0"],
+    "b7e6a71bd23449d421d0b7c44cce638330b3031dd5c90bc43ef9e99a0b2c9d66":
+        ["degeneracy", "--beta1", "-1.5"],
 }
 
 
