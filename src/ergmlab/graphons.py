@@ -207,13 +207,6 @@ def _contraction_guard(h: Motif, k: int, vertex_guard: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _active_part(h: Motif) -> Motif:
-    """The motif without its isolated vertices, the rest relabelled in order
-    (the term's motif, _term(h).motif): a density cannot see them."""
-    return _term(h).motif
-
-
-@functools.lru_cache(maxsize=256)
 def _motif_subscripts(h: Motif) -> tuple:
     """Einsum subscripts of a motif's density and of each edge's delta term.
 
@@ -262,7 +255,7 @@ class _Contraction:
     __slots__ = ("_density", "_terms", "_operands", "_optimize")
 
     def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int):
-        h = _active_part(h)
+        h = _term(h).motif  # a density cannot see isolated vertices
         k = len(weights)
         _contraction_guard(h, k, vertex_guard)
         self._density, self._terms = _motif_subscripts(h)

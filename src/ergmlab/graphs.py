@@ -116,14 +116,9 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def triangle_count(self) -> int:
-        """Exact triangle count via popcount of row intersections."""
-        total = 0
-        rows = self.rows
-        for i, j in self.edges():
-            common = rows[i] & rows[j]
-            # only count the third vertex above j to avoid double counting
-            total += (common >> (j + 1)).bit_count()
-        return total
+        """Exact triangle count: the closed 3-walks tr(A^3) (_closed_walks),
+        each triangle walked from 3 starts in 2 directions."""
+        return _closed_walks(self, 3) // 6
 
     def edge_density(self) -> float:
         if self.n < 2:
@@ -580,7 +575,9 @@ class _StarTerm(_Term):
         return ((ai + 1) ** s - ai**s) + ((aj + 1) ** s - aj**s)
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        inc = _vertex_pair_columns(n)
+        cols = _pair_columns(n)
+        # row v: the columns of the n - 1 pairs that contain v
+        inc = cols[cols >= 0].reshape(n, n - 1)
         step = max(1, _BATCH_BLOCK_ENTRIES // max(1, inc.size))
         # every count is at most n (n - 1)^s: int64 below 2^63, else Python ints
         exact = n * (n - 1) ** self.arg >= 2**63
@@ -594,41 +591,24 @@ class _StarTerm(_Term):
 
 
 @functools.lru_cache(maxsize=8)
-def _vertex_pair_columns(n: int) -> np.ndarray:
-    """Row v holds the columns of the n - 1 pairs that contain v, read-only."""
-    inc = [[] for _ in range(n)]
-    for t, (i, j) in enumerate(_vertex_pairs(n)):
-        inc[i].append(t)
-        inc[j].append(t)
-    out = np.array(inc, dtype=np.intp).reshape(n, n - 1)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _triangle_pair_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair columns (ab, ac, bc) of every triple a < b < c, read-only."""
-    pair_index = {p: t for t, p in enumerate(_vertex_pairs(n))}
-    trips = list(itertools.combinations(range(n), 3))
-    cols = []
-    for u, w in ((0, 1), (0, 2), (1, 2)):
-        col = np.array([pair_index[(t[u], t[w])] for t in trips], dtype=np.intp)
-        col.flags.writeable = False
-        cols.append(col)
-    return tuple(cols)
-
-
-@functools.lru_cache(maxsize=8)
-def _upper_flat_indices(n: int) -> np.ndarray:
-    """The flat index i n + j of every pair i < j, in pair order, read-only."""
-    out = np.array([i * n + j for i, j in _vertex_pairs(n)], dtype=np.intp)
+def _pair_columns(n: int) -> np.ndarray:
+    """The (n, n) table whose entry (i, j), i != j, is the column of pair
+    {i, j} in pair order (_vertex_pairs), with -1 on the diagonal,
+    read-only. Its strictly upper entries, in row-major order, are the
+    columns 0, 1, ..., C(n, 2) - 1."""
+    i, j = np.array(_vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    out = np.full((n, n), -1, dtype=np.intp)
+    out[i, j] = out[j, i] = np.arange(i.size)
     out.flags.writeable = False
     return out
 
 
 def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
     """Triangles of each row: the triples whose three pair columns are all 1."""
-    ia, ib, ic = _triangle_pair_columns(n)
+    cols = _pair_columns(n)
+    # the pairs ab, ac and bc of every triple a < b < c
+    a, b, c = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    ia, ib, ic = cols[a, b], cols[a, c], cols[b, c]
     step = max(1, _BATCH_BLOCK_ENTRIES // max(1, ia.size))
     cnt = np.empty(bits.shape[0], dtype=np.int64)
     for lo in range(0, bits.shape[0], step):
@@ -649,7 +629,8 @@ def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
     dtype = _exact_width(math.comb(n, 3))
     step = max(1, _PRODUCT_BLOCK_ENTRIES // n**2)
     upper = np.zeros((min(step, bits.shape[0]), n * n), dtype=dtype)
-    flat = _upper_flat_indices(n)
+    # the flat index i n + j of every pair i < j, in pair order
+    flat = np.flatnonzero(np.triu(_pair_columns(n) >= 0))
     cnt = np.empty(bits.shape[0], dtype=np.int64)
     for lo in range(0, bits.shape[0], step):
         rows = bits[lo : lo + step]
@@ -693,9 +674,7 @@ class _CycleTerm(_Term):
     """
 
     def count(self, g) -> int:
-        a = _adjacency(g)
-        x = _symmetric_power(a, self.arg // 2)
-        return _exact_inner(x, x, a if self.arg % 2 else None)
+        return _closed_walks(g, self.arg)
 
     def delta(self, g, i: int, j: int) -> int:
         if self.arg != 4:
@@ -712,6 +691,15 @@ class _CycleTerm(_Term):
             w3 += (ri & rows[y]).bit_count()
             rj ^= 1 << y
         return 8 * w3 + 4 * (di + dj) + 2
+
+
+def _closed_walks(g, k: int) -> int:
+    """tr(A^k), the closed walks of length k >= 2 in anything with n and
+    bitmask rows, exactly: <A^h, A^(k-h)> with h = floor(k/2), contracting
+    A^h against A^h A in row blocks for odd k (see _CycleTerm)."""
+    a = _adjacency(g)
+    x = _symmetric_power(a, k // 2)
+    return _exact_inner(x, x, a if k % 2 else None)
 
 
 def _walk_blocks(g, i: int, j: int, top: int) -> list[tuple[int, int, int]]:
@@ -871,8 +859,10 @@ _TERM_CLASSES = {
 }
 
 
+@functools.lru_cache(maxsize=256)
 def _term(h: Motif) -> _Term:
-    """The term object of the motif's shape (see classify_motif)."""
+    """The term object of the motif's shape (see classify_motif), one per
+    motif: equal motifs share it, and with it the active part it decides."""
     kind = classify_motif(h)
     return _TERM_CLASSES[kind[0]](h, *kind[1:])
 
@@ -910,9 +900,10 @@ def chromatic_number(h: Motif) -> int:
     """Exact chromatic number: the least k >= 2 (a motif has an edge) for
     which a backtracking search, highest degree first, finds a proper
     k-colouring. Isolated vertices take any colour, so only the active
-    vertices (those with an edge) are coloured and meet the size guard."""
+    part (_term(h).motif) is coloured and meets the size guard."""
+    h = _term(h).motif
     nbrs = h.neighbor_lists()
-    order = sorted((v for v in range(h.vertex_count) if nbrs[v]), key=lambda v: -len(nbrs[v]))
+    order = sorted(range(h.vertex_count), key=lambda v: -len(nbrs[v]))
     if len(order) > CHROMATIC_VERTEX_GUARD:
         raise InstanceTooLargeError(
             f"instance too large: chromatic number supports at most "

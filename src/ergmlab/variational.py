@@ -455,6 +455,12 @@ def degeneracy_constants(beta1: float, beta2: float | None = None) -> Degeneracy
     5 models where a plain bisection solves about 25, and reaches the same
     q bit for bit. If beta2 is supplied the report classifies it as sparse
     (beta2 < q - 0.01), dense (beta2 > q + 0.01), or near-transition.
+
+    beta1 ranges over about (-1.1e12, -0.739): above about -0.739, c1 >= c2
+    and DomainError is raised; q is about -beta1 for strong beta1, and the
+    doubling loop brackets it only up to beta2 = 2^40 (1.1e12), so beyond
+    that ConvergenceError is raised (beta1 = -1e12 gives q =
+    1.0000000000000002e12, and beta1 = -1e13 raises).
     """
     if beta1 >= 0.0:
         raise DomainError("degeneracy constants require beta1 < 0")
@@ -506,7 +512,8 @@ def phase_scan(
     a cell takes about 6 scalar solves instead of 18, with the same bits. A
     refined jump is reported, with its two coexisting maximizers, only when
     they differ by more than 0.1: a cell whose maximizer moved that far
-    without a jump refines to two equal branches and is dropped.
+    without a jump has two equal branches after the first bisection, and
+    _refine_jump drops it there, without polishing it.
     """
     if steps < 2:
         raise DomainError("phase_scan needs at least 2 steps")
@@ -521,7 +528,7 @@ def phase_scan(
     for i in range(len(grid) - 1):
         if abs(stars[i + 1] - stars[i]) > JUMP_THRESHOLD:
             jump = _refine_jump(beta1, *sorted((float(grid[i]), float(grid[i + 1]))))
-            if abs(jump.u_high - jump.u_low) > JUMP_THRESHOLD:
+            if jump is not None:
                 jumps.append(jump)
     return PhaseScanResult(beta1, points, jumps)
 
@@ -537,8 +544,11 @@ def _top_maximizer(beta1: float, beta2: float) -> float:
     return max(maximize_scalar(ModelSpec.edge_triangle(beta1, beta2)).maximizers)
 
 
-def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition:
-    """Locate the jump of the top maximizer in the cell [lo, hi].
+def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition | None:
+    """Locate the jump of the top maximizer in the cell [lo, hi], or None
+    when there is none: when the branch values that the first bisection
+    leaves, u_low and u_high, differ by at most JUMP_THRESHOLD, the cell is
+    dropped before the tie estimate and the bisection of the second stage.
 
     Both bisections run through a _MonotoneWindow opened at a tie of the two
     local maxima tracked from the cell ends' maximizers (_tie_estimate): the
@@ -557,10 +567,12 @@ def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition:
     tie = _tie_estimate(beta1, lo, hi, top(lo), top(hi), MULTIPLICITY_TOL)
     on_high_branch.open(tie, _TIE_WIDTH, lo, hi)
     a, b = _bisect(on_high_branch, lo, hi, JUMP_LOCATION_TOL)
+    u_low, u_high = top(a), top(b)
+    if abs(u_high - u_low) <= JUMP_THRESHOLD:
+        return None
+
     # polish until the two branch objectives tie to high precision, so a
     # maximize_scalar call at the reported point sees both maximizers
-    u_low, u_high = top(a), top(b)
-
     def wins(b2: float) -> bool:
         model = ModelSpec.edge_triangle(beta1, b2)
         return scalar_objective(model, _local_maximizer(model, u_high)) > scalar_objective(
@@ -629,8 +641,8 @@ def _tie_estimate(beta1: float, lo: float, hi: float, u_lo: float, u_hi: float, 
     """The beta2 in (lo, hi) where g = f(x_hi) - f(x_lo) + offset is zero,
     f the edge-triangle objective, x_lo and x_hi its local maximizers tracked
     from u_lo, on the branch that is the top one at lo, and u_hi, on the
-    branch that is the top one at hi. None when it finds one maximizer where
-    it wants two, or has not settled after _TIE_NEWTON_STEPS points.
+    branch that is the top one at hi. None when it has not settled after
+    _TIE_NEWTON_STEPS points.
 
     Newton in beta2, kept inside a bracket of the tie: by the envelope
     theorem dg/dbeta2 = x_hi^3 - x_lo^3 > 0, so the sign of g tells the side
@@ -651,8 +663,6 @@ def _tie_estimate(beta1: float, lo: float, hi: float, u_lo: float, u_hi: float, 
             hi = b2
         elif not (x_hi > middle and _second_derivative(model.edges, model.betas, x_hi) < 0.0):
             lo = b2
-        elif x_hi - x_lo <= 1e-9:
-            return None  # one maximizer, which maximize_scalar would merge
         else:
             u_lo, u_hi = x_lo, x_hi
             g = scalar_objective(model, x_hi) - scalar_objective(model, x_lo) + offset

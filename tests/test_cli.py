@@ -184,6 +184,9 @@ INPUT_ERRORS = [
     pytest.param("top-contour --graph graph.txt --beta1 nan --beta2 0", 2, FINITE, id="contour-nan-beta1"),
     pytest.param("degeneracy --beta1 -5 --beta2 nan", 2, FINITE, id="degeneracy-nan-beta2"),
     pytest.param("degeneracy --beta1 -5 --beta2 inf", 2, FINITE, id="degeneracy-inf-beta2"),
+    # q is about -beta1, beyond the 2^40 that the doubling loop brackets
+    pytest.param("degeneracy --beta1 -1e13", 2, "failed to bracket the degeneracy threshold",
+                 id="degeneracy-unbracketed"),
     pytest.param("extremal --motif triangle --beta1 nan", 2, FINITE, id="extremal-nan-beta"),
     pytest.param("spectral-check --betas nan", 2, FINITE, id="spectral-nan-beta"),
     pytest.param("euler-lagrange --beta1 0.1 --blocks 0", 2, BLOCKS, id="zero-blocks"),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ergmlab import graphons
 from ergmlab.graphons import StepGraphon, delta_h, hom_density_graphon, to_step_graphon
-from ergmlab.graphs import Graph, Motif, hom_density_graph
+from ergmlab.graphs import Graph, Motif, _term, hom_density_graph
 
 BUILTIN = ["edge", "star:2", "star:3", "triangle", "cycle:4", "cycle:5", "complete:4"]
 
@@ -117,7 +117,7 @@ def solver_motifs(draw):
 def plain_contraction(h: Motif, g: StepGraphon):
     """Density and delta of the motif's active part as the contraction ran
     before its subscripts led with "...": the same subscripts without it."""
-    density, terms = graphons._motif_subscripts(graphons._active_part(h))
+    density, terms = graphons._motif_subscripts(_term(h).motif)
     operands = {"v": g.values, "w": g.weights, "1": np.ones(g.k)}
 
     def run(subscripts, kinds):

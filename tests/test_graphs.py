@@ -81,6 +81,12 @@ def test_triangle_count_matches_hom_count():
         n = int(r.integers(2, 9))
         g = Graph.erdos_renyi(n, r.uniform(0.1, 0.9), r)
         assert 6 * g.triangle_count() == _search_homomorphisms(Motif.triangle(), g)
+    # the closed 3-walks count on to n = 40, and on K_1001 beyond the
+    # search's map guard
+    for n in range(9, 41):
+        g = Graph.erdos_renyi(n, r.uniform(0.1, 0.9), r)
+        assert 6 * g.triangle_count() == _search_homomorphisms(Motif.triangle(), g)
+    assert Graph.complete(1001).triangle_count() == 1001 * 1000 * 999 // 6
 
 
 def test_hom_count_invariant_under_relabeling():
@@ -237,6 +243,8 @@ def test_public_count_scales_isolated_motif_vertices_once():
     active = Motif(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     g = Graph.complete(12)
     assert _term(h).motif == active
+    # equal motifs share one term object, and with it one active part
+    assert _term(Motif.parse("triangle")) is _term(Motif.parse("edgelist:0-1,1-2,0-2"))
     assert classify_motif(h) == classify_motif(active) == ("general",)
     hom = _search_homomorphisms(active, g)
     assert hom == 12 * 11 * 10 * 11 * 11

@@ -546,8 +546,9 @@ def test_batch_triangle_counts_across_row_blocks():
     k = _TRIANGLE_PRODUCT_MIN_N
     # n = 30 spans two full product blocks and a remainder; k - 1 and k sit
     # on either side of the switch from the triple gather to the product;
-    # n = 2 has no triple and n = 3 one
-    for n, rows in ((30, 2 * step + 17), (k - 1, 500), (k, 500), (10, 500), (2, 3000), (3, 3000)):
+    # n = 2 has no triple and n = 3 one; then every n from 2 to 12
+    for n, rows in ((30, 2 * step + 17), (k - 1, 500), (k, 500), (10, 500), (2, 3000), (3, 3000),
+                    *((n, 200) for n in range(2, 13))):
         m = math.comb(n, 2)
         bits = (r.random((rows, m)) < 0.5).astype(np.int8)
         dens = batch_motif_densities([tri, tri_iso], n, bits)
@@ -574,8 +575,8 @@ def test_batch_star_counts_across_row_blocks():
     r = _rng_from_seed(13)
     step = _BATCH_BLOCK_ENTRIES // (30 * 29)
     # n = 30 spans two full row blocks and a remainder; at n = 2 and n = 3
-    # one block holds every row
-    for n, rows in ((30, 2 * step + 17), (2, 3000), (3, 3000)):
+    # one block holds every row; then every n from 2 to 12
+    for n, rows in ((30, 2 * step + 17), (2, 3000), (3, 3000), *((n, 200) for n in range(2, 13))):
         m = math.comb(n, 2)
         bits = (r.random((rows, m)) < 0.5).astype(np.int8)
         pairs = list(itertools.combinations(range(n), 2))
@@ -668,6 +669,14 @@ def test_importance_zero_variance_at_matched_proposal():
     u = maximize_scalar(model).maximizers[0]
     res = estimate_importance(model, 6, 200, seed=1, proposal_p=u)
     assert res.estimate_log == pytest.approx(er_log_partition(1.4, 6), rel=1e-12)
+
+
+def test_importance_estimate_is_minus_inf_when_every_weight_is_zero():
+    # edge -1e308 weighs each graph with an edge by exactly 0, and the 200
+    # draws at proposal_p = 0.99 hold no empty graph, so the log-sum-exp of
+    # the weights is that of -inf alone
+    res = estimate_importance(ModelSpec.edge_only(-1e308), 4, 200, seed=1, proposal_p=0.99)
+    assert res.estimate_log == -math.inf
 
 
 def test_importance_matches_enumeration():

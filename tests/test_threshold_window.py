@@ -4,8 +4,9 @@ degeneracy_constants and _refine_jump bisect through a _MonotoneWindow that
 a tie estimate opens; reference_q and reference_refine_jump are the same
 searches as they were before, with _bisect over the bare solver tests. Every
 result must be bit for bit the reference's, with the real tie estimate, with
-none and with a wrong one. maximize_scalar calls are counted to guard the
-saving without timing anything.
+none and with a wrong one; a refined cell whose reference branches differ by
+at most JUMP_THRESHOLD must give None. maximize_scalar calls are counted to
+guard the saving without timing anything.
 """
 
 import functools
@@ -60,8 +61,15 @@ def reference_refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition
     return PhaseTransition(0.5 * (aa + bb), u_low, u_high)
 
 
-def _hex(jump: PhaseTransition) -> tuple[str, str, str]:
-    return jump.beta2.hex(), jump.u_low.hex(), jump.u_high.hex()
+def _hex(jump: PhaseTransition | None) -> tuple[str, str, str] | None:
+    return None if jump is None else (jump.beta2.hex(), jump.u_low.hex(), jump.u_high.hex())
+
+
+def _kept(want: tuple[str, str, str]) -> tuple[str, str, str] | None:
+    """What _refine_jump returns for a cell whose reference result is want:
+    None where the reference branches differ by at most JUMP_THRESHOLD."""
+    gap = abs(float.fromhex(want[2]) - float.fromhex(want[1]))
+    return want if gap > JUMP_THRESHOLD else None
 
 
 @functools.cache
@@ -120,7 +128,7 @@ def test_threshold_matches_plain_bisection():
 
 
 def test_refined_jumps_match_plain_bisection():
-    want = reference_jumps()
+    want = {cell: _kept(ref) for cell, ref in reference_jumps().items()}
     assert {cell: _hex(_refine_jump(*cell)) for cell in want} == want
 
 
@@ -131,13 +139,7 @@ def test_a_missing_or_wrong_estimate_changes_no_bit(monkeypatch, kind):
     for beta1 in Q_SWEEP[::4]:
         assert degeneracy_constants(beta1).q_estimate.hex() == want_q[beta1], beta1
     for cell, want in list(want_jumps.items())[::2]:
-        gap = abs(float.fromhex(want[2]) - float.fromhex(want[1]))
-        # in a cell where one steep branch stands in for a jump, the exact
-        # tie test is float noise, monotone nowhere, and the real estimate
-        # is None; a wrong one may land anywhere there
-        if kind == "inside" and gap <= JUMP_THRESHOLD:
-            continue
-        assert _hex(_refine_jump(*cell)) == want, cell
+        assert _hex(_refine_jump(*cell)) == _kept(want), cell
 
 
 def _count_solves(monkeypatch) -> list[int]:
@@ -158,6 +160,22 @@ def test_degeneracy_threshold_takes_few_solves(monkeypatch, beta1):
     calls = _count_solves(monkeypatch)
     degeneracy_constants(beta1)
     assert calls[0] <= 8
+
+
+def test_phase_scan_drops_a_steep_branch_before_its_tie_estimate(monkeypatch):
+    # near the critical point one steep branch moves more than 0.1 within a
+    # cell without a jump; the first bisection settles that, so the cell
+    # makes one tie estimate, not a second for the exact-tie bisection
+    calls = [0]
+    estimate = variational._tie_estimate
+
+    def counted(*args):
+        calls[0] += 1
+        return estimate(*args)
+
+    monkeypatch.setattr(variational, "_tie_estimate", counted)
+    assert phase_scan(-0.40, 0.0, 2.0, 200).jumps == []
+    assert calls[0] == 1
 
 
 def test_phase_scan_jump_takes_few_solves(monkeypatch):

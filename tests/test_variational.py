@@ -193,6 +193,14 @@ def test_degeneracy_rejects_weak_beta1():
         degeneracy_constants(0.0)
 
 
+def test_degeneracy_threshold_is_bracketed_up_to_two_to_the_forty():
+    # q is about -beta1 for strong beta1; the doubling loop brackets it only
+    # up to beta2 = 2^40 (1.1e12)
+    assert degeneracy_constants(-1e12).q_estimate == 1.0000000000000002e12
+    with pytest.raises(ConvergenceError, match="failed to bracket the degeneracy threshold"):
+        degeneracy_constants(-1e13)
+
+
 def test_maximizer_exclusion_zone():
     # no maximizer falls strictly between the two degeneracy constants
     rep = degeneracy_constants(-5.0)
