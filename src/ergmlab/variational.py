@@ -440,6 +440,9 @@ def applicability_check(model: ModelSpec) -> str:
 
 # -- degeneracy and phase structure -------------------------------------------
 
+# the edge-triangle critical point: its two spinodals merge at u = 2/3, beta2 = 9/16
+_CRITICAL_BETA1 = 0.5 * math.log(2.0) - 0.75
+
 
 def degeneracy_constants(beta1: float, beta2: float | None = None) -> DegeneracyReport:
     """Degeneracy constants and the transition location for edge-triangle models.
@@ -447,14 +450,16 @@ def degeneracy_constants(beta1: float, beta2: float | None = None) -> Degeneracy
     For beta1 < 0 with c1 = e^{beta1}/(1+e^{beta1}) below c2 = 1 + 1/(2 beta1),
     the global scalar maximizer never lies in (c1, c2); as beta2 grows it
     jumps from below c1 to above c2 at a threshold q, located here by
-    bisection to 1e-6 on "the top maximizer exceeds c2". The bisection runs
-    through a _MonotoneWindow, which skips each test that an earlier answer
-    settles by monotonicity in beta2, opened 1e-8 either side of the beta2
-    where the two local maxima tracked from the doubling loop's last two
-    solves tie within MULTIPLICITY_TOL (_tie_estimate). So it solves about
-    5 models where a plain bisection solves about 25, and reaches the same
-    q bit for bit. If beta2 is supplied the report classifies it as sparse
-    (beta2 < q - 0.01), dense (beta2 > q + 0.01), or near-transition.
+    bisection to 1e-6 on "the top maximizer exceeds c2". The top scalar
+    maximizer lies on the high branch once that branch comes within
+    MULTIPLICITY_TOL of the low one, which is from the tie t of the two
+    branches at that offset (_edge_triangle_tie); so each test is answered
+    as beta2 >= t, with no scalar solve. (Where the high maximizer lies
+    beyond 1 - 2^-53, maximize_scalar admits it only when it wins by 1e-15,
+    so the exact comparison can answer one 2^-20 cell lower, as at beta1 =
+    -10.) If beta2 is supplied the report classifies
+    it as sparse (beta2 < q - 0.01), dense (beta2 > q + 0.01), or
+    near-transition.
 
     beta1 ranges over about (-1.1e12, -0.739): above about -0.739, c1 >= c2
     and DomainError is raised; q is about -beta1 for strong beta1, and the
@@ -462,6 +467,7 @@ def degeneracy_constants(beta1: float, beta2: float | None = None) -> Degeneracy
     that ConvergenceError is raised (beta1 = -1e12 gives q =
     1.0000000000000002e12, and beta1 = -1e13 raises).
     """
+    _check_finite(beta1)
     if beta1 >= 0.0:
         raise DomainError("degeneracy constants require beta1 < 0")
     c1 = math.exp(beta1) / (1.0 + math.exp(beta1))
@@ -471,18 +477,14 @@ def degeneracy_constants(beta1: float, beta2: float | None = None) -> Degeneracy
             f"beta1 not negative enough: c1 = {c1:.6g} >= c2 = {c2:.6g}"
         )
 
-    top = functools.cache(functools.partial(_top_maximizer, beta1))
-    dense = _MonotoneWindow(lambda b2: top(b2) > c2)
+    tie = _edge_triangle_tie(beta1, MULTIPLICITY_TOL, 2.0**40)
+    t = math.inf if tie is None else tie[0]
     hi = 1.0
-    while not dense(hi):
+    while hi < t:
         hi *= 2.0
         if hi > 2.0**40:
             raise ConvergenceError("failed to bracket the degeneracy threshold")
-    # the loop's last sparse point, or the bisection's own low end
-    lo = 0.5 * hi if hi > 1.0 else 0.0
-    tie = _tie_estimate(beta1, lo, hi, top(lo), top(hi), MULTIPLICITY_TOL)
-    dense.open(tie, _TIE_WIDTH, 0.0, hi)
-    lo, hi = _bisect(dense, 0.0, hi, JUMP_LOCATION_TOL)
+    lo, hi = _bisect(lambda b2: b2 >= t, 0.0, hi, JUMP_LOCATION_TOL)
     q = 0.5 * (lo + hi)
     regime = None
     if beta2 is not None:
@@ -501,35 +503,25 @@ def phase_scan(
 ) -> PhaseScanResult:
     """Global maximizer along a sweep in the triangle coefficient.
 
-    Adjacent-point jumps larger than 0.1 are refined between the sorted
-    ends of their cell, so an ascending and a descending grid refine alike.
-    A point is on the high branch when its top maximizer is nearer the
-    high end's than the low end's, so a branch that drifts smoothly inside
-    the cell is not mistaken for a jump; bisection on that test narrows the
-    jump to a window of 1e-6, which is then polished so the two branch
-    values coexist within the maximizer multiplicity tolerance. Both
-    bisections skip the tests that a tie estimate settles (_refine_jump), so
-    a cell takes about 6 scalar solves instead of 18, with the same bits. A
-    refined jump is reported, with its two coexisting maximizers, only when
-    they differ by more than 0.1: a cell whose maximizer moved that far
-    without a jump has two equal branches after the first bisection, and
-    _refine_jump drops it there, without polishing it.
+    The grid points are solved as one stack. The first-order jump is the
+    beta2 where the two local-maximizer branches tie exactly
+    (_edge_triangle_tie); it is reported, with the two branch maximizers
+    there, when it lies in the scanned range and they differ by more than
+    0.1. So the jump row does not depend on the grid, and near the
+    critical point, where a steep branch moves far without a jump, no jump
+    is reported.
     """
     if steps < 2:
         raise DomainError("phase_scan needs at least 2 steps")
     grid = np.linspace(beta2_lo, beta2_hi, steps)
     points = []
-    stars = []
     for b2, rep in zip(grid.tolist(), _edge_triangle_stack(np.full(steps, beta1), grid)):
-        u = max(rep.maximizers)
-        stars.append(u)
-        points.append((b2, u, rep.psi, len(rep.maximizers)))
+        points.append((b2, max(rep.maximizers), rep.psi, len(rep.maximizers)))
     jumps = []
-    for i in range(len(grid) - 1):
-        if abs(stars[i + 1] - stars[i]) > JUMP_THRESHOLD:
-            jump = _refine_jump(beta1, *sorted((float(grid[i]), float(grid[i + 1]))))
-            if jump is not None:
-                jumps.append(jump)
+    lo, hi = sorted((beta2_lo, beta2_hi))
+    tie = _edge_triangle_tie(beta1, 0.0, hi)
+    if tie is not None and tie[0] >= lo and tie[2] - tie[1] > JUMP_THRESHOLD:
+        jumps.append(PhaseTransition(*tie))
     return PhaseScanResult(beta1, points, jumps)
 
 
@@ -539,172 +531,81 @@ def _edge_triangle_stack(beta1s, beta2s) -> list[MaximizerReport]:
     return _maximize_stack((1, 3), np.column_stack([beta1s, beta2s]))
 
 
-def _top_maximizer(beta1: float, beta2: float) -> float:
-    """Largest global scalar maximizer of the edge-triangle model."""
-    return max(maximize_scalar(ModelSpec.edge_triangle(beta1, beta2)).maximizers)
+def _edge_triangle_tie(beta1: float, offset: float, top: float):
+    """(beta2, x_low, x_high) where the two local-maximizer branches of the
+    edge-triangle objective f tie, f(x_high) - f(x_low) + offset = 0, with
+    both branch maximizers there; None when beta1 is at or above the
+    critical point, or the tie lies above top.
 
-
-def _refine_jump(beta1: float, lo: float, hi: float) -> PhaseTransition | None:
-    """Locate the jump of the top maximizer in the cell [lo, hi], or None
-    when there is none: when the branch values that the first bisection
-    leaves, u_low and u_high, differ by at most JUMP_THRESHOLD, the cell is
-    dropped before the tie estimate and the bisection of the second stage.
-
-    Both bisections run through a _MonotoneWindow opened at a tie of the two
-    local maxima tracked from the cell ends' maximizers (_tie_estimate): the
-    first 1e-8 either side of the beta2 where they tie within
-    MULTIPLICITY_TOL, the second 2^-44 of the exact tie either side, which
-    covers the float noise of its test there. The cell then takes about 6
-    scalar solves instead of 18 (two for the ends, two to open the window,
-    two for the branch values), and every decision, and so every bit of the
-    result, is the plain bisection's.
+    f'(u) = 3u^2 (beta2 - B(u)) with B(u) = (1/2 logit u - beta1)/(3u^2), so
+    the stationary points at beta2 are the solutions of B(u) = beta2, and
+    local maxima where B increases, which is where
+    h(u) = 1/2 logit u - 1/(4(1-u)) is below beta1. h rises up to u = 2/3
+    and falls after it, with peak value the critical beta1; below it h
+    crosses beta1 at two spinodals s1 < 2/3 < s2, each bisected on its
+    monotone half. The low branch lives on (0, s1] for beta2 <= B(s1), the
+    high branch on [s2, 1) for beta2 >= B(s2); on its bracket f' falls
+    through zero once, and the branch maximizer is bisected there, or is
+    the bracket's float end when the root lies beyond it, as in
+    maximize_scalar. By the envelope theorem the gap g rises in beta2 with
+    slope x_high^3 - x_low^3 > 0; its root is found by Newton steps in
+    beta2, kept inside [B(s2), B(s1)] and replaced by bisection where a step
+    leaves the bracket. Where g keeps one sign there, the result is the end
+    at which its sign test turns: B(s2) when the high branch leads from its
+    start, next to B(s1) when it trails until the low branch ends. Every
+    step is plain float arithmetic.
     """
-    top = functools.cache(functools.partial(_top_maximizer, beta1))
-    # the top maximizer grows with beta2, so one above the middle of the two
-    # ends' maximizers is nearer the high end's
-    middle = 0.5 * (top(lo) + top(hi))
-    on_high_branch = _MonotoneWindow(lambda b2: top(b2) > middle)
-    tie = _tie_estimate(beta1, lo, hi, top(lo), top(hi), MULTIPLICITY_TOL)
-    on_high_branch.open(tie, _TIE_WIDTH, lo, hi)
-    a, b = _bisect(on_high_branch, lo, hi, JUMP_LOCATION_TOL)
-    u_low, u_high = top(a), top(b)
-    if abs(u_high - u_low) <= JUMP_THRESHOLD:
+    if beta1 >= _CRITICAL_BETA1:
         return None
+    tiny, below_one = 5e-324, 1.0 - 2.0**-53
 
-    # polish until the two branch objectives tie to high precision, so a
-    # maximize_scalar call at the reported point sees both maximizers
-    def wins(b2: float) -> bool:
-        model = ModelSpec.edge_triangle(beta1, b2)
-        return scalar_objective(model, _local_maximizer(model, u_high)) > scalar_objective(
-            model, _local_maximizer(model, u_low)
-        )
+    def h(u: float) -> float:
+        return 0.5 * math.log(u / (1.0 - u)) - 0.25 / (1.0 - u)
 
-    # the exact tie can lie outside [a, b], which brackets the tie within
-    # MULTIPLICITY_TOL; both branches exist at a and b, but not across the
-    # whole cell, where wins is false wherever one of them has ended
-    high_branch_wins = _MonotoneWindow(wins)
-    tie = _tie_estimate(beta1, lo, hi, u_low, u_high, 0.0)
-    if tie is not None:
-        high_branch_wins.open(tie, _TIE_FLOAT_WIDTH * abs(tie), a, b)
-    aa, bb = _bisect(high_branch_wins, a, b)
-    return PhaseTransition(0.5 * (aa + bb), u_low, u_high)
+    def b_of(u: float) -> float:
+        # the square of a tiny spinodal underflows; its B is inf
+        return (0.5 * math.log(u / (1.0 - u)) - beta1) / (3.0 * u) / u
 
+    # each spinodal on the side of its bisection where h < beta1
+    s1 = _bisect(lambda u: h(u) >= beta1, tiny, 2.0 / 3.0)[0]
+    s2 = _bisect(lambda u: h(u) < beta1, 2.0 / 3.0, below_one)[1]
 
-# A tie estimate opens a window 1e-8 either side for the tests with offset
-# MULTIPLICITY_TOL, which bisect to JUMP_LOCATION_TOL, and 2^-44 of the tie
-# (about 2^8 ulps) either side for the exact tie test, which bisects to
-# adjacent floats and whose float noise spans a few ulps of beta2 there
-_TIE_WIDTH = 1e-8
-_TIE_FLOAT_WIDTH = 2.0**-44
-_TIE_NEWTON_STEPS = 12
+    def maximizer(b2: float, lo: float, hi: float) -> float:
+        def turned(u: float) -> bool:
+            return -0.5 * math.log(u / (1.0 - u)) + beta1 + 3.0 * b2 * (u * u) <= 0.0
 
+        if turned(lo):
+            return lo
+        if not turned(hi):
+            return hi
+        a, b = _bisect(turned, lo, hi)
+        return 0.5 * (a + b)
 
-class _MonotoneWindow:
-    """A test of beta2 that is false below some point and true above it,
-    called only where its earlier answers leave the answer open.
+    def gap(b2: float) -> tuple[float, float, float]:
+        x_low, x_high = maximizer(b2, tiny, s1), maximizer(b2, s2, below_one)
+        g = _objective((1, 3), (beta1, b2), x_high) - _objective((1, 3), (beta1, b2), x_low)
+        return g + offset, x_low, x_high
 
-    false_at is the largest beta2 where it came out false and true_at the
-    smallest where it came out true; a point at or below false_at is false
-    and one at or above true_at is true without a call. A bisection through
-    the window makes every decision that a bisection through the bare test
-    makes, so long as the test is monotone on the bracket outside the gap
-    the calls leave.
-    """
-
-    __slots__ = ("_test", "false_at", "true_at")
-
-    def __init__(self, test):
-        self._test = test
-        self.false_at, self.true_at = -math.inf, math.inf
-
-    def __call__(self, beta2: float) -> bool:
-        if beta2 <= self.false_at:
-            return False
-        if beta2 >= self.true_at:
-            return True
-        if self._test(beta2):
-            self.true_at = beta2
-            return True
-        self.false_at = beta2
-        return False
-
-    def open(self, estimate: float | None, delta: float, lo: float, hi: float) -> None:
-        """Test estimate - delta and estimate + delta, each moved into the
-        bracket [lo, hi]; when the turn lies between them, the window shuts
-        to their gap. Nothing when the estimate is missing."""
-        if estimate is not None:
-            self(min(max(estimate - delta, lo), hi))
-            self(min(max(estimate + delta, lo), hi))
-
-
-def _tie_estimate(beta1: float, lo: float, hi: float, u_lo: float, u_hi: float, offset: float):
-    """The beta2 in (lo, hi) where g = f(x_hi) - f(x_lo) + offset is zero,
-    f the edge-triangle objective, x_lo and x_hi its local maximizers tracked
-    from u_lo, on the branch that is the top one at lo, and u_hi, on the
-    branch that is the top one at hi. None when it has not settled after
-    _TIE_NEWTON_STEPS points.
-
-    Newton in beta2, kept inside a bracket of the tie: by the envelope
-    theorem dg/dbeta2 = x_hi^3 - x_lo^3 > 0, so the sign of g tells the side
-    of the tie. A branch has ended at beta2 when its seed reaches a point
-    that is no strict local maximum or lies across the middle of u_lo and
-    u_hi; the low branch ends above the tie and the high branch below it,
-    which also tells the side. A point where Newton would leave the bracket,
-    or where a branch has ended, is followed by the bracket's midpoint. The
-    estimate only places the window of a _MonotoneWindow, so it never
-    changes a decision.
-    """
-    b2 = 0.5 * (lo + hi)
-    middle = 0.5 * (u_lo + u_hi)
-    for _ in range(_TIE_NEWTON_STEPS):
-        model = ModelSpec.edge_triangle(beta1, b2)
-        x_lo, x_hi = _local_maximizer(model, u_lo), _local_maximizer(model, u_hi)
-        if not (x_lo < middle and _second_derivative(model.edges, model.betas, x_lo) < 0.0):
-            hi = b2
-        elif not (x_hi > middle and _second_derivative(model.edges, model.betas, x_hi) < 0.0):
+    lo, hi = b_of(s2), b_of(s1)
+    if lo > top:
+        return None
+    b2 = lo
+    while True:
+        g, x_low, x_high = gap(b2)
+        if g < 0.0:
             lo = b2
         else:
-            u_lo, u_hi = x_lo, x_hi
-            g = scalar_objective(model, x_hi) - scalar_objective(model, x_lo) + offset
-            step = g / (x_hi**3 - x_lo**3)
-            if abs(step) <= 1e-15 * abs(b2):
-                return b2 - step
-            lo, hi = (b2, hi) if g < 0.0 else (lo, b2)
-            if lo < b2 - step < hi:
-                b2 -= step
-                continue
-        b2 = 0.5 * (lo + hi)
-    return None
-
-
-def _local_maximizer(model: ModelSpec, seed: float) -> float:
-    """Track the local maximizer of the scalar objective nearest a seed.
-
-    Newton runs for at most 200 steps. Near a maximizer it can cycle
-    through a few floats whose gaps never drop below 1e-16 (the ulp near
-    u = 0.8 is 1.1e-16); each step depends on the current point alone, so
-    such a cycle is cut short with the point the 200th step lands on.
-    """
-    edges, coefs = model.edges, model.betas
-    x = min(max(seed, 1e-12), 1.0 - 1e-12)
-    path = [x]
-    step_of = {x: 0}
-    for it in range(200):
-        d2 = _second_derivative(edges, coefs, x)
-        if d2 >= 0.0:
+            hi = b2
+        step = g / (x_high**3 - x_low**3)
+        if abs(step) <= 1e-15 * b2:
             break
-        step = float(_objective_derivative(edges, coefs, x)) / d2
-        xn = min(max(x - step, 1e-15), 1.0 - 1e-15)
-        if abs(xn - x) < 1e-16:
-            x = xn
-            break
-        if xn in step_of:
-            first = step_of[xn]
-            return path[first + (200 - first) % (it + 1 - first)]
-        step_of[xn] = it + 1
-        path.append(xn)
-        x = xn
-    return x
+        nxt = b2 - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        b2 = nxt
+    return None if b2 > top else (b2, x_low, x_high)
 
 
 # -- fixed-point equation ------------------------------------------------------

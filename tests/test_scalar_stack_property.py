@@ -5,8 +5,7 @@ solved in stacks: one 0-d derivative call per bisection step, a Newton
 polish on floats and one objective call per candidate. Every report of a
 stack solve must pickle to the same bytes as the reference's report for
 its model alone, and as the stack's report for that model when the stack
-is reversed. reference_local_maximizer is the tie-polish Newton loop as it
-was before it cut cycles of floats short.
+is reversed.
 """
 
 import math
@@ -25,7 +24,6 @@ from ergmlab.variational import (
     MULTIPLICITY_TOL,
     MaximizerReport,
     ModelSpec,
-    _local_maximizer,
     _maximize_stack,
     _scalar_grid,
     maximize_scalar,
@@ -103,21 +101,6 @@ def reference_maximize_scalar(model: ModelSpec) -> tuple[MaximizerReport, int]:
     return MaximizerReport(merged, psi, residuals), len(sign_drop)
 
 
-def reference_local_maximizer(model: ModelSpec, seed: float) -> tuple[float, int]:
-    """The tie-polish Newton loop run to its 200-step cap, and its step count."""
-    exps = list(zip(model.edges, model.betas))
-    x = min(max(seed, 1e-12), 1.0 - 1e-12)
-    for it in range(200):
-        d2 = _second_derivative(exps, x)
-        if d2 >= 0.0:
-            return x, it
-        xn = min(max(x - float(_derivative(exps, x)) / d2, 1e-15), 1.0 - 1e-15)
-        if abs(xn - x) < 1e-16:
-            return xn, it + 1
-        x = xn
-    return x, 200
-
-
 def _check_stack(motifs, coef_rows):
     models = [ModelSpec(list(zip(motifs, row))) for row in coef_rows]
     edges = [m.edge_count for m in motifs]
@@ -165,17 +148,3 @@ def test_stack_covers_bracket_counts_and_both_refinements():
     # a stack over several blocks with enough brackets for lockstep
     scan = [(-0.45, b2) for b2 in np.linspace(0.0, 2.0, 3 * ROWS_PER_BLOCK + 2)] + rows
     assert sum(_check_stack(motifs, np.array(scan))) >= _LOCKSTEP_MIN_BRACKETS
-
-
-def test_local_maximizer_matches_200_step_reference():
-    # near the edge-triangle jump Newton often ends in a cycle of two, three
-    # or four floats and runs to its 200-step cap; the cut-short loop
-    # returns the same point
-    capped = 0
-    for b2 in np.linspace(0.59, 0.605, 40):
-        model = ModelSpec.edge_triangle(-0.45, float(b2))
-        for seed in (0.4, 0.81):
-            want, steps = reference_local_maximizer(model, seed)
-            capped += steps == 200
-            assert _local_maximizer(model, seed) == want, (b2, seed)
-    assert capped >= 10
