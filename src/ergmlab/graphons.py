@@ -12,25 +12,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, InstanceTooLargeError
-from .graphs import Graph, Motif, _data_lines, _fields, _mask_bits, _rng_from_seed, _term
+from .errors import DomainError, FormatError
+from .graphs import (DELTA_VERTEX_GUARD, DENSITY_VERTEX_GUARD, Graph, Motif, _Contraction,
+                     _data_lines, _fields, _mask_bits, _rng_from_seed)
 
 WEIGHT_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 BOUNDARY_MERGE_TOL = 1e-9
 CUT_NORM_EXACT_MAX_BLOCKS = 24
 CUT_DISTANCE_EXHAUSTIVE_MAX_BLOCKS = 8
-DENSITY_VERTEX_GUARD = 8
-DENSITY_SIZE_GUARD = 10**9
-DELTA_VERTEX_GUARD = 6
-# kernels with k^|V(H)| at most this many cells contract in numpy's C einsum
-# directly; larger ones along a greedy path that einsum searches per call
-DIRECT_EINSUM_MAX_CELLS = 2**16
 # the exact cut norm expands the low sign bits into one 0/1 table of at most
 # 2^12 rows and works in blocks of at most this many float entries
 _CUT_LOW_BITS = 12
@@ -54,7 +48,7 @@ class StepGraphon:
         k = len(w)
         if v.shape != (k, k):
             raise DomainError(f"values must be {k}x{k}, got {v.shape}")
-        asym = np.max(np.abs(v - v.T)) if k else 0.0
+        asym = np.max(np.abs(v - v.T))
         if asym > SYMMETRY_TOL:
             raise DomainError(f"values asymmetric beyond tolerance: {asym:g}")
         v = 0.5 * (v + v.T)
@@ -189,95 +183,6 @@ def relative_edge_entropy(u, p: float):
 
 
 # -- densities and rates on step graphons ------------------------------------
-
-
-def _contraction_guard(h: Motif, k: int, vertex_guard: int):
-    """Refuse a contraction of the active motif h over k blocks beyond the
-    vertex guard or the k^|V(h)| cell guard."""
-    if h.vertex_count > vertex_guard:
-        raise InstanceTooLargeError(
-            f"instance too large: motif has {h.vertex_count} vertices, "
-            f"guard is {vertex_guard}"
-        )
-    if k**h.vertex_count > DENSITY_SIZE_GUARD:
-        raise InstanceTooLargeError(
-            f"instance too large: k^|V(H)| = {k}^{h.vertex_count} exceeds "
-            f"the {DENSITY_SIZE_GUARD} guard"
-        )
-
-
-@functools.lru_cache(maxsize=256)
-def _motif_subscripts(h: Motif) -> tuple:
-    """Einsum subscripts of a motif's density and of each edge's delta term.
-
-    Each entry pairs a subscript string with its operand kinds: "v" for the
-    kernel values, "w" for the block weights and "1" for a ones vector that
-    puts a pinned vertex on no remaining edge among the inputs. Returns the
-    density entry and one entry per edge (r, s): the other edges and
-    vertices summed out, with r and s pinned to the output axes. The value
-    subscripts lead with "...", so one entry serves a (k, k) value array
-    and an (R, k, k) stack of them.
-    """
-    letters = string.ascii_lowercase[: h.vertex_count]
-    density = (
-        ",".join(["..." + letters[i] + letters[j] for i, j in h.edges] + list(letters)) + "->...",
-        "v" * len(h.edges) + "w" * h.vertex_count,
-    )
-    terms = []
-    for r, s in h.edges:
-        rest = [e for e in h.edges if e != (r, s)]
-        subs = ["..." + letters[i] + letters[j] for i, j in rest]
-        kinds = "v" * len(rest)
-        for v in range(h.vertex_count):
-            if v not in (r, s):
-                subs.append(letters[v])
-                kinds += "w"
-        for v in (r, s):
-            if not any(v in e for e in rest):
-                subs.append(letters[v])
-                kinds += "1"
-        terms.append((",".join(subs) + "->..." + letters[r] + letters[s], kinds))
-    return density, tuple(terms)
-
-
-class _Contraction:
-    """The density and delta contractions of one motif at fixed block weights.
-
-    Built once per call of hom_density_graphon and delta_h, and once per
-    kernel solve: it guards the motif's active part at len(weights) blocks,
-    looks up its subscripts, binds the weight and ones operands and picks
-    the direct C einsum or the greedy path (DIRECT_EINSUM_MAX_CELLS).
-    density and delta take a (k, k) value array, or an (R, k, k) stack of
-    them, whose slices match the single-array values within a few ulps:
-    einsum may sum a stack in another order.
-    """
-
-    __slots__ = ("_density", "_terms", "_operands", "_optimize")
-
-    def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int):
-        h = _term(h).motif  # a density cannot see isolated vertices
-        k = len(weights)
-        _contraction_guard(h, k, vertex_guard)
-        self._density, self._terms = _motif_subscripts(h)
-        self._operands = {"w": weights, "1": np.ones(k)}
-        self._optimize = False if k**h.vertex_count <= DIRECT_EINSUM_MAX_CELLS else "greedy"
-
-    def _run(self, entry, values: np.ndarray) -> np.ndarray:
-        subscripts, kinds = entry
-        operands = [values if c == "v" else self._operands[c] for c in kinds]
-        return np.einsum(subscripts, *operands, optimize=self._optimize)
-
-    def density(self, values: np.ndarray):
-        """t(H, .) of the kernel (a numpy scalar), or of each kernel in a stack."""
-        return self._run(self._density, values)
-
-    def delta(self, values: np.ndarray) -> np.ndarray:
-        """Delta_H of the kernel, or of each kernel in a stack (see delta_h)."""
-        total = np.zeros(values.shape)
-        for entry in self._terms:
-            term = self._run(entry, values)
-            total += 0.5 * (term + term.swapaxes(-1, -2))
-        return total
 
 
 def hom_density_graphon(h: Motif, g: StepGraphon) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import string
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,14 +19,19 @@ import numpy as np
 from .errors import DomainError, ErgmLabError, FormatError, InstanceTooLargeError
 
 MAX_VERTICES = 4096
-HOM_MAP_GUARD = 10**9
 CHROMATIC_VERTEX_GUARD = 12
+DENSITY_VERTEX_GUARD = 8
+DENSITY_SIZE_GUARD = 10**9
+DELTA_VERTEX_GUARD = 6
+# a contraction of rows x k^|V(H)| cells at most contracts in numpy's C einsum
+# directly; a larger one along a greedy path planned once per subscript entry
+DIRECT_EINSUM_MAX_CELLS = 2**16
 # the batched star and triangle counts gather rows in blocks of at most this
 # many (row, index) entries, so each temporary stays near 1 MB whatever the batch
 _BATCH_BLOCK_ENTRIES = 2**20
-# the exact inner product (and the product it contracts) and the batch
-# triangle product work in blocks of about this many matrix entries (256 KB of
-# float32)
+# the exact inner product (and the product it contracts), the batch triangle
+# product and the batch contraction work in blocks of about this many matrix
+# entries (256 KB of float32, 512 KB of float64)
 _PRODUCT_BLOCK_ENTRIES = 2**16
 # batch triangle counts take the stacked adjacency product from this n on and
 # the triple gather below it: per graph, the gather takes 0.16 us and the
@@ -124,9 +130,6 @@ class Graph:
         if self.n < 2:
             raise DomainError("edge density needs at least 2 vertices")
         return self.edge_count() / math.comb(self.n, 2)
-
-    def common_neighbors(self, i: int, j: int) -> int:
-        return (self.rows[i] & self.rows[j]).bit_count()
 
     def with_edge_toggled(self, i: int, j: int) -> "Graph":
         if i == j:
@@ -428,18 +431,12 @@ def _is_single_cycle(h: Motif) -> bool:
 def _search_homomorphisms(h: Motif, g: Graph) -> int:
     """Number of maps V(H) -> V(G) sending every edge of H to an edge of G.
 
-    Exact brute force with pruning on partial assignments; the guard refuses
-    instances with |V(G)|^|V(H)| above 10^9. The general term runs it on its
-    motif's active part, so the public count's guard reads |V(G)|^(active
-    vertices) and isolated vertices scale only that count. On the full
-    motif, isolated vertices included, it is the oracle the term kernels
-    and the public count are tested against.
+    Exact brute force with pruning on partial assignments, under the guard of
+    the general count (_Term): it refuses |V(G)|^|V(H)| above 10^9, isolated
+    vertices included. No library code runs it: it is the oracle the term
+    kernels, the batch counts and the public count are tested against.
     """
-    if g.n**h.vertex_count > HOM_MAP_GUARD:
-        raise InstanceTooLargeError(
-            f"instance too large: |V(G)|^|V(H)| = {g.n}^{h.vertex_count} "
-            f"exceeds the {HOM_MAP_GUARD} map guard"
-        )
+    _contraction_guard(h, g.n, _Term._vertex_guard)
     levels = _search_levels(h, [], lambda e: 0)
     return _count_extensions(levels, (g.rows,), [0] * len(levels), 0, (1 << g.n) - 1)
 
@@ -487,6 +484,107 @@ def _count_extensions(levels, tables, images: list[int], depth: int, full: int) 
     return total
 
 
+def _contraction_guard(h: Motif, k: int, vertex_guard: int):
+    """Refuse a contraction of the active motif h over k blocks beyond the
+    vertex guard or the k^|V(h)| cell guard."""
+    if h.vertex_count > vertex_guard:
+        raise InstanceTooLargeError(
+            f"instance too large: motif has {h.vertex_count} vertices, "
+            f"guard is {vertex_guard}"
+        )
+    if k**h.vertex_count > DENSITY_SIZE_GUARD:
+        raise InstanceTooLargeError(
+            f"instance too large: k^|V(H)| = {k}^{h.vertex_count} exceeds "
+            f"the {DENSITY_SIZE_GUARD} guard"
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _motif_subscripts(h: Motif) -> tuple:
+    """Einsum subscripts of a motif's density and of each edge's delta term.
+
+    Each entry pairs a subscript string with its operand kinds: "v" for the
+    kernel values, "w" for the block weights and "1" for a ones vector that
+    puts a pinned vertex on no remaining edge among the inputs. Returns the
+    density entry and one entry per edge (r, s): the other edges and
+    vertices summed out, with r and s pinned to the output axes. The value
+    subscripts lead with "...", so one entry serves a (k, k) value array
+    and an (R, k, k) stack of them.
+    """
+    letters = string.ascii_letters[: h.vertex_count]
+    density = (
+        ",".join(["..." + letters[i] + letters[j] for i, j in h.edges] + list(letters)) + "->...",
+        "v" * len(h.edges) + "w" * h.vertex_count,
+    )
+    terms = []
+    for r, s in h.edges:
+        rest = [e for e in h.edges if e != (r, s)]
+        subs = ["..." + letters[i] + letters[j] for i, j in rest]
+        kinds = "v" * len(rest)
+        for v in range(h.vertex_count):
+            if v not in (r, s):
+                subs.append(letters[v])
+                kinds += "w"
+        for v in (r, s):
+            if not any(v in e for e in rest):
+                subs.append(letters[v])
+                kinds += "1"
+        terms.append((",".join(subs) + "->..." + letters[r] + letters[s], kinds))
+    return density, tuple(terms)
+
+
+class _Contraction:
+    """The density and delta contractions of one motif at fixed block weights.
+
+    Built once per call of hom_density_graphon and delta_h, per kernel
+    solve, and per general graph count or batch, a graph being its n-block
+    0/1 kernel with unit weights, whose density contraction is the
+    homomorphism count. It guards the motif's active part at len(weights)
+    blocks (vertex_guard None: no guard), looks up its subscripts and binds
+    the weight and ones operands. density and delta take a (k, k) value
+    array, or an (R, k, k) stack of them, whose slices match the single
+    array within a few ulps: einsum may sum a stack in another order. A call
+    of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
+    directly, a larger one einsum's greedy path, planned on first use per
+    subscript entry and value shape; it makes no intermediate larger than
+    its largest operand.
+    """
+
+    __slots__ = ("_density", "_terms", "_operands", "_cells", "_paths")
+
+    def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int | None):
+        h = _term(h).motif  # a density cannot see isolated vertices
+        k = len(weights)
+        if vertex_guard is not None:
+            _contraction_guard(h, k, vertex_guard)
+        self._density, self._terms = _motif_subscripts(h)
+        self._operands = {"w": weights, "1": np.ones(k)}
+        self._cells = k ** (h.vertex_count - 2)  # per value entry
+        self._paths = {}
+
+    def _run(self, entry, values: np.ndarray) -> np.ndarray:
+        subscripts, kinds = entry
+        operands = [values if c == "v" else self._operands[c] for c in kinds]
+        if values.size * self._cells <= DIRECT_EINSUM_MAX_CELLS:
+            return np.einsum(subscripts, *operands)
+        key = (subscripts, values.shape)
+        if key not in self._paths:
+            self._paths[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+        return np.einsum(subscripts, *operands, optimize=self._paths[key])
+
+    def density(self, values: np.ndarray):
+        """t(H, .) of the kernel (a numpy scalar), or of each kernel in a stack."""
+        return self._run(self._density, values)
+
+    def delta(self, values: np.ndarray) -> np.ndarray:
+        """Delta_H of the kernel, or of each kernel in a stack (see graphons.delta_h)."""
+        total = np.zeros(values.shape)
+        for entry in self._terms:
+            term = self._run(entry, values)
+            total += 0.5 * (term + term.swapaxes(-1, -2))
+        return total
+
+
 # -- model terms: count, change statistic, batch count -------------------------
 
 
@@ -507,13 +605,23 @@ class _Term:
 
     Edges, stars, triangles, cycles and cliques have closed-form integer
     counts and deltas in their subclasses, with no size guard. The general
-    count and delta here serve the edge-list motifs of no such shape: the
-    count is the bitset search, whose map guard refuses |V(G)|^(active
-    vertices) above 10^9, and the delta is the edge-rooted count, the
-    discrete form of the kernel derivative: for each motif edge k in both
-    orientations, pin edge k onto (i, j), map the edges before k into
-    G - ij and those after k into G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
+    count and delta here serve the edge-list motifs of no such shape. The
+    count contracts the motif over the graph's 0/1 adjacency with unit block
+    weights (_Contraction), under the guard of at most 52 active vertices and
+    |V(G)|^(active vertices) <= 10^9, so every partial sum is an exact
+    float64 integer. The delta is the edge-rooted count, the discrete form of
+    the kernel derivative: for each motif edge k in both orientations, pin
+    edge k onto (i, j), map the edges before k into G - ij and those after k
+    into G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
+
+    The batch here serves the general and cycle shapes: one contraction
+    counts the rows, scattered into a reused (rows, n, n) stack of about
+    2^16 entries, under the count's guard (none for cycles). Its partial
+    sums are integers of at most n^v, so where n^v >= 2^53 (cycle:8 at
+    n >= 99) each row takes the exact count instead.
     """
+
+    _vertex_guard = len(string.ascii_letters)  # one einsum letter per vertex
 
     def __init__(self, motif: Motif, arg: int | None = None):
         active = [v for v, x in enumerate(motif.neighbor_lists()) if x]
@@ -521,7 +629,8 @@ class _Term:
         self.arg = arg
 
     def count(self, g) -> int:
-        return _search_homomorphisms(self.motif, g)
+        contraction = _Contraction(self.motif, np.ones(g.n), self._vertex_guard)
+        return int(contraction.density(_bit_matrix(g.n, g.rows).astype(float)))
 
     def delta(self, g, i: int, j: int) -> int:
         minus, plus = list(g.rows), list(g.rows)
@@ -538,7 +647,19 @@ class _Term:
         return total
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        return np.array([self.count(_indicator_graph(n, row)) for row in bits])
+        if n**self.motif.vertex_count >= 2**53:
+            return np.array([self.count(_indicator_graph(n, row)) for row in bits])
+        contraction = _Contraction(self.motif, np.ones(n), self._vertex_guard)
+        i, j = np.nonzero(np.triu(_pair_columns(n) >= 0))  # the pairs, in pair order
+        step = max(1, _PRODUCT_BLOCK_ENTRIES // n**2)
+        stack = np.zeros((min(step, len(bits)), n, n))
+        cnt = np.empty(len(bits), dtype=np.int64)
+        for lo in range(0, len(bits), step):
+            rows = bits[lo : lo + step]
+            a = stack[: len(rows)]
+            a[:, i, j] = a[:, j, i] = rows
+            cnt[lo : lo + step] = contraction.density(a)
+        return cnt
 
     @functools.cached_property
     def _rooted_levels(self):
@@ -672,6 +793,8 @@ class _CycleTerm(_Term):
     d the degrees and w3 = (A^3)_ij = sum_{y in N(j)} |N(i) & N(y)|, all
     taken in G - ij.
     """
+
+    _vertex_guard = None
 
     def count(self, g) -> int:
         return _closed_walks(g, self.arg)
@@ -836,6 +959,10 @@ class _CompleteTerm(_Term):
         r = self.arg
         return math.factorial(r) * _cliques(g.rows, g.rows[i] & g.rows[j], r - 2)
 
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        # one count per row: the contraction of complete:4 is 11x slower at n = 100
+        return np.array([self.count(_indicator_graph(n, row)) for row in bits])
+
 
 def _cliques(rows, cand: int, s: int) -> int:
     """The s-cliques inside the bitset cand for s >= 2, each found once: from
@@ -874,9 +1001,9 @@ def count_homomorphisms(h: Motif, g: Graph) -> int:
     with an edge; each isolated vertex of h may go anywhere, so this count,
     and no term kernel, scales that count by |V(G)|^(isolated vertices).
     Exact at any size for edges, stars, triangles, cycles and cliques, whose
-    term kernels count in closed form; the other (edge-list) shapes take the
-    bitset search, whose map guard refuses |V(G)|^(active vertices) above
-    10^9.
+    term kernels count in closed form; the other (edge-list) shapes contract
+    the motif over the adjacency matrix (_Term), whose guard refuses more
+    than 52 active vertices and |V(G)|^(active vertices) above 10^9.
     """
     term = _term(h)
     return term.count(g) * g.n ** (h.vertex_count - term.motif.vertex_count)

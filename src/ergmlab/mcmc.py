@@ -581,14 +581,14 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     """Density vectors for a batch of graphs given as edge-indicator rows.
 
     bits has one row per graph and one column per vertex pair in
-    lexicographic order. Edges, stars, and triangles are fully vectorized;
-    other motifs fall back to a per-graph loop. The star counts gather the
-    rows in blocks of max(1, 2^20 // n(n - 1)) rows. For n >= 9 the
-    triangle counts are sum((A+ @ A+) * A+) over the strictly upper
-    adjacency A+ of each row, in blocks of max(1, 2^16 // n^2) rows, in
-    float32 while C(n, 3) < 2^24 and float64 beyond; below n = 9 they gather
-    the three pair columns of every triple in blocks of
-    max(1, 2^20 // C(n, 3)) rows. So no temporary grows with the number of
+    lexicographic order; cliques count one graph at a time. Stars gather
+    the rows in blocks of max(1, 2^20 // n(n - 1)), below n = 9 triangles
+    the pair columns of every triple in blocks of max(1, 2^20 // C(n, 3)).
+    In blocks of max(1, 2^16 // n^2) rows, triangles from n = 9 on sum
+    (A+ @ A+) * A+ over the strictly upper adjacency A+ of each row, in
+    float32 while C(n, 3) < 2^24 and float64 beyond, and cycles and
+    edge-list motifs contract the stacked adjacency matrices, or count each
+    graph where n^v reaches 2^53. So no temporary grows with the number of
     rows, and the counts stay exact integers.
     """
     m = math.comb(n, 2)

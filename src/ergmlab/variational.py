@@ -23,16 +23,14 @@ import numpy as np
 from . import graphs
 from .errors import ConvergenceError, DomainError, FormatError, OverflowGuardError
 from .graphons import (
-    DELTA_VERTEX_GUARD,
-    DENSITY_VERTEX_GUARD,
     StepGraphon,
-    _Contraction,
     delta_h,
     edge_entropy,
     hom_density_graphon,
     rate_entropy,
 )
-from .graphs import Graph, Motif, _data_lines, _fields, _rng_from_seed, hom_density_graph
+from .graphs import (DELTA_VERTEX_GUARD, DENSITY_VERTEX_GUARD, Graph, Motif, _Contraction,
+                     _data_lines, _fields, _rng_from_seed, hom_density_graph)
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # variational.hom_density_graph_fast, so the name stays importable from this module

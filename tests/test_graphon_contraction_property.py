@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmlab import graphons
+from ergmlab import graphons, graphs
 from ergmlab.graphons import StepGraphon, delta_h, hom_density_graphon, to_step_graphon
 from ergmlab.graphs import Graph, Motif, _term, hom_density_graph
 
@@ -75,8 +75,8 @@ def test_contraction_matches_brute_force_block_sum(h, g):
     density, delta = brute_density(h, g), brute_delta(h, g)
     # 0 sends every kernel down the greedy path, the default sends these
     # small ones (k^|V(H)| <= 4^5) to the direct C einsum
-    for cells in (graphons.DIRECT_EINSUM_MAX_CELLS, 0):
-        with mock.patch.object(graphons, "DIRECT_EINSUM_MAX_CELLS", cells):
+    for cells in (graphs.DIRECT_EINSUM_MAX_CELLS, 0):
+        with mock.patch.object(graphs, "DIRECT_EINSUM_MAX_CELLS", cells):
             assert hom_density_graphon(h, g) == pytest.approx(density, abs=1e-12)
             assert np.max(np.abs(delta_h(h, g) - delta), initial=0.0) <= 1e-12
 
@@ -91,7 +91,7 @@ def test_contraction_above_direct_threshold_matches_graph_counts():
     g = Graph.from_edges(n, [p for p in pairs if r.random() < 0.4])
     kernel = to_step_graphon(g)
     c4 = Motif.cycle(4)
-    assert n**c4.vertex_count > graphons.DIRECT_EINSUM_MAX_CELLS
+    assert n**c4.vertex_count > graphs.DIRECT_EINSUM_MAX_CELLS
     assert hom_density_graphon(c4, kernel) == pytest.approx(hom_density_graph(c4, g), abs=1e-12)
     a = g.adjacency_matrix().astype(float)
     assert np.max(np.abs(delta_h(c4, kernel) - 4.0 * (a @ a @ a) / n**2)) <= 1e-12
@@ -117,7 +117,7 @@ def solver_motifs(draw):
 def plain_contraction(h: Motif, g: StepGraphon):
     """Density and delta of the motif's active part as the contraction ran
     before its subscripts led with "...": the same subscripts without it."""
-    density, terms = graphons._motif_subscripts(_term(h).motif)
+    density, terms = graphs._motif_subscripts(_term(h).motif)
     operands = {"v": g.values, "w": g.weights, "1": np.ones(g.k)}
 
     def run(subscripts, kinds):

@@ -223,6 +223,22 @@ def test_size_guard():
             count(paw, Graph.complete(200))
 
 
+def test_general_count_guard_reads_active_vertices_and_the_size_guard():
+    # the contraction counts edge-list shapes under the guard the search
+    # had: |V(G)|^(active vertices) <= 10^9, whatever the motif's size up
+    # to 52 active vertices, one subscript letter each. A 9-cycle with a
+    # chord has more vertices than the kernels' 8-vertex guard
+    chorded = Motif.parse("edgelist:0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-0,0-4")
+    assert classify_motif(chorded) == ("general",)
+    g = Graph.erdos_renyi(9, 0.7, rng(9))
+    assert count_homomorphisms(chorded, g) == _search_homomorphisms(chorded, g) > 0
+    assert count_homomorphisms(chorded, Graph.empty(10)) == 0  # 10^9 maps
+    with pytest.raises(InstanceTooLargeError, match=r"11\^9 exceeds the 1000000000 guard"):
+        count_homomorphisms(chorded, Graph.empty(11))
+    with pytest.raises(InstanceTooLargeError, match="motif has 53 vertices, guard is 52"):
+        count_homomorphisms(Motif(53, [(i, i + 1) for i in range(52)]), Graph.empty(1))
+
+
 def test_public_count_answers_closed_forms_beyond_the_map_guard():
     # 1001^3 and 20^8 maps are beyond the search's guard; the term kernels
     # count triangles and cliques of K_n as falling factorials

@@ -11,13 +11,23 @@ count and density, which read the term, agree with the search too.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmlab.graphs import Graph, Motif, _search_homomorphisms, _term, count_homomorphisms, hom_density_graph
+from ergmlab import graphs
+from ergmlab.graphs import (
+    Graph,
+    Motif,
+    _indicator_graph,
+    _search_homomorphisms,
+    _term,
+    count_homomorphisms,
+    hom_density_graph,
+)
 from ergmlab.mcmc import _ChainState, _log_odds
 
 BUILTIN = [
@@ -79,3 +89,49 @@ def test_term_count_and_delta_match_brute_force(h, case):
         log_odds = sum((scale * t.delta(view, i, j) for scale, t in weighted), constant)
         assert log_odds == pytest.approx(0.7 * change * g.n**2 / g.n**h.vertex_count, rel=1e-12)
     assert (term.batch(bits, g.n) * iso).tolist() == [count]
+
+
+# -- the stacked batch contraction ----------------------------------------------------------------
+
+BATCH_SHAPES = ["cycle:4", "cycle:5", "cycle:6", "cycle:7", "complete:4", "complete:5"]
+
+
+@st.composite
+def batch_motifs(draw):
+    """The term classes whose batch is not a gather: cycles, cliques and edge
+    lists of up to 6 vertices, isolated ones included."""
+    if draw(st.booleans()):
+        return Motif.parse(draw(st.sampled_from(BATCH_SHAPES)))
+    v = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(v), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    return Motif(v, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batch_motifs(), st.integers(2, 8), st.integers(1, 3), st.integers(4, 7), st.integers(0, 2**32 - 1))
+def test_batch_counts_match_brute_force_row_by_row(h, n, per_block, rows, seed):
+    # blocks of per_block <= 3 graphs, so every batch of 4 to 7 spans more
+    # than one block, and most end in a partial one
+    bits = (np.random.default_rng(seed).random((rows, n * (n - 1) // 2)) < 0.6).astype(np.int8)
+    term = _term(h)
+    iso = n ** (h.vertex_count - term.motif.vertex_count)
+    with mock.patch.object(graphs, "_PRODUCT_BLOCK_ENTRIES", per_block * n**2):
+        counts = term.batch(bits, n)
+    expected = [_search_homomorphisms(h, _indicator_graph(n, row)) for row in bits]
+    assert [c * iso for c in counts.tolist()] == expected
+
+
+@pytest.mark.parametrize("n", [98, 99])
+def test_cycle_batch_exact_on_both_sides_of_float64(n):
+    # 98^8 < 2^53 <= 99^8: the contraction runs at n = 98, where K_98 has
+    # 97^8 + 97 ~ 7.8e15 closed 8-walks, and one exact count per row at n = 99
+    assert 98**8 < 2**53 <= 99**8
+    pairs = n * (n - 1) // 2
+    bits = np.ones((2, pairs), dtype=np.int8)
+    bits[1] = np.random.default_rng(n).random(pairs) < 0.7
+    with mock.patch.object(graphs, "_Contraction", wraps=graphs._Contraction) as contraction:
+        counts = _term(Motif.cycle(8)).batch(bits, n)
+    assert contraction.called == (n == 98)
+    assert counts.tolist() == [graphs._closed_walks(_indicator_graph(n, row), 8) for row in bits]
+    assert counts[0] == (n - 1) ** 8 + (n - 1)
