@@ -26,6 +26,8 @@ DELTA_VERTEX_GUARD = 6
 # a contraction of rows x k^|V(H)| cells at most contracts in numpy's C einsum
 # directly; a larger one along a greedy path planned once per subscript entry
 DIRECT_EINSUM_MAX_CELLS = 2**16
+# numpy's C einsum refuses 64 operands or more (K_{8,8} has 64 edges)
+_EINSUM_MAX_OPERANDS = 63
 # the batched star and triangle counts gather rows in blocks of at most this
 # many (row, index) entries, so each temporary stays near 1 MB whatever the batch
 _BATCH_BLOCK_ENTRIES = 2**20
@@ -547,7 +549,11 @@ class _Contraction:
     of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
     directly, a larger one einsum's greedy path, planned on first use per
     subscript entry and value shape; it makes no intermediate larger than
-    its largest operand.
+    its largest operand. A contraction of more than _EINSUM_MAX_OPERANDS
+    operands always takes a path, planned with intermediates of up to
+    max(largest operand, DIRECT_EINSUM_MAX_CELLS) cells, so one whose cells
+    fit that budget is answered; if that path still leaves a step of too
+    many operands, it raises InstanceTooLargeError before any einsum runs.
     """
 
     __slots__ = ("_density", "_terms", "_operands", "_cells", "_paths")
@@ -565,11 +571,20 @@ class _Contraction:
     def _run(self, entry, values: np.ndarray) -> np.ndarray:
         subscripts, kinds = entry
         operands = [values if c == "v" else self._operands[c] for c in kinds]
-        if values.size * self._cells <= DIRECT_EINSUM_MAX_CELLS:
+        many = len(operands) > _EINSUM_MAX_OPERANDS
+        if not many and values.size * self._cells <= DIRECT_EINSUM_MAX_CELLS:
             return np.einsum(subscripts, *operands)
         key = (subscripts, values.shape)
         if key not in self._paths:
-            self._paths[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+            limit = ("greedy", max(values.size, DIRECT_EINSUM_MAX_CELLS)) if many else "greedy"
+            path = np.einsum_path(subscripts, *operands, optimize=limit)[0]
+            widest = max(len(step) for step in path[1:])
+            if widest > _EINSUM_MAX_OPERANDS:
+                raise InstanceTooLargeError(
+                    f"instance too large: a contraction step of {widest} operands, "
+                    f"numpy's einsum takes at most {_EINSUM_MAX_OPERANDS}"
+                )
+            self._paths[key] = path
         return np.einsum(subscripts, *operands, optimize=self._paths[key])
 
     def density(self, values: np.ndarray):

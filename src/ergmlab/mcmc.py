@@ -49,6 +49,8 @@ _DRAW_BLOCK_UNIFORMS = 2**19
 # e^_CHI_SQUARE_TAIL_LOG of the sum so far
 _CHI_SQUARE_CHUNK = 2**12
 _CHI_SQUARE_TAIL_LOG = -40.0
+# a Glauber chain's table of on-probabilities stops growing at this many keys
+_ON_PROBABILITY_TABLE_CAP = 4096
 
 
 # -- chain configuration and state ---------------------------------------------
@@ -162,10 +164,23 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     they are drawn in 4096-step chunks, pair indices then coins, so a seed
     gives the same chain whatever is recorded.
 
-    The Glauber log-odds of each step are _log_odds' constant plus its
-    scaled deltas, added in model order, times _log_odds_unit. The edge and
-    triangle counts live in locals while the chain runs and are written back
-    to the state before each record and at the end.
+    A Glauber step's on-probability depends on the pair only through the
+    integer deltas of the weighted terms (_log_odds), so each call keeps one
+    table from a step's key to its on-probability. The key is the term's
+    delta for an edge + one-motif model, its bound delta called directly;
+    the empty tuple when no term is weighted (edge only, or zero motif
+    coefficients); and the tuple of deltas in model order for two or three
+    terms, each built unrolled. A key not in the table gets the direct
+    arithmetic: _log_odds' constant plus its scaled deltas, added in model
+    order, times -_log_odds_unit, through exp, with an OverflowError read as
+    on-probability 0. It is stored while the table holds fewer than
+    _ON_PROBABILITY_TABLE_CAP entries, so every step gets the bits the
+    direct arithmetic gives, and the table stays under about 1 MB whatever
+    the keys (4,096 three-tuples of ints and their floats). Four or more
+    terms take the direct arithmetic at every step, where a key built in a
+    loop costs more than the table saves. The edge and triangle counts live
+    in locals while the chain runs and are written back to the state before
+    each record and at the end.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
@@ -176,7 +191,11 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     neg_unit = -_log_odds_unit(terms, state.n)
     constant, weighted = _log_odds(terms, state.n)
     weighted = [(scale, term.delta) for scale, term in weighted]
+    width = len(weighted)
+    # the first three terms, unrolled in the step loop
+    (s1, first), (s2, second), (s3, third) = (weighted + [(0.0, None)] * 3)[:3]
     exp = math.exp
+    table = {}
     metropolis = er_beta is not None
     exp_neg_beta = math.exp(-er_beta) if metropolis else 0.0
     rows = state.rows
@@ -193,13 +212,40 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
             if metropolis:
                 flip = not present or coin < exp_neg_beta
             else:
-                expo = constant
-                for scale, delta in weighted:
-                    expo += scale * delta(state, i, j)
-                try:
-                    flip = (coin < 1.0 / (1.0 + exp(expo * neg_unit))) != present
-                except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
-                    flip = present
+                # a missing key's log-odds: the constant plus each scaled delta, in model order
+                if width == 1:
+                    key = first(state, i, j)
+                    p = table.get(key)
+                    if p is None:
+                        expo = constant + s1 * key
+                elif width == 2:
+                    key = a, b = first(state, i, j), second(state, i, j)
+                    p = table.get(key)
+                    if p is None:
+                        expo = constant + s1 * a + s2 * b
+                elif width == 3:
+                    key = a, b, c = first(state, i, j), second(state, i, j), third(state, i, j)
+                    p = table.get(key)
+                    if p is None:
+                        expo = constant + s1 * a + s2 * b + s3 * c
+                elif width:  # four or more terms: no table
+                    key = p = None
+                    expo = constant
+                    for scale, delta in weighted:
+                        expo += scale * delta(state, i, j)
+                else:  # no weighted term: one key
+                    key = ()
+                    p = table.get(key)
+                    if p is None:
+                        expo = constant
+                if p is None:
+                    try:
+                        p = 1.0 / (1.0 + exp(expo * neg_unit))
+                    except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
+                        p = 0.0
+                    if key is not None and len(table) < _ON_PROBABILITY_TABLE_CAP:
+                        table[key] = p
+                flip = (coin < p) != present
             if flip:
                 rows[i] ^= 1 << j
                 rows[j] ^= 1 << i

@@ -34,6 +34,8 @@ def _model(motif: str, b: float) -> ModelSpec:
     return ModelSpec([(Motif.edge(), -0.2), (Motif.parse(motif), b)])
 
 
+STAR_TRIANGLE = ModelSpec([(Motif.edge(), 0.1), (Motif.parse("star:2"), -0.15), (Motif.triangle(), 0.2)])
+
 CHAINS = {
     "er": ChainConfig(12, steps=3000, seed=101, er_beta=0.5),
     "star2": ChainConfig(12, steps=3000, seed=102, model=_model("star:2", -0.6), start="complete"),
@@ -45,6 +47,12 @@ CHAINS = {
     "cycle5": ChainConfig(12, steps=3000, seed=109, model=_model("cycle:5", 0.6)),
     "cycle6": ChainConfig(12, steps=3000, seed=110, model=_model("cycle:6", 0.7)),
     "complete5": ChainConfig(12, steps=3000, seed=111, model=_model("complete:5", 6.0)),
+    # recorded while every Glauber step still recomputed its on-probability:
+    # no weighted term (a zero triangle coefficient), two terms and three
+    "triangle0": ChainConfig(12, steps=3000, seed=112, model=ModelSpec.edge_triangle(0.3, 0.0)),
+    "star_triangle": ChainConfig(12, steps=3000, seed=113, model=STAR_TRIANGLE),
+    "three_terms": ChainConfig(12, steps=3000, seed=114, model=ModelSpec(
+        [(Motif.edge(), -0.2), (Motif.triangle(), 0.3), (Motif.parse("star:2"), -0.1), (Motif.cycle(4), 0.2)])),
 }
 
 GOLDEN = {
@@ -57,12 +65,13 @@ GOLDEN = {
     "cycle5": "4b93c517700a5ca274b10a67530c8c6645b770760258d0ea3712aed7fb01e531",
     "cycle6": "f4497611f3d35bd8c20449d6d44844c82822060f8485d0125cac622fe7a38a4d",
     "complete5": "dd4b0efb34ef862c58ebba26804198603d962f1895b29e046649cbd88bf40717",
+    "triangle0": "cb6187f094129e0ad3aff6b1d848057099cdba85366e920413d3a5a79a48568c",
+    "star_triangle": "54b6ece7c453bee5a0fc3b69b5f26701278170ed7793a75ff2ea1567d89d6ec5",
+    "three_terms": "2c7f1e63c05fc940fa974c27549b1498f8586f068f73535c0b6f7c4d4652012d",
     "densities": "5519b7f2857eece6a648dae1351dd090e3bacb20275323ece040b09f3186ce88",
     "cli_sample": "395c05d8a2458b3cbebac51e34095d11267c3cd26333e584da58fcf053335185",
 }
 
-
-STAR_TRIANGLE = ModelSpec([(Motif.edge(), 0.1), (Motif.parse("star:2"), -0.15), (Motif.triangle(), 0.2)])
 
 # 3,000 samples at n = 30 span three draw blocks of 1,205 graphs, each
 # counted in several triangle row blocks; n = 6 draws its 100,000 samples in
