@@ -549,11 +549,9 @@ class _Contraction:
     of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
     directly, a larger one einsum's greedy path, planned on first use per
     subscript entry and value shape; it makes no intermediate larger than
-    its largest operand. A contraction of more than _EINSUM_MAX_OPERANDS
-    operands always takes a path, planned with intermediates of up to
-    max(largest operand, DIRECT_EINSUM_MAX_CELLS) cells, so one whose cells
-    fit that budget is answered; if that path still leaves a step of too
-    many operands, it raises InstanceTooLargeError before any einsum runs.
+    its largest operand. An einsum of more than _EINSUM_MAX_OPERANDS
+    operands, the direct call or a step of the path, raises
+    InstanceTooLargeError before it runs.
     """
 
     __slots__ = ("_density", "_terms", "_operands", "_cells", "_paths")
@@ -571,21 +569,18 @@ class _Contraction:
     def _run(self, entry, values: np.ndarray) -> np.ndarray:
         subscripts, kinds = entry
         operands = [values if c == "v" else self._operands[c] for c in kinds]
-        many = len(operands) > _EINSUM_MAX_OPERANDS
-        if not many and values.size * self._cells <= DIRECT_EINSUM_MAX_CELLS:
-            return np.einsum(subscripts, *operands)
-        key = (subscripts, values.shape)
-        if key not in self._paths:
-            limit = ("greedy", max(values.size, DIRECT_EINSUM_MAX_CELLS)) if many else "greedy"
-            path = np.einsum_path(subscripts, *operands, optimize=limit)[0]
-            widest = max(len(step) for step in path[1:])
-            if widest > _EINSUM_MAX_OPERANDS:
-                raise InstanceTooLargeError(
-                    f"instance too large: a contraction step of {widest} operands, "
-                    f"numpy's einsum takes at most {_EINSUM_MAX_OPERANDS}"
-                )
-            self._paths[key] = path
-        return np.einsum(subscripts, *operands, optimize=self._paths[key])
+        path = False  # numpy's C einsum, no path
+        if values.size * self._cells > DIRECT_EINSUM_MAX_CELLS:
+            key = (subscripts, values.shape)
+            if key not in self._paths:
+                self._paths[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+            path = self._paths[key]
+        widest = len(operands) if path is False else max(len(step) for step in path[1:])
+        if widest > _EINSUM_MAX_OPERANDS:
+            raise InstanceTooLargeError(
+                f"instance too large: an einsum of {widest} operands, numpy's takes at most {_EINSUM_MAX_OPERANDS}"
+            )
+        return np.einsum(subscripts, *operands, optimize=path)
 
     def density(self, values: np.ndarray):
         """t(H, .) of the kernel (a numpy scalar), or of each kernel in a stack."""

@@ -154,6 +154,15 @@ def _log_odds(terms, n: int):
 # -- the chain driver ---------------------------------------------------------------
 
 
+def _on_probability(expo: float, neg_unit: float) -> float:
+    """1 / (1 + e^(expo neg_unit)), or 0 where exp overflows: the Glauber
+    on-probability of a scaled log-odds expo (_drive)."""
+    try:
+        return 1.0 / (1.0 + math.exp(expo * neg_unit))
+    except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
+        return 0.0
+
+
 def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int, every: int, record):
     """Run one chain for total steps, calling record(step) every `every`
     steps after step burn, and at the last step.
@@ -164,23 +173,20 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     they are drawn in 4096-step chunks, pair indices then coins, so a seed
     gives the same chain whatever is recorded.
 
-    A Glauber step's on-probability depends on the pair only through the
-    integer deltas of the weighted terms (_log_odds), so each call keeps one
-    table from a step's key to its on-probability. The key is the term's
-    delta for an edge + one-motif model, its bound delta called directly;
-    the empty tuple when no term is weighted (edge only, or zero motif
-    coefficients); and the tuple of deltas in model order for two or three
-    terms, each built unrolled. A key not in the table gets the direct
-    arithmetic: _log_odds' constant plus its scaled deltas, added in model
-    order, times -_log_odds_unit, through exp, with an OverflowError read as
-    on-probability 0. It is stored while the table holds fewer than
-    _ON_PROBABILITY_TABLE_CAP entries, so every step gets the bits the
-    direct arithmetic gives, and the table stays under about 1 MB whatever
-    the keys (4,096 three-tuples of ints and their floats). Four or more
-    terms take the direct arithmetic at every step, where a key built in a
-    loop costs more than the table saves. The edge and triangle counts live
-    in locals while the chain runs and are written back to the state before
-    each record and at the end.
+    The Glauber log-odds of each step are _log_odds' constant plus its
+    scaled deltas, added in model order, times _log_odds_unit, and the
+    on-probability is 1 / (1 + e^-(log-odds)), with an OverflowError of exp
+    read as on-probability 0. With no weighted term (edge only, or zero
+    motif coefficients) it is one number, computed once. With one weighted
+    term it depends on the pair only through that term's integer delta, so
+    each call keeps one table from the delta to its on-probability: a delta
+    not yet in the table gets the same arithmetic and is stored while the
+    table holds fewer than _ON_PROBABILITY_TABLE_CAP entries, so every step
+    gets the bits the arithmetic gives and the table stays near 0.4 MB
+    whatever the deltas. Two or more weighted terms compute it anew
+    at every step. The edge and triangle counts live in locals while the
+    chain runs and are written back to the state before each record and at
+    the end.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
@@ -192,10 +198,12 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     constant, weighted = _log_odds(terms, state.n)
     weighted = [(scale, term.delta) for scale, term in weighted]
     width = len(weighted)
-    # the first three terms, unrolled in the step loop
-    (s1, first), (s2, second), (s3, third) = (weighted + [(0.0, None)] * 3)[:3]
     exp = math.exp
-    table = {}
+    if width == 1:
+        ((scale1, delta1),) = weighted
+        table = {}
+    elif not width:
+        p0 = _on_probability(constant, neg_unit)
     metropolis = er_beta is not None
     exp_neg_beta = math.exp(-er_beta) if metropolis else 0.0
     rows = state.rows
@@ -211,41 +219,24 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
             present = rows[i] >> j & 1
             if metropolis:
                 flip = not present or coin < exp_neg_beta
-            else:
-                # a missing key's log-odds: the constant plus each scaled delta, in model order
-                if width == 1:
-                    key = first(state, i, j)
-                    p = table.get(key)
-                    if p is None:
-                        expo = constant + s1 * key
-                elif width == 2:
-                    key = a, b = first(state, i, j), second(state, i, j)
-                    p = table.get(key)
-                    if p is None:
-                        expo = constant + s1 * a + s2 * b
-                elif width == 3:
-                    key = a, b, c = first(state, i, j), second(state, i, j), third(state, i, j)
-                    p = table.get(key)
-                    if p is None:
-                        expo = constant + s1 * a + s2 * b + s3 * c
-                elif width:  # four or more terms: no table
-                    key = p = None
-                    expo = constant
-                    for scale, delta in weighted:
-                        expo += scale * delta(state, i, j)
-                else:  # no weighted term: one key
-                    key = ()
-                    p = table.get(key)
-                    if p is None:
-                        expo = constant
+            elif width == 1:
+                key = delta1(state, i, j)
+                p = table.get(key)
                 if p is None:
-                    try:
-                        p = 1.0 / (1.0 + exp(expo * neg_unit))
-                    except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
-                        p = 0.0
-                    if key is not None and len(table) < _ON_PROBABILITY_TABLE_CAP:
+                    p = _on_probability(constant + scale1 * key, neg_unit)
+                    if len(table) < _ON_PROBABILITY_TABLE_CAP:
                         table[key] = p
                 flip = (coin < p) != present
+            elif width:
+                expo = constant
+                for scale, delta in weighted:
+                    expo += scale * delta(state, i, j)
+                try:
+                    flip = (coin < 1.0 / (1.0 + exp(expo * neg_unit))) != present
+                except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
+                    flip = present
+            else:
+                flip = (coin < p0) != present
             if flip:
                 rows[i] ^= 1 << j
                 rows[j] ^= 1 << i

@@ -1,14 +1,15 @@
 """Property tests of the chain driver against a plain per-step reference.
 
 The reference below recomputes every Glauber on-probability from the
-deltas, the way the driver did before it looked them up by key: the
+deltas, the way the driver did before it looked them up by delta: the
 constant plus each scaled delta in model order, times -_log_odds_unit,
 through exp, with an OverflowError read as on-probability 0. Random models
 of 0 to 3 weighted terms of every motif class (edge lists included) on at
 most 8 vertices, with coefficients up to +-1e308, must give the same trace,
 final graph and sampled densities bit for bit. Two more tests pin the table
-itself: how many on-probabilities an edge + triangle chain evaluates, and
-the memory a chain takes when its keys outgrow the table's cap.
+of a one-term chain: how many on-probabilities an edge + triangle chain
+evaluates, and the memory a chain takes when its deltas outgrow the
+table's cap.
 """
 
 import itertools
@@ -175,14 +176,15 @@ def test_edge_triangle_chain_evaluates_one_on_probability_per_common_neighbour_c
 
 
 def test_chain_memory_stays_bounded_past_the_table_cap():
-    # the (star:2, star:3, triangle) delta triples of 30,000 steps at n = 400
-    # number about 13,000, which would hold about 3.2 MB traced without the
-    # cap; the table stops at 4,096 keys (about 0.8 MB) and the chain peaks
-    # near 1.3 MB
-    model = ModelSpec([(Motif.edge(), -0.1), (Motif.parse("star:2"), 0.001), (Motif.parse("star:3"), 0.001),
-                       (Motif.triangle(), 0.001)])
-    config = ChainConfig(400, steps=30_000, seed=3, start=Graph.erdos_renyi(400, 0.5, _rng_from_seed(3)),
-                         model=model)
+    # a star:3 delta is f(d_i) + f(d_j) with f cubic in the degree; from a
+    # threshold graph, whose degrees span 0 to n - 1, 60,000 steps at n = 400
+    # see about 50,000 distinct deltas, which would hold about 3.5 MB traced
+    # without the cap; the table stops at 4,096 keys (about 0.4 MB) and the
+    # chain peaks near 1.2 MB
+    n = 400
+    start = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if i + j >= n])
+    model = ModelSpec([(Motif.edge(), -0.1), (Motif.parse("star:3"), 0.001)])
+    config = ChainConfig(n, steps=60_000, seed=3, start=start, model=model)
     calls = 0
     real_exp = math.exp
 
@@ -192,11 +194,11 @@ def test_chain_memory_stays_bounded_past_the_table_cap():
         return real_exp(x)
 
     with mock.patch.object(math, "exp", exp):
-        run_chain(config, record_every=30_000)
+        run_chain(config, record_every=60_000)
     assert calls > 2 * mcmc._ON_PROBABILITY_TABLE_CAP  # each miss past the cap evaluates again
     tracemalloc.start()
     try:
-        run_chain(config, record_every=30_000)
+        run_chain(config, record_every=60_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
