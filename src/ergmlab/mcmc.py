@@ -16,8 +16,10 @@ edge-only ModelSpec with coefficient beta/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from math import lgamma
 
@@ -30,7 +32,7 @@ from .errors import (
     OverflowGuardError,
 )
 from .graphs import (Graph, Motif, _EdgeTerm, _mask_bits, _rng_from_seed,
-                     _seed_key, _term, _vertex_pairs)
+                     _seed_key, _term, _TriangleTerm, _vertex_pairs)
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # mcmc.hom_density_graph_fast, so the name stays importable from this module
@@ -183,10 +185,15 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     not yet in the table gets the same arithmetic and is stored while the
     table holds fewer than _ON_PROBABILITY_TABLE_CAP entries, so every step
     gets the bits the arithmetic gives and the table stays near 0.4 MB
-    whatever the deltas. Two or more weighted terms compute it anew
-    at every step. The edge and triangle counts live in locals while the
-    chain runs and are written back to the state before each record and at
-    the end.
+    whatever the deltas. Where that term is the triangle, whose delta is 6
+    times the pair's common neighbours, the step counts the common
+    neighbours once: its table is a list indexed by that count (n - 1
+    entries, filled on first use with the same arithmetic, delta = 6 common),
+    and a flip adds or takes the same count from the triangles. Two or more
+    weighted terms compute the on-probability anew at every step, and every
+    other chain counts the common neighbours on a flip only. The edge and
+    triangle counts live in locals while the chain runs and are written back
+    to the state before each record and at the end.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
@@ -196,10 +203,14 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     # one multiply both scales the log-odds back and negates it
     neg_unit = -_log_odds_unit(terms, state.n)
     constant, weighted = _log_odds(terms, state.n)
-    weighted = [(scale, term.delta) for scale, term in weighted]
     width = len(weighted)
+    triangle = width == 1 and isinstance(weighted[0][1], _TriangleTerm)
+    weighted = [(scale, term.delta) for scale, term in weighted]
     exp = math.exp
-    if width == 1:
+    if triangle:
+        scale1 = weighted[0][0]
+        by_common = [None] * (state.n - 1)  # common neighbours run from 0 to n - 2
+    elif width == 1:
         ((scale1, delta1),) = weighted
         table = {}
     elif not width:
@@ -220,12 +231,18 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
             if metropolis:
                 flip = not present or coin < exp_neg_beta
             elif width == 1:
-                key = delta1(state, i, j)
-                p = table.get(key)
-                if p is None:
-                    p = _on_probability(constant + scale1 * key, neg_unit)
-                    if len(table) < _ON_PROBABILITY_TABLE_CAP:
-                        table[key] = p
+                if triangle:
+                    common = (rows[i] & rows[j]).bit_count()
+                    p = by_common[common]
+                    if p is None:
+                        p = by_common[common] = _on_probability(constant + scale1 * (6 * common), neg_unit)
+                else:
+                    key = delta1(state, i, j)
+                    p = table.get(key)
+                    if p is None:
+                        p = _on_probability(constant + scale1 * key, neg_unit)
+                        if len(table) < _ON_PROBABILITY_TABLE_CAP:
+                            table[key] = p
                 flip = (coin < p) != present
             elif width:
                 expo = constant
@@ -240,7 +257,8 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
             if flip:
                 rows[i] ^= 1 << j
                 rows[j] ^= 1 << i
-                common = (rows[i] & rows[j]).bit_count()
+                if not triangle:  # counted before the toggle, which leaves rows[i] & rows[j] as it was
+                    common = (rows[i] & rows[j]).bit_count()
                 if present:
                     edges -= 1
                     triangles -= common
@@ -319,6 +337,15 @@ def sample_motif_densities(
     independent-edge law (where it is exactly solvable) and Glauber dynamics
     otherwise. Burn-in is 10% of the total run, then one record per
     thinning steps.
+
+    Each record appends the motifs' integer counts (the terms' count) to one
+    flat buffer, and the densities are divided out once at the end. Every
+    count is at most its scale n^v, so while every scale is below 2^53 the
+    counts sit in an int64 array("q"), 8 bytes a count, and one numpy
+    division by the scales gives each density the correctly rounded
+    count / n^v that Python's int division gives. Where a scale reaches 2^53
+    a count may not be a double, so the counts stay Python ints and each
+    density is Python's count / n^v.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -328,15 +355,22 @@ def sample_motif_densities(
     er_beta = _auto_is_er(law)
     span = n_samples * thinning
     burn = math.ceil(span / 9.0)  # 10% of the total run
-    out = np.empty((n_samples, len(motifs)))
     terms = [_term(mm) for mm in motifs]
     scales = [chain.n**t.motif.vertex_count for t in terms]
+    exact = all(s < 2**53 for s in scales)
+    counts = array("q") if exact else []
+    add = counts.append
+    count_fns = [t.count for t in terms]
 
     def record(step: int):
-        out[(step - burn) // thinning - 1] = [t.count(state) / s for t, s in zip(terms, scales)]
+        for count in count_fns:
+            add(count(state))
 
     _drive(state, _model_terms(law), er_beta, chain.seed, burn + span, burn, thinning, record)
-    return out
+    shape = (n_samples, len(terms))
+    if exact:
+        return np.frombuffer(counts, dtype=np.int64).reshape(shape) / np.array(scales, dtype=float)
+    return np.array([c / s for c, s in zip(counts, itertools.cycle(scales))]).reshape(shape)
 
 
 # -- exact spectral theory of the independent-edge chain ---------------------------
@@ -728,7 +762,7 @@ def estimate_importance(
     block = max(1, _DRAW_BLOCK_UNIFORMS // m)
     for lo in range(0, n_samples, block):
         bits = (rng.random((min(block, n_samples - lo), m)) < proposal_p).astype(np.int8)
-        edges = bits.sum(axis=1)
+        edges = np.einsum("ij->i", bits, dtype=np.int32)
         dens = np.empty((len(bits), len(terms)))
         dens[:, ~is_edge] = batch_motif_densities(others, n, bits)
         for col in np.flatnonzero(is_edge):

@@ -9,7 +9,8 @@ most 8 vertices, with coefficients up to +-1e308, must give the same trace,
 final graph and sampled densities bit for bit. Two more tests pin the table
 of a one-term chain: how many on-probabilities an edge + triangle chain
 evaluates, and the memory a chain takes when its deltas outgrow the
-table's cap.
+table's cap. The last checks sampled densities whose scales n^v reach 2^53
+against Python's int division.
 """
 
 import itertools
@@ -203,3 +204,26 @@ def test_chain_memory_stays_bounded_past_the_table_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+def test_sampled_densities_divide_exactly_past_two_to_the_53():
+    # at n = 500 the scales 500^v of star:5, star:6 and star:7 reach 2^53, so
+    # a count need not be a double (star:7's counts pass 2^63 as well): each density
+    # must be Python's correctly rounded count / 500^v. star:5 counts stay even
+    # and below 2^54, so they are doubles; about a quarter of the star:6 and
+    # star:7 counts round when converted to float, and dividing that float
+    # rounds again
+    n, samples = 500, 100
+    law = ModelSpec.edge_only(0.5)  # sampled by the Metropolis chain
+    g = Graph.complete(n)
+    motifs = [Motif.star(5), Motif.star(6), Motif.star(7), Motif.edge()]
+    got = sample_motif_densities(law, motifs, samples, ChainConfig(n, seed=3, start=g))
+    burn = math.ceil(samples / 9.0)
+    want = []
+    reference_chain(g, [], _auto_is_er(law), 3, burn + samples, set(range(burn + 1, burn + samples + 1)),
+                    lambda step, h: want.append([_term(m).count(h) / n**m.vertex_count for m in motifs]))
+    assert got.tolist() == want
+    assert _term(Motif.star(5)).count(g) >= 2**53
+    # no motif: one empty row per sample
+    empty = sample_motif_densities(law, [], 7, ChainConfig(n, seed=3))
+    assert empty.shape == (7, 0) and empty.dtype == float

@@ -14,7 +14,10 @@ maximize_scalar stopped at its fixed point and its grid was cached, so they
 check that both changes leave every maximizer and psi value as it was. The
 dense transition matrices were recorded while they were still built one
 (state, pair) entry at a time, so they check that the per-pair flip table
-gives every entry the same bits.
+gives every entry the same bits. The Metropolis densities and the ratio
+estimates were recorded while each sampled record still wrote its
+densities into a numpy row, so they check that the counts gathered in one
+buffer and divided once give the same densities.
 """
 
 import contextlib
@@ -23,8 +26,8 @@ import io
 
 from ergmlab.cli import main
 from ergmlab.graphs import Motif
-from ergmlab.mcmc import (ChainConfig, er_transition_matrix, estimate_importance, glauber_transition_matrix,
-                          run_chain, sample_motif_densities)
+from ergmlab.mcmc import (ChainConfig, er_transition_matrix, estimate_acceptance_ratio, estimate_importance,
+                          estimate_mcmle, glauber_transition_matrix, run_chain, sample_motif_densities)
 from ergmlab.variational import ModelSpec, degeneracy_constants, phase_scan
 
 PAW = "edgelist:0-1,1-2,2-3,1-3"
@@ -70,6 +73,21 @@ GOLDEN = {
     "three_terms": "2c7f1e63c05fc940fa974c27549b1498f8586f068f73535c0b6f7c4d4652012d",
     "densities": "5519b7f2857eece6a648dae1351dd090e3bacb20275323ece040b09f3186ce88",
     "cli_sample": "395c05d8a2458b3cbebac51e34095d11267c3cd26333e584da58fcf053335185",
+    # recorded while each record wrote its densities into a numpy row
+    "metropolis_densities": "4e8f95620aa9153a5480bcf72a601bd4eba5d9aac7c4499dd414ce54e6a0b8b2",
+}
+
+# recorded while each record wrote its densities into a numpy row and a
+# triangle step counted the pair's common neighbours twice: the two ratio
+# estimators on an edge + zero-triangle pair at thinning 1 (chains with no
+# weighted term) and on a pair with weighted triangles at thinning 3, each
+# at n = 30 with 2,000 samples; (target, reference, thinning, seed) and the
+# MCMLE and acceptance-ratio estimate_log
+RATIO = {
+    "zero_triangle": ((ModelSpec.edge_triangle(0.26, 0.0), ModelSpec.edge_triangle(0.25, 0.0), 1, 115),
+                      ("0x1.4d68ff0d0bc48p+2", "0x1.326905a6841dap+2")),
+    "weighted_triangle": ((ModelSpec.edge_triangle(-0.45, 0.22), ModelSpec.edge_triangle(-0.5, 0.2), 3, 116),
+                          ("0x1.cbe4a03301ad7p+3", "0x1.a0a6ff5257aa8p+3")),
 }
 
 
@@ -102,6 +120,13 @@ def densities_digest() -> str:
     return _sha(out.tobytes())
 
 
+def metropolis_densities_digest() -> str:
+    # an edge-only law with a nonnegative coefficient runs the Metropolis chain
+    motifs = [Motif.parse(s) for s in ("edge", "star:2", "triangle", "cycle:4", "complete:4", PAW)]
+    out = sample_motif_densities(ModelSpec.edge_only(0.3), motifs, 200, ChainConfig(10, seed=117), thinning=1)
+    return _sha(out.tobytes())
+
+
 def cli_sample_digest() -> str:
     argv = ["sample", "--n", "12", "--steps", "3000", "--beta1", "-0.3", "--beta2", "0.5", "--seed", "108"]
     buf = io.StringIO()
@@ -117,6 +142,19 @@ def test_chain_traces_match_golden():
 
 def test_sampled_densities_match_golden():
     assert densities_digest() == GOLDEN["densities"]
+
+
+def test_metropolis_densities_match_golden():
+    assert metropolis_densities_digest() == GOLDEN["metropolis_densities"]
+
+
+def test_ratio_estimates_match_golden():
+    for name, ((model, model0, thinning, seed), (mcmle, ratio)) in RATIO.items():
+        chain = ChainConfig(30, seed=seed)
+        got = estimate_mcmle(model, model0, 2000, chain, thinning=thinning)
+        assert got.estimate_log.hex() == mcmle, name
+        got = estimate_acceptance_ratio(model, model0, "geometric-mean", 2000, 2000, chain, thinning=thinning)
+        assert got.estimate_log.hex() == ratio, name
 
 
 def test_cli_sample_matches_golden():
