@@ -16,7 +16,6 @@ edge-only ModelSpec with coefficient beta/2.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from array import array
@@ -187,13 +186,13 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     gets the bits the arithmetic gives and the table stays near 0.4 MB
     whatever the deltas. Where that term is the triangle, whose delta is 6
     times the pair's common neighbours, the step counts the common
-    neighbours once: its table is a list indexed by that count (n - 1
-    entries, filled on first use with the same arithmetic, delta = 6 common),
-    and a flip adds or takes the same count from the triangles. Two or more
-    weighted terms compute the on-probability anew at every step, and every
-    other chain counts the common neighbours on a flip only. The edge and
-    triangle counts live in locals while the chain runs and are written back
-    to the state before each record and at the end.
+    neighbours once and keys the table by that count (a miss gets the same
+    arithmetic with delta = 6 common), and a flip adds or takes the same
+    count from the triangles. Two or more weighted terms compute the
+    on-probability anew at every step, and every other chain counts the
+    common neighbours on a flip only. The edge and triangle counts live in
+    locals while the chain runs and are written back to the state before
+    each record and at the end.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
@@ -207,12 +206,10 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     triangle = width == 1 and isinstance(weighted[0][1], _TriangleTerm)
     weighted = [(scale, term.delta) for scale, term in weighted]
     exp = math.exp
-    if triangle:
-        scale1 = weighted[0][0]
-        by_common = [None] * (state.n - 1)  # common neighbours run from 0 to n - 2
-    elif width == 1:
+    if width == 1:
         ((scale1, delta1),) = weighted
         table = {}
+        key_scale = 6 if triangle else 1  # a triangle is keyed by common neighbours, delta / 6
     elif not width:
         p0 = _on_probability(constant, neg_unit)
     metropolis = er_beta is not None
@@ -232,17 +229,14 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
                 flip = not present or coin < exp_neg_beta
             elif width == 1:
                 if triangle:
-                    common = (rows[i] & rows[j]).bit_count()
-                    p = by_common[common]
-                    if p is None:
-                        p = by_common[common] = _on_probability(constant + scale1 * (6 * common), neg_unit)
+                    key = common = (rows[i] & rows[j]).bit_count()
                 else:
                     key = delta1(state, i, j)
-                    p = table.get(key)
-                    if p is None:
-                        p = _on_probability(constant + scale1 * key, neg_unit)
-                        if len(table) < _ON_PROBABILITY_TABLE_CAP:
-                            table[key] = p
+                p = table.get(key)
+                if p is None:
+                    p = _on_probability(constant + scale1 * (key_scale * key), neg_unit)
+                    if len(table) < _ON_PROBABILITY_TABLE_CAP:
+                        table[key] = p
                 flip = (coin < p) != present
             elif width:
                 expo = constant
@@ -338,14 +332,9 @@ def sample_motif_densities(
     otherwise. Burn-in is 10% of the total run, then one record per
     thinning steps.
 
-    Each record appends the motifs' integer counts (the terms' count) to one
-    flat buffer, and the densities are divided out once at the end. Every
-    count is at most its scale n^v, so while every scale is below 2^53 the
-    counts sit in an int64 array("q"), 8 bytes a count, and one numpy
-    division by the scales gives each density the correctly rounded
-    count / n^v that Python's int division gives. Where a scale reaches 2^53
-    a count may not be a double, so the counts stay Python ints and each
-    density is Python's count / n^v.
+    Each record appends the motifs' densities, count / n^v through the
+    terms' bound count methods, to one flat array("d"), 8 bytes a density,
+    which becomes the (n_samples, k) array once at the end.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -355,22 +344,16 @@ def sample_motif_densities(
     er_beta = _auto_is_er(law)
     span = n_samples * thinning
     burn = math.ceil(span / 9.0)  # 10% of the total run
-    terms = [_term(mm) for mm in motifs]
-    scales = [chain.n**t.motif.vertex_count for t in terms]
-    exact = all(s < 2**53 for s in scales)
-    counts = array("q") if exact else []
-    add = counts.append
-    count_fns = [t.count for t in terms]
+    terms = [(t.count, chain.n**t.motif.vertex_count) for t in map(_term, motifs)]
+    densities = array("d")
+    add = densities.append
 
     def record(step: int):
-        for count in count_fns:
-            add(count(state))
+        for count, scale in terms:
+            add(count(state) / scale)
 
     _drive(state, _model_terms(law), er_beta, chain.seed, burn + span, burn, thinning, record)
-    shape = (n_samples, len(terms))
-    if exact:
-        return np.frombuffer(counts, dtype=np.int64).reshape(shape) / np.array(scales, dtype=float)
-    return np.array([c / s for c, s in zip(counts, itertools.cycle(scales))]).reshape(shape)
+    return np.frombuffer(densities).reshape(n_samples, len(terms))
 
 
 # -- exact spectral theory of the independent-edge chain ---------------------------
