@@ -26,7 +26,9 @@ DELTA_VERTEX_GUARD = 6
 # a contraction of rows x k^|V(H)| cells at most contracts in numpy's C einsum
 # directly; a larger one along a greedy path planned once per subscript entry
 DIRECT_EINSUM_MAX_CELLS = 2**16
-# numpy's C einsum refuses 64 operands or more (K_{8,8} has 64 edges)
+# numpy's C einsum refuses 64 operands or more (K_{8,8} has 64 edges), so a
+# wider call is replanned as a greedy path under the DIRECT_EINSUM_MAX_CELLS
+# intermediate budget, which pairs them a few at a time
 _EINSUM_MAX_OPERANDS = 63
 # the batched star and triangle counts gather rows in blocks of at most this
 # many (row, index) entries, so each temporary stays near 1 MB whatever the batch
@@ -143,15 +145,6 @@ class Graph:
         g.n = self.n
         g.rows = tuple(rows)
         return g
-
-    def permuted(self, perm: Sequence[int]) -> "Graph":
-        """Relabel vertices: new vertex perm[i] plays the role of old vertex i."""
-        rows = [0] * self.n
-        for i, j in self.edges():
-            a, b = perm[i], perm[j]
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        return Graph(self.n, rows)
 
     def adjacency_matrix(self):
         return _bit_matrix(self.n, self.rows).astype(float)
@@ -535,6 +528,21 @@ def _motif_subscripts(h: Motif) -> tuple:
     return density, tuple(terms)
 
 
+def _einsum_path(subscripts: str, operands) -> list:
+    """einsum's greedy path, or where a step of it would take more than
+    _EINSUM_MAX_OPERANDS operands, the greedy path under a
+    DIRECT_EINSUM_MAX_CELLS intermediate budget; InstanceTooLargeError where
+    that too has a step numpy refuses."""
+    for optimize in ("greedy", ("greedy", DIRECT_EINSUM_MAX_CELLS)):
+        path = np.einsum_path(subscripts, *operands, optimize=optimize)[0]
+        widest = max(len(step) for step in path[1:])
+        if widest <= _EINSUM_MAX_OPERANDS:
+            return path
+    raise InstanceTooLargeError(
+        f"instance too large: an einsum of {widest} operands, numpy's takes at most {_EINSUM_MAX_OPERANDS}"
+    )
+
+
 class _Contraction:
     """The density and delta contractions of one motif at fixed block weights.
 
@@ -549,9 +557,11 @@ class _Contraction:
     of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
     directly, a larger one einsum's greedy path, planned on first use per
     subscript entry and value shape; it makes no intermediate larger than
-    its largest operand. An einsum of more than _EINSUM_MAX_OPERANDS
-    operands, the direct call or a step of the path, raises
-    InstanceTooLargeError before it runs.
+    its largest operand. Where the direct call or a step of that path would
+    take more than _EINSUM_MAX_OPERANDS operands, the call runs a greedy
+    path planned under a DIRECT_EINSUM_MAX_CELLS intermediate budget
+    instead (_einsum_path); only a step of that path still wider than
+    numpy takes raises InstanceTooLargeError, before it runs.
     """
 
     __slots__ = ("_density", "_terms", "_operands", "_cells", "_paths")
@@ -570,16 +580,11 @@ class _Contraction:
         subscripts, kinds = entry
         operands = [values if c == "v" else self._operands[c] for c in kinds]
         path = False  # numpy's C einsum, no path
-        if values.size * self._cells > DIRECT_EINSUM_MAX_CELLS:
+        if values.size * self._cells > DIRECT_EINSUM_MAX_CELLS or len(operands) > _EINSUM_MAX_OPERANDS:
             key = (subscripts, values.shape)
             if key not in self._paths:
-                self._paths[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+                self._paths[key] = _einsum_path(subscripts, operands)
             path = self._paths[key]
-        widest = len(operands) if path is False else max(len(step) for step in path[1:])
-        if widest > _EINSUM_MAX_OPERANDS:
-            raise InstanceTooLargeError(
-                f"instance too large: an einsum of {widest} operands, numpy's takes at most {_EINSUM_MAX_OPERANDS}"
-            )
         return np.einsum(subscripts, *operands, optimize=path)
 
     def density(self, values: np.ndarray):

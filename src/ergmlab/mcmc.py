@@ -156,12 +156,12 @@ def _log_odds(terms, n: int):
 
 
 def _on_probability(expo: float, neg_unit: float) -> float:
-    """1 / (1 + e^(expo neg_unit)), or 0 where exp overflows: the Glauber
-    on-probability of a scaled log-odds expo (_drive)."""
-    try:
-        return 1.0 / (1.0 + math.exp(expo * neg_unit))
-    except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
-        return 0.0
+    """1 / (1 + e^(expo neg_unit)), which is 0 where exp overflows: the Glauber
+    on-probability of a log-odds scaled as _log_odds scales it, with neg_unit
+    = -_log_odds_unit. The one place that turns a log-odds into an
+    on-probability, for the chain step (_drive) and the dense chain matrix
+    (glauber_transition_matrix) alike."""
+    return 1.0 / (1.0 + _exp_or_inf(expo * neg_unit))
 
 
 def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int, every: int, record):
@@ -176,9 +176,10 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
 
     The Glauber log-odds of each step are _log_odds' constant plus its
     scaled deltas, added in model order, times _log_odds_unit, and the
-    on-probability is 1 / (1 + e^-(log-odds)), with an OverflowError of exp
-    read as on-probability 0. With no weighted term (edge only, or zero
-    motif coefficients) it is one number, computed once. With one weighted
+    on-probability is 1 / (1 + e^-(log-odds)), 0 where exp overflows, from
+    _on_probability, which the dense matrix (glauber_transition_matrix)
+    reads too. With no weighted term (edge only, or zero motif
+    coefficients) it is one number, computed once. With one weighted
     term it depends on the pair only through that term's integer delta, so
     each call keeps one table from the delta to its on-probability: a delta
     not yet in the table gets the same arithmetic and is stored while the
@@ -205,13 +206,13 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     width = len(weighted)
     triangle = width == 1 and isinstance(weighted[0][1], _TriangleTerm)
     weighted = [(scale, term.delta) for scale, term in weighted]
-    exp = math.exp
+    on_probability = _on_probability  # a local: a step of two or more terms calls it
     if width == 1:
         ((scale1, delta1),) = weighted
         table = {}
         key_scale = 6 if triangle else 1  # a triangle is keyed by common neighbours, delta / 6
     elif not width:
-        p0 = _on_probability(constant, neg_unit)
+        p0 = on_probability(constant, neg_unit)
     metropolis = er_beta is not None
     exp_neg_beta = math.exp(-er_beta) if metropolis else 0.0
     rows = state.rows
@@ -234,7 +235,7 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
                     key = delta1(state, i, j)
                 p = table.get(key)
                 if p is None:
-                    p = _on_probability(constant + scale1 * (key_scale * key), neg_unit)
+                    p = on_probability(constant + scale1 * (key_scale * key), neg_unit)
                     if len(table) < _ON_PROBABILITY_TABLE_CAP:
                         table[key] = p
                 flip = (coin < p) != present
@@ -242,10 +243,7 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
                 expo = constant
                 for scale, delta in weighted:
                     expo += scale * delta(state, i, j)
-                try:
-                    flip = (coin < 1.0 / (1.0 + exp(expo * neg_unit))) != present
-                except OverflowError:  # e^(-expo unit) beyond double range: on-probability 0
-                    flip = present
+                flip = (coin < on_probability(expo, neg_unit)) != present
             else:
                 flip = (coin < p0) != present
             if flip:
@@ -456,14 +454,13 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     The log-odds of setting pair t in state s are _log_odds' constant plus,
     for each term in model order, its scale times the term's change
     counts[s | 2^t] - counts[s & ~2^t], with counts the term's batch counts
-    of all 2^m graphs (the table the exact weights read). As in the chain,
-    a log-odds whose e^(-log-odds) is beyond double range gives
-    on-probability 0, and every entry has the bits of the chain's
-    on-probability.
+    of all 2^m graphs (the table the exact weights read). Each distinct
+    log-odds gets its on-probability from _on_probability, the helper the
+    chain step calls, so every entry has the bits of the chain's law.
     """
     m = _checked_pairs(n, 2, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     terms = _model_terms(model)
-    unit = _log_odds_unit(terms, n)
+    neg_unit = -_log_odds_unit(terms, n)
     constant, weighted = _log_odds(terms, n)
     bits = _mask_bits(m)
     states, flips = np.arange(1 << m)[:, None], 1 << np.arange(m)
@@ -473,13 +470,8 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
         counts = term.batch(bits, n)
         # exact integer changes, rounded to doubles as the chain's scale * delta rounds them
         expo += scale * (counts[on] - counts[off]).astype(float)
-    with np.errstate(over="ignore"):
-        neg = -expo * unit
-    # the chain step's libm exp, once per distinct log-odds: numpy's vector
-    # exp can differ from it in the last bit
-    values, where = np.unique(neg, return_inverse=True)
-    e = np.array([_exp_or_inf(v) for v in values.tolist()])
-    p_on = (1.0 / (1.0 + e))[where].reshape(neg.shape)
+    values, where = np.unique(expo, return_inverse=True)
+    p_on = np.array([_on_probability(v, neg_unit) for v in values.tolist()])[where].reshape(expo.shape)
     return _flip_matrix(p_on, 1.0 - p_on)
 
 

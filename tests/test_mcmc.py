@@ -36,11 +36,12 @@ from ergmlab.graphs import (
     _TRIANGLE_PRODUCT_MIN_N,
     _search_homomorphisms,
     _term,
+    _vertex_pairs,
     classify_motif,
     count_homomorphisms,
 )
 from ergmlab.mcmc import (_DRAW_BLOCK_UNIFORMS, _log_factorial, _log_odds, _log_odds_unit, _logsumexp,
-                          _model_terms, _rng_from_seed)
+                          _model_terms, _on_probability, _rng_from_seed)
 from ergmlab.variational import ModelSpec, maximize_scalar
 
 
@@ -507,6 +508,48 @@ def test_log_odds_in_units_keep_their_bits():
     assert unit > 1.0
     for c in range(n - 1):
         assert unit * (constant + scale * (6 * c)) == 2 * b1 + b2 / n * (6 * c)
+
+
+def test_dense_glauber_matrix_is_the_chain_step_law_entry_by_entry():
+    # the entry of every move that toggles pair t in state s is p / m, with p
+    # the chain step's on-probability from the terms' delta methods on s (1 - p
+    # where the pair is present), to the bit: the dense matrix's batch-count
+    # changes and the chain's deltas give the same log-odds
+    n = 4
+    pairs = _vertex_pairs(n)
+    m = len(pairs)
+    cases = [
+        (ModelSpec([(Motif.edge(), 0.3), (Motif.triangle(), 0.0)]), 0),
+        (ModelSpec.edge_triangle(-0.45, 0.7), 1),
+        (ModelSpec([(Motif.edge(), -0.2), (Motif.star(2), 0.4), (Motif.cycle(4), -0.3)]), 2),
+        (ModelSpec([(Motif.edge(), -0.2), (Motif.triangle(), 0.3), (Motif.star(2), -0.1),
+                    (Motif.complete(4), 0.5)]), 3),
+        # n^2 (1e300 + 1e308) is beyond double range: the log-odds run in
+        # units, and a pair with no common neighbour overflows exp (p = 0)
+        (ModelSpec([(Motif.edge(), -1e300), (Motif.triangle(), 1e308)]), 1),
+        # every log-odds near -800 overflows exp at unit 1
+        (ModelSpec([(Motif.edge(), -400.0), (Motif.star(2), 1.0)]), 1),
+    ]
+    neg_units, probabilities = set(), set()
+    for model, width in cases:
+        terms = _model_terms(model)
+        neg_unit = -_log_odds_unit(terms, n)
+        neg_units.add(neg_unit)
+        constant, weighted = _log_odds(terms, n)
+        assert len(weighted) == width
+        k = glauber_transition_matrix(model, n)
+        for s in range(1 << m):
+            g = Graph.from_edges(n, [pairs[t] for t in range(m) if s >> t & 1])
+            for t, (i, j) in enumerate(pairs):
+                expo = constant
+                for scale, term in weighted:
+                    expo += scale * term.delta(g, i, j)
+                p = _on_probability(expo, neg_unit)
+                probabilities.add(p)
+                want = (1.0 - p if s >> t & 1 else p) / m
+                assert k[s, s ^ 1 << t] == want, (model.terms, s, t)
+    # both the unit and an overflowing exp were reached
+    assert min(neg_units) < -1.0 and 0.0 in probabilities
 
 
 def test_enumerate_psi_at_n6():
