@@ -33,8 +33,8 @@ _EINSUM_MAX_OPERANDS = 63
 # the batched star and triangle counts gather rows in blocks of at most this
 # many (row, index) entries, so each temporary stays near 1 MB whatever the batch
 _BATCH_BLOCK_ENTRIES = 2**20
-# the exact inner product (and the product it contracts), the batch triangle
-# product and the batch contraction work in blocks of about this many matrix
+# the exact inner product (and the product it contracts) and the stacked
+# adjacency matrices of a batch work in blocks of about this many matrix
 # entries (256 KB of float32, 512 KB of float64)
 _PRODUCT_BLOCK_ENTRIES = 2**16
 # batch triangle counts take the stacked adjacency product from this n on and
@@ -128,7 +128,7 @@ class Graph:
     def triangle_count(self) -> int:
         """Exact triangle count: the closed 3-walks tr(A^3) (_closed_walks),
         each triangle walked from 3 starts in 2 directions."""
-        return _closed_walks(self, 3) // 6
+        return _closed_walks(_adjacency(self), 3) // 6
 
     def edge_density(self) -> float:
         if self.n < 2:
@@ -620,20 +620,15 @@ class _Term:
 
     Edges, stars, triangles, cycles and cliques have closed-form integer
     counts and deltas in their subclasses, with no size guard. The general
-    count and delta here serve the edge-list motifs of no such shape. The
-    count contracts the motif over the graph's 0/1 adjacency with unit block
-    weights (_Contraction), under the guard of at most 52 active vertices and
+    count, delta and batch here serve the edge-list motifs of no such shape.
+    The count contracts the motif over the graph's 0/1 adjacency with unit
+    block weights (_Contraction), and the batch over the rows' stacked ones
+    (_adjacency_stacks), under the guard of at most 52 active vertices and
     |V(G)|^(active vertices) <= 10^9, so every partial sum is an exact
     float64 integer. The delta is the edge-rooted count, the discrete form of
     the kernel derivative: for each motif edge k in both orientations, pin
     edge k onto (i, j), map the edges before k into G - ij and those after k
     into G + ij; the sum over k telescopes to hom(H, G + ij) - hom(H, G - ij).
-
-    The batch here serves the general and cycle shapes: one contraction
-    counts the rows, scattered into a reused (rows, n, n) stack of about
-    2^16 entries, under the count's guard (none for cycles). Its partial
-    sums are integers of at most n^v, so where n^v >= 2^53 (cycle:8 at
-    n >= 99) each row takes the exact count instead.
     """
 
     _vertex_guard = len(string.ascii_letters)  # one einsum letter per vertex
@@ -662,18 +657,10 @@ class _Term:
         return total
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        if n**self.motif.vertex_count >= 2**53:
-            return np.array([self.count(_indicator_graph(n, row)) for row in bits])
         contraction = _Contraction(self.motif, np.ones(n), self._vertex_guard)
-        i, j = np.nonzero(np.triu(_pair_columns(n) >= 0))  # the pairs, in pair order
-        step = max(1, _PRODUCT_BLOCK_ENTRIES // n**2)
-        stack = np.zeros((min(step, len(bits)), n, n))
         cnt = np.empty(len(bits), dtype=np.int64)
-        for lo in range(0, len(bits), step):
-            rows = bits[lo : lo + step]
-            a = stack[: len(rows)]
-            a[:, i, j] = a[:, j, i] = rows
-            cnt[lo : lo + step] = contraction.density(a)
+        for lo, a in _adjacency_stacks(bits, n, np.float64):
+            cnt[lo : lo + len(a)] = contraction.density(a)
         return cnt
 
     @functools.cached_property
@@ -753,27 +740,30 @@ def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
     return cnt
 
 
-def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
-    """Triangles of each row: sum((A+ @ A+) * A+) for its strictly upper adjacency A+.
-
-    Triangle a < b < c is the one term A+_ab A+_bc A+_ac. The rows are
-    scattered into A+ in blocks of max(1, _PRODUCT_BLOCK_ENTRIES // n^2).
-    Every partial sum is an integer of at most C(n, 3), so the counts run in
-    _exact_width(C(n, 3)): float32 while C(n, 3) < 2^24 (n <= 466), float64
-    beyond (C(n, 3) < 2^53 at every n up to MAX_VERTICES).
-    """
-    dtype = _exact_width(math.comb(n, 3))
+def _adjacency_stacks(bits: np.ndarray, n: int, dtype, upper: bool = False):
+    """Yield (lo, a) for rows lo, lo + 1, ... of bits, a the (rows, n, n)
+    stack of their 0/1 adjacency matrices in dtype (strictly upper ones when
+    upper): a view of one reused stack of max(1, _PRODUCT_BLOCK_ENTRIES // n^2)."""
+    flat = np.flatnonzero(~np.tri(n, dtype=bool))  # i n + j of the pairs i < j, in pair order
+    cells = [flat] if upper else [flat, flat % n * n + flat // n]  # and j n + i
     step = max(1, _PRODUCT_BLOCK_ENTRIES // n**2)
-    upper = np.zeros((min(step, bits.shape[0]), n * n), dtype=dtype)
-    # the flat index i n + j of every pair i < j, in pair order
-    flat = np.flatnonzero(np.triu(_pair_columns(n) >= 0))
-    cnt = np.empty(bits.shape[0], dtype=np.int64)
-    for lo in range(0, bits.shape[0], step):
+    stack = np.zeros((min(step, len(bits)), n * n), dtype=dtype)
+    for lo in range(0, len(bits), step):
         rows = bits[lo : lo + step]
-        a = upper[: len(rows)]
-        a[:, flat] = rows
-        a = a.reshape(-1, n, n)
-        cnt[lo : lo + step] = np.einsum("kij,kij->k", a @ a, a)
+        a = stack[: len(rows)]
+        for flat in cells:
+            a[:, flat] = rows
+        yield lo, a.reshape(-1, n, n)
+
+
+def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
+    """Triangles of each row: sum((A+ @ A+) * A+) over its strictly upper
+    adjacency A+, one term A+_ab A+_bc A+_ac per triangle a < b < c, so every
+    partial sum is at most C(n, 3): float32 while C(n, 3) < 2^24 (n <= 466),
+    float64 beyond (below 2^53 at every n up to MAX_VERTICES)."""
+    cnt = np.empty(bits.shape[0], dtype=np.int64)
+    for lo, a in _adjacency_stacks(bits, n, _exact_width(math.comb(n, 3)), upper=True):
+        cnt[lo : lo + len(a)] = np.einsum("kij,kij->k", a @ a, a)
     return cnt
 
 
@@ -798,21 +788,26 @@ class _CycleTerm(_Term):
     delta depends only on the 2 x 2 blocks of walk counts M_t = V^T A^t U.
     With D(z) = det(I_2 - sum_t z^(t+1) M_t) and -log D(z) = sum_m p_m z^m
     / m, the delta is p_k, which Newton's identities give from D's integer
-    coefficients. count and delta share one exact walk algebra: count
-    forms A^h, h = floor(k/2), from Gram products (even powers) and products
-    with A (odd ones), then takes tr(A^k) = <A^h, A^(k-h)>, contracting A^h
-    against A^h A in row blocks for odd k instead of forming A^(h+1); delta
-    steps the two walk rows of i and j (_walk_blocks). All of it runs through
-    _exact_product and _exact_inner, in the narrowest exact width.
-    For k = 4 the delta reduces to 8 w3 + 4 (d_i + d_j) + 2, with
-    d the degrees and w3 = (A^3)_ij = sum_{y in N(j)} |N(i) & N(y)|, all
-    taken in G - ij.
+    coefficients. count, batch and delta share one exact walk algebra, all
+    of it through _exact_product and _exact_inner in the narrowest exact
+    width: count is the closed walks of A (_closed_walks), batch those of
+    each block of the rows' stacked adjacency matrices (_adjacency_stacks,
+    so cycle:5 on four G(1000, 1/2) rows peaks under 24 MiB traced), as
+    numpy infers them from Python ints (int64 below 2^63, uint64 below
+    2^64, Python ints beyond); delta steps the two walk rows of i and j
+    (_walk_blocks). For k = 4 the delta reduces to 8 w3 + 4 (d_i + d_j) + 2,
+    with d the degrees and w3 = (A^3)_ij = sum_{y in N(j)} |N(i) & N(y)|,
+    all taken in G - ij.
     """
 
-    _vertex_guard = None
-
     def count(self, g) -> int:
-        return _closed_walks(g, self.arg)
+        return _closed_walks(_adjacency(g), self.arg)
+
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        cnt = np.empty(len(bits), dtype=np.int64 if n**self.arg < 2**63 else object)  # counts <= n^k
+        for lo, a in _adjacency_stacks(bits, n, np.float32):
+            cnt[lo : lo + len(a)] = _closed_walks(a, self.arg)
+        return cnt if cnt.dtype != object else np.array(cnt.tolist())
 
     def delta(self, g, i: int, j: int) -> int:
         if self.arg != 4:
@@ -831,11 +826,10 @@ class _CycleTerm(_Term):
         return 8 * w3 + 4 * (di + dj) + 2
 
 
-def _closed_walks(g, k: int) -> int:
-    """tr(A^k), the closed walks of length k >= 2 in anything with n and
-    bitmask rows, exactly: <A^h, A^(k-h)> with h = floor(k/2), contracting
-    A^h against A^h A in row blocks for odd k (see _CycleTerm)."""
-    a = _adjacency(g)
+def _closed_walks(a: np.ndarray, k: int):
+    """tr(A^k), the closed walks of length k >= 2, of a 0/1 adjacency matrix
+    or of each of a stack, exactly (see _exact_inner): <A^h, A^(k-h)> with
+    h = floor(k/2), contracting A^h against A^h A a block at a time for odd k."""
     x = _symmetric_power(a, k // 2)
     return _exact_inner(x, x, a if k % 2 else None)
 
@@ -888,13 +882,16 @@ def _cycle_change(blocks: list[tuple[int, int, int]], k: int) -> int:
 
 
 def _symmetric_power(a: np.ndarray, h: int) -> np.ndarray:
-    """A^h of a symmetric nonnegative integer matrix, exactly: an even power
-    as the Gram product of A^(h/2), an odd one as A^(h-1) A."""
+    """A^h of a symmetric nonnegative integer matrix, or of each of a stack,
+    exactly: an odd power as A^(h-1) A, an even one as the square of A^(h/2),
+    for one matrix its Gram product (BLAS syrk, at half the flops), for a
+    stack a plain product, which numpy runs 1.2-6x faster up to n = 256."""
     if h == 1:
         return a
     if h % 2:
         return _exact_product(_symmetric_power(a, h - 1), a)
-    return _exact_product(_symmetric_power(a, h // 2))
+    half = _symmetric_power(a, h // 2)
+    return _exact_product(half, None if half.ndim == 2 else half)
 
 
 def _python_ints(x: np.ndarray) -> np.ndarray:
@@ -914,8 +911,8 @@ def _in_width(x: np.ndarray, dtype) -> np.ndarray:
 
 
 def _exact_product(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """x @ y, or the Gram product x @ x.T when y is None, for nonnegative
-    integer matrices, exactly.
+    """x @ y, or the Gram product x @ x^T when y is None, for nonnegative
+    integer matrices or stacks of them, exactly.
 
     Every partial sum is an integer of at most n max(x) max(y), so the
     product runs in _exact_width of that bound: float32 BLAS below 2^24,
@@ -924,39 +921,42 @@ def _exact_product(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     at half the flops.
     """
     top = int(x.max())
-    dtype = _exact_width(x.shape[1] * top * (top if y is None else int(y.max())))
+    dtype = _exact_width(x.shape[-1] * top * (top if y is None else int(y.max())))
     x = _in_width(x, dtype)
-    return x @ (x.T if y is None else _in_width(y, dtype))
+    return x @ (x.swapaxes(-1, -2) if y is None else _in_width(y, dtype))
 
 
-def _exact_inner(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None) -> int:
-    """sum_ij x_ij w_ij for nonnegative integer matrices, as a Python int,
-    where w = y, or w = y @ z when z is given.
+def _exact_inner(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None):
+    """sum_ij x_ij w_ij for nonnegative integer matrices, w = y or y @ z: a
+    Python int, or for (R, r, n) stacks one total per matrix (int64 while
+    r n max(x) max(w) < 2^63, Python ints beyond).
 
-    Works in row blocks of about _PRODUCT_BLOCK_ENTRIES entries, so y @ z is
-    never held whole: each block of w is an exact product of rows of y with
-    z, in the width of the whole product, to which z is converted once. The
-    row sums of x * w run in the narrowest exact width for
-    n max(x) max(w): _exact_width, with int64 between 2^53 and 2^63.
+    Works in blocks of about _PRODUCT_BLOCK_ENTRIES entries, whole matrices
+    of a stack or rows of one matrix, so y @ z is formed a block at a time,
+    in the width of the whole product. The row sums of x * w run in
+    _exact_width of n max(x) max(w), with int64 between 2^53 and 2^63.
     """
-    n = x.shape[1]
+    if x.ndim == 2:
+        return int(_exact_inner(x[None], y[None], z if z is None else z[None])[0])
+    r, n = x.shape[1:]
     top = int(y.max())
     if z is not None:
-        top *= y.shape[1] * int(z.max())  # bounds every entry and partial sum of y @ z
+        top *= y.shape[-1] * int(z.max())  # bounds every entry and partial sum of y @ z
         product_width = _exact_width(top)
         z = _in_width(z, product_width)
     bound = n * int(x.max()) * top
     dtype = np.int64 if 2**53 <= bound < 2**63 else _exact_width(bound)
-    step, total = max(1, _PRODUCT_BLOCK_ENTRIES // n), 0
-    for lo in range(0, len(x), step):
-        w = y[lo : lo + step]
-        if z is not None:
-            w = _in_width(w, product_width) @ z
-        xs, ws = _in_width(x[lo : lo + step], dtype), _in_width(w, dtype)
-        if dtype is object:
-            total += int((xs * ws).sum())
-        else:
-            total += sum(np.einsum("ij,ij->i", xs, ws).astype(np.int64).tolist())
+    exact = np.int64 if r * bound < 2**63 else object
+    total = np.zeros(len(x), dtype=exact)
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // n)  # rows per block
+    per = max(1, step // r)  # matrices per block
+    for g in range(0, len(x), per):
+        for lo in range(0, r, step):
+            block = np.s_[g : g + per, lo : lo + step]
+            w = y[block] if z is None else _in_width(y[block], product_width) @ z[g : g + per]
+            xs, ws = _in_width(x[block], dtype), _in_width(w, dtype)
+            sums = (xs * ws).sum(axis=2) if dtype is object else np.einsum("kij,kij->ki", xs, ws)
+            total[g : g + per] += _in_width(sums, exact).sum(axis=1)
     return total
 
 

@@ -630,12 +630,12 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     lexicographic order; cliques count one graph at a time. Stars gather
     the rows in blocks of max(1, 2^20 // n(n - 1)), below n = 9 triangles
     the pair columns of every triple in blocks of max(1, 2^20 // C(n, 3)).
-    In blocks of max(1, 2^16 // n^2) rows, triangles from n = 9 on sum
-    (A+ @ A+) * A+ over the strictly upper adjacency A+ of each row, in
-    float32 while C(n, 3) < 2^24 and float64 beyond, and cycles and
-    edge-list motifs contract the stacked adjacency matrices, or count each
-    graph where n^v reaches 2^53. So no temporary grows with the number of
-    rows, and the counts stay exact integers.
+    The others stack the rows' adjacency matrices A in blocks of
+    max(1, 2^16 // n^2): triangles from n = 9 on sum (A+ @ A+) * A+ over
+    the strictly upper part A+, cycles take the closed walks tr(A^k) (in row
+    blocks once a block is one graph) and edge-list motifs contract A under
+    the count's guard, each in an exact width. So no temporary grows with
+    the number of rows, and the counts stay exact integers.
     """
     m = math.comb(n, 2)
     if bits.shape[1] != m:

@@ -9,8 +9,9 @@ most 8 vertices, with coefficients up to +-1e308, must give the same trace,
 final graph and sampled densities bit for bit. Two more tests pin the table
 of a one-term chain: how many on-probabilities an edge + triangle chain
 evaluates, and the memory a chain takes when its deltas outgrow the
-table's cap. The last checks sampled densities whose scales n^v reach 2^53
-against Python's int division.
+table's cap, and the memory the stacked closed walks take for a batch of
+cycle rows at n = 1000. The last checks sampled densities whose scales n^v
+reach 2^53 against Python's int division.
 """
 
 import itertools
@@ -19,6 +20,7 @@ import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -204,6 +206,23 @@ def test_chain_memory_stays_bounded_past_the_table_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+def test_cycle_batch_memory_stays_bounded_at_large_n():
+    # from n = 256 on a block of the stacked walks is one graph, whose inner
+    # product runs in row blocks: cycle:5 on four G(1000, 1/2) rows holds the
+    # pair indices, one float32 adjacency and A^2, about 17.5 MiB traced
+    # (the edge-list contraction that counted them before peaked at 53 MiB),
+    # under the 24 MiB the _CycleTerm docstring states
+    n = 1000
+    bits = (_rng_from_seed(5).random((4, n * (n - 1) // 2)) < 0.5).astype(np.int8)
+    tracemalloc.start()
+    try:
+        _term(Motif.cycle(5)).batch(bits, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
 
 
 def test_sampled_densities_divide_exactly_past_two_to_the_53():

@@ -91,7 +91,7 @@ def test_term_count_and_delta_match_brute_force(h, case):
     assert (term.batch(bits, g.n) * iso).tolist() == [count]
 
 
-# -- the stacked batch contraction ----------------------------------------------------------------
+# -- the stacked batch counts ----------------------------------------------------------------
 
 BATCH_SHAPES = ["cycle:4", "cycle:5", "cycle:6", "cycle:7", "complete:4", "complete:5"]
 
@@ -122,16 +122,24 @@ def test_batch_counts_match_brute_force_row_by_row(h, n, per_block, rows, seed):
     assert [c * iso for c in counts.tolist()] == expected
 
 
-@pytest.mark.parametrize("n", [98, 99])
+# the width switches of the stacked walks: 98^8 < 2^53 <= 99^8, where the
+# float64 einsum contraction of earlier batches gave way to one exact count
+# per row; at n = 256 the row sums of <A^2, A^2> end below 2^24 (float32)
+# and at n = 257 above it (float64); at n = 40, A^11 of cycle:23 stays
+# below 2^53 while A^12 of cycle:24 runs in Python ints, and both counts
+# pass 2^64
+WIDTH_SWITCHES = {98: [8], 99: [8], 256: [4, 5, 6], 257: [4, 5, 6], 40: [23, 24]}
+
+
+@pytest.mark.parametrize("n", WIDTH_SWITCHES)
 def test_cycle_batch_exact_on_both_sides_of_float64(n):
-    # 98^8 < 2^53 <= 99^8: the contraction runs at n = 98, where K_98 has
-    # 97^8 + 97 ~ 7.8e15 closed 8-walks, and one exact count per row at n = 99
-    assert 98**8 < 2**53 <= 99**8
     pairs = n * (n - 1) // 2
     bits = np.ones((2, pairs), dtype=np.int8)
     bits[1] = np.random.default_rng(n).random(pairs) < 0.7
-    with mock.patch.object(graphs, "_Contraction", wraps=graphs._Contraction) as contraction:
-        counts = _term(Motif.cycle(8)).batch(bits, n)
-    assert contraction.called == (n == 98)
-    assert counts.tolist() == [graphs._closed_walks(_indicator_graph(n, row), 8) for row in bits]
-    assert counts[0] == (n - 1) ** 8 + (n - 1)
+    for k in WIDTH_SWITCHES[n]:
+        counts = _term(Motif.cycle(k)).batch(bits, n)
+        expected = [graphs._closed_walks(graphs._adjacency(_indicator_graph(n, row)), k) for row in bits]
+        assert counts.tolist() == expected
+        assert counts[0] == (n - 1) ** k + (n - 1) * (-1) ** k
+        # the dtype numpy infers from the Python ints: int64 below 2^63, Python ints past 2^64
+        assert counts.dtype == np.array(expected).dtype == (object if n == 40 else np.int64)
