@@ -718,8 +718,9 @@ def _pair_columns(n: int) -> np.ndarray:
     """The (n, n) table whose entry (i, j), i != j, is the column of pair
     {i, j} in pair order (_vertex_pairs), with -1 on the diagonal,
     read-only. Its strictly upper entries, in row-major order, are the
-    columns 0, 1, ..., C(n, 2) - 1."""
-    i, j = np.array(_vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    columns 0, 1, ..., C(n, 2) - 1, so it is built from np.triu_indices
+    with no pair tuples (7.6 MiB kept, 19 MiB traced peak, at n = 1000)."""
+    i, j = np.triu_indices(n, 1)
     out = np.full((n, n), -1, dtype=np.intp)
     out[i, j] = out[j, i] = np.arange(i.size)
     out.flags.writeable = False

@@ -20,6 +20,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 from math import lgamma
 
 import numpy as np
@@ -52,6 +53,9 @@ _CHI_SQUARE_CHUNK = 2**12
 _CHI_SQUARE_TAIL_LOG = -40.0
 # a Glauber chain's table of on-probabilities stops growing at this many keys
 _ON_PROBABILITY_TABLE_CAP = 4096
+# a chain that records more often than every this many steps counts each step
+# inline instead of cutting its draws into record-free stretches (_drive)
+_INLINE_RECORD_EVERY = 12
 
 
 # -- chain configuration and state ---------------------------------------------
@@ -159,8 +163,8 @@ def _on_probability(expo: float, neg_unit: float) -> float:
     """1 / (1 + e^(expo neg_unit)), which is 0 where exp overflows: the Glauber
     on-probability of a log-odds scaled as _log_odds scales it, with neg_unit
     = -_log_odds_unit. The one place that turns a log-odds into an
-    on-probability, for the chain step (_drive) and the dense chain matrix
-    (glauber_transition_matrix) alike."""
+    on-probability, for the chain steps (_step_loop) and the dense chain
+    matrix (glauber_transition_matrix) alike."""
     return 1.0 / (1.0 + _exp_or_inf(expo * neg_unit))
 
 
@@ -174,95 +178,161 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     they are drawn in 4096-step chunks, pair indices then coins, so a seed
     gives the same chain whatever is recorded.
 
-    The Glauber log-odds of each step are _log_odds' constant plus its
-    scaled deltas, added in model order, times _log_odds_unit, and the
-    on-probability is 1 / (1 + e^-(log-odds)), 0 where exp overflows, from
-    _on_probability, which the dense matrix (glauber_transition_matrix)
-    reads too. With no weighted term (edge only, or zero motif
-    coefficients) it is one number, computed once. With one weighted
-    term it depends on the pair only through that term's integer delta, so
-    each call keeps one table from the delta to its on-probability: a delta
-    not yet in the table gets the same arithmetic and is stored while the
-    table holds fewer than _ON_PROBABILITY_TABLE_CAP entries, so every step
-    gets the bits the arithmetic gives and the table stays near 0.4 MB
-    whatever the deltas. Where that term is the triangle, whose delta is 6
-    times the pair's common neighbours, the step counts the common
-    neighbours once and keys the table by that count (a miss gets the same
-    arithmetic with delta = 6 common), and a flip adds or takes the same
-    count from the triangles. Two or more weighted terms compute the
-    on-probability anew at every step, and every other chain counts the
-    common neighbours on a flip only. The edge and triangle counts live in
-    locals while the chain runs and are written back to the state before
-    each record and at the end.
+    The steps run in the one loop of the chain's step rule (_step_loop),
+    which keeps the edge and triangle counts in locals; they are written
+    back to the state before each record, the last step's included. Each
+    chunk is cut at the record steps into record-free stretches, so no step
+    counts itself. A record costs a stretch, a call of the loop on fresh
+    slices, which outweighs a per-step count where records are fewer than
+    _INLINE_RECORD_EVERY steps apart: past the burn-in such a chain runs
+    each chunk whole, and the loop counts every step and records inline.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
     rng = _rng_from_seed(seed)
-    pairs = _vertex_pairs(state.n)
-    m = len(pairs)
-    # one multiply both scales the log-odds back and negates it
-    neg_unit = -_log_odds_unit(terms, state.n)
-    constant, weighted = _log_odds(terms, state.n)
-    width = len(weighted)
-    triangle = width == 1 and isinstance(weighted[0][1], _TriangleTerm)
-    weighted = [(scale, term.delta) for scale, term in weighted]
-    on_probability = _on_probability  # a local: a step of two or more terms calls it
-    if width == 1:
-        ((scale1, delta1),) = weighted
-        table = {}
-        key_scale = 6 if triangle else 1  # a triangle is keyed by common neighbours, delta / 6
-    elif not width:
-        p0 = on_probability(constant, neg_unit)
-    metropolis = er_beta is not None
-    exp_neg_beta = math.exp(-er_beta) if metropolis else 0.0
-    rows = state.rows
+    m = math.comb(state.n, 2)
+    run = _step_loop(state, terms, er_beta)
     edges, triangles = state.edges, state.triangles
-    next_record = min(burn + every, total)
-    done = 0
+    done, next_record = 0, min(burn + every, total)
+
+    def advance(edges: int, triangles: int, steps: int = 1):
+        """Count steps as done, and record if the last of them is a record step."""
+        nonlocal done, next_record
+        done += steps
+        if done == next_record:
+            state.edges, state.triangles = edges, triangles
+            record(done)
+            next_record = done + every if done + every < total else total
+
     while done < total:
         count = min(4096, total - done)
         pair_idx = rng.integers(0, m, size=count).tolist()
         coins = rng.random(count).tolist()
-        for idx, coin in zip(pair_idx, coins):
-            i, j = pairs[idx]
-            present = rows[i] >> j & 1
-            if metropolis:
-                flip = not present or coin < exp_neg_beta
-            elif width == 1:
-                if triangle:
-                    key = common = (rows[i] & rows[j]).bit_count()
-                else:
-                    key = delta1(state, i, j)
-                p = table.get(key)
-                if p is None:
-                    p = on_probability(constant + scale1 * (key_scale * key), neg_unit)
-                    if len(table) < _ON_PROBABILITY_TABLE_CAP:
-                        table[key] = p
-                flip = (coin < p) != present
-            elif width:
-                expo = constant
-                for scale, delta in weighted:
-                    expo += scale * delta(state, i, j)
-                flip = (coin < on_probability(expo, neg_unit)) != present
+        start = done
+        while done < start + count:
+            lo = done - start
+            if every < _INLINE_RECORD_EVERY and done >= burn:
+                edges, triangles = run(pair_idx[lo:], coins[lo:], edges, triangles, advance)
             else:
-                flip = (coin < p0) != present
-            if flip:
-                rows[i] ^= 1 << j
-                rows[j] ^= 1 << i
-                if not triangle:  # counted before the toggle, which leaves rows[i] & rows[j] as it was
-                    common = (rows[i] & rows[j]).bit_count()
-                if present:
-                    edges -= 1
-                    triangles -= common
-                else:
-                    edges += 1
-                    triangles += common
-            done += 1
-            if done == next_record:
-                state.edges, state.triangles = edges, triangles
-                record(done)
-                next_record = min(done + every, total)
-    state.edges, state.triangles = edges, triangles
+                hi = min(count, next_record - start)
+                edges, triangles = run(pair_idx[lo:hi], coins[lo:hi], edges, triangles, None)
+                advance(edges, triangles, hi - lo)
+
+
+def _step_loop(state: _ChainState, terms, er_beta):
+    """The step loop of one chain, chosen once by its step rule:
+    loop(pair_idx, coins, edges, triangles, advance) runs the steps of those
+    pair indices and coins on state.rows and returns the new edge and
+    triangle counts, calling advance(edges, triangles) after every step
+    unless advance is None.
+
+    The Glauber log-odds of a step are _log_odds' constant plus its scaled
+    deltas, added in model order, times _log_odds_unit, and the
+    on-probability is _on_probability of them, the helper the dense matrix
+    (glauber_transition_matrix) reads too. A chain whose log-odds depend on
+    the pair only through its common neighbours c (no weighted term, or the
+    triangle alone, whose delta is 6 c) reads them from a list of the n - 1
+    on-probabilities of c = 0..n - 2, made up front. With one other term
+    the on-probability depends on the pair only through that term's integer
+    delta, so the chain keeps one table from the delta to its
+    on-probability: a delta not yet in the table gets the same arithmetic
+    and is stored while the table holds fewer than
+    _ON_PROBABILITY_TABLE_CAP entries, so every step gets the bits the
+    arithmetic gives and the table stays near 0.4 MB whatever the deltas.
+    Two or more weighted terms add the full sum at every step.
+    """
+    pairs, rows = _vertex_pairs(state.n), state.rows
+    if er_beta is not None:
+        return partial(_metropolis_steps, pairs, rows, math.exp(-er_beta))
+    # one multiply both scales the log-odds back and negates it
+    neg_unit = -_log_odds_unit(terms, state.n)
+    constant, weighted = _log_odds(terms, state.n)
+    if not weighted:
+        on = [_on_probability(constant, neg_unit)] * (state.n - 1)
+        return partial(_common_neighbour_steps, pairs, rows, on)
+    if len(weighted) == 1 and isinstance(weighted[0][1], _TriangleTerm):
+        scale = weighted[0][0]
+        on = [_on_probability(constant + scale * (6 * c), neg_unit) for c in range(state.n - 1)]
+        return partial(_common_neighbour_steps, pairs, rows, on)
+    weighted = [(scale, term.delta) for scale, term in weighted]
+    table = {} if len(weighted) == 1 else None
+    return partial(_delta_steps, pairs, state, constant, weighted, neg_unit, table)
+
+
+def _metropolis_steps(pairs, rows, exp_neg_beta, pair_idx, coins, edges, triangles, advance):
+    """Add/delete Metropolis steps: an absent pair is added, a present one
+    deleted with probability exp_neg_beta."""
+    for idx, coin in zip(pair_idx, coins):
+        i, j = pairs[idx]
+        ri = rows[i]
+        present = ri >> j & 1
+        if not present or coin < exp_neg_beta:
+            rows[i] = ri ^ 1 << j
+            rows[j] ^= 1 << i
+            common = (ri & rows[j]).bit_count()  # a toggle leaves rows[i] & rows[j] as it was
+            if present:
+                edges, triangles = edges - 1, triangles - common
+            else:
+                edges, triangles = edges + 1, triangles + common
+        if advance is not None:
+            advance(edges, triangles)
+    return edges, triangles
+
+
+def _common_neighbour_steps(pairs, rows, on, pair_idx, coins, edges, triangles, advance):
+    """Glauber steps whose on-probability is on[c], c the pair's common
+    neighbours."""
+    for idx, coin in zip(pair_idx, coins):
+        i, j = pairs[idx]
+        ri, rj = rows[i], rows[j]
+        present = ri >> j & 1
+        common = (ri & rj).bit_count()
+        if (coin < on[common]) != present:
+            rows[i] = ri ^ 1 << j
+            rows[j] = rj ^ 1 << i
+            if present:
+                edges, triangles = edges - 1, triangles - common
+            else:
+                edges, triangles = edges + 1, triangles + common
+        if advance is not None:
+            advance(edges, triangles)
+    return edges, triangles
+
+
+def _delta_steps(pairs, state, constant, weighted, neg_unit, table, pair_idx, coins, edges, triangles, advance):
+    """Glauber steps on the scaled term deltas: one term through the table
+    from its delta to the on-probability (table is a dict), two or more
+    summed at every step (table is None)."""
+    rows = state.rows
+    if table is not None:
+        ((scale1, delta1),) = weighted
+    on_probability = _on_probability
+    for idx, coin in zip(pair_idx, coins):
+        i, j = pairs[idx]
+        present = rows[i] >> j & 1
+        if table is not None:
+            key = delta1(state, i, j)
+            p = table.get(key)
+            if p is None:
+                p = on_probability(constant + scale1 * key, neg_unit)
+                if len(table) < _ON_PROBABILITY_TABLE_CAP:
+                    table[key] = p
+        else:
+            expo = constant
+            for scale, delta in weighted:
+                expo += scale * delta(state, i, j)
+            p = on_probability(expo, neg_unit)
+        if (coin < p) != present:
+            rows[i] = ri = rows[i] ^ 1 << j
+            rows[j] ^= 1 << i
+            common = (ri & rows[j]).bit_count()
+            if present:
+                edges, triangles = edges - 1, triangles - common
+            else:
+                edges, triangles = edges + 1, triangles + common
+        if advance is not None:
+            advance(edges, triangles)
+    return edges, triangles
 
 
 @dataclass

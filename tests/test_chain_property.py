@@ -6,12 +6,13 @@ constant plus each scaled delta in model order, times -_log_odds_unit,
 through exp, with an OverflowError read as on-probability 0. Random models
 of 0 to 3 weighted terms of every motif class (edge lists included) on at
 most 8 vertices, with coefficients up to +-1e308, must give the same trace,
-final graph and sampled densities bit for bit. Two more tests pin the table
-of a one-term chain: how many on-probabilities an edge + triangle chain
-evaluates, and the memory a chain takes when its deltas outgrow the
-table's cap, and the memory the stacked closed walks take for a batch of
-cycle rows at n = 1000. The last checks sampled densities whose scales n^v
-reach 2^53 against Python's int division.
+final graph and sampled densities bit for bit; explicit examples run each
+step loop past one 4096-step draw chunk. Three more tests pin memory and
+work: an edge + triangle chain evaluates exactly its n - 1 on-probabilities
+of a common-neighbour count, a chain whose deltas outgrow the one-term
+table's cap keeps its memory bounded, and so do the stacked closed walks
+for a batch of cycle rows at n = 1000. The last checks sampled densities
+whose scales n^v reach 2^53 against Python's int division.
 """
 
 import itertools
@@ -141,6 +142,15 @@ def check_chain(model, n, start, seed, steps, every, samples, thinning):
 @example(ModelSpec([(Motif.edge(), 0.3)]), 5, "empty", 8, 300, 13, 10, 1)
 # a chain of no steps records its start only
 @example(ModelSpec.edge_triangle(-0.3, 0.4), 4, "random", 9, 0, 5, 3, 1)
+# past one 4096-step draw chunk, one example per step loop; records 4095,
+# 4097 or 1 steps apart, samples thinned by 1, 3 or 13 after a burn-in that
+# ends mid-chunk (1,000 or 1,012 steps)
+@example(ModelSpec([(Motif.edge(), 0.3)]), 6, "random", 11, 9000, 4097, 9000, 1)  # Metropolis samples
+@example(ModelSpec([(Motif.edge(), -0.4), (Motif.triangle(), 0.0)]), 8, "random", 12, 9000, 4095, 3000, 3)
+@example(ModelSpec.edge_triangle(-0.3, 0.4), 7, "empty", 13, 9000, 1, 9000, 1)
+@example(ModelSpec([(Motif.edge(), -0.2), (Motif.parse("star:2"), -0.1)]), 8, "random", 14, 9000, 4097, 700, 13)
+@example(ModelSpec([(Motif.edge(), -0.2), (Motif.triangle(), 0.3), (Motif.cycle(4), -0.1)]), 6, "complete", 15,
+         9000, 4095, 3000, 3)
 def test_chains_match_the_step_by_step_reference(model, n, start, seed, steps, every, samples, thinning):
     check_chain(model, n, start, seed, steps, every, samples, thinning)
 
@@ -171,11 +181,13 @@ def test_strong_coefficients_reach_the_unit_and_the_overflow_branch():
 
 def test_edge_triangle_chain_evaluates_one_on_probability_per_common_neighbour_count():
     # a triangle delta is 6 times the pair's common neighbours, 0 to n - 2,
-    # so a 3,000-step chain at n = 12 evaluates at most 11 on-probabilities
+    # so a chain at n = 12 makes its list of the 11 on-probabilities up front
+    # and evaluates no other, in any number of steps
     model = ModelSpec.edge_triangle(-0.3, 0.5)
-    with mock.patch.object(math, "exp", wraps=math.exp) as exp:
-        run_chain(ChainConfig(12, steps=3000, seed=103, model=model))
-    assert 0 < exp.call_count <= 11
+    for steps in (0, 3000):
+        with mock.patch.object(math, "exp", wraps=math.exp) as exp:
+            run_chain(ChainConfig(12, steps=steps, seed=103, model=model))
+        assert exp.call_count == 11
 
 
 def test_chain_memory_stays_bounded_past_the_table_cap():

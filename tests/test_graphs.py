@@ -14,9 +14,11 @@ from ergmlab.graphs import (
     Motif,
     _exact_inner,
     _exact_product,
+    _pair_columns,
     _python_ints,
     _search_homomorphisms,
     _term,
+    _vertex_pairs,
     chromatic_number,
     classify_motif,
     count_homomorphisms,
@@ -450,6 +452,28 @@ def test_complete_graph_at_the_vertex_cap():
         tracemalloc.stop()
     assert g.edge_count() == MAX_VERTICES * (MAX_VERTICES - 1) // 2
     assert elapsed < 10.0 and peak < 64 * 2**20, (elapsed, peak)
+
+
+def test_pair_columns_cold_at_n_1000():
+    # the table holds an (n, n) index array, 7.6 MiB at n = 1000, and its
+    # build peaks at 19 MiB traced; built from the _vertex_pairs tuples it
+    # peaked at 53 MiB and kept 38 MiB of tuples in their cache
+    n = 1000
+    _pair_columns.cache_clear()
+    _vertex_pairs.cache_clear()
+    tracemalloc.start()
+    try:
+        cols = _pair_columns(n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20 and held < 10 * 2**20, (peak, held)
+    upper = cols[np.triu_indices(n, 1)]
+    assert (upper == np.arange(n * (n - 1) // 2)).all() and (cols == cols.T).all()
+    assert (np.diagonal(cols) == -1).all() and not cols.flags.writeable
+    # pair (i, j) follows the n - 1 - r pairs of each row r < i
+    i, j = 123, 456
+    assert cols[i, j] == cols[j, i] == i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def test_toggle_and_immutability():
