@@ -41,6 +41,8 @@ class StepGraphon:
         v = np.asarray(values, dtype=float)
         if w.ndim != 1 or len(w) == 0:
             raise DomainError("weights must be a nonempty vector")
+        if not np.isfinite(w).all():
+            raise DomainError("block weights must be finite")
         if np.any(w < -WEIGHT_TOL):
             raise DomainError("block weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -48,6 +50,8 @@ class StepGraphon:
         k = len(w)
         if v.shape != (k, k):
             raise DomainError(f"values must be {k}x{k}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise DomainError("block values must be finite")
         asym = np.max(np.abs(v - v.T))
         if asym > SYMMETRY_TOL:
             raise DomainError(f"values asymmetric beyond tolerance: {asym:g}")

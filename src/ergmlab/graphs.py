@@ -329,18 +329,22 @@ def _fields(line: str, kind, count: int, what: str) -> list:
 
 
 @functools.lru_cache(maxsize=8)
-def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pairs i < j of an n-vertex graph in lexicographic order.
-
-    Column t of an edge-indicator row and bit t of an edge mask both stand
-    for pair t.
+def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs i < j of an n-vertex graph in lexicographic order, as
+    two read-only uint16 columns (i, j), 1.9 MiB at n = 1000: the one
+    encoding of pair order. Column t of an edge-indicator row and bit t of
+    an edge mask both stand for pair t, (i[t], j[t]).
     """
-    return tuple(itertools.combinations(range(n), 2))
+    i, j = (c.astype(np.uint16) for c in np.triu_indices(n, 1))
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _indicator_graph(n: int, row) -> Graph:
     """The graph whose edges are the pairs of the nonzero entries of row."""
-    return Graph.from_edges(n, itertools.compress(_vertex_pairs(n), row))
+    i, j = _vertex_pairs(n)
+    on = np.asarray(row, dtype=bool)
+    return Graph.from_edges(n, zip(i[on].tolist(), j[on].tolist()))
 
 
 def _mask_bits(m: int) -> np.ndarray:
@@ -717,10 +721,9 @@ class _StarTerm(_Term):
 def _pair_columns(n: int) -> np.ndarray:
     """The (n, n) table whose entry (i, j), i != j, is the column of pair
     {i, j} in pair order (_vertex_pairs), with -1 on the diagonal,
-    read-only. Its strictly upper entries, in row-major order, are the
-    columns 0, 1, ..., C(n, 2) - 1, so it is built from np.triu_indices
-    with no pair tuples (7.6 MiB kept, 19 MiB traced peak, at n = 1000)."""
-    i, j = np.triu_indices(n, 1)
+    read-only: 7.6 MiB kept at n = 1000, beside the pair columns it is
+    scattered from."""
+    i, j = _vertex_pairs(n)
     out = np.full((n, n), -1, dtype=np.intp)
     out[i, j] = out[j, i] = np.arange(i.size)
     out.flags.writeable = False
@@ -744,9 +747,10 @@ def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
 def _adjacency_stacks(bits: np.ndarray, n: int, dtype, upper: bool = False):
     """Yield (lo, a) for rows lo, lo + 1, ... of bits, a the (rows, n, n)
     stack of their 0/1 adjacency matrices in dtype (strictly upper ones when
-    upper): a view of one reused stack of max(1, _PRODUCT_BLOCK_ENTRIES // n^2)."""
-    flat = np.flatnonzero(~np.tri(n, dtype=bool))  # i n + j of the pairs i < j, in pair order
-    cells = [flat] if upper else [flat, flat % n * n + flat // n]  # and j n + i
+    upper): a view of one reused stack of max(1, _PRODUCT_BLOCK_ENTRIES // n^2).
+    Column t of bits fills the cells i n + j and j n + i of pair t, in intp."""
+    i, j = _vertex_pairs(n)
+    cells = [a.astype(np.intp) * n + b for a, b in ([(i, j)] if upper else [(i, j), (j, i)])]
     step = max(1, _PRODUCT_BLOCK_ENTRIES // n**2)
     stack = np.zeros((min(step, len(bits)), n * n), dtype=dtype)
     for lo in range(0, len(bits), step):

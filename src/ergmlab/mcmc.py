@@ -53,9 +53,6 @@ _CHI_SQUARE_CHUNK = 2**12
 _CHI_SQUARE_TAIL_LOG = -40.0
 # a Glauber chain's table of on-probabilities stops growing at this many keys
 _ON_PROBABILITY_TABLE_CAP = 4096
-# a chain that records more often than every this many steps counts each step
-# inline instead of cutting its draws into record-free stretches (_drive)
-_INLINE_RECORD_EVERY = 12
 
 
 # -- chain configuration and state ---------------------------------------------
@@ -178,53 +175,48 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     they are drawn in 4096-step chunks, pair indices then coins, so a seed
     gives the same chain whatever is recorded.
 
-    The steps run in the one loop of the chain's step rule (_step_loop),
-    which keeps the edge and triangle counts in locals; they are written
-    back to the state before each record, the last step's included. Each
-    chunk is cut at the record steps into record-free stretches, so no step
-    counts itself. A record costs a stretch, a call of the loop on fresh
-    slices, which outweighs a per-step count where records are fewer than
-    _INLINE_RECORD_EVERY steps apart: past the burn-in such a chain runs
-    each chunk whole, and the loop counts every step and records inline.
+    Each chunk is one call of the chain's step loop (_step_loop) on the
+    chunk's pair ends, gathered from the columns of _vertex_pairs, its coins,
+    and a bytearray flag per step that is 1 at each record step: one slice
+    assignment sets the regular records and one index the last step. On a
+    flagged step the loop calls back with its edge and triangle counts,
+    which the callback writes to the state before it records step
+    `every` past the previous record (or past burn), capped at total.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
     rng = _rng_from_seed(seed)
-    m = math.comb(state.n, 2)
+    pair_i, pair_j = _vertex_pairs(state.n)
     run = _step_loop(state, terms, er_beta)
     edges, triangles = state.edges, state.triangles
-    done, next_record = 0, min(burn + every, total)
+    recorded = burn
 
-    def advance(edges: int, triangles: int, steps: int = 1):
-        """Count steps as done, and record if the last of them is a record step."""
-        nonlocal done, next_record
-        done += steps
-        if done == next_record:
-            state.edges, state.triangles = edges, triangles
-            record(done)
-            next_record = done + every if done + every < total else total
+    def record_counts(edges: int, triangles: int):
+        nonlocal recorded
+        state.edges, state.triangles = edges, triangles
+        recorded = recorded + every if recorded + every < total else total
+        record(recorded)
 
-    while done < total:
-        count = min(4096, total - done)
-        pair_idx = rng.integers(0, m, size=count).tolist()
+    for start in range(0, total, 4096):
+        count = min(4096, total - start)
+        pair_idx = rng.integers(0, pair_i.size, size=count)
         coins = rng.random(count).tolist()
-        start = done
-        while done < start + count:
-            lo = done - start
-            if every < _INLINE_RECORD_EVERY and done >= burn:
-                edges, triangles = run(pair_idx[lo:], coins[lo:], edges, triangles, advance)
-            else:
-                hi = min(count, next_record - start)
-                edges, triangles = run(pair_idx[lo:hi], coins[lo:hi], edges, triangles, None)
-                advance(edges, triangles, hi - lo)
+        # flags[f] is 1 where step start + f + 1 is burn + k every, k >= 1, or total
+        first = max(burn + every - start - 1, (burn - start - 1) % every)
+        flags = bytearray(count)
+        flags[first::every] = b"\x01" * len(range(first, count, every))
+        if start + count == total:
+            flags[-1] = 1
+        edges, triangles = run(pair_i[pair_idx].tolist(), pair_j[pair_idx].tolist(), coins, flags, edges,
+                               triangles, record_counts)
 
 
 def _step_loop(state: _ChainState, terms, er_beta):
     """The step loop of one chain, chosen once by its step rule:
-    loop(pair_idx, coins, edges, triangles, advance) runs the steps of those
-    pair indices and coins on state.rows and returns the new edge and
-    triangle counts, calling advance(edges, triangles) after every step
-    unless advance is None.
+    loop(ends_i, ends_j, coins, flags, edges, triangles, record) runs the
+    steps of those pair ends and coins on state.rows and returns the new
+    edge and triangle counts, calling record(edges, triangles) after each
+    step whose flag is 1.
 
     The Glauber log-odds of a step are _log_odds' constant plus its scaled
     deltas, added in model order, times _log_odds_unit, and the
@@ -241,29 +233,28 @@ def _step_loop(state: _ChainState, terms, er_beta):
     arithmetic gives and the table stays near 0.4 MB whatever the deltas.
     Two or more weighted terms add the full sum at every step.
     """
-    pairs, rows = _vertex_pairs(state.n), state.rows
+    rows = state.rows
     if er_beta is not None:
-        return partial(_metropolis_steps, pairs, rows, math.exp(-er_beta))
+        return partial(_metropolis_steps, rows, math.exp(-er_beta))
     # one multiply both scales the log-odds back and negates it
     neg_unit = -_log_odds_unit(terms, state.n)
     constant, weighted = _log_odds(terms, state.n)
     if not weighted:
         on = [_on_probability(constant, neg_unit)] * (state.n - 1)
-        return partial(_common_neighbour_steps, pairs, rows, on)
+        return partial(_common_neighbour_steps, rows, on)
     if len(weighted) == 1 and isinstance(weighted[0][1], _TriangleTerm):
         scale = weighted[0][0]
         on = [_on_probability(constant + scale * (6 * c), neg_unit) for c in range(state.n - 1)]
-        return partial(_common_neighbour_steps, pairs, rows, on)
+        return partial(_common_neighbour_steps, rows, on)
     weighted = [(scale, term.delta) for scale, term in weighted]
     table = {} if len(weighted) == 1 else None
-    return partial(_delta_steps, pairs, state, constant, weighted, neg_unit, table)
+    return partial(_delta_steps, state, constant, weighted, neg_unit, table)
 
 
-def _metropolis_steps(pairs, rows, exp_neg_beta, pair_idx, coins, edges, triangles, advance):
+def _metropolis_steps(rows, exp_neg_beta, ends_i, ends_j, coins, flags, edges, triangles, record):
     """Add/delete Metropolis steps: an absent pair is added, a present one
     deleted with probability exp_neg_beta."""
-    for idx, coin in zip(pair_idx, coins):
-        i, j = pairs[idx]
+    for i, j, coin, flag in zip(ends_i, ends_j, coins, flags):
         ri = rows[i]
         present = ri >> j & 1
         if not present or coin < exp_neg_beta:
@@ -274,16 +265,15 @@ def _metropolis_steps(pairs, rows, exp_neg_beta, pair_idx, coins, edges, triangl
                 edges, triangles = edges - 1, triangles - common
             else:
                 edges, triangles = edges + 1, triangles + common
-        if advance is not None:
-            advance(edges, triangles)
+        if flag:
+            record(edges, triangles)
     return edges, triangles
 
 
-def _common_neighbour_steps(pairs, rows, on, pair_idx, coins, edges, triangles, advance):
+def _common_neighbour_steps(rows, on, ends_i, ends_j, coins, flags, edges, triangles, record):
     """Glauber steps whose on-probability is on[c], c the pair's common
     neighbours."""
-    for idx, coin in zip(pair_idx, coins):
-        i, j = pairs[idx]
+    for i, j, coin, flag in zip(ends_i, ends_j, coins, flags):
         ri, rj = rows[i], rows[j]
         present = ri >> j & 1
         common = (ri & rj).bit_count()
@@ -294,12 +284,12 @@ def _common_neighbour_steps(pairs, rows, on, pair_idx, coins, edges, triangles, 
                 edges, triangles = edges - 1, triangles - common
             else:
                 edges, triangles = edges + 1, triangles + common
-        if advance is not None:
-            advance(edges, triangles)
+        if flag:
+            record(edges, triangles)
     return edges, triangles
 
 
-def _delta_steps(pairs, state, constant, weighted, neg_unit, table, pair_idx, coins, edges, triangles, advance):
+def _delta_steps(state, constant, weighted, neg_unit, table, ends_i, ends_j, coins, flags, edges, triangles, record):
     """Glauber steps on the scaled term deltas: one term through the table
     from its delta to the on-probability (table is a dict), two or more
     summed at every step (table is None)."""
@@ -307,8 +297,7 @@ def _delta_steps(pairs, state, constant, weighted, neg_unit, table, pair_idx, co
     if table is not None:
         ((scale1, delta1),) = weighted
     on_probability = _on_probability
-    for idx, coin in zip(pair_idx, coins):
-        i, j = pairs[idx]
+    for i, j, coin, flag in zip(ends_i, ends_j, coins, flags):
         present = rows[i] >> j & 1
         if table is not None:
             key = delta1(state, i, j)
@@ -330,8 +319,8 @@ def _delta_steps(pairs, state, constant, weighted, neg_unit, table, pair_idx, co
                 edges, triangles = edges - 1, triangles - common
             else:
                 edges, triangles = edges + 1, triangles + common
-        if advance is not None:
-            advance(edges, triangles)
+        if flag:
+            record(edges, triangles)
     return edges, triangles
 
 

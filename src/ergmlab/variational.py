@@ -166,6 +166,18 @@ def _check_finite(coefs) -> None:
         raise DomainError("model coefficients must be finite")
 
 
+def _check_coefficient_bound(edges, coefs) -> None:
+    """Raise OverflowGuardError unless each model's sum_t |coefs[m][t]| edges[t]
+    is within double range, coefs[m][t] being model m's coefficient of the
+    term with edge count edges[t]. On [0, 1] that sum bounds every term and
+    partial sum of the scalar derivative, and of a kernel's statistic and
+    sum_i beta_i Delta_{H_i} h, so no solver that checks it overflows."""
+    with np.errstate(over="ignore"):
+        bound = np.abs(np.asarray(coefs, dtype=float)) @ np.asarray(edges, dtype=float)
+    if not (bound < math.inf).all():
+        raise OverflowGuardError("a model's sum of |beta_i| e(H_i) exceeds double range")
+
+
 def scalar_objective(model: ModelSpec, u) -> float:
     """sum_i beta_i u^{e(H_i)} - edge_entropy(u) on [0, 1]."""
     u = np.asarray(u, dtype=float)
@@ -289,10 +301,7 @@ def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
     """
     coefs = np.asarray(coefs, dtype=float)
     _check_finite(coefs)
-    with np.errstate(over="ignore"):
-        bound = np.abs(coefs) @ np.asarray(edges, dtype=float)
-    if not (bound < math.inf).all():
-        raise OverflowGuardError("a model's sum of |beta_i| e(H_i) exceeds double range")
+    _check_coefficient_bound(edges, coefs)
     n_models = len(coefs)
     grid, slope = _scalar_grid()
     powers = [_grid_power(e - 1) for e in edges]
@@ -612,7 +621,8 @@ def _edge_triangle_tie(beta1: float, offset: float, top: float):
 class _KernelOperator:
     """A model's kernel statistic and derivative at fixed block weights.
 
-    Built once per kernel solve: each motif's contraction is guarded and
+    Built once per kernel solve, after the scalar solver's coefficient
+    bound (_check_coefficient_bound): each motif's contraction is guarded and
     bound here, the density guards of every term first when the statistic
     is asked for, then the delta guards of the terms with a nonzero
     coefficient. statistic and delta take a (k, k) value array or an
@@ -626,6 +636,7 @@ class _KernelOperator:
     __slots__ = ("_statistic", "_delta")
 
     def __init__(self, model: ModelSpec, weights: np.ndarray, statistic: bool = False):
+        _check_coefficient_bound(model.edges, [model.betas])
         terms = model.terms
         self._statistic = []
         if statistic:
@@ -653,12 +664,9 @@ def _logistic(d: np.ndarray) -> np.ndarray:
 
 def _check_kernels(values: np.ndarray) -> None:
     """The check StepGraphon makes of a kernel's values, for one array or a
-    stack: exactly symmetric and within [0, 1]. Every iterate of the kernel
-    solvers passes it, so they need not symmetrize or clip."""
-    mirror = np.swapaxes(values, -1, -2)
-    bad = (values < 0.0) | (values > 1.0) | (values != mirror)
-    # a nan mirrored by a nan passes, as it does in StepGraphon
-    if bad.any() and (bad & ~(np.isnan(values) & np.isnan(mirror))).any():
+    stack: exactly symmetric and within [0, 1], so nan fails. Every iterate
+    of the kernel solvers passes it, so they need not symmetrize or clip."""
+    if not ((values >= 0.0) & (values <= 1.0) & (values == np.swapaxes(values, -1, -2))).all():
         raise DomainError("kernel values must be symmetric and lie in [0, 1]")
 
 

@@ -7,12 +7,15 @@ through exp, with an OverflowError read as on-probability 0. Random models
 of 0 to 3 weighted terms of every motif class (edge lists included) on at
 most 8 vertices, with coefficients up to +-1e308, must give the same trace,
 final graph and sampled densities bit for bit; explicit examples run each
-step loop past one 4096-step draw chunk. Three more tests pin memory and
-work: an edge + triangle chain evaluates exactly its n - 1 on-probabilities
-of a common-neighbour count, a chain whose deltas outgrow the one-term
-table's cap keeps its memory bounded, and so do the stacked closed walks
-for a batch of cycle rows at n = 1000. The last checks sampled densities
-whose scales n^v reach 2^53 against Python's int division.
+step loop past one 4096-step draw chunk and put record steps at the edges
+of a chunk. The reference takes its pair order from itertools, not from
+the code under test. Four more tests pin memory and work: an edge +
+triangle chain evaluates exactly its n - 1 on-probabilities of a
+common-neighbour count, a chain whose deltas outgrow the one-term table's
+cap keeps its memory bounded, a cold chain at n = 1000 holds little more
+than its pair columns, and the stacked closed walks for a batch of cycle
+rows at n = 1000 stay bounded. The last checks sampled densities whose
+scales n^v reach 2^53 against Python's int division.
 """
 
 import itertools
@@ -25,8 +28,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergmlab import mcmc
-from ergmlab.graphs import Graph, Motif, _rng_from_seed, _term, _vertex_pairs
+from ergmlab import graphs, mcmc
+from ergmlab.graphs import Graph, Motif, _rng_from_seed, _term
 from ergmlab.mcmc import (ChainConfig, TraceRecord, _auto_is_er, _log_odds, _log_odds_unit, _model_terms,
                           run_chain, sample_motif_densities)
 from ergmlab.variational import ModelSpec
@@ -39,7 +42,7 @@ def reference_chain(g: Graph, terms, er_beta, seed: int, total: int, record_at, 
     rows = list(g.rows)
     view = SimpleNamespace(n=n, rows=rows)  # what a delta reads; the loop toggles rows in place
     rng = _rng_from_seed(seed)
-    pairs = _vertex_pairs(n)
+    pairs = list(itertools.combinations(range(n), 2))  # pair order, apart from the code under test
     neg_unit = -_log_odds_unit(terms, n)
     constant, weighted = _log_odds(terms, n)
     done = 0
@@ -151,6 +154,15 @@ def check_chain(model, n, start, seed, steps, every, samples, thinning):
 @example(ModelSpec([(Motif.edge(), -0.2), (Motif.parse("star:2"), -0.1)]), 8, "random", 14, 9000, 4097, 700, 13)
 @example(ModelSpec([(Motif.edge(), -0.2), (Motif.triangle(), 0.3), (Motif.cycle(4), -0.1)]), 6, "complete", 15,
          9000, 4095, 3000, 3)
+# record flags at the edges of a chunk: records on each chunk's last step
+# and a run that ends on a chunk end; a burn-in of 4,096 steps that ends on
+# the first chunk's end; records 11 and 12 steps apart; records sparser
+# than the run, which records its last step only
+@example(ModelSpec.edge_triangle(-0.3, 0.4), 7, "random", 16, 8192, 4096, 40, 2)
+@example(ModelSpec([(Motif.edge(), -0.4), (Motif.triangle(), 0.0)]), 8, "random", 17, 300, 7, 12288, 3)
+@example(ModelSpec([(Motif.edge(), -0.2), (Motif.parse("star:2"), -0.1)]), 7, "empty", 18, 5000, 11, 800, 11)
+@example(ModelSpec.edge_triangle(-0.3, 0.4), 8, "complete", 19, 5000, 12, 800, 12)
+@example(ModelSpec([(Motif.edge(), 0.3)]), 6, "random", 20, 300, 500, 20, 1)
 def test_chains_match_the_step_by_step_reference(model, n, start, seed, steps, every, samples, thinning):
     check_chain(model, n, start, seed, steps, every, samples, thinning)
 
@@ -218,6 +230,22 @@ def test_chain_memory_stays_bounded_past_the_table_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+def test_cold_chain_at_n_1000_holds_only_its_pair_columns():
+    # a chain gathers its pair ends from the two uint16 columns of
+    # _vertex_pairs, 1.9 MiB at n = 1000, and this run holds about 2.6 MiB
+    # traced afterwards; a tuple of the C(n, 2) pair tuples held 31.2 MiB
+    graphs._vertex_pairs.cache_clear()
+    graphs._pair_columns.cache_clear()
+    model = ModelSpec.edge_triangle(-0.3, 0.2)
+    tracemalloc.start()
+    try:
+        run_chain(ChainConfig(1000, steps=10, seed=4, model=model))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2**20, held
 
 
 def test_cycle_batch_memory_stays_bounded_at_large_n():

@@ -177,6 +177,7 @@ INPUT_ERRORS = [
     pytest.param("psi --beta1 0.1 --exact-n -1", 2, "n >= 1", id="exact-n-negative"),
     pytest.param("euler-lagrange --beta1 0.1 --init x", 1, "--init must be a number",
                  id="init-not-a-number"),
+    pytest.param("euler-lagrange --beta1 0.1 --init nan", 2, "must be finite", id="init-nan"),
     pytest.param("spectral-check --betas x", 1, "comma-separated numbers", id="betas-not-numbers"),
     pytest.param("phase-diagram --beta1 nan --beta2 0:1:3", 2, FINITE, id="sweep-nan-beta1"),
     pytest.param("phase-diagram --beta1 -1:0:3 --beta2 nan", 2, FINITE, id="surface-nan-beta2"),
@@ -207,6 +208,8 @@ INPUT_ERRORS = [
     pytest.param("psi --beta1 1e308 --beta2 -1e308", 2, "exceeds double range", id="scalar-bound-overflow"),
     pytest.param("phase-diagram --beta1 1e308:1e308:2 --beta2 -1e308", 2, "exceeds double range",
                  id="surface-bound-overflow"),
+    pytest.param("euler-lagrange --beta1 1e308 --beta2 1e308", 2, "exceeds double range",
+                 id="kernel-bound-overflow"),
     pytest.param("psi --beta1 --beta2 0.3", 1, "--beta1: expected one argument", id="flag-as-value"),
     pytest.param("phase-diagram --beta1 0:1 --beta2 0", 1, "range must be lo:hi:steps", id="range-two-parts"),
     pytest.param("phase-diagram --beta1 a:1:3 --beta2 0", 1, "bad range 'a:1:3'", id="range-bad-number"),

@@ -344,6 +344,11 @@ def test_stepgraphon_validation():
         StepGraphon([1.0], [[1.5]])  # value out of range
     with pytest.raises(DomainError):
         StepGraphon([0.5, 0.5], [[0.1, 0.2], [0.9, 0.1]])  # asymmetric
+    # nan passes every comparison-based check, so it is refused by name
+    for w, v in (([0.5, 0.5], np.full((2, 2), np.nan)), ([0.5, 0.5], [[0.5, np.nan], [np.nan, 0.5]]),
+                 ([np.nan, 1.0], np.full((2, 2), 0.5)), ([np.nan], [[0.5]])):
+        with pytest.raises(DomainError, match="must be finite"):
+            StepGraphon(w, v)
 
 
 def test_block_count_guards():

@@ -455,9 +455,11 @@ def test_complete_graph_at_the_vertex_cap():
 
 
 def test_pair_columns_cold_at_n_1000():
-    # the table holds an (n, n) index array, 7.6 MiB at n = 1000, and its
-    # build peaks at 19 MiB traced; built from the _vertex_pairs tuples it
-    # peaked at 53 MiB and kept 38 MiB of tuples in their cache
+    # with both caches cold, the table's build also builds the two uint16
+    # pair columns it is scattered from: held are the (n, n) index array,
+    # 7.6 MiB at n = 1000, and the 1.9 MiB of columns, and the build peaks
+    # at 13.5 MiB traced; built from a tuple of pair tuples it peaked at
+    # 53 MiB and kept 38 MiB of tuples in their cache
     n = 1000
     _pair_columns.cache_clear()
     _vertex_pairs.cache_clear()

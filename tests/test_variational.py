@@ -335,12 +335,14 @@ def test_kernel_operator_keeps_the_bits_of_the_model_methods():
         assert op.statistic(h.values) == model.graphon_statistic(h)
 
 
-def test_kernel_check_is_exact_and_lets_a_mirrored_nan_pass():
+def test_kernel_check_is_exact_and_refuses_nan():
     check = variational._check_kernels
     check(np.array([[0.0, 0.7], [0.7, 1.0]]))
-    check(np.full((3, 2, 2), np.nan))  # as in StepGraphon
+    with pytest.raises(DomainError, match="symmetric"):
+        check(np.full((3, 2, 2), np.nan))  # as in StepGraphon
     for bad in ([[0.2, 0.7], [np.nextafter(0.7, 1.0), 1.0]], [[-1e-300, 0.5], [0.5, 0.5]],
-                [[0.5, 0.5], [0.5, np.nextafter(1.0, 2.0)]], [[0.5, np.nan], [0.5, 0.5]]):
+                [[0.5, 0.5], [0.5, np.nextafter(1.0, 2.0)]], [[0.5, np.nan], [0.5, 0.5]],
+                [[0.5, np.nan], [np.nan, 0.5]]):
         with pytest.raises(DomainError, match="symmetric"):
             check(np.array([np.full((2, 2), 0.5), bad]))
 
@@ -467,6 +469,22 @@ def test_scalar_solver_rejects_a_coefficient_sum_beyond_double_range():
         # below the bound the solve runs: 1e308 + 3 * 2e307 is finite
         rep = maximize_scalar(ModelSpec.edge_triangle(1e308, -2e307))
     assert math.isfinite(rep.psi)
+
+
+def test_kernel_solvers_reject_a_coefficient_sum_beyond_double_range():
+    # the scalar solver's bound sum |beta_i| e(H_i) also bounds the kernel
+    # statistic and sum_i beta_i Delta_{H_i} h; past it the solvers once
+    # overflowed in numpy with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda model: euler_lagrange_solve(model, StepGraphon.constant(0.5)),
+            lambda model: graphon_search(model, k=2, restarts=2, max_iter=20),
+        ):
+            with pytest.raises(OverflowGuardError, match="exceeds double range"):
+                call(ModelSpec.edge_triangle(1e308, 1e308))
+            # below the bound both run: 1e308 + 3 * 2e307 is finite
+            call(ModelSpec.edge_triangle(1e308, -2e307))
 
 
 # -- transitivity model --------------------------------------------------------------------
