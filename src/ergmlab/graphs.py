@@ -113,14 +113,10 @@ class Graph:
         return bool(self.rows[i] >> j & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1) << (i + 1)
-            while r:
-                j = (r & -r).bit_length() - 1
-                out.append((i, j))
-                r &= r - 1
-        return out
+        """The edges i < j in pair order: the adjacency bits at the _vertex_pairs columns."""
+        i, j = _vertex_pairs(self.n)
+        on = _bit_matrix(self.n, self.rows)[i, j].view(bool)
+        return list(zip(i[on].tolist(), j[on].tolist()))
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -333,7 +329,8 @@ def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The vertex pairs i < j of an n-vertex graph in lexicographic order, as
     two read-only uint16 columns (i, j), 1.9 MiB at n = 1000: the one
     encoding of pair order. Column t of an edge-indicator row and bit t of
-    an edge mask both stand for pair t, (i[t], j[t]).
+    an edge mask both stand for pair t, (i[t], j[t]), and Graph.edges lists
+    a graph's edges in this order.
     """
     i, j = (c.astype(np.uint16) for c in np.triu_indices(n, 1))
     i.flags.writeable = j.flags.writeable = False
@@ -553,28 +550,28 @@ class _Contraction:
     Built once per call of hom_density_graphon and delta_h, per kernel
     solve, and per general graph count or batch, a graph being its n-block
     0/1 kernel with unit weights, whose density contraction is the
-    homomorphism count. It guards the motif's active part at len(weights)
-    blocks (vertex_guard None: no guard), looks up its subscripts and binds
-    the weight and ones operands. density and delta take a (k, k) value
-    array, or an (R, k, k) stack of them, whose slices match the single
-    array within a few ulps: einsum may sum a stack in another order. A call
-    of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
-    directly, a larger one einsum's greedy path, planned on first use per
-    subscript entry and value shape; it makes no intermediate larger than
-    its largest operand. Where the direct call or a step of that path would
-    take more than _EINSUM_MAX_OPERANDS operands, the call runs a greedy
-    path planned under a DIRECT_EINSUM_MAX_CELLS intermediate budget
-    instead (_einsum_path); only a step of that path still wider than
-    numpy takes raises InstanceTooLargeError, before it runs.
+    homomorphism count. Every construction guards the motif's active part at
+    len(weights) blocks and the given vertex guard (_contraction_guard),
+    looks up its subscripts and binds the weight and ones operands. density
+    and delta take a (k, k) value array, or an (R, k, k) stack of them,
+    whose slices match the single array within a few ulps: einsum may sum a
+    stack in another order. A call of at most DIRECT_EINSUM_MAX_CELLS rows x
+    k^|V(H)| runs numpy's C einsum directly, a larger one einsum's greedy
+    path, planned on first use per subscript entry and value shape; it makes
+    no intermediate larger than its largest operand. Where the direct call
+    or a step of that path would take more than _EINSUM_MAX_OPERANDS
+    operands, the call runs a greedy path planned under a
+    DIRECT_EINSUM_MAX_CELLS intermediate budget instead (_einsum_path); only
+    a step of that path still wider than numpy takes raises
+    InstanceTooLargeError, before it runs.
     """
 
     __slots__ = ("_density", "_terms", "_operands", "_cells", "_paths")
 
-    def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int | None):
+    def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int):
         h = _term(h).motif  # a density cannot see isolated vertices
         k = len(weights)
-        if vertex_guard is not None:
-            _contraction_guard(h, k, vertex_guard)
+        _contraction_guard(h, k, vertex_guard)
         self._density, self._terms = _motif_subscripts(h)
         self._operands = {"w": weights, "1": np.ones(k)}
         self._cells = k ** (h.vertex_count - 2)  # per value entry

@@ -119,7 +119,7 @@ def _model_terms(model: ModelSpec):
 
 
 def _log_odds_unit(terms, n: int) -> float:
-    """The power of two that _log_odds divides every Glauber log-odds by.
+    """The power of two that _log_odds, its one caller, divides every log-odds by.
 
     It is 1 while n^2 sum_i |b_i|, a bound on every log-odds at n
     (delta_i <= n^(v_i)), is below double range, and otherwise brings that
@@ -138,19 +138,20 @@ def _log_odds_unit(terms, n: int) -> float:
 
 def _log_odds(terms, n: int):
     """The Glauber log-odds of adding edge ij to g, n^2 sum_i b_i delta_i / n^(v_i),
-    divided by unit = _log_odds_unit(terms, n), as (constant, [(scale, term)]):
-    the log-odds is unit times constant plus scale * term.delta(g, i, j) over
-    the list, in model order, with scale = b / unit / n^(v - 2) and v the
-    vertices of the term's motif, the active part (graphs._Term). This is the
-    one place that forms the scale; the chain reads it with delta, the dense
-    matrix with the batch counts of g + ij and g - ij. An edge term's delta
-    is the count of one edge whatever g and ij, so every edge term is folded
-    into the constant, wherever it sits in the model.
+    as (neg_unit, constant, [(scale, term)]): the log-odds is unit times the
+    sum of constant and scale * term.delta(g, i, j) over the list, in model
+    order, with unit = _log_odds_unit(terms, n) = -neg_unit, scale = b /
+    unit / n^(v - 2) and v the vertices of the term's motif, the active part
+    (graphs._Term). This is the one place that forms the unit and the scale;
+    the chain reads them with delta, the dense matrix with the batch counts
+    of g + ij and g - ij, and both pass neg_unit to _on_probability. An edge
+    term's delta is the count of one edge whatever g and ij, so every edge
+    term is folded into the constant, wherever it sits in the model.
     """
     unit = _log_odds_unit(terms, n)
     scaled = [(b / unit / n ** (t.motif.vertex_count - 2), t) for b, t in terms]
     constant = sum((s * t.batch_from_edges(1) for s, t in scaled if isinstance(t, _EdgeTerm)), 0.0)
-    return constant, [(s, t) for s, t in scaled if not isinstance(t, _EdgeTerm)]
+    return -unit, constant, [(s, t) for s, t in scaled if not isinstance(t, _EdgeTerm)]
 
 
 # -- the chain driver ---------------------------------------------------------------
@@ -159,7 +160,7 @@ def _log_odds(terms, n: int):
 def _on_probability(expo: float, neg_unit: float) -> float:
     """1 / (1 + e^(expo neg_unit)), which is 0 where exp overflows: the Glauber
     on-probability of a log-odds scaled as _log_odds scales it, with neg_unit
-    = -_log_odds_unit. The one place that turns a log-odds into an
+    from _log_odds. The one place that turns a log-odds into an
     on-probability, for the chain steps (_step_loop) and the dense chain
     matrix (glauber_transition_matrix) alike."""
     return 1.0 / (1.0 + _exp_or_inf(expo * neg_unit))
@@ -219,31 +220,28 @@ def _step_loop(state: _ChainState, terms, er_beta):
     step whose flag is 1.
 
     The Glauber log-odds of a step are _log_odds' constant plus its scaled
-    deltas, added in model order, times _log_odds_unit, and the
-    on-probability is _on_probability of them, the helper the dense matrix
+    deltas, added in model order, and the on-probability is _on_probability
+    of them and _log_odds' neg_unit, the rule the dense matrix
     (glauber_transition_matrix) reads too. A chain whose log-odds depend on
-    the pair only through its common neighbours c (no weighted term, or the
-    triangle alone, whose delta is 6 c) reads them from a list of the n - 1
-    on-probabilities of c = 0..n - 2, made up front. With one other term
-    the on-probability depends on the pair only through that term's integer
-    delta, so the chain keeps one table from the delta to its
-    on-probability: a delta not yet in the table gets the same arithmetic
-    and is stored while the table holds fewer than
-    _ON_PROBABILITY_TABLE_CAP entries, so every step gets the bits the
-    arithmetic gives and the table stays near 0.4 MB whatever the deltas.
+    the pair only through its common neighbours c (the triangle alone, whose
+    delta is 6 c, or no weighted term, read as scale 0.0) reads them from
+    one list of the n - 1 on-probabilities of constant + scale 6 c, for
+    c = 0..n - 2, made up front. With one other term the on-probability
+    depends on the pair only through that term's integer delta, so the
+    chain keeps one table from the delta to its on-probability: a delta not
+    yet in the table gets the same arithmetic and is stored while the table
+    holds fewer than _ON_PROBABILITY_TABLE_CAP entries, so every step gets
+    the bits the arithmetic gives and the table stays near 0.4 MB whatever
+    the deltas.
     Two or more weighted terms add the full sum at every step.
     """
     rows = state.rows
     if er_beta is not None:
         return partial(_metropolis_steps, rows, math.exp(-er_beta))
     # one multiply both scales the log-odds back and negates it
-    neg_unit = -_log_odds_unit(terms, state.n)
-    constant, weighted = _log_odds(terms, state.n)
-    if not weighted:
-        on = [_on_probability(constant, neg_unit)] * (state.n - 1)
-        return partial(_common_neighbour_steps, rows, on)
-    if len(weighted) == 1 and isinstance(weighted[0][1], _TriangleTerm):
-        scale = weighted[0][0]
+    neg_unit, constant, weighted = _log_odds(terms, state.n)
+    if not weighted or (len(weighted) == 1 and isinstance(weighted[0][1], _TriangleTerm)):
+        scale = weighted[0][0] if weighted else 0.0
         on = [_on_probability(constant + scale * (6 * c), neg_unit) for c in range(state.n - 1)]
         return partial(_common_neighbour_steps, rows, on)
     weighted = [(scale, term.delta) for scale, term in weighted]
@@ -514,13 +512,11 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     for each term in model order, its scale times the term's change
     counts[s | 2^t] - counts[s & ~2^t], with counts the term's batch counts
     of all 2^m graphs (the table the exact weights read). Each distinct
-    log-odds gets its on-probability from _on_probability, the helper the
-    chain step calls, so every entry has the bits of the chain's law.
+    log-odds gets its on-probability from _on_probability and neg_unit, as
+    a chain step does, so every entry has the bits of the chain's law.
     """
     m = _checked_pairs(n, 2, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
-    terms = _model_terms(model)
-    neg_unit = -_log_odds_unit(terms, n)
-    constant, weighted = _log_odds(terms, n)
+    neg_unit, constant, weighted = _log_odds(_model_terms(model), n)
     bits = _mask_bits(m)
     states, flips = np.arange(1 << m)[:, None], 1 << np.arange(m)
     on, off = states | flips, states & ~flips

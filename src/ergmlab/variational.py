@@ -98,13 +98,17 @@ class ModelSpec:
         return "\n".join(lines) + "\n"
 
     def graphon_statistic(self, h: StepGraphon) -> float:
+        """sum_i beta_i t(H_i, h), refused with OverflowGuardError as delta_sum is."""
+        _check_coefficient_bound(self.edges, [self.betas])
         return sum(b * hom_density_graphon(m, h) for m, b in zip(self.motifs, self.betas))
 
     def contraction_sum(self) -> float:
         return sum(abs(b) * e * (e - 1) for e, b in zip(self.edges, self.betas))
 
     def delta_sum(self, h: StepGraphon) -> np.ndarray:
-        """sum_i beta_i Delta_{H_i} h as a block matrix."""
+        """sum_i beta_i Delta_{H_i} h as a block matrix; OverflowGuardError first where
+        sum_i |beta_i| e(H_i) is beyond double range, as in the kernel solvers."""
+        _check_coefficient_bound(self.edges, [self.betas])
         out = np.zeros((h.k, h.k))
         for m, b in zip(self.motifs, self.betas):
             if b != 0.0:

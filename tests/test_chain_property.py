@@ -2,7 +2,7 @@
 
 The reference below recomputes every Glauber on-probability from the
 deltas, the way the driver did before it looked them up by delta: the
-constant plus each scaled delta in model order, times -_log_odds_unit,
+constant plus each scaled delta in model order, times _log_odds' neg_unit,
 through exp, with an OverflowError read as on-probability 0. Random models
 of 0 to 3 weighted terms of every motif class (edge lists included) on at
 most 8 vertices, with coefficients up to +-1e308, must give the same trace,
@@ -43,8 +43,7 @@ def reference_chain(g: Graph, terms, er_beta, seed: int, total: int, record_at, 
     view = SimpleNamespace(n=n, rows=rows)  # what a delta reads; the loop toggles rows in place
     rng = _rng_from_seed(seed)
     pairs = list(itertools.combinations(range(n), 2))  # pair order, apart from the code under test
-    neg_unit = -_log_odds_unit(terms, n)
-    constant, weighted = _log_odds(terms, n)
+    neg_unit, constant, weighted = _log_odds(terms, n)
     done = 0
     while done < total:
         count = min(4096, total - done)

@@ -503,8 +503,8 @@ def test_log_odds_in_units_keep_their_bits():
     n, b1, b2 = 30, -1e305, 1e306
     terms = _model_terms(ModelSpec([(Motif.edge(), b1), (Motif.triangle(), b2)]))
     unit = _log_odds_unit(terms, n)
-    constant, [(scale, _)] = _log_odds(terms, n)
-    assert unit > 1.0
+    neg_unit, constant, [(scale, _)] = _log_odds(terms, n)
+    assert unit > 1.0 and neg_unit == -unit
     for c in range(n - 1):
         assert unit * (constant + scale * (6 * c)) == 2 * b1 + b2 / n * (6 * c)
 
@@ -532,9 +532,8 @@ def test_dense_glauber_matrix_is_the_chain_step_law_entry_by_entry():
     neg_units, probabilities = set(), set()
     for model, width in cases:
         terms = _model_terms(model)
-        neg_unit = -_log_odds_unit(terms, n)
+        neg_unit, constant, weighted = _log_odds(terms, n)
         neg_units.add(neg_unit)
-        constant, weighted = _log_odds(terms, n)
         assert len(weighted) == width
         k = glauber_transition_matrix(model, n)
         for s in range(1 << m):

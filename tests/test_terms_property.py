@@ -85,7 +85,7 @@ def test_term_count_and_delta_match_brute_force(h, case):
     for view in (g, _ChainState(g)):
         assert term.delta(view, i, j) * iso == change
         assert term.count(view) * iso == count
-        constant, weighted = _log_odds([(0.7, term)], g.n)
+        _, constant, weighted = _log_odds([(0.7, term)], g.n)
         log_odds = sum((scale * t.delta(view, i, j) for scale, t in weighted), constant)
         assert log_odds == pytest.approx(0.7 * change * g.n**2 / g.n**h.vertex_count, rel=1e-12)
     assert (term.batch(bits, g.n) * iso).tolist() == [count]

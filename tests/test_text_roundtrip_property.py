@@ -1,12 +1,12 @@
 """Property tests of the text formats: what to_text writes, from_text reads
 back unchanged.
 
-Graphs (n <= 12) and step graphons (k <= 6, equal and unequal block
-weights) come back bit for bit. A model comes back with the same motifs and
-the same coefficient bits, -0.0 included, except that an unnamed motif
-written as an edge list loses the isolated vertices above its largest edge
-vertex; such a motif comes back with the same edges and the same density in
-every graph.
+Graphs (n <= 12), whose edges are listed in pair order, and step graphons
+(k <= 6, equal and unequal block weights) come back bit for bit. A model
+comes back with the same motifs and the same coefficient bits, -0.0
+included, except that an unnamed motif written as an edge list loses the
+isolated vertices above its largest edge vertex; such a motif comes back
+with the same edges and the same density in every graph.
 """
 
 import itertools
@@ -32,6 +32,8 @@ def graphs(draw, max_n=12):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(graphs())
 def test_graph_text_roundtrip(g):
+    # the edges come in pair order, taken here from itertools, apart from the code under test
+    assert g.edges() == [p for p in itertools.combinations(range(g.n), 2) if g.has_edge(*p)]
     back = Graph.from_text(g.to_text())
     assert back == g
     assert back.to_text() == g.to_text()

@@ -473,18 +473,26 @@ def test_scalar_solver_rejects_a_coefficient_sum_beyond_double_range():
 
 def test_kernel_solvers_reject_a_coefficient_sum_beyond_double_range():
     # the scalar solver's bound sum |beta_i| e(H_i) also bounds the kernel
-    # statistic and sum_i beta_i Delta_{H_i} h; past it the solvers once
-    # overflowed in numpy with a RuntimeWarning
+    # statistic and sum_i beta_i Delta_{H_i} h; past it the solvers, the
+    # fixed-point map and ModelSpec.delta_sum once overflowed in numpy with a
+    # RuntimeWarning, and ModelSpec.graphon_statistic returned inf
+    ones = StepGraphon.constant(1.0)
+    below = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (
             lambda model: euler_lagrange_solve(model, StepGraphon.constant(0.5)),
             lambda model: graphon_search(model, k=2, restarts=2, max_iter=20),
+            lambda model: fixed_point_map(model, ones).values.tolist(),
+            lambda model: model.delta_sum(ones).tolist(),
+            lambda model: model.graphon_statistic(ones),
         ):
             with pytest.raises(OverflowGuardError, match="exceeds double range"):
                 call(ModelSpec.edge_triangle(1e308, 1e308))
-            # below the bound both run: 1e308 + 3 * 2e307 is finite
-            call(ModelSpec.edge_triangle(1e308, -2e307))
+            # below the bound all run: 1e308 + 3 * 2e307 is finite
+            below.append(call(ModelSpec.edge_triangle(1e308, -2e307)))
+    # on the all-ones kernel, whose triangle delta is 3
+    assert below[2:] == [[[1.0]], [[1e308 + -2e307 * 3]], 1e308 + -2e307]
 
 
 # -- transitivity model --------------------------------------------------------------------
