@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import string
 from typing import Iterable, Sequence
 
@@ -330,9 +331,16 @@ def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     two read-only uint16 columns (i, j), 1.9 MiB at n = 1000: the one
     encoding of pair order. Column t of an edge-indicator row and bit t of
     an edge mask both stand for pair t, (i[t], j[t]), and Graph.edges lists
-    a graph's edges in this order.
+    a graph's edges in this order. The columns are filled in place, row by
+    row, so a cold build peaks near their own size.
     """
-    i, j = (c.astype(np.uint16) for c in np.triu_indices(n, 1))
+    vertices = np.arange(n, dtype=np.uint16)
+    i = np.repeat(vertices[:-1], np.arange(n - 1, 0, -1))
+    j = np.empty_like(i)
+    lo = 0
+    for a in range(n - 1):
+        j[lo : lo + n - 1 - a] = vertices[a + 1 :]
+        lo += n - 1 - a
     i.flags.writeable = j.flags.writeable = False
     return i, j
 
@@ -499,16 +507,22 @@ def _contraction_guard(h: Motif, k: int, vertex_guard: int):
 def _motif_subscripts(h: Motif) -> tuple:
     """Einsum subscripts of a motif's density and of each edge's delta term.
 
-    Each entry pairs a subscript string with its operand kinds: "v" for the
+    Each entry holds a subscript string, its operand kinds ("v" for the
     kernel values, "w" for the block weights and "1" for a ones vector that
-    puts a pinned vertex on no remaining edge among the inputs. Returns the
-    density entry and one entry per edge (r, s): the other edges and
-    vertices summed out, with r and s pinned to the output axes. The value
-    subscripts lead with "...", so one entry serves a (k, k) value array
-    and an (R, k, k) stack of them.
+    puts a pinned vertex on no remaining edge among the inputs) and the
+    itemgetter that picks its operands, in order, from (values, weights,
+    ones); every entry has two operands or more, so it picks a tuple.
+    Returns the density entry and one entry per edge (r, s): the other edges
+    and vertices summed out, with r and s pinned to the output axes. The
+    value subscripts lead with "...", so one entry serves a (k, k) value
+    array and an (R, k, k) stack of them.
     """
+
+    def entry(subscripts: str, kinds: str) -> tuple:
+        return subscripts, kinds, operator.itemgetter(*map("vw1".index, kinds))
+
     letters = string.ascii_letters[: h.vertex_count]
-    density = (
+    density = entry(
         ",".join(["..." + letters[i] + letters[j] for i, j in h.edges] + list(letters)) + "->...",
         "v" * len(h.edges) + "w" * h.vertex_count,
     )
@@ -525,7 +539,7 @@ def _motif_subscripts(h: Motif) -> tuple:
             if not any(v in e for e in rest):
                 subs.append(letters[v])
                 kinds += "1"
-        terms.append((",".join(subs) + "->..." + letters[r] + letters[s], kinds))
+        terms.append(entry(",".join(subs) + "->..." + letters[r] + letters[s], kinds))
     return density, tuple(terms)
 
 
@@ -552,36 +566,42 @@ class _Contraction:
     0/1 kernel with unit weights, whose density contraction is the
     homomorphism count. Every construction guards the motif's active part at
     len(weights) blocks and the given vertex guard (_contraction_guard),
-    looks up its subscripts and binds the weight and ones operands. density
-    and delta take a (k, k) value array, or an (R, k, k) stack of them,
-    whose slices match the single array within a few ulps: einsum may sum a
-    stack in another order. A call of at most DIRECT_EINSUM_MAX_CELLS rows x
-    k^|V(H)| runs numpy's C einsum directly, a larger one einsum's greedy
-    path, planned on first use per subscript entry and value shape; it makes
-    no intermediate larger than its largest operand. Where the direct call
-    or a step of that path would take more than _EINSUM_MAX_OPERANDS
-    operands, the call runs a greedy path planned under a
-    DIRECT_EINSUM_MAX_CELLS intermediate budget instead (_einsum_path); only
-    a step of that path still wider than numpy takes raises
-    InstanceTooLargeError, before it runs.
+    looks up its subscript entries, whose itemgetters hold the value slots,
+    and binds the weight and ones operands and the most value entries a call
+    contracts directly. A delta entry with no value operand (the single
+    edge's) is the same at every call: the first delta call evaluates and
+    symmetrizes it, and later calls add that array, so they run only the
+    einsums that read the values. density and delta take a (k, k) value
+    array, or an (R, k, k) stack of them, whose slices match the single
+    array within a few ulps: einsum may sum a stack in another order. A call
+    of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
+    directly, a larger one einsum's greedy path, planned on first use per
+    subscript entry and value shape; it makes no intermediate larger than
+    its largest operand. Where the direct call or a step of that path would
+    take more than _EINSUM_MAX_OPERANDS operands, the call runs a greedy
+    path planned under a DIRECT_EINSUM_MAX_CELLS intermediate budget instead
+    (_einsum_path); only a step of that path still wider than numpy takes
+    raises InstanceTooLargeError, before it runs.
     """
 
-    __slots__ = ("_density", "_terms", "_operands", "_cells", "_paths")
+    __slots__ = ("_density", "_terms", "_operands", "_direct", "_paths")
 
     def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int):
         h = _term(h).motif  # a density cannot see isolated vertices
         k = len(weights)
         _contraction_guard(h, k, vertex_guard)
-        self._density, self._terms = _motif_subscripts(h)
-        self._operands = {"w": weights, "1": np.ones(k)}
-        self._cells = k ** (h.vertex_count - 2)  # per value entry
+        self._density, terms = _motif_subscripts(h)
+        self._terms = list(terms)
+        self._operands = (weights, np.ones(k))
+        # the most value entries a call contracts directly, k^(|V(H)| - 2) cells each
+        self._direct = DIRECT_EINSUM_MAX_CELLS // k ** (h.vertex_count - 2)
         self._paths = {}
 
-    def _run(self, entry, values: np.ndarray) -> np.ndarray:
-        subscripts, kinds = entry
-        operands = [values if c == "v" else self._operands[c] for c in kinds]
+    def _run(self, entry: tuple, values: np.ndarray) -> np.ndarray:
+        subscripts, kinds, pick = entry
+        operands = pick((values, *self._operands))
         path = False  # numpy's C einsum, no path
-        if values.size * self._cells > DIRECT_EINSUM_MAX_CELLS or len(operands) > _EINSUM_MAX_OPERANDS:
+        if values.size > self._direct or len(kinds) > _EINSUM_MAX_OPERANDS:
             key = (subscripts, values.shape)
             if key not in self._paths:
                 self._paths[key] = _einsum_path(subscripts, operands)
@@ -595,9 +615,15 @@ class _Contraction:
     def delta(self, values: np.ndarray) -> np.ndarray:
         """Delta_H of the kernel, or of each kernel in a stack (see graphons.delta_h)."""
         total = np.zeros(values.shape)
-        for entry in self._terms:
+        for t, entry in enumerate(self._terms):
+            if isinstance(entry, np.ndarray):  # an entry with no value operand, evaluated
+                total += entry
+                continue
             term = self._run(entry, values)
-            total += 0.5 * (term + term.swapaxes(-1, -2))
+            term = 0.5 * (term + term.swapaxes(-1, -2))
+            if "v" not in entry[1]:
+                self._terms[t] = term
+            total += term
         return total
 
 

@@ -44,7 +44,7 @@ ENUMERATION_MAX_VERTICES = 6
 DENSE_MATRIX_MAX_PAIRS = 12
 CHI_SQUARE_MAX_VERTICES = 10_000
 # estimate_importance draws its graphs in row blocks of at most this many
-# uniforms (4 MB of doubles)
+# uniforms (4 MB of 64-bit words)
 _DRAW_BLOCK_UNIFORMS = 2**19
 # chi_square_distance sums its weights in chunks this long, which stay in
 # cache, and stops after the first chunk past which the rest is provably below
@@ -747,6 +747,15 @@ class EstimatorResult:
         return "\n".join(lines) + "\n"
 
 
+def _edge_bits(rng: np.random.Generator, shape, p: float) -> np.ndarray:
+    """(rng.random(shape) < p).astype(np.int8), bit for bit and to the same
+    stream position, with no float drawn: the Philox uniform of a 64-bit word
+    x is (x >> 11) 2^-53, which is below p in (0, 1) exactly when
+    x < ceil(p 2^53) 2^11."""
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    return (rng.bit_generator.random_raw(shape) < threshold).view(np.int8)
+
+
 def estimate_importance(
     model: ModelSpec,
     n: int,
@@ -768,7 +777,9 @@ def estimate_importance(
     blocks of max(1, 2^19 // C(n, 2)) graphs, at most 2^19 uniforms (4 MB),
     which read the generator's stream in order; so memory is one block
     whatever n_samples, and the first k blocks of a run are the draws of
-    any run with the same seed and at least k blocks.
+    any run with the same seed and at least k blocks. An edge is present
+    where its uniform is below proposal_p, compared on the raw 64-bit words
+    (_edge_bits).
     """
     if n < 2:
         raise DomainError(f"importance sampling needs n >= 2, got {n}")
@@ -791,7 +802,7 @@ def estimate_importance(
     den_log = -math.inf
     block = max(1, _DRAW_BLOCK_UNIFORMS // m)
     for lo in range(0, n_samples, block):
-        bits = (rng.random((min(block, n_samples - lo), m)) < proposal_p).astype(np.int8)
+        bits = _edge_bits(rng, (min(block, n_samples - lo), m), proposal_p)
         edges = np.einsum("ij->i", bits, dtype=np.int32)
         dens = np.empty((len(bits), len(terms)))
         dens[:, ~is_edge] = batch_motif_densities(others, n, bits)

@@ -660,24 +660,26 @@ class _KernelOperator:
 
 
 def _logistic(d: np.ndarray) -> np.ndarray:
-    """exp(2 D)/(1 + exp(2 D)) elementwise."""
-    # e^{-2D} overflows to inf where the logistic is 0, which it then reads exactly
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-2.0 * d))
+    """exp(2 D)/(1 + exp(2 D)) elementwise. e^{-2D} overflows to inf where the
+    logistic is 0, which it then reads exactly, so callers run it under
+    np.errstate(over="ignore")."""
+    return 1.0 / (1.0 + np.exp(-2.0 * d))
 
 
 def _check_kernels(values: np.ndarray) -> None:
     """The check StepGraphon makes of a kernel's values, for one array or a
     stack: exactly symmetric and within [0, 1], so nan fails. Every iterate
     of the kernel solvers passes it, so they need not symmetrize or clip."""
-    if not ((values >= 0.0) & (values <= 1.0) & (values == np.swapaxes(values, -1, -2))).all():
+    if not ((values >= 0.0) & (values <= 1.0) & (values == values.swapaxes(-1, -2))).all():
         raise DomainError("kernel values must be symmetric and lie in [0, 1]")
 
 
 def fixed_point_map(model: ModelSpec, h: StepGraphon) -> StepGraphon:
     """One application of the logistic fixed-point map that maximizers satisfy:
     h <- exp(2 D)/(1 + exp(2 D)) blockwise, D = sum_i beta_i Delta_{H_i} h."""
-    return StepGraphon(h.weights, _logistic(model.delta_sum(h)))
+    d = model.delta_sum(h)
+    with np.errstate(over="ignore"):
+        return StepGraphon(h.weights, _logistic(d))
 
 
 def _fixed_point_residual(model: ModelSpec, h: StepGraphon) -> float:
@@ -700,23 +702,27 @@ def euler_lagrange_solve(
     ConvergenceError carrying the last iterate is raised.
 
     The model's contractions are guarded and bound once, at the init's
-    block weights, and the loop runs on the value arrays, checking each
-    iterate as StepGraphon would; a StepGraphon is built only for the
-    solution or the last iterate. Every value keeps the bits of one
-    fixed_point_map call per step.
+    block weights (the edge term's derivative, which reads no kernel value,
+    is evaluated once), and the loop runs on the value arrays under one
+    np.errstate, checking each iterate as StepGraphon would
+    (_check_kernels); a StepGraphon is built only for the solution or the
+    last iterate, whose residual fixed_point_map evaluates. Every value
+    keeps the bits of one fixed_point_map call per step.
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
     op = _KernelOperator(model, init.weights)
+    keep = 1.0 - damping
     values = init.values
-    for _ in range(max_iter):
-        new_values = (1.0 - damping) * values + damping * _logistic(op.delta(values))
-        _check_kernels(new_values)
-        change = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if change < FIXED_POINT_TOL:
-            h = StepGraphon(init.weights, values)
-            return h, _fixed_point_residual(model, h)
+    with np.errstate(over="ignore"):  # for _logistic
+        for _ in range(max_iter):
+            new_values = keep * values + damping * _logistic(op.delta(values))
+            _check_kernels(new_values)
+            change = abs(new_values - values).max()
+            values = new_values
+            if change < FIXED_POINT_TOL:
+                h = StepGraphon(init.weights, values)
+                return h, _fixed_point_residual(model, h)
     h = StepGraphon(init.weights, values)
     residual = _fixed_point_residual(model, h)
     raise ConvergenceError(

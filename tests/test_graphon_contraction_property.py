@@ -4,7 +4,9 @@ For every builtin motif class and for random small edge-list motifs
 (isolated vertices included), on random step kernels with equal and unequal
 block weights: hom_density_graphon and delta_h equal a sum over every
 assignment of motif vertices to blocks, whether the contraction runs in
-numpy's C einsum directly or along einsum's greedy path.
+numpy's C einsum directly or along einsum's greedy path. The kernel
+solvers' operator keeps the bits of the model's own statistic and
+derivative on one kernel, and a stack slice stays within a few ulps.
 """
 
 import itertools
@@ -15,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmlab import graphons, graphs
+from ergmlab import graphons, graphs, variational
 from ergmlab.graphons import StepGraphon, delta_h, hom_density_graphon, to_step_graphon
 from ergmlab.graphs import Graph, Motif, _term, hom_density_graph
+from ergmlab.variational import ModelSpec
 
 BUILTIN = ["edge", "star:2", "star:3", "triangle", "cycle:4", "cycle:5", "complete:4"]
 
@@ -120,7 +123,7 @@ def plain_contraction(h: Motif, g: StepGraphon):
     density, terms = graphs._motif_subscripts(_term(h).motif)
     operands = {"v": g.values, "w": g.weights, "1": np.ones(g.k)}
 
-    def run(subscripts, kinds):
+    def run(subscripts, kinds, _):
         return np.einsum(subscripts.replace("...", ""), *[operands[c] for c in kinds], optimize=False)
 
     total = np.zeros((g.k, g.k))
@@ -156,3 +159,56 @@ def test_stacked_contraction_matches_single_kernels(h, k, count, equal, seed):
         # einsum may sum a stack in another order
         assert ulps(densities[i], density) <= 4
         assert ulps(deltas[i], delta) <= 4
+
+
+# -- the kernel operator of the solvers against the model's own methods ---------------------------
+
+
+@st.composite
+def operator_models(draw):
+    """One to three motifs (builtin, or edge lists on up to 5 vertices with
+    isolated vertices) and the edge term at any position, with zero,
+    negative and positive coefficients."""
+    coefficients = st.one_of(st.sampled_from([0.0, -1.0, 0.5]), st.floats(-3.0, 3.0))
+    terms = [(m, draw(coefficients)) for m in draw(st.lists(motifs(), min_size=1, max_size=3))]
+    terms.insert(draw(st.integers(0, len(terms))), (Motif.edge(), draw(coefficients)))
+    return ModelSpec(terms)
+
+
+@st.composite
+def operator_stacks(draw):
+    """Block weights (1-4 blocks, equal or not) and a stack of 1-3 symmetric
+    kernels holding exact 0 and 1 entries and entries near 1e-160, whose
+    products underflow to subnormals."""
+    k, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.full(k, 1.0 / k) if draw(st.booleans()) else r.dirichlet(np.ones(k))
+    a = r.uniform(0.0, 1.0, (count, k, k))
+    special = r.integers(0, 4, (count, k, k))  # 0: keep, 1: 0.0, 2: 1.0, 3: near 1e-160
+    a = np.where(special == 1, 0.0, np.where(special == 2, 1.0, a))
+    a = np.where(special == 3, r.uniform(0.5, 2.0, a.shape) * 1e-160, a)
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    return w, np.where(upper, a, a.swapaxes(-1, -2))
+
+
+def hexes(x) -> list[str]:
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operator_models(), operator_stacks())
+def test_kernel_operator_matches_the_model_methods_on_any_model(model, stack_of):
+    w, stack = stack_of
+    op = variational._KernelOperator(model, w, statistic=True)
+    statistics, deltas = op.statistic(stack), np.broadcast_to(op.delta(stack), stack.shape)
+    for i in range(len(stack)):
+        g = StepGraphon(w, stack[i])
+        statistic, delta = model.graphon_statistic(g), model.delta_sum(g)
+        assert hexes(op.statistic(stack[i])) == hexes(statistic)
+        assert hexes(op.delta(stack[i])) == hexes(delta)
+        # a stack slice is within a few ulps of each term it sums
+        betas = np.abs(model.betas)
+        density_scale = sum(b * hom_density_graphon(m, g) for m, b in zip(model.motifs, betas))
+        delta_scale = sum(b * np.abs(delta_h(m, g)) for m, b in zip(model.motifs, betas))
+        assert abs(statistics[i] - statistic) <= 4 * np.spacing(density_scale)
+        assert np.all(np.abs(deltas[i] - delta) <= 4 * np.spacing(delta_scale))

@@ -454,6 +454,27 @@ def test_complete_graph_at_the_vertex_cap():
     assert elapsed < 10.0 and peak < 64 * 2**20, (elapsed, peak)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 1000])
+def test_vertex_pairs_are_the_upper_triangle_in_order(n):
+    i, j = _vertex_pairs(n)
+    want_i, want_j = np.triu_indices(n, 1)
+    assert i.dtype == j.dtype == np.uint16 and not (i.flags.writeable or j.flags.writeable)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+def test_vertex_pairs_cold_at_n_1000_peak_near_their_size():
+    # the two uint16 columns hold 1.9 MiB; cast from np.triu_indices' int64
+    # columns the build peaked at 9.5 MiB traced
+    _vertex_pairs.cache_clear()
+    tracemalloc.start()
+    try:
+        _vertex_pairs(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
 def test_pair_columns_cold_at_n_1000():
     # with both caches cold, the table's build also builds the two uint16
     # pair columns it is scattered from: held are the (n, n) index array,

@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,8 +40,8 @@ from ergmlab.graphs import (
     classify_motif,
     count_homomorphisms,
 )
-from ergmlab.mcmc import (_DRAW_BLOCK_UNIFORMS, _log_factorial, _log_odds, _log_odds_unit, _logsumexp,
-                          _model_terms, _on_probability, _rng_from_seed)
+from ergmlab.mcmc import (_DRAW_BLOCK_UNIFORMS, _edge_bits, _log_factorial, _log_odds, _log_odds_unit,
+                          _logsumexp, _model_terms, _on_probability, _rng_from_seed)
 from ergmlab.variational import ModelSpec, maximize_scalar
 
 
@@ -750,6 +751,32 @@ def test_importance_estimate_does_not_depend_on_the_draw_blocks():
         got_sn = estimate_importance(model, n, n_samples, seed=7, proposal_p=p, self_normalized=True)
         assert got.estimate_log == pytest.approx(want, rel=1e-14)
         assert got_sn.estimate_log == pytest.approx(want_sn, rel=1e-14)
+
+
+EDGE_BIT_PROBABILITIES = [5e-324, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 12345 * 2.0**-53]
+
+
+@pytest.mark.parametrize("p", EDGE_BIT_PROBABILITIES)
+def test_edge_bits_match_the_float_draws_and_stream_position(p):
+    # the raw-word comparison gives the bits of rng.random(...) < p and
+    # leaves the stream where that draw leaves it
+    raw, floats = _rng_from_seed(11), _rng_from_seed(11)
+    bits = _edge_bits(raw, (300, 45), p)
+    assert bits.dtype == np.int8
+    assert np.array_equal(bits, (floats.random((300, 45)) < p).astype(np.int8))
+    assert np.array_equal(raw.random(7), floats.random(7))
+
+
+@pytest.mark.parametrize("p", EDGE_BIT_PROBABILITIES)
+def test_edge_bits_split_the_words_where_the_uniforms_cross_p(p):
+    # the words next to the threshold, which a short draw almost never
+    # meets: each bit is Philox's uniform (x >> 11) 2^-53 < p
+    edge = math.ceil(p * 2.0**53) << 11
+    near = [edge + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)]
+    words = np.array([w for w in near + [0, 2047, 2048, 2**64 - 1] if 0 <= w < 2**64], dtype=np.uint64)
+    rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=words.reshape))
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(_edge_bits(rng, words.shape, p), (uniforms < p).astype(np.int8))
 
 
 def test_mcmle_identity_ratio():
