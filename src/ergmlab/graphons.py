@@ -340,17 +340,21 @@ def cut_norm_diff(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutNormResul
     instances fall back to seeded alternating maximization from 32 restarts,
     whose value is a certified lower bound.
     """
-    w, fv, gv = common_refinement(f, g)
+    value, s_vec, t_vec, exact = _cut_norm_refined(*common_refinement(f, g), seed)
+    s_idx, t_idx = (tuple(np.flatnonzero(v).tolist()) for v in (s_vec, t_vec))
+    return CutNormResult(value, s_idx, t_idx, exact)
+
+
+def _cut_norm_refined(w: np.ndarray, fv: np.ndarray, gv: np.ndarray, seed: int):
+    """cut_norm_diff on a common refinement (weights, f_values, g_values):
+    the value, 0/1 vectors s and t of a rectangle attaining it, and exact."""
     mass = (w[:, None] * w[None, :]) * (fv - gv)
     k = len(w)
     if k <= CUT_NORM_EXACT_MAX_BLOCKS:
         values, best, positive = _cut_norm_exact(mass[None])
         s_vec = ((int(best[0]) >> np.arange(k)) & 1).astype(float)
         r = s_vec @ mass
-        t_vec = (r > 0.0) if positive[0] else (r < 0.0)
-        s_idx = tuple(int(i) for i in np.nonzero(s_vec)[0])
-        t_idx = tuple(int(i) for i in np.nonzero(t_vec)[0])
-        return CutNormResult(max(float(values[0]), 0.0), s_idx, t_idx, exact=True)
+        return max(float(values[0]), 0.0), s_vec, (r > 0.0) if positive[0] else (r < 0.0), True
 
     rng = _rng_from_seed(seed)
     best_val, best_s, best_t = -1.0, np.zeros(k), np.zeros(k)
@@ -368,9 +372,7 @@ def cut_norm_diff(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutNormResul
                 s_cur, val = s_new, new_val
             if val > best_val:
                 best_val, best_s, best_t = val, s_cur, t_cur
-    s_idx = tuple(int(i) for i in np.nonzero(best_s)[0])
-    t_idx = tuple(int(i) for i in np.nonzero(best_t)[0])
-    return CutNormResult(max(best_val, 0.0), s_idx, t_idx, exact=False)
+    return max(best_val, 0.0), best_s, best_t, False
 
 
 def _equal_weights(w: np.ndarray) -> bool:
@@ -383,16 +385,15 @@ def cut_distance_upper(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutDist
     Both kernels are refined to lcm(k_f, k_g) equal blocks. Up to 8 blocks
     the k! permutations are searched exhaustively (exact within the
     step-function class, an upper bound on the continuum distance); beyond
-    that, seeded simulated annealing over permutations reports an upper
-    bound.
+    that, seeded simulated annealing over permutations, each scored on one
+    common refinement as cut_norm_diff scores it, reports an upper bound.
     """
     if not (_equal_weights(f.weights) and _equal_weights(g.weights)):
         raise DomainError("cut_distance_upper requires equal-weight block partitions")
     k = math.lcm(f.k, g.k)
     if k > 64:
         raise DomainError(f"common equal refinement needs {k} > 64 blocks")
-    fr = f.refine_equal(k)
-    gr = g.refine_equal(k)
+    fr, gr = f.refine_equal(k), g.refine_equal(k)
 
     if k <= CUT_DISTANCE_EXHAUSTIVE_MAX_BLOCKS:
         # the mass matrices of a block of permutations go to the exact
@@ -409,10 +410,10 @@ def cut_distance_upper(f: StepGraphon, g: StepGraphon, seed: int = 0) -> CutDist
                 best, best_perm = float(values[i]), chunk[i]
         return CutDistanceResult(best, best_perm, exhaustive=True)
 
+    w, fv, gv = common_refinement(fr, gr)
+
     def dist_for(perm) -> float:
-        perm = np.asarray(perm)
-        gp = StepGraphon(gr.weights, gr.values[np.ix_(perm, perm)])
-        return cut_norm_diff(fr, gp, seed=seed).value
+        return _cut_norm_refined(w, fv, gv[np.ix_(perm, perm)], seed)[0]
 
     rng = _rng_from_seed(seed)
     perm = np.arange(k)

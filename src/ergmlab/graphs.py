@@ -92,15 +92,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        cls(n)  # the vertex count's DomainError, before anything is allocated
+        bits = np.zeros((n, n), dtype=np.uint8)
         for i, j in edges:
+            i, j = operator.index(i), operator.index(j)
             if i == j:
                 raise FormatError(f"self-loop ({i}, {j}) not allowed")
             if not (0 <= i < n and 0 <= j < n):
                 raise FormatError(f"edge ({i}, {j}) out of range for n = {n}")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(n, rows)
+            bits[i, j] = bits[j, i] = 1
+        return cls(n, _bit_rows(bits))
 
     @classmethod
     def erdos_renyi(cls, n: int, p: float, rng) -> "Graph":
@@ -111,7 +112,7 @@ class Graph:
     # -- basics -----------------------------------------------------------
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
+        return bool(self.rows[operator.index(i)] >> operator.index(j) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges i < j in pair order: the adjacency bits at the _vertex_pairs columns."""
@@ -133,14 +134,14 @@ class Graph:
         return self.edge_count() / math.comb(self.n, 2)
 
     def with_edge_toggled(self, i: int, j: int) -> "Graph":
+        i, j = operator.index(i), operator.index(j)
         if i == j:
             raise DomainError("cannot toggle a self-loop")
         rows = list(self.rows)
         rows[i] ^= 1 << j
         rows[j] ^= 1 << i
         g = Graph.__new__(Graph)
-        g.n = self.n
-        g.rows = tuple(rows)
+        g.n, g.rows = self.n, tuple(rows)
         return g
 
     def adjacency_matrix(self):
@@ -347,9 +348,10 @@ def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _indicator_graph(n: int, row) -> Graph:
     """The graph whose edges are the pairs of the nonzero entries of row."""
-    i, j = _vertex_pairs(n)
-    on = np.asarray(row, dtype=bool)
-    return Graph.from_edges(n, zip(i[on].tolist(), j[on].tolist()))
+    on, bits = np.asarray(row, dtype=bool), np.zeros((n, n), dtype=np.uint8)
+    i, j = (ends[on] for ends in _vertex_pairs(n))
+    bits[i, j] = bits[j, i] = 1
+    return Graph(n, _bit_rows(bits))
 
 
 def _mask_bits(m: int) -> np.ndarray:
@@ -378,6 +380,12 @@ def _bit_matrix(n: int, rows) -> np.ndarray:
     raw = b"".join(r.to_bytes(width, "little") for r in rows)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return bits.reshape(n, 8 * width)[:, :n]
+
+
+def _bit_rows(bits: np.ndarray) -> list[int]:
+    """The bitmask rows of a 0/1 array's last axis (bit j from column j): the inverse of _bit_matrix."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return [int.from_bytes(r, "little") for r in packed.reshape(-1, packed.shape[-1])]
 
 
 def _adjacency(g) -> np.ndarray:
@@ -725,9 +733,10 @@ class _StarTerm(_Term):
         return ((ai + 1) ** s - ai**s) + ((aj + 1) ** s - aj**s)
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        cols = _pair_columns(n)
-        # row v: the columns of the n - 1 pairs that contain v
-        inc = cols[cols >= 0].reshape(n, n - 1)
+        # row v: the columns of the n - 1 pairs that contain v, in an order its
+        # sum does not see (entry t of the stacked pair columns is pair t mod m)
+        inc = np.argsort(np.concatenate(_vertex_pairs(n)), kind="stable")
+        inc = np.remainder(inc, math.comb(n, 2), out=inc).reshape(n, n - 1)
         step = max(1, _BATCH_BLOCK_ENTRIES // max(1, inc.size))
         # every count is at most n (n - 1)^s: int64 below 2^63, else Python ints
         exact = n * (n - 1) ** self.arg >= 2**63
@@ -740,22 +749,10 @@ class _StarTerm(_Term):
         return cnt
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_columns(n: int) -> np.ndarray:
-    """The (n, n) table whose entry (i, j), i != j, is the column of pair
-    {i, j} in pair order (_vertex_pairs), with -1 on the diagonal,
-    read-only: 7.6 MiB kept at n = 1000, beside the pair columns it is
-    scattered from."""
-    i, j = _vertex_pairs(n)
-    out = np.full((n, n), -1, dtype=np.intp)
-    out[i, j] = out[j, i] = np.arange(i.size)
-    out.flags.writeable = False
-    return out
-
-
 def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
     """Triangles of each row: the triples whose three pair columns are all 1."""
-    cols = _pair_columns(n)
+    cols = np.zeros((n, n), dtype=np.intp)  # entry (i, j), i < j: the column of pair ij
+    cols[_vertex_pairs(n)] = np.arange(math.comb(n, 2))
     # the pairs ab, ac and bc of every triple a < b < c
     a, b, c = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
     ia, ib, ic = cols[a, b], cols[a, c], cols[b, c]
@@ -992,7 +989,8 @@ class _CompleteTerm(_Term):
     """hom(K_r, G) = r! times the r-cliques of G. The r-cliques that edge ij
     closes are ij plus an (r-2)-clique of G[C], C = N(i) & N(j), so the delta
     is r! times the (r-2)-cliques of G[C]: for complete:4, 24 times the edges
-    of G[C].
+    of G[C]. batch packs each graph's rows from the stacked adjacency
+    (_bit_rows), 11x faster than a contraction for complete:4 at n = 100.
     """
 
     def count(self, g) -> int:
@@ -1003,8 +1001,9 @@ class _CompleteTerm(_Term):
         return math.factorial(r) * _cliques(g.rows, g.rows[i] & g.rows[j], r - 2)
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        # one count per row: the contraction of complete:4 is 11x slower at n = 100
-        return np.array([self.count(_indicator_graph(n, row)) for row in bits])
+        rows = (r for _, a in _adjacency_stacks(bits, n, np.uint8) for r in _bit_rows(a))
+        graphs = zip(*[rows] * n)  # each next n rows: one graph's
+        return np.array([math.factorial(self.arg) * _cliques(g, (1 << n) - 1, self.arg) for g in graphs])
 
 
 def _cliques(rows, cand: int, s: int) -> int:

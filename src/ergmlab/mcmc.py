@@ -682,15 +682,15 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     """Density vectors for a batch of graphs given as edge-indicator rows.
 
     bits has one row per graph and one column per vertex pair in
-    lexicographic order; cliques count one graph at a time. Stars gather
-    the rows in blocks of max(1, 2^20 // n(n - 1)), below n = 9 triangles
-    the pair columns of every triple in blocks of max(1, 2^20 // C(n, 3)).
-    The others stack the rows' adjacency matrices A in blocks of
-    max(1, 2^16 // n^2): triangles from n = 9 on sum (A+ @ A+) * A+ over
-    the strictly upper part A+, cycles take the closed walks tr(A^k) (in row
-    blocks once a block is one graph) and edge-list motifs contract A under
-    the count's guard, each in an exact width. So no temporary grows with
-    the number of rows, and the counts stay exact integers.
+    lexicographic order. Stars gather the rows in blocks of
+    max(1, 2^20 // n(n - 1)), below n = 9 triangles the pair columns of
+    every triple in blocks of max(1, 2^20 // C(n, 3)). The others stack the
+    rows' adjacency matrices A in blocks of max(1, 2^16 // n^2): cliques
+    count each graph from the bitmask rows packed from its A, triangles
+    from n = 9 on sum (A+ @ A+) * A+ over the strictly upper part A+,
+    cycles take the closed walks tr(A^k) (in row blocks once a block is one
+    graph), edge-list motifs contract A under the count's guard, each in an
+    exact width: no temporary grows with the rows, and counts stay exact.
     """
     m = math.comb(n, 2)
     if bits.shape[1] != m:

@@ -236,7 +236,6 @@ def test_cold_chain_at_n_1000_holds_only_its_pair_columns():
     # _vertex_pairs, 1.9 MiB at n = 1000, and this run holds about 2.6 MiB
     # traced afterwards; a tuple of the C(n, 2) pair tuples held 31.2 MiB
     graphs._vertex_pairs.cache_clear()
-    graphs._pair_columns.cache_clear()
     model = ModelSpec.edge_triangle(-0.3, 0.2)
     tracemalloc.start()
     try:

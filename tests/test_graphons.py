@@ -258,6 +258,49 @@ def test_cut_distance_annealed_mode_upper_bounds_zero_case():
     assert res.value < 0.25  # a sound upper bound that annealing should beat
 
 
+def _annealed_per_step(f, g, seed):
+    """cut_distance_upper beyond 8 blocks as it scored each candidate: a
+    StepGraphon of the permuted refined kernel, then its cut_norm_diff."""
+    k = math.lcm(f.k, g.k)
+    fr, gr = f.refine_equal(k), g.refine_equal(k)
+
+    def dist_for(perm):
+        return cut_norm_diff(fr, StepGraphon(gr.weights, gr.values[np.ix_(perm, perm)]), seed=seed).value
+
+    r = rng(seed)
+    perm = np.arange(k)
+    best = cur = dist_for(perm)
+    best_perm, temp = perm.copy(), 0.1
+    for _ in range(2000):
+        i, j = r.integers(0, k, size=2)
+        if i == j:
+            continue
+        cand = perm.copy()
+        cand[i], cand[j] = cand[j], cand[i]
+        d = dist_for(cand)
+        if d < cur or r.random() < math.exp(-(d - cur) / max(temp, 1e-9)):
+            perm, cur = cand, d
+            if d < best:
+                best, best_perm = d, perm.copy()
+        temp *= 0.997
+    return best, tuple(int(x) for x in best_perm)
+
+
+@pytest.mark.parametrize("k", [9, 10])
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_annealed_distance_matches_the_per_step_kernels(k, relabelled):
+    # every candidate is scored on the masses of one common refinement; the
+    # values and the permutation must keep their bits
+    r = rng(5)
+    f, g = StepGraphon.random(k, r), StepGraphon.random(k, r)
+    if relabelled:
+        p = r.permutation(k)
+        g = StepGraphon(f.weights, f.values[np.ix_(p, p)])
+    res = cut_distance_upper(f, g, seed=5)
+    value, perm = _annealed_per_step(f, g, 5)
+    assert not res.exhaustive and res.value.hex() == value.hex() and res.permutation == perm
+
+
 def test_negative_seed_runs_its_64_bit_residue():
     r = rng(11)
     f, g = StepGraphon.random(9, r), StepGraphon.random(9, r)

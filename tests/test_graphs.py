@@ -12,9 +12,11 @@ from ergmlab.graphs import (
     MAX_VERTICES,
     Graph,
     Motif,
+    _bit_matrix,
+    _bit_rows,
     _exact_inner,
     _exact_product,
-    _pair_columns,
+    _indicator_graph,
     _python_ints,
     _search_homomorphisms,
     _term,
@@ -475,28 +477,73 @@ def test_vertex_pairs_cold_at_n_1000_peak_near_their_size():
     assert peak < 4 * 2**20, peak
 
 
-def test_pair_columns_cold_at_n_1000():
-    # with both caches cold, the table's build also builds the two uint16
-    # pair columns it is scattered from: held are the (n, n) index array,
-    # 7.6 MiB at n = 1000, and the 1.9 MiB of columns, and the build peaks
-    # at 13.5 MiB traced; built from a tuple of pair tuples it peaked at
-    # 53 MiB and kept 38 MiB of tuples in their cache
+def test_star_batch_cold_at_n_1000_keeps_nothing():
+    # the batch sorts the two pair columns into each vertex's n - 1 columns
+    # and keeps nothing: with a cached (n, n) table of pair columns it held
+    # 7.6 MiB at n = 1000 and peaked at 16.3 MiB traced
     n = 1000
-    _pair_columns.cache_clear()
-    _vertex_pairs.cache_clear()
+    bits = (rng(6).random((4, n * (n - 1) // 2)) < 0.5).astype(np.int8)
+    _vertex_pairs(n)
     tracemalloc.start()
     try:
-        cols = _pair_columns(n)
+        counts = _term(Motif.star(2)).batch(bits, n)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20 and held < 10 * 2**20, (peak, held)
-    upper = cols[np.triu_indices(n, 1)]
-    assert (upper == np.arange(n * (n - 1) // 2)).all() and (cols == cols.T).all()
-    assert (np.diagonal(cols) == -1).all() and not cols.flags.writeable
-    # pair (i, j) follows the n - 1 - r pairs of each row r < i
-    i, j = 123, 456
-    assert cols[i, j] == cols[j, i] == i * (2 * n - i - 1) // 2 + j - i - 1
+    assert peak <= 16.3 * 2**20 and held < 2**20, (peak, held)
+    assert counts.tolist() == [sum(r.bit_count() ** 2 for r in _indicator_graph(n, row).rows) for row in bits]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_bit_rows_invert_bit_matrix(p, seed):
+    # n = 1..70 ends rows on whole bytes (n = 8, 16, ..., 64) and one bit past them
+    r = rng(seed)
+    for n in range(1, 71):
+        g = Graph.erdos_renyi(n, p, r)
+        assert _bit_rows(_bit_matrix(n, g.rows)) == list(g.rows)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 64, 65])
+@pytest.mark.parametrize("r", [4, 5])
+def test_clique_batch_matches_the_count_of_each_row(n, r):
+    # 20 rows at n = 64 and 65 span two stacked blocks of 2^16 // n^2 graphs
+    rows = 300 if n < 10 else 20
+    bits = (rng(n).random((rows, n * (n - 1) // 2)) < 0.5).astype(np.int8)
+    term = _term(Motif.complete(r))
+    assert term.batch(bits, n).tolist() == [term.count(_indicator_graph(n, row)) for row in bits]
+
+
+def test_numpy_vertex_indices_act_as_python_ints():
+    # a numpy end at 64 or above once shifted to 0 (1 << np.int64(70)) or
+    # overflowed against a Python-int row
+    n = 100
+    a = rng(8).random((n, n)) < 0.3
+    pairs = list(zip(*np.nonzero(np.triu(a, 1))))
+    g = Graph.from_edges(n, pairs)
+    assert isinstance(pairs[0][0], np.integer)
+    assert g == Graph.from_edges(n, [(int(i), int(j)) for i, j in pairs])
+    for i, j in [(1, 2), (65, 70), (0, 99), (70, 3)]:
+        ni, nj = np.int64(i), np.int64(j)
+        assert g.has_edge(ni, nj) == g.has_edge(i, j) == bool(a[min(i, j), max(i, j)])
+        assert g.with_edge_toggled(ni, nj) == g.with_edge_toggled(i, j)
+    for call in (lambda: g.has_edge(1.0, 2), lambda: g.with_edge_toggled(1, 2.0), lambda: Graph.from_edges(n, [(1.0, 2)])):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_vertex_count_checked_before_anything_is_allocated():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="vertex count"):
+            Graph.from_text("1000000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    # the vertex count is reported before an edge out of its range
+    with pytest.raises(DomainError, match="vertex count"):
+        Graph.from_text("5000\n0 6000\n")
 
 
 def test_toggle_and_immutability():
