@@ -44,18 +44,27 @@ _PRODUCT_BLOCK_ENTRIES = 2**16
 _TRIANGLE_PRODUCT_MIN_N = 9
 
 
+def _check_vertex_count(n: int):
+    """Refuse a vertex count outside [1, MAX_VERTICES] (DomainError)."""
+    if n < 1 or n > MAX_VERTICES:
+        raise DomainError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     Instances are immutable by convention: every mutating-looking operation
     returns a new Graph, so values can be shared freely across threads.
+
+    Every public builder checks the vertex count before it draws or
+    allocates anything. Graph(n, rows) checks the rows a caller hands it;
+    the rows the package builds itself go through _from_rows unchecked.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int] | None = None):
-        if n < 1 or n > MAX_VERTICES:
-            raise DomainError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+        _check_vertex_count(n)
         self.n = n
         if rows is None:
             self.rows = (0,) * n
@@ -82,17 +91,26 @@ class Graph:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
+        """The graph of n symmetric Python-int bitmask rows with no self-loop
+        and no bit at n or above, which the package built itself, unchecked."""
+        g = cls.__new__(cls)
+        g.n, g.rows = n, tuple(rows)
+        return g
+
+    @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_vertex_count(n)
         full = (1 << n) - 1
-        return cls(n, [full ^ (1 << i) for i in range(n)])
+        return cls._from_rows(n, [full ^ (1 << i) for i in range(n)])
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        cls(n)  # the vertex count's DomainError, before anything is allocated
+        _check_vertex_count(n)
         bits = np.zeros((n, n), dtype=np.uint8)
         for i, j in edges:
             i, j = operator.index(i), operator.index(j)
@@ -101,12 +119,13 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise FormatError(f"edge ({i}, {j}) out of range for n = {n}")
             bits[i, j] = bits[j, i] = 1
-        return cls(n, _bit_rows(bits))
+        return cls._from_rows(n, _bit_rows(bits))
 
     @classmethod
     def erdos_renyi(cls, n: int, p: float, rng) -> "Graph":
         """Each of the C(n,2) edges present independently with probability p,
         one uniform per pair in pair order."""
+        _check_vertex_count(n)
         return _indicator_graph(n, rng.random(math.comb(n, 2)) < p)
 
     # -- basics -----------------------------------------------------------
@@ -140,9 +159,7 @@ class Graph:
         rows = list(self.rows)
         rows[i] ^= 1 << j
         rows[j] ^= 1 << i
-        g = Graph.__new__(Graph)
-        g.n, g.rows = self.n, tuple(rows)
-        return g
+        return Graph._from_rows(self.n, rows)
 
     def adjacency_matrix(self):
         return _bit_matrix(self.n, self.rows).astype(float)
@@ -351,7 +368,7 @@ def _indicator_graph(n: int, row) -> Graph:
     on, bits = np.asarray(row, dtype=bool), np.zeros((n, n), dtype=np.uint8)
     i, j = (ends[on] for ends in _vertex_pairs(n))
     bits[i, j] = bits[j, i] = 1
-    return Graph(n, _bit_rows(bits))
+    return Graph._from_rows(n, _bit_rows(bits))
 
 
 def _mask_bits(m: int) -> np.ndarray:
@@ -651,7 +668,11 @@ class _Term:
     the chain state: anything with n, bitmask rows, edge_count() and
     triangle_count(). A term holds no coefficient: a model weighs every term
     as coefficient times density, count / n^v with v the vertices of the
-    term's motif, and the chain's log-odds read delta alone (mcmc._log_odds).
+    term's motif, and the chain's log-odds read delta (mcmc._log_odds).
+    The edge and the triangle state their change rule, which their own
+    count, delta and batch read and mcmc reads in place of delta and batch:
+    per_edge, the delta at every pair, and per_common, the delta per common
+    neighbour of the pair; both are None on a term without such a rule.
 
     Edges, stars, triangles, cycles and cliques have closed-form integer
     counts and deltas in their subclasses, with no size guard. The general
@@ -667,6 +688,8 @@ class _Term:
     """
 
     _vertex_guard = len(string.ascii_letters)  # one einsum letter per vertex
+    per_edge: int | None = None
+    per_common: int | None = None
 
     def __init__(self, motif: Motif, arg: int | None = None):
         active = [v for v, x in enumerate(motif.neighbor_lists()) if x]
@@ -707,18 +730,16 @@ class _Term:
 
 
 class _EdgeTerm(_Term):
+    per_edge = 2  # each edge maps the motif's edge in both directions
+
     def count(self, g) -> int:
-        return 2 * g.edge_count()
+        return self.per_edge * g.edge_count()
 
     def delta(self, g, i: int, j: int) -> int:
-        return 2
+        return self.per_edge
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        return self.batch_from_edges(bits.sum(axis=1))
-
-    def batch_from_edges(self, edges: np.ndarray) -> np.ndarray:
-        """The batch counts from the rows' edge counts."""
-        return 2 * edges
+        return self.per_edge * bits.sum(axis=1)
 
 
 class _StarTerm(_Term):
@@ -793,15 +814,17 @@ def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 class _TriangleTerm(_Term):
+    per_common = 6  # each triangle, and each one ij closes, maps the motif in 3! ways
+
     def count(self, g) -> int:
-        return 6 * g.triangle_count()
+        return self.per_common * g.triangle_count()
 
     def delta(self, g, i: int, j: int) -> int:
-        return 6 * (g.rows[i] & g.rows[j]).bit_count()
+        return self.per_common * (g.rows[i] & g.rows[j]).bit_count()
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         by = _triangles_by_product if n >= _TRIANGLE_PRODUCT_MIN_N else _triangles_by_gather
-        return 6 * by(bits, n)
+        return self.per_common * by(bits, n)
 
 
 class _CycleTerm(_Term):
@@ -832,7 +855,7 @@ class _CycleTerm(_Term):
         cnt = np.empty(len(bits), dtype=np.int64 if n**self.arg < 2**63 else object)  # counts <= n^k
         for lo, a in _adjacency_stacks(bits, n, np.float32):
             cnt[lo : lo + len(a)] = _closed_walks(a, self.arg)
-        return cnt if cnt.dtype != object else np.array(cnt.tolist())
+        return cnt if cnt.dtype != object else _int_array(cnt.tolist())
 
     def delta(self, g, i: int, j: int) -> int:
         if self.arg != 4:
@@ -919,6 +942,12 @@ def _symmetric_power(a: np.ndarray, h: int) -> np.ndarray:
     return _exact_product(half, None if half.ndim == 2 else half)
 
 
+def _int_array(counts: list) -> np.ndarray:
+    """Python-int counts as numpy infers them (int64 below 2^63, uint64 below
+    2^64, object beyond), and int64 for no count, as for one empty graph."""
+    return np.array(counts, dtype=None if counts else np.int64)
+
+
 def _python_ints(x: np.ndarray) -> np.ndarray:
     return x if x.dtype == object else x.astype(np.int64).astype(object)
 
@@ -1003,7 +1032,7 @@ class _CompleteTerm(_Term):
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
         rows = (r for _, a in _adjacency_stacks(bits, n, np.uint8) for r in _bit_rows(a))
         graphs = zip(*[rows] * n)  # each next n rows: one graph's
-        return np.array([math.factorial(self.arg) * _cliques(g, (1 << n) - 1, self.arg) for g in graphs])
+        return _int_array([math.factorial(self.arg) * _cliques(g, (1 << n) - 1, self.arg) for g in graphs])
 
 
 def _cliques(rows, cand: int, s: int) -> int:

@@ -31,8 +31,7 @@ from .errors import (
     InstanceTooLargeError,
     OverflowGuardError,
 )
-from .graphs import (Graph, Motif, _EdgeTerm, _mask_bits, _rng_from_seed,
-                     _seed_key, _term, _TriangleTerm, _vertex_pairs)
+from .graphs import Graph, Motif, _mask_bits, _rng_from_seed, _seed_key, _term, _vertex_pairs
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # mcmc.hom_density_graph_fast, so the name stays importable from this module
@@ -110,7 +109,7 @@ class _ChainState:
         return self.triangles
 
     def graph(self) -> Graph:
-        return Graph(self.n, self.rows)
+        return Graph._from_rows(self.n, self.rows)
 
 
 def _model_terms(model: ModelSpec):
@@ -144,14 +143,15 @@ def _log_odds(terms, n: int):
     unit / n^(v - 2) and v the vertices of the term's motif, the active part
     (graphs._Term). This is the one place that forms the unit and the scale;
     the chain reads them with delta, the dense matrix with the batch counts
-    of g + ij and g - ij, and both pass neg_unit to _on_probability. An edge
-    term's delta is the count of one edge whatever g and ij, so every edge
-    term is folded into the constant, wherever it sits in the model.
+    of g + ij and g - ij, and both pass neg_unit to _on_probability. A term
+    with an edge rule (term.per_edge, not None) has that delta whatever g
+    and ij, so every such term is folded into the constant as scale *
+    per_edge, wherever it sits in the model.
     """
     unit = _log_odds_unit(terms, n)
     scaled = [(b / unit / n ** (t.motif.vertex_count - 2), t) for b, t in terms]
-    constant = sum((s * t.batch_from_edges(1) for s, t in scaled if isinstance(t, _EdgeTerm)), 0.0)
-    return -unit, constant, [(s, t) for s, t in scaled if not isinstance(t, _EdgeTerm)]
+    constant = sum((s * t.per_edge for s, t in scaled if t.per_edge is not None), 0.0)
+    return -unit, constant, [(s, t) for s, t in scaled if t.per_edge is None]
 
 
 # -- the chain driver ---------------------------------------------------------------
@@ -222,11 +222,13 @@ def _step_loop(state: _ChainState, terms, er_beta):
     The Glauber log-odds of a step are _log_odds' constant plus its scaled
     deltas, added in model order, and the on-probability is _on_probability
     of them and _log_odds' neg_unit, the rule the dense matrix
-    (glauber_transition_matrix) reads too. A chain whose log-odds depend on
-    the pair only through its common neighbours c (the triangle alone, whose
-    delta is 6 c, or no weighted term, read as scale 0.0) reads them from
-    one list of the n - 1 on-probabilities of constant + scale 6 c, for
-    c = 0..n - 2, made up front. With one other term the on-probability
+    (glauber_transition_matrix) reads too. A chain whose every weighted term
+    has a common-neighbour rule (term.per_common, not None: the triangle's
+    delta is per_common c, c the pair's common neighbours), or that has no
+    weighted term, reads its on-probabilities from one list of n - 1, made
+    up front: entry c adds scale * (per_common c) of each term to the
+    constant in model order, as a step would, for c = 0..n - 2. With one
+    other term the on-probability
     depends on the pair only through that term's integer delta, so the
     chain keeps one table from the delta to its on-probability: a delta not
     yet in the table gets the same arithmetic and is stored while the table
@@ -240,9 +242,13 @@ def _step_loop(state: _ChainState, terms, er_beta):
         return partial(_metropolis_steps, rows, math.exp(-er_beta))
     # one multiply both scales the log-odds back and negates it
     neg_unit, constant, weighted = _log_odds(terms, state.n)
-    if not weighted or (len(weighted) == 1 and isinstance(weighted[0][1], _TriangleTerm)):
-        scale = weighted[0][0] if weighted else 0.0
-        on = [_on_probability(constant + scale * (6 * c), neg_unit) for c in range(state.n - 1)]
+    if all(term.per_common is not None for _, term in weighted):
+        on = []
+        for c in range(state.n - 1):
+            expo = constant
+            for scale, term in weighted:
+                expo += scale * (term.per_common * c)
+            on.append(_on_probability(expo, neg_unit))
         return partial(_common_neighbour_steps, rows, on)
     weighted = [(scale, term.delta) for scale, term in weighted]
     table = {} if len(weighted) == 1 else None
@@ -691,13 +697,17 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     cycles take the closed walks tr(A^k) (in row blocks once a block is one
     graph), edge-list motifs contract A under the count's guard, each in an
     exact width: no temporary grows with the rows, and counts stay exact.
+    Each density is its count over n^v rounded once, as hom_density_graph
+    and the chain's records divide: in float64 while n^v < 2^53, where every
+    count converts exactly, and as Python ints from there on.
     """
     m = math.comb(n, 2)
     if bits.shape[1] != m:
         raise DomainError(f"bits must have {m} columns for n = {n}")
     out = np.empty((bits.shape[0], len(motifs)))
     for col, term in enumerate(map(_term, motifs)):
-        out[:, col] = term.batch(bits, n) / n**term.motif.vertex_count
+        counts, scale = term.batch(bits, n), n**term.motif.vertex_count
+        out[:, col] = counts / scale if scale < 2**53 else [c / scale for c in counts.tolist()]
     return out
 
 
@@ -792,11 +802,12 @@ def estimate_importance(
     rng = _rng_from_seed(seed)
     m = math.comb(n, 2)
     betas = np.array(model.betas)
-    # the edge terms' columns come from the rows' edge counts, which the
-    # proposal mass needs anyway; the other terms go through the batch counts
+    # the columns of the terms with an edge rule come from the rows' edge
+    # counts, which the proposal mass needs anyway; the others go through
+    # the batch counts
     terms = [_term(motif) for motif in model.motifs]
-    is_edge = np.array([isinstance(t, _EdgeTerm) for t in terms], dtype=bool)
-    others = [motif for motif, e in zip(model.motifs, is_edge) if not e]
+    by_edges = np.array([t.per_edge is not None for t in terms], dtype=bool)
+    others = [motif for motif, e in zip(model.motifs, by_edges) if not e]
     log_p, log_q = math.log(proposal_p), math.log1p(-proposal_p)
     num_log = -math.inf
     den_log = -math.inf
@@ -805,9 +816,9 @@ def estimate_importance(
         bits = _edge_bits(rng, (min(block, n_samples - lo), m), proposal_p)
         edges = np.einsum("ij->i", bits, dtype=np.int32)
         dens = np.empty((len(bits), len(terms)))
-        dens[:, ~is_edge] = batch_motif_densities(others, n, bits)
-        for col in np.flatnonzero(is_edge):
-            dens[:, col] = terms[col].batch_from_edges(edges) / n ** terms[col].motif.vertex_count
+        dens[:, ~by_edges] = batch_motif_densities(others, n, bits)
+        for col in np.flatnonzero(by_edges):
+            dens[:, col] = terms[col].per_edge * edges / n ** terms[col].motif.vertex_count
         stat = _log_weights(dens, betas, n)
         if self_normalized:
             log_qbar = edges * (log_p - log_q)

@@ -10,8 +10,9 @@ final graph and sampled densities bit for bit; explicit examples run each
 step loop past one 4096-step draw chunk and put record steps at the edges
 of a chunk. The reference takes its pair order from itertools, not from
 the code under test. Four more tests pin memory and work: an edge +
-triangle chain evaluates exactly its n - 1 on-probabilities of a
-common-neighbour count, a chain whose deltas outgrow the one-term table's
+triangle chain, and one with two triangle-class terms, evaluate exactly
+their n - 1 on-probabilities of a common-neighbour count, a chain whose
+deltas outgrow the one-term table's
 cap keeps its memory bounded, a cold chain at n = 1000 holds little more
 than its pair columns, and the stacked closed walks for a batch of cycle
 rows at n = 1000 stay bounded. The last checks sampled densities whose
@@ -162,6 +163,15 @@ def check_chain(model, n, start, seed, steps, every, samples, thinning):
 @example(ModelSpec([(Motif.edge(), -0.2), (Motif.parse("star:2"), -0.1)]), 7, "empty", 18, 5000, 11, 800, 11)
 @example(ModelSpec.edge_triangle(-0.3, 0.4), 8, "complete", 19, 5000, 12, 800, 12)
 @example(ModelSpec([(Motif.edge(), 0.3)]), 6, "random", 20, 300, 500, 20, 1)
+# two weighted terms with a common-neighbour rule, read from the list of n - 1
+# on-probabilities: the triangle and a triangle with an isolated vertex, past
+# one draw chunk; the triangle twice with opposite signs; opposite strong ones
+@example(ModelSpec([(Motif.edge(), -0.3), (Motif.triangle(), 0.1), (Motif.parse("edgelist:0-1,1-3,0-3"), 0.15)]),
+         8, "random", 21, 9000, 4097, 700, 3)
+@example(ModelSpec([(Motif.edge(), -0.2), (Motif.triangle(), 0.7), (Motif.triangle(), -0.7)]), 6, "complete", 22,
+         500, 9, 12, 2)
+@example(ModelSpec([(Motif.edge(), 1e308), (Motif.triangle(), 1e308), (Motif.parse("edgelist:0-2,2-3,0-3"), -1.7e308)]),
+         7, "random", 23, 400, 7, 10, 2)
 def test_chains_match_the_step_by_step_reference(model, n, start, seed, steps, every, samples, thinning):
     check_chain(model, n, start, seed, steps, every, samples, thinning)
 
@@ -193,12 +203,14 @@ def test_strong_coefficients_reach_the_unit_and_the_overflow_branch():
 def test_edge_triangle_chain_evaluates_one_on_probability_per_common_neighbour_count():
     # a triangle delta is 6 times the pair's common neighbours, 0 to n - 2,
     # so a chain at n = 12 makes its list of the 11 on-probabilities up front
-    # and evaluates no other, in any number of steps
-    model = ModelSpec.edge_triangle(-0.3, 0.5)
-    for steps in (0, 3000):
-        with mock.patch.object(math, "exp", wraps=math.exp) as exp:
-            run_chain(ChainConfig(12, steps=steps, seed=103, model=model))
-        assert exp.call_count == 11
+    # and evaluates no other, in any number of steps; so does a chain of two
+    # triangle-class terms, the triangle and one with an isolated vertex
+    for model in (ModelSpec.edge_triangle(-0.3, 0.5),
+                  ModelSpec([(Motif.edge(), -0.3), (Motif.triangle(), 0.1), (Motif.parse("edgelist:0-1,1-3,0-3"), 0.15)])):
+        for steps in (0, 3000):
+            with mock.patch.object(math, "exp", wraps=math.exp) as exp:
+                run_chain(ChainConfig(12, steps=steps, seed=103, model=model))
+            assert exp.call_count == 11
 
 
 def test_chain_memory_stays_bounded_past_the_table_cap():

@@ -1,12 +1,14 @@
 import itertools
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergmlab import graphs
 from ergmlab.errors import DomainError, FormatError, InstanceTooLargeError
 from ergmlab.graphs import (
     MAX_VERTICES,
@@ -26,6 +28,7 @@ from ergmlab.graphs import (
     count_homomorphisms,
     hom_density_graph,
 )
+from ergmlab.mcmc import _ChainState
 
 
 def rng(seed=0):
@@ -544,6 +547,44 @@ def test_vertex_count_checked_before_anything_is_allocated():
     # the vertex count is reported before an edge out of its range
     with pytest.raises(DomainError, match="vertex count"):
         Graph.from_text("5000\n0 6000\n")
+
+
+@pytest.mark.parametrize("n", [0, MAX_VERTICES + 1, 10**9])
+def test_builders_refuse_a_bad_vertex_count_before_drawing(n):
+    # erdos_renyi drew its C(n, 2) uniforms before the check (77 MiB traced at
+    # n = 4,097) and at n = 0 raised numpy's reshape ValueError; complete
+    # built its full row of n bits first
+    r = rng(1)
+    for build in (lambda: Graph.erdos_renyi(n, 0.5, r), lambda: Graph.complete(n)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="vertex count"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+    assert r.random() == rng(1).random()  # nothing drawn
+
+
+def test_built_graphs_skip_the_caller_check():
+    # from_edges (after its per-edge checks), erdos_renyi, complete,
+    # with_edge_toggled and a chain's final graph build symmetric rows in
+    # range, so none decodes them again for the check Graph(n, rows) makes
+    n = 70
+    state = _ChainState(Graph.erdos_renyi(n, 0.3, rng(10)))
+    with mock.patch.object(graphs, "_bit_matrix", wraps=graphs._bit_matrix) as decode:
+        built = [
+            Graph.from_edges(n, [(0, 1), (65, 3), (69, 68)]),
+            Graph.erdos_renyi(n, 0.4, rng(9)),
+            Graph.complete(n),
+            Graph.complete(n).with_edge_toggled(5, 66),
+            state.graph(),
+        ]
+        assert decode.call_count == 0
+        for g in built:
+            assert g == Graph(n, g.rows)
+        assert decode.call_count == len(built)  # the caller check decodes each once
 
 
 def test_toggle_and_immutability():

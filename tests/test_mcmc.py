@@ -35,10 +35,12 @@ from ergmlab.graphs import (
     _BATCH_BLOCK_ENTRIES,
     _PRODUCT_BLOCK_ENTRIES,
     _TRIANGLE_PRODUCT_MIN_N,
+    _indicator_graph,
     _search_homomorphisms,
     _term,
     classify_motif,
     count_homomorphisms,
+    hom_density_graph,
 )
 from ergmlab.mcmc import (_DRAW_BLOCK_UNIFORMS, _edge_bits, _log_factorial, _log_odds, _log_odds_unit,
                           _logsumexp, _model_terms, _on_probability, _rng_from_seed)
@@ -647,6 +649,21 @@ def test_batch_star_counts_exact_beyond_int64():
         assert _term(star).batch(bits, n).tolist() == counts
         dens = batch_motif_densities([star], n, bits)[:, 0]
         assert dens.tolist() == [c / n**star.vertex_count for c in counts]
+
+
+def test_batch_densities_divide_exactly_past_two_to_the_53():
+    # at n = 1000 the scale n^6 of star:5 and cycle:6 passes 2^53 while the
+    # counts stay int64: a count converted to float64 was rounded once there
+    # and again by the division (star:5 on row 5 read 0x1.2e626611d3c6dp-1,
+    # cycle:6 on row 4 0x1.0fb4a210c7f71p-1)
+    n = 1000
+    bits = _rng_from_seed(3).random((6, math.comb(n, 2))) < 0.9
+    motifs = [Motif.star(5), Motif.cycle(6)]
+    dens = batch_motif_densities(motifs, n, bits)
+    for row, col in ((5, 0), (4, 1)):
+        want = hom_density_graph(motifs[col], _indicator_graph(n, bits[row]))
+        assert dens[row, col].hex() == want.hex()
+    assert n**6 >= 2**53 and _term(motifs[0]).batch(bits[:1], n).dtype == np.int64
 
 
 def test_batch_star_memory_stays_bounded():

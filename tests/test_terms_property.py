@@ -143,3 +143,19 @@ def test_cycle_batch_exact_on_both_sides_of_float64(n):
         assert counts[0] == (n - 1) ** k + (n - 1) * (-1) ** k
         # the dtype numpy infers from the Python ints: int64 below 2^63, Python ints past 2^64
         assert counts.dtype == np.array(expected).dtype == (object if n == 40 else np.int64)
+
+
+# one motif of each term class; star:7 at n = 600 passes its 2^63 bound and
+# keeps Python ints, cycle:8 at n = 300 passes 2^63 in n^k only
+ZERO_ROW_CASES = [("edge", 5), ("star:2", 5), ("star:7", 600), ("triangle", 5), ("triangle", 9), ("cycle:4", 5),
+                  ("cycle:8", 300), ("complete:4", 5), ("edgelist:0-1,1-2,2-0,2-3", 5)]
+
+
+@pytest.mark.parametrize("spec, n", ZERO_ROW_CASES)
+def test_zero_row_batch_has_the_dtype_of_one_empty_row(spec, n):
+    # the clique batch, and the cycle batch once n^k >= 2^63, gave float64
+    # for no rows
+    term, m = _term(Motif.parse(spec)), n * (n - 1) // 2
+    none, one = term.batch(np.zeros((0, m), np.int8), n), term.batch(np.zeros((1, m), np.int8), n)
+    assert none.shape == (0,) and one.tolist() == [0]
+    assert none.dtype == one.dtype == (object if spec == "star:7" else np.int64)
