@@ -130,8 +130,17 @@ class Graph:
 
     # -- basics -----------------------------------------------------------
 
+    def _vertices(self, i, j) -> tuple[int, int]:
+        """i and j as Python ints, after refusing one outside [0, n) (DomainError)."""
+        i, j = operator.index(i), operator.index(j)
+        for v in (i, j):
+            if not 0 <= v < self.n:
+                raise DomainError(f"vertex {v} out of range for n = {self.n}")
+        return i, j
+
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[operator.index(i)] >> operator.index(j) & 1)
+        i, j = self._vertices(i, j)
+        return bool(self.rows[i] >> j & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges i < j in pair order: the adjacency bits at the _vertex_pairs columns."""
@@ -153,7 +162,7 @@ class Graph:
         return self.edge_count() / math.comb(self.n, 2)
 
     def with_edge_toggled(self, i: int, j: int) -> "Graph":
-        i, j = operator.index(i), operator.index(j)
+        i, j = self._vertices(i, j)
         if i == j:
             raise DomainError("cannot toggle a self-loop")
         rows = list(self.rows)
@@ -455,19 +464,6 @@ def _is_single_cycle(h: Motif) -> bool:
 
 
 # -- homomorphism counting ---------------------------------------------------
-
-
-def _search_homomorphisms(h: Motif, g: Graph) -> int:
-    """Number of maps V(H) -> V(G) sending every edge of H to an edge of G.
-
-    Exact brute force with pruning on partial assignments, under the guard of
-    the general count (_Term): it refuses |V(G)|^|V(H)| above 10^9, isolated
-    vertices included. No library code runs it: it is the oracle the term
-    kernels, the batch counts and the public count are tested against.
-    """
-    _contraction_guard(h, g.n, _Term._vertex_guard)
-    levels = _search_levels(h, [], lambda e: 0)
-    return _count_extensions(levels, (g.rows,), [0] * len(levels), 0, (1 << g.n) - 1)
 
 
 def _search_levels(h: Motif, order: list[int], table) -> list[list[tuple[int, int]]]:

@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from math import lgamma
+from operator import attrgetter
 
 import numpy as np
 
@@ -87,20 +88,26 @@ class ChainConfig:
 
 
 class _ChainState:
-    """Mutable adjacency rows with edge and triangle counts, which the chain
-    driver updates on every toggle.
+    """Mutable adjacency rows with the edge and triangle counts of a chain.
+
+    The step loops toggle the rows in place and carry the edge and triangle
+    counts in locals; the driver (_drive) writes them back here once, after
+    the chain. held is the exact count of the one weighted term the table
+    loop keeps (_delta_steps), 0 on the other loops; the loop writes it
+    here at the end of each draw chunk and before a record reads it.
 
     Reads like a Graph to the motif terms: n, rows, edge_count() and
-    triangle_count().
+    triangle_count(), the last two as of the start or the end of a chain.
     """
 
-    __slots__ = ("n", "rows", "edges", "triangles")
+    __slots__ = ("n", "rows", "edges", "triangles", "held")
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.rows = list(g.rows)
         self.edges = g.edge_count()
         self.triangles = g.triangle_count()
+        self.held = 0
 
     def edge_count(self) -> int:
         return self.edges
@@ -166,9 +173,10 @@ def _on_probability(expo: float, neg_unit: float) -> float:
     return 1.0 / (1.0 + _exp_or_inf(expo * neg_unit))
 
 
-def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int, every: int, record):
-    """Run one chain for total steps, calling record(step) every `every`
-    steps after step burn, and at the last step.
+def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int, every: int, recorded,
+           record_start: bool = False):
+    """Run one chain for total steps and record it every `every` steps
+    after step burn, and at the last step; with record_start, the start too.
 
     With er_beta set this is the add/delete Metropolis chain for the law
     proportional to e^{er_beta E}; otherwise it is Glauber dynamics for the
@@ -180,24 +188,41 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     chunk's pair ends, gathered from the columns of _vertex_pairs, its coins,
     and a bytearray flag per step that is 1 at each record step: one slice
     assignment sets the regular records and one index the last step. On a
-    flagged step the loop calls back with its edge and triangle counts,
-    which the callback writes to the state before it records step
-    `every` past the previous record (or past burn), capped at total.
+    flagged step the loop pushes its edge and triangle counts onto one flat
+    array("q"), 16 bytes a record. Each recorded term with no rule (neither
+    per_edge nor per_common) has its density, count / n^v, appended to one
+    flat array("d") (8 bytes a density) by the loop's note call: the term
+    the table loop holds reads its count from state.held, and any other is
+    counted there. The driver writes the final counts back to the state
+    once.
+
+    Returns the records after the chain: an (r, 2) int64 array of the edge
+    and triangle counts, and the (r, len(recorded)) float64 densities of the
+    recorded terms (_record_densities). The k-th record after the start
+    (k >= 1) is step burn + k every, capped at total.
     """
     if state.n < 2:
         raise DomainError(f"chains need n >= 2, got {state.n}")
     rng = _rng_from_seed(seed)
     pair_i, pair_j = _vertex_pairs(state.n)
-    run = _step_loop(state, terms, er_beta)
+    run, held = _step_loop(state, terms, er_beta)
+    counts, densities = array("q"), array("d")
+    push, add = counts.append, densities.append
+    noted = [(attrgetter("held") if t is held else t.count, state.n**t.motif.vertex_count)
+             for t in recorded if t.per_edge is None and t.per_common is None]
+    note = None
+    if noted:
+
+        def note():
+            for count, scale in noted:
+                add(count(state) / scale)
+
     edges, triangles = state.edges, state.triangles
-    recorded = burn
-
-    def record_counts(edges: int, triangles: int):
-        nonlocal recorded
-        state.edges, state.triangles = edges, triangles
-        recorded = recorded + every if recorded + every < total else total
-        record(recorded)
-
+    if record_start:
+        push(edges)
+        push(triangles)
+        if note is not None:
+            note()
     for start in range(0, total, 4096):
         count = min(4096, total - start)
         pair_idx = rng.integers(0, pair_i.size, size=count)
@@ -209,15 +234,20 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
         if start + count == total:
             flags[-1] = 1
         edges, triangles = run(pair_i[pair_idx].tolist(), pair_j[pair_idx].tolist(), coins, flags, edges,
-                               triangles, record_counts)
+                               triangles, push, note)
+    state.edges, state.triangles = edges, triangles
+    ends = np.frombuffer(counts, dtype=np.int64).reshape(-1, 2)
+    densities = np.frombuffer(densities).reshape(len(ends), len(noted))
+    return ends, _record_densities(recorded, state.n, ends, densities)
 
 
 def _step_loop(state: _ChainState, terms, er_beta):
-    """The step loop of one chain, chosen once by its step rule:
-    loop(ends_i, ends_j, coins, flags, edges, triangles, record) runs the
-    steps of those pair ends and coins on state.rows and returns the new
-    edge and triangle counts, calling record(edges, triangles) after each
-    step whose flag is 1.
+    """The step loop of one chain, chosen once by its step rule, and the term
+    whose count it holds (None but on the table path): loop(ends_i, ends_j,
+    coins, flags, edges, triangles, push, note) runs the steps of those pair
+    ends and coins on state.rows and returns the new edge and triangle
+    counts; after each step whose flag is 1 it calls push(edges) and
+    push(triangles), then note() when note is not None.
 
     The Glauber log-odds of a step are _log_odds' constant plus its scaled
     deltas, added in model order, and the on-probability is _on_probability
@@ -234,12 +264,13 @@ def _step_loop(state: _ChainState, terms, er_beta):
     yet in the table gets the same arithmetic and is stored while the table
     holds fewer than _ON_PROBABILITY_TABLE_CAP entries, so every step gets
     the bits the arithmetic gives and the table stays near 0.4 MB whatever
-    the deltas.
+    the deltas. That loop also holds the term's exact count, which starts
+    here from one count and moves by the delta on each flip (state.held).
     Two or more weighted terms add the full sum at every step.
     """
     rows = state.rows
     if er_beta is not None:
-        return partial(_metropolis_steps, rows, math.exp(-er_beta))
+        return partial(_metropolis_steps, rows, math.exp(-er_beta)), None
     # one multiply both scales the log-odds back and negates it
     neg_unit, constant, weighted = _log_odds(terms, state.n)
     if all(term.per_common is not None for _, term in weighted):
@@ -249,13 +280,16 @@ def _step_loop(state: _ChainState, terms, er_beta):
             for scale, term in weighted:
                 expo += scale * (term.per_common * c)
             on.append(_on_probability(expo, neg_unit))
-        return partial(_common_neighbour_steps, rows, on)
+        return partial(_common_neighbour_steps, rows, on), None
+    held = table = None
+    if len(weighted) == 1:
+        held, table = weighted[0][1], {}
+        state.held = held.count(state)
     weighted = [(scale, term.delta) for scale, term in weighted]
-    table = {} if len(weighted) == 1 else None
-    return partial(_delta_steps, state, constant, weighted, neg_unit, table)
+    return partial(_delta_steps, state, constant, weighted, neg_unit, table), held
 
 
-def _metropolis_steps(rows, exp_neg_beta, ends_i, ends_j, coins, flags, edges, triangles, record):
+def _metropolis_steps(rows, exp_neg_beta, ends_i, ends_j, coins, flags, edges, triangles, push, note):
     """Add/delete Metropolis steps: an absent pair is added, a present one
     deleted with probability exp_neg_beta."""
     for i, j, coin, flag in zip(ends_i, ends_j, coins, flags):
@@ -270,11 +304,14 @@ def _metropolis_steps(rows, exp_neg_beta, ends_i, ends_j, coins, flags, edges, t
             else:
                 edges, triangles = edges + 1, triangles + common
         if flag:
-            record(edges, triangles)
+            push(edges)
+            push(triangles)
+            if note is not None:
+                note()
     return edges, triangles
 
 
-def _common_neighbour_steps(rows, on, ends_i, ends_j, coins, flags, edges, triangles, record):
+def _common_neighbour_steps(rows, on, ends_i, ends_j, coins, flags, edges, triangles, push, note):
     """Glauber steps whose on-probability is on[c], c the pair's common
     neighbours."""
     for i, j, coin, flag in zip(ends_i, ends_j, coins, flags):
@@ -289,18 +326,26 @@ def _common_neighbour_steps(rows, on, ends_i, ends_j, coins, flags, edges, trian
             else:
                 edges, triangles = edges + 1, triangles + common
         if flag:
-            record(edges, triangles)
+            push(edges)
+            push(triangles)
+            if note is not None:
+                note()
     return edges, triangles
 
 
-def _delta_steps(state, constant, weighted, neg_unit, table, ends_i, ends_j, coins, flags, edges, triangles, record):
+def _delta_steps(state, constant, weighted, neg_unit, table, ends_i, ends_j, coins, flags, edges, triangles,
+                 push, note):
     """Glauber steps on the scaled term deltas: one term through the table
     from its delta to the on-probability (table is a dict), two or more
-    summed at every step (table is None)."""
+    summed at every step (table is None). The table path holds its term's
+    count in held, an exact Python int that moves by the delta key on each
+    flip; state.held gets it before each note and at the end. The summed
+    path holds no count: its key stays 0."""
     rows = state.rows
     if table is not None:
         ((scale1, delta1),) = weighted
     on_probability = _on_probability
+    key, held = 0, state.held
     for i, j, coin, flag in zip(ends_i, ends_j, coins, flags):
         present = rows[i] >> j & 1
         if table is not None:
@@ -320,12 +365,38 @@ def _delta_steps(state, constant, weighted, neg_unit, table, ends_i, ends_j, coi
             rows[j] ^= 1 << i
             common = (ri & rows[j]).bit_count()
             if present:
-                edges, triangles = edges - 1, triangles - common
+                edges, triangles, held = edges - 1, triangles - common, held - key
             else:
-                edges, triangles = edges + 1, triangles + common
+                edges, triangles, held = edges + 1, triangles + common, held + key
         if flag:
-            record(edges, triangles)
+            push(edges)
+            push(triangles)
+            if note is not None:
+                state.held = held
+                note()
+    state.held = held
     return edges, triangles
+
+
+def _record_densities(recorded, n: int, ends: np.ndarray, noted: np.ndarray) -> np.ndarray:
+    """The (r, len(recorded)) densities of a chain's records, built after the
+    chain from its (r, 2) edge and triangle counts and the densities its
+    notes appended (_drive). A term with an edge rule has the count
+    per_edge E, one with a common-neighbour rule per_common T, over n^v.
+    Such a term has two or three vertices, so its counts and n^v stay below
+    2^53: the product is formed and divided in the output column in
+    float64, exactly as the ints divide. Each other term reads the next
+    noted column."""
+    out = np.empty((len(ends), len(recorded)))
+    columns = iter(noted.T)
+    for col, term in enumerate(recorded):
+        if term.per_edge is not None or term.per_common is not None:
+            rule, which = (term.per_edge, 0) if term.per_edge is not None else (term.per_common, 1)
+            np.multiply(ends[:, which], rule, out=out[:, col])
+            out[:, col] /= n**term.motif.vertex_count
+        else:
+            out[:, col] = next(columns)
+    return out
 
 
 @dataclass
@@ -343,6 +414,13 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
     including the final step. Returns the trace and the final graph. An
     er_beta chain is the add/delete Metropolis chain, which needs beta >= 0;
     for negative beta run it on the complement graph at -beta instead.
+
+    The chain pushes its counts at each record (_drive); the trace is built
+    after it, with numpy over the records. The statistic of a record is
+    er_beta E / n^2 for the Metropolis chain, and otherwise adds b times
+    each term's density in model order, starting from 0.0, as Python adds
+    floats: a product beyond double range is a signed inf, and inf - inf
+    a nan, with no numpy warning.
     """
     if config.steps is None or config.steps < 0:
         raise DomainError("run_chain needs steps >= 0")
@@ -356,17 +434,17 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
             raise DomainError("er chains require beta >= 0; apply the complement transformation")
         _check_finite(config.er_beta)
     terms = _model_terms(config.model) if config.model is not None else []
-    trace = []
-
-    def record(step: int):
+    ends, dens = _drive(state, terms, config.er_beta, config.seed, config.steps, 0, record_every,
+                        [t for _, t in terms], record_start=True)
+    with np.errstate(over="ignore", invalid="ignore"):
         if config.model is None:
-            stat = config.er_beta * state.edges / state.n**2
+            stat = config.er_beta * ends[:, 0] / state.n**2
         else:
-            stat = sum((b * (t.count(state) / state.n**t.motif.vertex_count) for b, t in terms), 0.0)
-        trace.append(TraceRecord(step, state.edges, state.triangles, stat))
-
-    record(0)
-    _drive(state, terms, config.er_beta, config.seed, config.steps, 0, record_every, record)
+            stat = np.zeros(len(ends))
+            for col, (b, _) in enumerate(terms):
+                stat += b * dens[:, col]
+    steps = [0] + [min(k * record_every, config.steps) for k in range(1, len(ends))]
+    trace = list(map(TraceRecord, steps, ends[:, 0].tolist(), ends[:, 1].tolist(), stat.tolist()))
     return trace, state.graph()
 
 
@@ -393,9 +471,9 @@ def sample_motif_densities(
     otherwise. Burn-in is 10% of the total run, then one record per
     thinning steps.
 
-    Each record appends the motifs' densities, count / n^v through the
-    terms' bound count methods, to one flat array("d"), 8 bytes a density,
-    which becomes the (n_samples, k) array once at the end.
+    The chain pushes its edge and triangle counts at each record, and notes
+    the density of each motif with neither rule nor held count (_drive);
+    the (n_samples, k) array is built from them once, after the chain.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -405,16 +483,8 @@ def sample_motif_densities(
     er_beta = _auto_is_er(law)
     span = n_samples * thinning
     burn = math.ceil(span / 9.0)  # 10% of the total run
-    terms = [(t.count, chain.n**t.motif.vertex_count) for t in map(_term, motifs)]
-    densities = array("d")
-    add = densities.append
-
-    def record(step: int):
-        for count, scale in terms:
-            add(count(state) / scale)
-
-    _drive(state, _model_terms(law), er_beta, chain.seed, burn + span, burn, thinning, record)
-    return np.frombuffer(densities).reshape(n_samples, len(terms))
+    recorded = [_term(m) for m in motifs]
+    return _drive(state, _model_terms(law), er_beta, chain.seed, burn + span, burn, thinning, recorded)[1]
 
 
 # -- exact spectral theory of the independent-edge chain ---------------------------

@@ -8,13 +8,21 @@ of 0 to 3 weighted terms of every motif class (edge lists included) on at
 most 8 vertices, with coefficients up to +-1e308, must give the same trace,
 final graph and sampled densities bit for bit; explicit examples run each
 step loop past one 4096-step draw chunk and put record steps at the edges
-of a chunk. The reference takes its pair order from itertools, not from
-the code under test. Four more tests pin memory and work: an edge +
+of a chunk. Every recorded density, the law's terms' and those of one term
+of each class that the law does not weight, must equal a fresh count / n^v
+of the reference graph at that record, whether the chain read it from its
+edge and triangle counts, from the count the one-term table path holds, or
+counted it. The reference takes its pair order from itertools, not from
+the code under test. More tests pin memory and work: an edge +
 triangle chain, and one with two triangle-class terms, evaluate exactly
-their n - 1 on-probabilities of a common-neighbour count, a chain whose
-deltas outgrow the one-term table's
+their n - 1 on-probabilities of a common-neighbour count; a chain recorded
+at every step counts none of its edge-class, triangle-class or table
+terms, apart from the one count that starts the held one; a cycle:8 chain
+at n = 100 holds a count past 2^53 exactly; a chain whose deltas outgrow
+the one-term table's
 cap keeps its memory bounded, a cold chain at n = 1000 holds little more
-than its pair columns, and the stacked closed walks for a batch of cycle
+than its pair columns, 200,000 sampled records hold about 16 bytes each
+beside their output, and the stacked closed walks for a batch of cycle
 rows at n = 1000 stay bounded. The last checks sampled densities whose
 scales n^v reach 2^53 against Python's int division.
 """
@@ -30,7 +38,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergmlab import graphs, mcmc
-from ergmlab.graphs import Graph, Motif, _rng_from_seed, _term
+from ergmlab.graphs import Graph, Motif, _rng_from_seed, _term, hom_density_graph
 from ergmlab.mcmc import (ChainConfig, TraceRecord, _auto_is_er, _log_odds, _log_odds_unit, _model_terms,
                           run_chain, sample_motif_densities)
 from ergmlab.variational import ModelSpec
@@ -95,6 +103,12 @@ def models(draw):
     return ModelSpec(terms)
 
 
+# recorded beside the law's own terms: one term of each class with a
+# closed-form count, which the law may not weight (an edge-list term the law
+# does not weight is one drawn with coefficient 0)
+UNWEIGHTED_RECORDS = [Motif.edge(), Motif.star(2), Motif.triangle(), Motif.cycle(4), Motif.complete(4)]
+
+
 def _statistic(terms, g: Graph) -> float:
     return sum((b * (t.count(g) / g.n**t.motif.vertex_count) for b, t in terms), 0.0)
 
@@ -121,7 +135,7 @@ def check_chain(model, n, start, seed, steps, every, samples, thinning):
 
     # sample_motif_densities: 10% burn-in, one row per thinning steps, and the
     # Metropolis chain for a nonnegative edge-only law
-    motifs = [h for h, _ in model.terms] + [Motif.triangle()]
+    motifs = [h for h, _ in model.terms] + UNWEIGHTED_RECORDS
     got = sample_motif_densities(model, motifs, samples, ChainConfig(n, seed=seed + 1, start=g), thinning)
     span = samples * thinning
     burn = math.ceil(span / 9.0)
@@ -172,6 +186,17 @@ def check_chain(model, n, start, seed, steps, every, samples, thinning):
          500, 9, 12, 2)
 @example(ModelSpec([(Motif.edge(), 1e308), (Motif.triangle(), 1e308), (Motif.parse("edgelist:0-2,2-3,0-3"), -1.7e308)]),
          7, "random", 23, 400, 7, 10, 2)
+# one weighted term through the on-probability table, whose count the chain
+# holds and records: cycle:4 past one draw chunk, complete:4 at every step,
+# an edge list with an isolated vertex, and star:3 at +-1e308
+@example(ModelSpec([(Motif.edge(), -0.2), (Motif.cycle(4), 0.15)]), 8, "random", 24, 9000, 4097, 1500, 3)
+@example(ModelSpec([(Motif.edge(), 0.1), (Motif.complete(4), -0.3)]), 7, "complete", 25, 600, 1, 60, 1)
+@example(ModelSpec([(Motif.edge(), -0.1), (Motif.parse("edgelist:0-1,1-2,2-3,3-5"), 0.4)]), 8, "random", 26, 700, 1,
+         40, 2)
+@example(ModelSpec([(Motif.edge(), 1e308), (Motif.star(3), -1e308)]), 6, "random", 27, 400, 1, 20, 1)
+# an edge-list term recorded but not weighted, beside a weighted cycle:5
+@example(ModelSpec([(Motif.edge(), -0.3), (Motif.parse("edgelist:0-1,1-2,2-3,3-5"), 0.0), (Motif.cycle(5), 0.05)]),
+         7, "random", 28, 300, 7, 20, 1)
 def test_chains_match_the_step_by_step_reference(model, n, start, seed, steps, every, samples, thinning):
     check_chain(model, n, start, seed, steps, every, samples, thinning)
 
@@ -211,6 +236,84 @@ def test_edge_triangle_chain_evaluates_one_on_probability_per_common_neighbour_c
             with mock.patch.object(math, "exp", wraps=math.exp) as exp:
                 run_chain(ChainConfig(12, steps=steps, seed=103, model=model))
             assert exp.call_count == 11
+
+
+def test_records_count_no_rule_term_and_not_the_held_one():
+    # a record pushes the edge and triangle counts, from which the edge- and
+    # triangle-class terms read their densities, and the table path's term
+    # reads the count the chain holds, which one count starts; only a
+    # recorded term with neither (star:2 here) is counted, once a record
+    calls = {}
+
+    def counted(cls):
+        real = cls.count
+
+        def count(self, g):
+            calls[cls.__name__] = calls.get(cls.__name__, 0) + 1
+            return real(self, g)
+
+        return mock.patch.object(cls, "count", count)
+
+    also = [Motif.parse("star:1"), Motif.triangle(), Motif.parse("edgelist:0-1,1-3,0-3"), Motif.star(2)]
+    laws = [(Motif.cycle(4), {"_CycleTerm": 1}), (Motif.complete(4), {"_CompleteTerm": 1}), (Motif.triangle(), {}),
+            (None, {})]  # None: an edge-only law, the Metropolis chain when sampled
+    for motif, held in laws:
+        law = ModelSpec([(Motif.edge(), 0.2)] + ([(motif, -0.1)] if motif else []))
+        with counted(graphs._EdgeTerm), counted(graphs._StarTerm), counted(graphs._TriangleTerm), \
+                counted(graphs._CycleTerm), counted(graphs._CompleteTerm):
+            calls.clear()
+            trace, _ = run_chain(ChainConfig(12, steps=3000, seed=6, model=law), record_every=1)
+            assert len(trace) == 3001 and calls == held
+            calls.clear()
+            dens = sample_motif_densities(law, list(law.motifs) + also, 2000, ChainConfig(12, seed=7))
+            assert dens.shape == (2000, len(law.motifs) + 4) and calls == {**held, "_StarTerm": 2000}
+
+
+def test_metropolis_traces_match_the_reference():
+    # the Metropolis trace: the reference graph's edge and triangle counts at
+    # each record and the statistic er_beta E / n^2 as Python forms it, inf
+    # (and no numpy warning) where er_beta E is beyond double range
+    g = Graph.erdos_renyi(7, 0.4, _rng_from_seed(3))
+    for beta in (0.4, 1e308):
+        trace, final = run_chain(ChainConfig(7, steps=600, seed=4, start=g, er_beta=beta), record_every=9)
+        want = [(0, g.edge_count(), g.triangle_count(), beta * g.edge_count() / 49)]
+        record_at = set(range(9, 600, 9)) | {600}
+        assert reference_chain(g, [], beta, 4, 600, record_at, lambda step, h: want.append(
+            (step, h.edge_count(), h.triangle_count(), beta * h.edge_count() / 49))) == final
+        assert [(r.step, r.edges, r.triangles, r.statistic) for r in trace] == want
+    assert trace[-1].statistic == math.inf
+
+
+def test_a_held_count_past_two_to_the_53_stays_exact():
+    # from K_100 a cycle:8 chain at coefficient 1/4 drops a few edges in 300
+    # steps and keeps hom(C_8, G), near 99^8, above 2^53: the count the table
+    # path holds must stay an exact int, so the last record's density (the
+    # statistic times 4, exact) is hom_density_graph of the final graph
+    c8 = Motif.cycle(8)
+    law = ModelSpec([(c8, 0.25)])
+    trace, final = run_chain(ChainConfig(100, steps=300, seed=1, start="complete", model=law), record_every=100)
+    assert 4940 <= final.edge_count() < 4950
+    assert _term(c8).count(final) > 2**53
+    assert (4.0 * trace[-1].statistic).hex() == hom_density_graph(c8, final).hex()
+
+
+def test_sampled_records_hold_about_sixteen_bytes_each():
+    # 200,000 records at thinning 1 push 16 bytes each (the edge and triangle
+    # counts) and the densities are built once, after the chain, into the
+    # (200,000, 2) output: the run peaks near 7.4 MB traced, under 16 bytes
+    # a record plus the output plus 2 MiB for the buffer's growth and one
+    # draw chunk's lists; a list of two floats per record would add about
+    # 128 bytes a record
+    samples = 200_000
+    law = ModelSpec.edge_triangle(-0.2, 0.1)
+    tracemalloc.start()
+    try:
+        dens = sample_motif_densities(law, [Motif.edge(), Motif.triangle()], samples, ChainConfig(30, seed=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dens.shape == (samples, 2)
+    assert peak < 16 * samples + dens.nbytes + 2 * 2**20, peak
 
 
 def test_chain_memory_stays_bounded_past_the_table_cap():

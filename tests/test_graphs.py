@@ -20,7 +20,6 @@ from ergmlab.graphs import (
     _exact_product,
     _indicator_graph,
     _python_ints,
-    _search_homomorphisms,
     _term,
     _vertex_pairs,
     chromatic_number,
@@ -29,6 +28,7 @@ from ergmlab.graphs import (
     hom_density_graph,
 )
 from ergmlab.mcmc import _ChainState
+from homomorphism_oracle import search_homomorphisms
 
 
 def rng(seed=0):
@@ -87,12 +87,12 @@ def test_triangle_count_matches_hom_count():
     for _ in range(25):
         n = int(r.integers(2, 9))
         g = Graph.erdos_renyi(n, r.uniform(0.1, 0.9), r)
-        assert 6 * g.triangle_count() == _search_homomorphisms(Motif.triangle(), g)
+        assert 6 * g.triangle_count() == search_homomorphisms(Motif.triangle(), g)
     # the closed 3-walks count on to n = 40, and on K_1001 beyond the
     # search's map guard
     for n in range(9, 41):
         g = Graph.erdos_renyi(n, r.uniform(0.1, 0.9), r)
-        assert 6 * g.triangle_count() == _search_homomorphisms(Motif.triangle(), g)
+        assert 6 * g.triangle_count() == search_homomorphisms(Motif.triangle(), g)
     assert Graph.complete(1001).triangle_count() == 1001 * 1000 * 999 // 6
 
 
@@ -123,7 +123,7 @@ def test_fast_paths_agree_with_brute_force():
         n = int(r.integers(3, 7))
         g = Graph.erdos_renyi(n, r.uniform(0.1, 0.9), r)
         for m in motifs:
-            assert count_homomorphisms(m, g) == _search_homomorphisms(m, g)
+            assert count_homomorphisms(m, g) == search_homomorphisms(m, g)
 
 
 @pytest.mark.parametrize("n, lengths", [(300, range(3, 10)), (40, (23, 24))])
@@ -220,7 +220,7 @@ def test_exact_product_and_inner_match_python_ints(n, mx, my, seed):
 
 def test_size_guard():
     with pytest.raises(InstanceTooLargeError, match="instance too large"):
-        _search_homomorphisms(Motif.complete(8), Graph.complete(20))
+        search_homomorphisms(Motif.complete(8), Graph.complete(20))
     # an edge-list shape has no closed form, so the public count takes the
     # guarded search: the paw into K_200 needs 200^4 > 10^9 maps
     paw = Motif.parse("edgelist:0-1,1-2,2-0,2-3")
@@ -238,7 +238,7 @@ def test_general_count_guard_reads_active_vertices_and_the_size_guard():
     chorded = Motif.parse("edgelist:0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-0,0-4")
     assert classify_motif(chorded) == ("general",)
     g = Graph.erdos_renyi(9, 0.7, rng(9))
-    assert count_homomorphisms(chorded, g) == _search_homomorphisms(chorded, g) > 0
+    assert count_homomorphisms(chorded, g) == search_homomorphisms(chorded, g) > 0
     assert count_homomorphisms(chorded, Graph.empty(10)) == 0  # 10^9 maps
     with pytest.raises(InstanceTooLargeError, match=r"11\^9 exceeds the 1000000000 guard"):
         count_homomorphisms(chorded, Graph.empty(11))
@@ -249,8 +249,8 @@ def test_general_count_guard_reads_active_vertices_and_the_size_guard():
     # replanned under an intermediate budget and counts it exactly
     k88 = Motif(16, [(a, 8 + b) for a in range(8) for b in range(8)])
     for g in (Graph.complete(2), Graph.complete(3)):
-        assert count_homomorphisms(k88, g) == _search_homomorphisms(k88, g) > 0
-    k2 = _search_homomorphisms(k88, Graph.complete(2))
+        assert count_homomorphisms(k88, g) == search_homomorphisms(k88, g) > 0
+    k2 = search_homomorphisms(k88, Graph.complete(2))
     assert _term(k88).batch(np.ones((4, 1), dtype=np.int8), 2).tolist() == [k2] * 4
 
 
@@ -263,7 +263,7 @@ def test_public_count_answers_closed_forms_beyond_the_map_guard():
     assert count_homomorphisms(k8, k20) == 5079110400 == 20 * 19 * 18 * 17 * 16 * 15 * 14 * 13
     for h, g in ((triangle, big), (k8, k20)):
         with pytest.raises(InstanceTooLargeError, match="instance too large"):
-            _search_homomorphisms(h, g)
+            search_homomorphisms(h, g)
 
 
 def test_public_count_scales_isolated_motif_vertices_once():
@@ -277,12 +277,12 @@ def test_public_count_scales_isolated_motif_vertices_once():
     # equal motifs share one term object, and with it one active part
     assert _term(Motif.parse("triangle")) is _term(Motif.parse("edgelist:0-1,1-2,0-2"))
     assert classify_motif(h) == classify_motif(active) == ("general",)
-    hom = _search_homomorphisms(active, g)
+    hom = search_homomorphisms(active, g)
     assert hom == 12 * 11 * 10 * 11 * 11
     assert count_homomorphisms(h, g) == hom * 12**5
     assert hom_density_graph(h, g) == hom / 12**5
     with pytest.raises(InstanceTooLargeError, match=r"12\^10 exceeds"):
-        _search_homomorphisms(h, g)
+        search_homomorphisms(h, g)
 
 
 # -- motifs ---------------------------------------------------------------------
@@ -594,6 +594,23 @@ def test_toggle_and_immutability():
     assert g2.with_edge_toggled(0, 1) == g
     with pytest.raises(DomainError, match="self-loop"):
         g.with_edge_toggled(1, 1)
+
+
+def test_vertex_indices_outside_the_graph_are_refused():
+    # has_edge once read False past n and row n - 1 at -1 (Python's negative
+    # index); with_edge_toggled raised IndexError past n and numpy's
+    # "negative shift count" ValueError at -1
+    g = Graph.complete(4)
+    calls = [(lambda: g.has_edge(0, 9), 9), (lambda: g.has_edge(-1, 2), -1), (lambda: g.has_edge(4, 0), 4),
+             (lambda: g.with_edge_toggled(0, 7), 7), (lambda: g.with_edge_toggled(-1, 2), -1),
+             (lambda: g.with_edge_toggled(4, 4), 4)]
+    for call, v in calls:
+        with pytest.raises(DomainError, match=rf"^vertex {v} out of range for n = 4$"):
+            call()
+    assert not g.has_edge(2, 2)
+    assert g.has_edge(3, 0) and g.has_edge(0, 3)
+    with pytest.raises(DomainError, match="self-loop"):
+        g.with_edge_toggled(3, 3)
 
 
 def test_vertex_cap():
