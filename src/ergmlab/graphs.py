@@ -44,10 +44,22 @@ _PRODUCT_BLOCK_ENTRIES = 2**16
 _TRIANGLE_PRODUCT_MIN_N = 9
 
 
-def _check_vertex_count(n: int):
-    """Refuse a vertex count outside [1, MAX_VERTICES] (DomainError)."""
+def _integer(value, what: str) -> int:
+    """value as a Python int through operator.index, which takes Python and
+    numpy integers and refuses a float or a string (DomainError naming what)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_vertex_count(n: int) -> int:
+    """n as a Python int, after refusing a non-integer or a vertex count
+    outside [1, MAX_VERTICES] (DomainError)."""
+    n = _integer(n, "vertex count")
     if n < 1 or n > MAX_VERTICES:
         raise DomainError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+    return n
 
 
 class Graph:
@@ -64,7 +76,7 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int] | None = None):
-        _check_vertex_count(n)
+        n = _check_vertex_count(n)
         self.n = n
         if rows is None:
             self.rows = (0,) * n
@@ -104,13 +116,13 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        _check_vertex_count(n)
+        n = _check_vertex_count(n)
         full = (1 << n) - 1
         return cls._from_rows(n, [full ^ (1 << i) for i in range(n)])
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        _check_vertex_count(n)
+        n = _check_vertex_count(n)
         bits = np.zeros((n, n), dtype=np.uint8)
         for i, j in edges:
             i, j = operator.index(i), operator.index(j)
@@ -125,7 +137,7 @@ class Graph:
     def erdos_renyi(cls, n: int, p: float, rng) -> "Graph":
         """Each of the C(n,2) edges present independently with probability p,
         one uniform per pair in pair order."""
-        _check_vertex_count(n)
+        n = _check_vertex_count(n)
         return _indicator_graph(n, rng.random(math.comb(n, 2)) < p)
 
     # -- basics -----------------------------------------------------------
@@ -387,8 +399,10 @@ def _mask_bits(m: int) -> np.ndarray:
 
 
 def _seed_key(seed: int) -> int:
-    """The 64-bit key of a seed: the seed modulo 2^64, so -1 keys 2^64 - 1."""
-    return int(seed) & (2**64 - 1)
+    """The 64-bit key of a seed: the seed modulo 2^64, so -1 keys 2^64 - 1.
+    A seed that is not an integer, such as 2.9 or "7", raises DomainError
+    (_integer) rather than keying the stream of a truncation."""
+    return _integer(seed, "seed") & (2**64 - 1)
 
 
 def _rng_from_seed(seed: int) -> np.random.Generator:

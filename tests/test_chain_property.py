@@ -7,9 +7,10 @@ through exp, with an OverflowError read as on-probability 0. Random models
 of 0 to 3 weighted terms of every motif class (edge lists included) on at
 most 8 vertices, with coefficients up to +-1e308, must give the same trace,
 final graph and sampled densities bit for bit; explicit examples run each
-step loop past one 4096-step draw chunk and put record steps at the edges
-of a chunk. Every recorded density, the law's terms' and those of one term
-of each class that the law does not weight, must equal a fresh count / n^v
+step loop past one 4096-step draw chunk, put record steps at the edges of
+a chunk, and run each loop at n = 31, 61 or 100, where a row spans several
+30-bit digits. Every recorded density, the law's terms' and those of one
+term of each class that the law does not weight, must equal a fresh count / n^v
 of the reference graph at that record, whether the chain read it from its
 edge and triangle counts, from the count the one-term table path holds, or
 counted it. The reference takes its pair order from itertools, not from
@@ -197,6 +198,14 @@ def check_chain(model, n, start, seed, steps, every, samples, thinning):
 # an edge-list term recorded but not weighted, beside a weighted cycle:5
 @example(ModelSpec([(Motif.edge(), -0.3), (Motif.parse("edgelist:0-1,1-2,2-3,3-5"), 0.0), (Motif.cycle(5), 0.05)]),
          7, "random", 28, 300, 7, 20, 1)
+# rows wider than one 30-bit digit: the summed loop at n = 31, the one-term
+# table loop at n = 61, and at n = 100 the common-neighbour loop from the
+# complete graph and the Metropolis loop (the samples of an edge-only law)
+@example(ModelSpec([(Motif.edge(), -0.2), (Motif.triangle(), 0.1), (Motif.parse("star:2"), -0.1)]), 31, "random",
+         29, 5000, 499, 10, 400)
+@example(ModelSpec([(Motif.edge(), -0.2), (Motif.parse("star:2"), -0.1)]), 61, "random", 30, 5000, 499, 10, 400)
+@example(ModelSpec.edge_triangle(-0.5, 0.2), 100, "complete", 31, 5000, 499, 10, 400)
+@example(ModelSpec([(Motif.edge(), 0.3)]), 100, "random", 32, 5000, 499, 10, 400)
 def test_chains_match_the_step_by_step_reference(model, n, start, seed, steps, every, samples, thinning):
     check_chain(model, n, start, seed, steps, every, samples, thinning)
 

@@ -140,6 +140,34 @@ def test_chain_traces_match_golden():
         assert chain_digest(name) == GOLDEN[name], name
 
 
+# recorded while each step shifted out its presence bit and built 1 << j and
+# 1 << i on every toggle: chains whose rows span several 30-bit digits (the
+# Metropolis loop at n = 100, the common-neighbour loop at n = 200 from the
+# complete graph) and the one-term table loop at n = 30; the digest covers
+# the trace columns, each statistic's bits and the final rows
+WIDE_CHAINS = {
+    "er_n100": (ChainConfig(100, steps=20_000, seed=401, er_beta=0.5),
+                "be28475751552cfab9ed9c4fa80e6ae73dd60b9c7099055942c55e4b1f62ac6b"),
+    "triangle_n200_complete": (ChainConfig(200, steps=20_000, seed=402, start="complete",
+                                           model=ModelSpec.edge_triangle(-0.5, 0.2)),
+                               "6ee883003119da40900826d60da4f62759e9898064f689e162edf62b51221815"),
+    "star2_n30": (ChainConfig(30, steps=20_000, seed=403,
+                              model=ModelSpec([(Motif.edge(), -0.5), (Motif.star(2), -0.2)])),
+                  "28dc702f0c6cae08bb185aee7f017c15beebec1a0226671847564dd7bf0c7935"),
+}
+
+
+def wide_chain_digest(config: ChainConfig) -> str:
+    trace, final = run_chain(config, record_every=100)
+    text = "".join(f"{r.step},{r.edges},{r.triangles},{r.statistic.hex()}\n" for r in trace)
+    return _sha((text + "".join(f"{row:x}\n" for row in final.rows)).encode())
+
+
+def test_wide_chain_traces_match_golden():
+    for name, (config, golden) in WIDE_CHAINS.items():
+        assert wide_chain_digest(config) == golden, name
+
+
 def test_sampled_densities_match_golden():
     assert densities_digest() == GOLDEN["densities"]
 

@@ -567,6 +567,18 @@ def test_builders_refuse_a_bad_vertex_count_before_drawing(n):
     assert r.random() == rng(1).random()  # nothing drawn
 
 
+def test_builders_take_integer_vertex_counts_only():
+    # a float count once reached range() and raised a raw TypeError; a numpy
+    # integer builds the graph of the Python int, with a Python int n
+    for build in (Graph.empty, Graph.complete, lambda n: Graph.from_edges(n, [(0, 1)]),
+                  lambda n: Graph.erdos_renyi(n, 0.5, rng(1)), lambda n: Graph(n, [0] * 10)):
+        for n in (10.0, "10"):
+            with pytest.raises(DomainError, match=f"vertex count must be an integer, got {n!r}"):
+                build(n)
+        g = build(np.int64(10))
+        assert g == build(10) and type(g.n) is int
+
+
 def test_built_graphs_skip_the_caller_check():
     # from_edges (after its per-edge checks), erdos_renyi, complete,
     # with_edge_toggled and a chain's final graph build symmetric rows in

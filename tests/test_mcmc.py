@@ -474,6 +474,60 @@ def test_size_guards_raise_before_any_draw():
                 call()
 
 
+def test_seeds_are_integers():
+    # a seed went through int(), so 2.9 keyed seed 2's stream and returned its
+    # estimate bit for bit; Python and numpy integers keep their streams
+    model = ModelSpec.edge_triangle(-0.3, 0.2)
+    for seed in (2.9, 2.0, "2"):
+        with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
+            estimate_importance(model, 6, 100, seed)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            run_chain(ChainConfig(6, steps=100, seed=seed, model=model))
+    want = estimate_importance(model, 6, 100, 2).estimate_log
+    chain = run_chain(ChainConfig(6, steps=300, seed=2, model=model))
+    for seed in (np.int64(2), np.uint8(2), 2 + 2**64):
+        assert estimate_importance(model, 6, 100, seed).estimate_log == want
+        assert run_chain(ChainConfig(6, steps=300, seed=seed, model=model)) == chain
+
+
+def test_counts_are_integers():
+    # a float count once raised a raw TypeError from range(), and a bool step
+    # count ended the trace at step=True
+    model = ModelSpec.edge_triangle(-0.3, 0.2)
+    chain = ChainConfig(6, seed=1)
+    for match, call in [
+        ("steps must be an integer, got 100.0", lambda: run_chain(ChainConfig(6, steps=100.0, model=model))),
+        ("record_every must be an integer, got 2.5", lambda: run_chain(ChainConfig(6, steps=10, model=model), 2.5)),
+        ("n_samples must be an integer, got 10.0", lambda: sample_motif_densities(model, model.motifs, 10.0, chain)),
+        ("thinning must be an integer, got 1.5", lambda: sample_motif_densities(model, model.motifs, 10, chain, 1.5)),
+        ("n_samples must be an integer, got '10'", lambda: estimate_mcmle(model, model, "10", chain)),
+        ("thinning must be an integer, got 1.5", lambda: estimate_mcmle(model, model, 10, chain, 1.5)),
+        ("n_samples_ref must be an integer, got 10.0",
+         lambda: estimate_acceptance_ratio(model, model, "constant", 10.0, 10, chain)),
+        ("n_samples_target must be an integer, got '10'",
+         lambda: estimate_acceptance_ratio(model, model, "constant", 10, "10", chain)),
+        ("thinning must be an integer, got 1.5",
+         lambda: estimate_acceptance_ratio(model, model, "constant", 10, 10, chain, 1.5)),
+        ("n_samples must be an integer, got 10.0", lambda: estimate_importance(model, 6, 10.0, 1)),
+        ("vertex count must be an integer, got 6.0", lambda: run_chain(ChainConfig(6.0, steps=10, model=model))),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            call()
+    trace, _ = run_chain(ChainConfig(6, steps=True, seed=1, model=model))
+    assert [type(r.step) for r in trace] == [int, int] and trace[-1].step == 1
+    # numpy integers give what Python ints give
+    assert run_chain(ChainConfig(np.int64(6), steps=np.int64(300), seed=1, model=model), np.int16(7)) == run_chain(
+        ChainConfig(6, steps=300, seed=1, model=model), 7)
+    dens = sample_motif_densities(model, model.motifs, np.int32(50), chain, np.uint8(3))
+    assert dens.tobytes() == sample_motif_densities(model, model.motifs, 50, chain, 3).tobytes()
+    for est, args in [(estimate_mcmle, (ModelSpec.edge_triangle(-0.25, 0.2), model)),
+                      (estimate_acceptance_ratio, (ModelSpec.edge_triangle(-0.25, 0.2), model, "constant", 50))]:
+        got = est(*args, np.int64(50), chain, np.int64(2))
+        assert got.estimate_log == est(*args, 50, chain, 2).estimate_log
+    want = estimate_importance(model, 6, 100, 1).estimate_log
+    assert estimate_importance(model, 6, np.int64(100), 1).estimate_log == want
+
+
 def test_strong_negative_coefficients_switch_edges_off():
     # e^-expo overflows a double below expo = -709.8: the on-probability is 0
     model = ModelSpec.edge_only(-400.0)

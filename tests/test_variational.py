@@ -560,6 +560,18 @@ def test_graphon_search_recovers_constant_regime():
     assert not rep.certified
 
 
+def test_graphon_search_takes_integer_seeds_only():
+    # seed 0.5 once ran seed 0's search
+    model = ModelSpec.edge_triangle(0.2, 0.1)
+    for seed in (0.5, 0.0, "0"):
+        with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
+            graphon_search(model, k=2, restarts=2, max_iter=20, seed=seed)
+    want = graphon_search(model, k=2, restarts=2, max_iter=20, seed=0)
+    got = graphon_search(model, k=2, restarts=2, max_iter=20, seed=np.int64(0))
+    assert got.psi == want.psi
+    assert got.maximizers[0].values.tobytes() == want.maximizers[0].values.tobytes()
+
+
 # graphon_search results recorded with the contraction that searched an
 # einsum path on every call. The objective moves by ulps, which can flip a
 # line-search comparison between nearly equal values; the ascent then takes
