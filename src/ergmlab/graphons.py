@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .graphs import (DELTA_VERTEX_GUARD, DENSITY_VERTEX_GUARD, Graph, Motif, _Contraction,
-                     _data_lines, _fields, _mask_bits, _rng_from_seed)
+                     _data_lines, _fields, _integer, _mask_bits, _rng_from_seed)
 
 WEIGHT_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
@@ -83,7 +83,7 @@ class StepGraphon:
 
     @classmethod
     def random(cls, k: int, rng, equal_weights: bool = True) -> "StepGraphon":
-        if k < 1:
+        if (k := _integer(k, "k")) < 1:
             raise DomainError("a step graphon needs at least one block")
         if equal_weights:
             w = np.full(k, 1.0 / k)
@@ -100,7 +100,7 @@ class StepGraphon:
         """Refine an equal-block graphon into k_new equal blocks (k | k_new)."""
         if not _equal_weights(self.weights):
             raise DomainError("refine_equal requires equal block weights")
-        if k_new < 1:
+        if (k_new := _integer(k_new, "k_new")) < 1:
             raise DomainError("a step graphon needs at least one block")
         if k_new % self.k:
             raise DomainError(f"cannot refine {self.k} equal blocks into {k_new}")

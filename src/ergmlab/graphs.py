@@ -44,13 +44,18 @@ _PRODUCT_BLOCK_ENTRIES = 2**16
 _TRIANGLE_PRODUCT_MIN_N = 9
 
 
-def _integer(value, what: str) -> int:
-    """value as a Python int through operator.index, which takes Python and
-    numpy integers and refuses a float or a string (DomainError naming what)."""
+def _integer(value, what: str, least: int | None = None, who: str | None = None) -> int:
+    """value as a Python int through operator.index, the one conversion of a
+    public count, index or seed: a float or a string raises DomainError
+    "<what> must be an integer, got <value>", and with least a smaller value
+    "<who> needs <what> >= <least>, got <value>"."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise DomainError(f"{who} needs {what} >= {least}, got {value}")
+    return value
 
 
 def _check_vertex_count(n: int) -> int:
@@ -83,7 +88,7 @@ class Graph:
         else:
             if len(rows) != n:
                 raise FormatError("adjacency row count does not match n")
-            rows = tuple(int(r) for r in rows)
+            rows = tuple(_integer(r, "adjacency row") for r in rows)
             full = (1 << n) - 1
             for i, r in enumerate(rows):
                 if r & ~full:
@@ -125,7 +130,7 @@ class Graph:
         n = _check_vertex_count(n)
         bits = np.zeros((n, n), dtype=np.uint8)
         for i, j in edges:
-            i, j = operator.index(i), operator.index(j)
+            i, j = _integer(i, "vertex"), _integer(j, "vertex")
             if i == j:
                 raise FormatError(f"self-loop ({i}, {j}) not allowed")
             if not (0 <= i < n and 0 <= j < n):
@@ -135,16 +140,18 @@ class Graph:
 
     @classmethod
     def erdos_renyi(cls, n: int, p: float, rng) -> "Graph":
-        """Each of the C(n,2) edges present independently with probability p,
-        one uniform per pair in pair order."""
+        """Each of the C(n,2) edges present independently with probability p
+        in [0, 1], one uniform per pair in pair order."""
         n = _check_vertex_count(n)
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"erdos_renyi needs p in [0, 1], got {p}")
         return _indicator_graph(n, rng.random(math.comb(n, 2)) < p)
 
     # -- basics -----------------------------------------------------------
 
     def _vertices(self, i, j) -> tuple[int, int]:
         """i and j as Python ints, after refusing one outside [0, n) (DomainError)."""
-        i, j = operator.index(i), operator.index(j)
+        i, j = _integer(i, "vertex"), _integer(j, "vertex")
         for v in (i, j):
             if not 0 <= v < self.n:
                 raise DomainError(f"vertex {v} out of range for n = {self.n}")
@@ -220,7 +227,8 @@ class Motif:
     __slots__ = ("vertex_count", "edges", "name", "_chromatic")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]], name: str | None = None):
-        edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        vertex_count = _integer(vertex_count, "motif vertex count")
+        edges = tuple(sorted(tuple(sorted(_integer(v, "motif vertex") for v in e)) for e in edges))
         if vertex_count < 1:
             raise DomainError("motif needs at least one vertex")
         if not edges:
@@ -262,20 +270,17 @@ class Motif:
     @classmethod
     def star(cls, j: int) -> "Motif":
         """j-star: one root joined to j leaves (j >= 1; star:1 is the edge)."""
-        if j < 1:
-            raise DomainError("star:j needs j >= 1")
+        j = _integer(j, "j", 1, "star:j")
         return cls(j + 1, [(0, i) for i in range(1, j + 1)], name=f"star:{j}")
 
     @classmethod
     def cycle(cls, j: int) -> "Motif":
-        if j < 3:
-            raise DomainError("cycle:j needs j >= 3")
+        j = _integer(j, "j", 3, "cycle:j")
         return cls(j, [(i, (i + 1) % j) for i in range(j)], name=f"cycle:{j}")
 
     @classmethod
     def complete(cls, r: int) -> "Motif":
-        if r < 2:
-            raise DomainError("complete:r needs r >= 2")
+        r = _integer(r, "r", 2, "complete:r")
         return cls(r, list(itertools.combinations(range(r), 2)), name=f"complete:{r}")
 
     @classmethod

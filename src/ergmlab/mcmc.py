@@ -62,10 +62,11 @@ _ON_PROBABILITY_TABLE_CAP = 4096
 class ChainConfig:
     """Where and how a single chain runs.
 
-    start is "empty", "complete", or a Graph; steps may be None for
-    estimator use, where the run length is derived from the sample request
-    (10% burn-in plus thinning times the sample count). er_beta selects the
-    single-parameter add/delete Metropolis chain for trace runs.
+    start is "empty", "complete", or a Graph. steps and one of er_beta (the
+    add/delete Metropolis chain) or model (Glauber) set up a trace run. The
+    estimators derive the law and the run length from their own arguments
+    (10% burn-in plus thinning times the sample count) and refuse a config
+    with steps, er_beta or model set.
     """
 
     n: int
@@ -452,18 +453,13 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
     floats: a product beyond double range is a signed inf, and inf - inf
     a nan, with no numpy warning.
     """
-    if config.steps is None or (steps := _integer(config.steps, "steps")) < 0:
-        raise DomainError("run_chain needs steps >= 0")
-    record_every = _integer(record_every, "record_every")
-    if record_every < 1:
-        raise DomainError("record_every must be >= 1")
+    steps = _integer(config.steps, "steps", 0, "run_chain")
+    record_every = _integer(record_every, "record_every", 1, "run_chain")
     if (config.er_beta is None) == (config.model is None):
         raise DomainError("set exactly one of er_beta (Metropolis) or model (Glauber)")
     state = _ChainState(config.start_graph())
     if config.er_beta is not None:
-        if config.er_beta < 0.0:
-            raise DomainError("er chains require beta >= 0; apply the complement transformation")
-        _check_finite(config.er_beta)
+        _er_beta(config.er_beta)
     terms = _model_terms(config.model) if config.model is not None else []
     ends, dens = _drive(state, terms, config.er_beta, config.seed, steps, 0, record_every,
                         [t for _, t in terms], record_start=True)
@@ -506,11 +502,10 @@ def sample_motif_densities(
     the density of each motif with neither rule nor held count (_drive);
     the (n_samples, k) array is built from them once, after the chain.
     """
-    n_samples, thinning = _integer(n_samples, "n_samples"), _integer(thinning, "thinning")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    if thinning < 1:
-        raise DomainError("thinning must be >= 1")
+    n_samples = _integer(n_samples, "n_samples", 1, "sample_motif_densities")
+    thinning = _integer(thinning, "thinning", 1, "sample_motif_densities")
+    if any(v is not None for v in (chain.steps, chain.er_beta, chain.model)):
+        raise DomainError("estimators need a chain with steps, er_beta and model unset")
     state = _ChainState(chain.start_graph())
     er_beta = _auto_is_er(law)
     span = n_samples * thinning
@@ -520,6 +515,23 @@ def sample_motif_densities(
 
 
 # -- exact spectral theory of the independent-edge chain ---------------------------
+
+
+def _er_beta(beta: float) -> None:
+    """Refuse a non-finite beta (_check_finite), then a negative one: the
+    add/delete chain's rule. For negative beta, run it on the complement at -beta."""
+    _check_finite(beta)
+    if beta < 0.0:
+        raise DomainError(f"er chains need beta >= 0, got {beta}; apply the complement transformation")
+
+
+def _bit_vector(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of Python ints, after refusing an entry that is not
+    the integer 0 or 1 (_integer, DomainError), rather than truncating it."""
+    bits = tuple(_integer(b, f"{what} entry") for b in values)
+    if any(b not in (0, 1) for b in bits):
+        raise DomainError(f"{what} must be a 0/1 vector")
+    return bits
 
 
 @dataclass
@@ -535,6 +547,7 @@ class SpectralComponent:
         """Eigenfunction value at the edge-indicator vector x."""
         if len(x) != len(self.xi):
             raise DomainError("edge-indicator length does not match xi")
+        x = _bit_vector(x, "x")
         dot = sum(a & b for a, b in zip(self.xi, x))
         power = 0.5 * self.beta * (self.weight - 2 * dot)
         try:
@@ -549,27 +562,20 @@ def er_eigen(xi, beta: float, m: int) -> SpectralComponent:
     The chain is a product of m two-state chains; the eigenvalue depends on
     xi only through its weight: 1 - |xi| (1 + e^{-beta})/m.
     """
-    _check_finite(beta)
-    if beta < 0.0:
-        raise DomainError("er chains require beta >= 0")
-    if m < 1:
-        raise DomainError(f"the add/delete chain needs m >= 1 pairs, got {m}")
-    xi = tuple(int(b) for b in xi)
+    _er_beta(beta)
+    m = _integer(m, "m", 1, "the add/delete chain")
+    xi = _bit_vector(xi, "xi")
     if len(xi) != m:
         raise DomainError(f"xi has length {len(xi)}, expected m = {m}")
-    if any(b not in (0, 1) for b in xi):
-        raise DomainError("xi must be a 0/1 vector")
     weight = sum(xi)
     eigenvalue = 1.0 - weight * (1.0 + math.exp(-beta)) / m
     return SpectralComponent(xi, eigenvalue, weight, beta)
 
 
 def _checked_pairs(n: int, least: int, limit: int, what: str) -> int:
-    """C(n, 2), after checking n >= least and C(n, 2) <= limit; `what` names
-    the table over all 2^C(n, 2) graphs that the caller builds."""
-    if n < least:
-        raise DomainError(f"{what} needs n >= {least}, got {n}")
-    m = math.comb(n, 2)
+    """C(n, 2), after checking n, an integer >= least (_integer), and C(n, 2) <= limit;
+    `what` names the table over all 2^C(n, 2) graphs that the caller builds."""
+    m = math.comb(_integer(n, "n", least, what), 2)
     if m > limit:
         raise InstanceTooLargeError(f"instance too large: {what} needs m <= {limit}, got {m}")
     return m
@@ -595,9 +601,7 @@ def _flip_matrix(p_on: np.ndarray, p_off: np.ndarray) -> np.ndarray:
 def er_transition_matrix(beta: float, n: int) -> np.ndarray:
     """Dense transition matrix of the add/delete chain on all 2^m graphs."""
     m = _checked_pairs(n, 2, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
-    if beta < 0.0:
-        raise DomainError("er chains require beta >= 0")
-    _check_finite(beta)
+    _er_beta(beta)
     bits = _mask_bits(m)
     del_p = math.exp(-beta)
     # an absent pair is always added; a present one is deleted with e^-beta
@@ -715,12 +719,10 @@ def chi_square_distance(
     """
     if start not in ("empty", "complete"):
         raise DomainError("start must be 'empty' or 'complete'")
-    if beta < 0.0:
-        raise DomainError("chi_square_distance requires beta >= 0")
-    _check_finite(beta)
+    _er_beta(beta)
     if not 0.0 <= ell < math.inf:
         raise DomainError(f"chi_square_distance needs a finite step count ell >= 0, got {ell}")
-    if n < 2 or n > CHI_SQUARE_MAX_VERTICES:
+    if not 2 <= (n := _integer(n, "n")) <= CHI_SQUARE_MAX_VERTICES:
         raise InstanceTooLargeError(
             f"instance too large: chi_square_distance supports 2 <= n <= {CHI_SQUARE_MAX_VERTICES}"
         )
@@ -761,8 +763,7 @@ def chi_square_distance(
 
 def mixing_cutoff(n: int, beta: float, c: float) -> float:
     """Step count m(log m + c)/(2(1 + e^{-beta})) around which convergence happens."""
-    if n < 2:
-        raise DomainError(f"mixing_cutoff needs n >= 2, got {n}")
+    n = _integer(n, "n", 2, "mixing_cutoff")
     _check_finite(beta)
     if not math.isfinite(c):
         raise DomainError(f"the cutoff offset c must be finite, got {c}")
@@ -777,8 +778,7 @@ def mixing_cutoff(n: int, beta: float, c: float) -> float:
 
 def er_log_partition(beta: float, n: int) -> float:
     """log of the independent-edge normalizing constant, m log(1 + e^beta)."""
-    if n < 2:
-        raise DomainError("er_log_partition needs n >= 2")
+    n = _integer(n, "n", 2, "er_log_partition")
     _check_finite(beta)
     return math.comb(n, 2) * float(np.logaddexp(0.0, beta))
 
@@ -893,11 +893,8 @@ def estimate_importance(
     where its uniform is below proposal_p, compared on the raw 64-bit words
     (_edge_bits).
     """
-    if n < 2:
-        raise DomainError(f"importance sampling needs n >= 2, got {n}")
-    n_samples = _integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    n = _integer(n, "n", 2, "importance sampling")
+    n_samples = _integer(n_samples, "n_samples", 1, "importance sampling")
     if proposal_p is None:
         proposal_p = max(maximize_scalar(model).maximizers)
     if not 0.0 < proposal_p < 1.0:
@@ -987,10 +984,8 @@ def estimate_acceptance_ratio(
     """
     if alpha_kind not in ("constant", "geometric-mean"):
         raise DomainError("alpha_kind must be 'constant' or 'geometric-mean'")
-    n_samples_ref = _integer(n_samples_ref, "n_samples_ref")
-    n_samples_target = _integer(n_samples_target, "n_samples_target")
-    if min(n_samples_ref, n_samples_target) < 1:
-        raise DomainError("n_samples_ref and n_samples_target must be >= 1")
+    n_samples_ref = _integer(n_samples_ref, "n_samples_ref", 1, "estimate_acceptance_ratio")
+    n_samples_target = _integer(n_samples_target, "n_samples_target", 1, "estimate_acceptance_ratio")
     _require_same_motifs(model, model0)
     betas, betas0 = np.array(model.betas), np.array(model0.betas)
     alpha = betas + betas0 if alpha_kind == "geometric-mean" else None
@@ -1057,6 +1052,7 @@ def fourier_coeff_exp_edges(
     and one beyond it raises OverflowGuardError.
     """
     _check_finite([a, beta])
+    j, m = _integer(j, "j"), _integer(m, "m")
     if not 0 <= j <= m:
         raise DomainError("need 0 <= j <= m")
     # logaddexp of arguments beyond double range apart is the larger one
@@ -1102,11 +1098,9 @@ def variance_mcmc_mean(coefficients, eigenvalues, n_samples: int) -> VarianceRes
     eigs = np.asarray(eigenvalues, dtype=float)
     if coeffs.shape != eigs.shape:
         raise DomainError("coefficient and eigenvalue lists must align")
-    if n_samples < 1:
-        raise DomainError("need n_samples >= 1")
+    nn = _integer(n_samples, "n_samples", 1, "variance_mcmc_mean")
     if np.any(eigs >= 1.0):
         raise DomainError("eigenvalue 1 among nonconstant components: chain not ergodic")
-    nn = n_samples
     w = (nn - 2.0 * eigs - nn * eigs**2 + 2.0 * eigs ** (nn + 1)) / (1.0 - eigs) ** 2
     exact = float(np.sum(coeffs**2 * w)) / nn**2
     asymptotic = float(np.sum(coeffs**2 * (1.0 + eigs) / (1.0 - eigs)))
@@ -1149,8 +1143,7 @@ def er_mcmle_variance_constants(
     finite pair never overflows: the logs stay finite, and a field beyond
     double range reads inf.
     """
-    if n < 2:
-        raise DomainError(f"er_mcmle_variance_constants needs n >= 2, got {n}")
+    n = _integer(n, "n", 2, "er_mcmle_variance_constants")
     _check_finite([beta_target, beta_chain])
     m = math.comb(n, 2)
     # log F = log(1 + r^2) with r = (1 - e^a) / (1 + e^{beta_target})

@@ -30,7 +30,7 @@ from .graphons import (
     rate_entropy,
 )
 from .graphs import (DELTA_VERTEX_GUARD, DENSITY_VERTEX_GUARD, Graph, Motif, _Contraction,
-                     _data_lines, _fields, _rng_from_seed, hom_density_graph)
+                     _data_lines, _fields, _integer, _rng_from_seed, hom_density_graph)
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # variational.hom_density_graph_fast, so the name stays importable from this module
@@ -522,8 +522,7 @@ def phase_scan(
     critical point, where a steep branch moves far without a jump, no jump
     is reported.
     """
-    if steps < 2:
-        raise DomainError("phase_scan needs at least 2 steps")
+    steps = _integer(steps, "steps", 2, "phase_scan")
     grid = np.linspace(beta2_lo, beta2_hi, steps)
     points = []
     for b2, rep in zip(grid.tolist(), _edge_triangle_stack(np.full(steps, beta1), grid)):
@@ -711,6 +710,7 @@ def euler_lagrange_solve(
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
+    max_iter = _integer(max_iter, "max_iter", 0, "euler_lagrange_solve")
     op = _KernelOperator(model, init.weights)
     keep = 1.0 - damping
     values = init.values
@@ -833,10 +833,9 @@ def graphon_search(
     from a single one. The best restart is the first with the largest
     objective; psi and the residual are evaluated on its kernel alone.
     """
-    if k < 1:
-        raise DomainError(f"graphon_search needs k >= 1, got {k}")
-    if restarts < 1:
-        raise DomainError(f"graphon_search needs restarts >= 1, got {restarts}")
+    k = _integer(k, "k", 1, "graphon_search")
+    restarts = _integer(restarts, "restarts", 1, "graphon_search")
+    max_iter = _integer(max_iter, "max_iter", 0, "graphon_search")
     rng = _rng_from_seed(seed)
     w = np.full(k, 1.0 / k)
     cell = np.outer(w, w) * (2.0 - np.eye(k))

@@ -408,6 +408,15 @@ def test_block_count_guards():
     for k in (0, -3):
         with pytest.raises(DomainError, match="at least one block"):
             StepGraphon.constant(0.5).refine_equal(k)
+    # a float block count once raised a raw TypeError; a numpy integer
+    # gives the Python int's graphon
+    with pytest.raises(DomainError, match="k must be an integer, got 2.0"):
+        StepGraphon.random(2.0, rng())
+    with pytest.raises(DomainError, match="k_new must be an integer, got 2.0"):
+        StepGraphon.constant(0.5).refine_equal(2.0)
+    h = StepGraphon.random(np.int64(2), rng(4))
+    assert h.to_text() == StepGraphon.random(2, rng(4)).to_text()
+    assert h.refine_equal(np.int64(4)).to_text() == h.refine_equal(4).to_text()
     half = np.full((2, 2), 0.5)
     # two partitions of 2100 random cuts merge to more than 4096 blocks
     r = rng(3)

@@ -531,7 +531,7 @@ def test_numpy_vertex_indices_act_as_python_ints():
         assert g.has_edge(ni, nj) == g.has_edge(i, j) == bool(a[min(i, j), max(i, j)])
         assert g.with_edge_toggled(ni, nj) == g.with_edge_toggled(i, j)
     for call in (lambda: g.has_edge(1.0, 2), lambda: g.with_edge_toggled(1, 2.0), lambda: Graph.from_edges(n, [(1.0, 2)])):
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError, match="vertex must be an integer"):
             call()
 
 
@@ -564,6 +564,10 @@ def test_builders_refuse_a_bad_vertex_count_before_drawing(n):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+    # a p outside [0, 1] once built the empty graph (nan, -0.2) or the complete one (1.5)
+    for p in (float("nan"), -0.2, 1.5):
+        with pytest.raises(DomainError, match=r"erdos_renyi needs p in \[0, 1\]"):
+            Graph.erdos_renyi(5, p, r)
     assert r.random() == rng(1).random()  # nothing drawn
 
 
@@ -577,6 +581,24 @@ def test_builders_take_integer_vertex_counts_only():
                 build(n)
         g = build(np.int64(10))
         assert g == build(10) and type(g.n) is int
+    # a float motif size, caller row or vertex index once built a motif,
+    # raised a raw TypeError or was truncated (Graph(2, [2.5, 1.9]) read
+    # rows 2 and 1, an edge)
+    for match, call in [
+        ("motif vertex count must be an integer, got 3.0", lambda: Motif(3.0, [(0, 1)])),
+        ("motif vertex must be an integer, got 1.0", lambda: Motif(3, [(0, 1.0)])),
+        ("j must be an integer, got 2.0", lambda: Motif.star(2.0)),
+        ("j must be an integer, got 4.0", lambda: Motif.cycle(4.0)),
+        ("r must be an integer, got 3.0", lambda: Motif.complete(3.0)),
+        ("adjacency row must be an integer, got 2.5", lambda: Graph(2, [2.5, 1.9])),
+        ("vertex must be an integer, got 1.5", lambda: Graph.complete(4).has_edge(1.5, 2)),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            call()
+    for build in (lambda k: Motif(k, [(0, 1)]), Motif.star, Motif.cycle, Motif.complete):
+        h = build(np.int64(4))
+        assert h == build(4) and repr(h) == repr(build(4)) and type(h.vertex_count) is int
+    assert Graph(3, np.array([2, 1, 0])).rows == (2, 1, 0)
 
 
 def test_built_graphs_skip_the_caller_check():

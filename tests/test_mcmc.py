@@ -457,6 +457,19 @@ def test_size_guards_raise_before_any_draw():
         (OverflowGuardError, "exceeds double range", lambda: fourier_coeff_exp_edges(800.0, 0.5, 1, 3)),
         (DomainError, "must align", lambda: variance_mcmc_mean([0.1, 0.2], [0.5], 10)),
         (DomainError, "n_samples >= 1", lambda: variance_mcmc_mean([0.1], [0.5], 0)),
+        # one beta rule for the add/delete chain, finite then >= 0: -inf once
+        # read "beta >= 0" in the chain and the matrix, "finite" elsewhere
+        (DomainError, "finite", lambda: run_chain(ChainConfig(6, steps=200, seed=1, er_beta=-math.inf))),
+        (DomainError, "finite", lambda: er_transition_matrix(-math.inf, 3)),
+        (DomainError, "finite", lambda: chi_square_distance("empty", -math.inf, 10, 5)),
+        (DomainError, "beta >= 0", lambda: run_chain(ChainConfig(6, steps=200, seed=1, er_beta=-0.5))),
+        # the estimators once ignored a config's steps, er_beta and model
+        (DomainError, "a chain with steps, er_beta and model unset",
+         lambda: sample_motif_densities(model, [Motif.edge()], 10, ChainConfig(4, steps=50, seed=0))),
+        (DomainError, "a chain with steps, er_beta and model unset",
+         lambda: estimate_mcmle(model, model, 10, ChainConfig(4, seed=0, er_beta=0.5))),
+        (DomainError, "a chain with steps, er_beta and model unset",
+         lambda: estimate_acceptance_ratio(model, model, "constant", 10, 10, ChainConfig(4, seed=0, model=model))),
     ]:
         # every guard raises without a numpy RuntimeWarning first
         with pytest.raises(error, match=match), warnings.catch_warnings():
@@ -510,9 +523,43 @@ def test_counts_are_integers():
          lambda: estimate_acceptance_ratio(model, model, "constant", 10, 10, chain, 1.5)),
         ("n_samples must be an integer, got 10.0", lambda: estimate_importance(model, 6, 10.0, 1)),
         ("vertex count must be an integer, got 6.0", lambda: run_chain(ChainConfig(6.0, steps=10, model=model))),
+        # each of these raised a raw TypeError or returned a value
+        ("n must be an integer, got 30.0", lambda: estimate_importance(model, 30.0, 10, 1)),
+        ("n must be an integer, got 4.0", lambda: enumerate_psi_n(model, 4.0)),
+        ("n must be an integer, got 3.0", lambda: er_stationary(0.5, 3.0)),
+        ("n must be an integer, got 30.0", lambda: mixing_cutoff(30.0, 0.5, 1.0)),
+        ("n must be an integer, got 30.0", lambda: er_log_partition(0.5, 30.0)),
+        ("n must be an integer, got 30.0", lambda: chi_square_distance("empty", 0.5, 30.0, 10)),
+        ("n must be an integer, got 30.0", lambda: er_mcmle_variance_constants(0.5, 0.4, 30.0)),
+        ("m must be an integer, got 3.0", lambda: er_eigen((1, 0, 0), 0.5, 3.0)),
+        ("j must be an integer, got 1.0", lambda: fourier_coeff_exp_edges(0.1, 0.5, 1.0, 3)),
+        ("m must be an integer, got 3.0", lambda: fourier_coeff_exp_edges(0.1, 0.5, 1, 3.0)),
+        ("n_samples must be an integer, got 10.5", lambda: variance_mcmc_mean([1.0], [0.5], 10.5)),
+        ("x entry must be an integer, got 1.0", lambda: er_eigen((1, 0, 0), 0.5, 3).evaluate((1.0, 0, 0))),
+        # these truncated: xi read 0.7 as 0, and evaluate read 2 as its low bit 0
+        ("xi entry must be an integer, got 0.7", lambda: er_eigen((0.7, 1, 0), 0.5, 3)),
+        ("x must be a 0/1 vector", lambda: er_eigen((1, 0, 0), 0.5, 3).evaluate((2, 0, 0))),
     ]:
         with pytest.raises(DomainError, match=match):
             call()
+    # numpy integers give what Python ints give at each of these sites
+    comp = er_eigen((1, 0, 1), 0.5, 3)
+    for call, args in [
+        (lambda n, k, seed: estimate_importance(model, n, k, seed), (6, 100, 2)),
+        (lambda n: enumerate_psi_n(model, n), (4,)),
+        (lambda n: er_stationary(0.5, n), (3,)),
+        (lambda n: mixing_cutoff(n, 0.5, 1.0), (30,)),
+        (lambda n: er_log_partition(0.5, n), (30,)),
+        (lambda n: chi_square_distance("empty", 0.5, n, 10), (30,)),
+        (lambda n: er_mcmle_variance_constants(0.5, 0.4, n), (30,)),
+        (lambda m: er_eigen((1, 0, 1), 0.5, m), (3,)),
+        (lambda *xi: er_eigen(xi, 0.5, 3), (1, 0, 1)),
+        (lambda *x: comp.evaluate(x), (0, 1, 1)),
+        (lambda j, m: fourier_coeff_exp_edges(0.1, 0.5, j, m), (1, 3)),
+        (lambda k: variance_mcmc_mean([1.0], [0.5], k), (10,)),
+    ]:
+        want, got = call(*args), call(*map(np.int64, args))
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
     trace, _ = run_chain(ChainConfig(6, steps=True, seed=1, model=model))
     assert [type(r.step) for r in trace] == [int, int] and trace[-1].step == 1
     # numpy integers give what Python ints give

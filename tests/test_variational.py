@@ -267,6 +267,10 @@ def test_scan_and_surface_memory_stay_bounded():
 def test_phase_scan_validates_steps():
     with pytest.raises(DomainError):
         phase_scan(0.0, 0.0, 1.0, 1)
+    # a float step count once raised a raw TypeError from numpy's linspace
+    with pytest.raises(DomainError, match="steps must be an integer, got 200.0"):
+        phase_scan(-0.45, 0.0, 2.0, 200.0)
+    assert phase_scan(-0.45, 0.0, 2.0, np.int64(20)) == phase_scan(-0.45, 0.0, 2.0, 20)
 
 
 # -- fixed-point solver ----------------------------------------------------------------
@@ -305,6 +309,15 @@ def test_fixed_point_nonconvergence_error_carries_iterate():
         euler_lagrange_solve(model, init, damping=0.5, max_iter=2)
     assert err.value.last_iterate is not None
     assert err.value.residual > 0
+    # a float iteration count once raised a raw TypeError from range(); a
+    # numpy integer stops where the Python int does
+    with pytest.raises(DomainError, match="max_iter must be an integer, got 10.0"):
+        euler_lagrange_solve(model, init, max_iter=10.0)
+    with pytest.raises(DomainError, match="euler_lagrange_solve needs max_iter >= 0, got -1"):
+        euler_lagrange_solve(model, init, max_iter=-1)
+    with pytest.raises(ConvergenceError) as numpy_err:
+        euler_lagrange_solve(model, init, damping=0.5, max_iter=np.int64(2))
+    assert numpy_err.value.residual == err.value.residual
 
 
 def test_fixed_point_rejects_bad_damping():
@@ -570,6 +583,10 @@ def test_graphon_search_takes_integer_seeds_only():
     got = graphon_search(model, k=2, restarts=2, max_iter=20, seed=np.int64(0))
     assert got.psi == want.psi
     assert got.maximizers[0].values.tobytes() == want.maximizers[0].values.tobytes()
+    # numpy integer counts give the Python ints' search too
+    got = graphon_search(model, k=np.int64(2), restarts=np.int64(2), max_iter=np.int64(20), seed=0)
+    assert got.psi == want.psi
+    assert got.maximizers[0].values.tobytes() == want.maximizers[0].values.tobytes()
 
 
 # graphon_search results recorded with the contraction that searched an
@@ -661,6 +678,12 @@ def test_lockstep_search_matches_the_sequential_search():
     ({"k": -1}, "k >= 1"),
     ({"restarts": 0}, "restarts >= 1"),
     ({"restarts": -1}, "restarts >= 1"),
+    # a float count once raised a raw TypeError, and a negative max_iter
+    # ran no step
+    ({"k": 2.0}, "k must be an integer, got 2.0"),
+    ({"restarts": 2.0}, "restarts must be an integer, got 2.0"),
+    ({"max_iter": 2.0}, "max_iter must be an integer, got 2.0"),
+    ({"max_iter": -1}, "graphon_search needs max_iter >= 0, got -1"),
 ])
 def test_graphon_search_rejects_an_empty_search(kwargs, match):
     with pytest.raises(DomainError, match=match):
