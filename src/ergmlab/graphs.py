@@ -679,18 +679,19 @@ class _Term:
     that part, which count_homomorphisms alone scales by n per isolated
     vertex; delta(g, i, j) its exact change when edge ij goes from absent to
     present; batch(bits, n) the counts of the rows of an edge-indicator
-    matrix (columns: vertex pairs in lexicographic order). g is a Graph or
-    the chain state: anything with n, bitmask rows, edge_count() and
-    triangle_count(). A term holds no coefficient: a model weighs every term
-    as coefficient times density, count / n^v with v the vertices of the
-    term's motif, and the chain's log-odds read delta (mcmc._log_odds).
-    The edge and the triangle state their change rule, which their own
-    count, delta and batch read and mcmc reads in place of delta and batch:
-    per_edge, the delta at every pair, and per_common, the delta per common
-    neighbour of the pair; both are None on a term without such a rule.
+    matrix (columns: vertex pairs in lexicographic order). g is anything
+    with n and bitmask rows (a Graph or the chain state), and a term reads
+    nothing else of it. A term holds no coefficient: a model weighs every
+    term as coefficient times density, count / n^v with v the vertices of
+    the term's motif, and the chain's log-odds read delta (mcmc._log_odds).
+    The edge and the triangle state their change rule, which their batch
+    reads and mcmc reads in place of delta and batch: per_edge, the delta
+    at every pair, and per_common, the delta per common neighbour of the
+    pair; both are None on a term without such a rule.
 
-    Edges, stars, triangles, cycles and cliques have closed-form integer
-    counts and deltas in their subclasses, with no size guard. The general
+    Stars (the edge is the 1-star), cycles (the triangle is the 3-cycle)
+    and cliques have closed-form integer counts and deltas in their
+    subclasses, with no size guard. The general
     count, delta and batch here serve the edge-list motifs of no such shape.
     The count contracts the motif over the graph's 0/1 adjacency with unit
     block weights (_Contraction), and the batch over the rows' stacked ones
@@ -744,20 +745,10 @@ class _Term:
         ]
 
 
-class _EdgeTerm(_Term):
-    per_edge = 2  # each edge maps the motif's edge in both directions
-
-    def count(self, g) -> int:
-        return self.per_edge * g.edge_count()
-
-    def delta(self, g, i: int, j: int) -> int:
-        return self.per_edge
-
-    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        return self.per_edge * bits.sum(axis=1)
-
-
 class _StarTerm(_Term):
+    """hom(K_1,s, G) = sum_v d_v^s, the degree powers; delta adds the two
+    rises (d + 1)^s - d^s of i and j, their degrees taken in G - ij."""
+
     def count(self, g) -> int:
         return sum(r.bit_count() ** self.arg for r in g.rows)
 
@@ -783,6 +774,15 @@ class _StarTerm(_Term):
                 deg = _python_ints(deg)
             cnt[lo : lo + step] = (deg**self.arg).sum(axis=1)
         return cnt
+
+
+class _EdgeTerm(_StarTerm):
+    """The 1-star: _StarTerm's degree sum 2E, with delta 2 at every pair."""
+
+    per_edge = 2  # each edge maps the motif's edge in both directions
+
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        return self.per_edge * bits.sum(axis=1)
 
 
 def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
@@ -826,20 +826,6 @@ def _triangles_by_product(bits: np.ndarray, n: int) -> np.ndarray:
     for lo, a in _adjacency_stacks(bits, n, _exact_width(math.comb(n, 3)), upper=True):
         cnt[lo : lo + len(a)] = np.einsum("kij,kij->k", a @ a, a)
     return cnt
-
-
-class _TriangleTerm(_Term):
-    per_common = 6  # each triangle, and each one ij closes, maps the motif in 3! ways
-
-    def count(self, g) -> int:
-        return self.per_common * g.triangle_count()
-
-    def delta(self, g, i: int, j: int) -> int:
-        return self.per_common * (g.rows[i] & g.rows[j]).bit_count()
-
-    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        by = _triangles_by_product if n >= _TRIANGLE_PRODUCT_MIN_N else _triangles_by_gather
-        return self.per_common * by(bits, n)
 
 
 class _CycleTerm(_Term):
@@ -887,6 +873,21 @@ class _CycleTerm(_Term):
             w3 += (ri & rows[y]).bit_count()
             rj ^= 1 << y
         return 8 * w3 + 4 * (di + dj) + 2
+
+
+class _TriangleTerm(_CycleTerm):
+    """The 3-cycle: count is _CycleTerm's closed walks tr(A^3) = 6T, the
+    kernel Graph.triangle_count divides by 6; delta and batch read the
+    triangles directly."""
+
+    per_common = 6  # each triangle, and each one ij closes, maps the motif in 3! ways
+
+    def delta(self, g, i: int, j: int) -> int:
+        return self.per_common * (g.rows[i] & g.rows[j]).bit_count()
+
+    def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
+        by = _triangles_by_product if n >= _TRIANGLE_PRODUCT_MIN_N else _triangles_by_gather
+        return self.per_common * by(bits, n)
 
 
 def _closed_walks(a: np.ndarray, k: int):
@@ -1062,13 +1063,14 @@ def _cliques(rows, cand: int, s: int) -> int:
     return total
 
 
+# each class with its size for the two shapes classify_motif names without one
 _TERM_CLASSES = {
-    "edge": _EdgeTerm,
-    "star": _StarTerm,
-    "triangle": _TriangleTerm,
-    "cycle": _CycleTerm,
-    "complete": _CompleteTerm,
-    "general": _Term,
+    "edge": (_EdgeTerm, 1),
+    "star": (_StarTerm,),
+    "triangle": (_TriangleTerm, 3),
+    "cycle": (_CycleTerm,),
+    "complete": (_CompleteTerm,),
+    "general": (_Term,),
 }
 
 
@@ -1077,7 +1079,8 @@ def _term(h: Motif) -> _Term:
     """The term object of the motif's shape (see classify_motif), one per
     motif: equal motifs share it, and with it the active part it decides."""
     kind = classify_motif(h)
-    return _TERM_CLASSES[kind[0]](h, *kind[1:])
+    cls, *size = _TERM_CLASSES[kind[0]]
+    return cls(h, *size, *kind[1:])
 
 
 def count_homomorphisms(h: Motif, g: Graph) -> int:

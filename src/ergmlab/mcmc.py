@@ -89,35 +89,20 @@ class ChainConfig:
 
 
 class _ChainState:
-    """Mutable adjacency rows with the edge and triangle counts of a chain.
-
-    The step loops toggle the rows in place and carry the edge and triangle
-    counts in locals; the driver (_drive) writes them back here once, after
-    the chain. held is the exact count of the one weighted term the table
-    loop keeps (_delta_steps), 0 on the other loops; the loop writes it
-    here at the end of each draw chunk and before a record reads it.
-
-    Reads like a Graph to the motif terms: n, rows, edge_count() and
-    triangle_count(), the last two as of the start or the end of a chain.
+    """The mutable adjacency rows of a chain, which its step loop toggles in
+    place, and held, the exact count of the one weighted term the table loop
+    keeps (_delta_steps), 0 on the other loops; that loop writes it here at
+    the end of each draw chunk and before a record reads it. The edge and
+    triangle counts live in the loop's locals (_drive). A term reads this
+    state as it reads a Graph: n and bitmask rows (graphs._Term).
     """
 
-    __slots__ = ("n", "rows", "edges", "triangles", "held")
+    __slots__ = ("n", "rows", "held")
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.rows = list(g.rows)
-        self.edges = g.edge_count()
-        self.triangles = g.triangle_count()
         self.held = 0
-
-    def edge_count(self) -> int:
-        return self.edges
-
-    def triangle_count(self) -> int:
-        return self.triangles
-
-    def graph(self) -> Graph:
-        return Graph._from_rows(self.n, self.rows)
 
 
 def _model_terms(model: ModelSpec):
@@ -174,10 +159,11 @@ def _on_probability(expo: float, neg_unit: float) -> float:
     return 1.0 / (1.0 + _exp_or_inf(expo * neg_unit))
 
 
-def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int, every: int, recorded,
+def _drive(g: Graph, terms, er_beta, seed: int, total: int, burn: int, every: int, recorded,
            record_start: bool = False):
-    """Run one chain for total steps and record it every `every` steps
-    after step burn, and at the last step; with record_start, the start too.
+    """Run one chain from the graph g for total steps and record it every
+    `every` steps after step burn, and at the last step; with
+    record_start, the start too.
 
     With er_beta set this is the add/delete Metropolis chain for the law
     proportional to e^{er_beta E}; otherwise it is Glauber dynamics for the
@@ -194,16 +180,18 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
     per_edge nor per_common) has its density, count / n^v, appended to one
     flat array("d") (8 bytes a density) by the loop's note call: the term
     the table loop holds reads its count from state.held, and any other is
-    counted there. The driver writes the final counts back to the state
-    once.
+    counted there. The chain state (_ChainState) holds the rows; the edge
+    and triangle counts are read from g once and carried in locals.
 
-    Returns the records after the chain: an (r, 2) int64 array of the edge
-    and triangle counts, and the (r, len(recorded)) float64 densities of the
-    recorded terms (_record_densities). The k-th record after the start
-    (k >= 1) is step burn + k every, capped at total.
+    Returns, after the chain, an (r, 2) int64 array of the edge and
+    triangle counts at the records, the (r, len(recorded)) float64
+    densities of the recorded terms (_record_densities) and the final
+    graph. The k-th record after the start (k >= 1) is step burn + k every,
+    capped at total.
     """
-    if state.n < 2:
-        raise DomainError(f"chains need n >= 2, got {state.n}")
+    if g.n < 2:
+        raise DomainError(f"chains need n >= 2, got {g.n}")
+    state = _ChainState(g)
     rng = _rng_from_seed(seed)
     pair_i, pair_j = _vertex_pairs(state.n)
     run, held = _step_loop(state, terms, er_beta)
@@ -218,7 +206,7 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
             for count, scale in noted:
                 add(count(state) / scale)
 
-    edges, triangles = state.edges, state.triangles
+    edges, triangles = g.edge_count(), g.triangle_count()
     if record_start:
         push(edges)
         push(triangles)
@@ -236,19 +224,19 @@ def _drive(state: _ChainState, terms, er_beta, seed: int, total: int, burn: int,
             flags[-1] = 1
         edges, triangles = run(pair_i[pair_idx].tolist(), pair_j[pair_idx].tolist(), coins, flags, edges,
                                triangles, push, note)
-    state.edges, state.triangles = edges, triangles
     ends = np.frombuffer(counts, dtype=np.int64).reshape(-1, 2)
     densities = np.frombuffer(densities).reshape(len(ends), len(noted))
-    return ends, _record_densities(recorded, state.n, ends, densities)
+    return ends, _record_densities(recorded, state.n, ends, densities), Graph._from_rows(state.n, state.rows)
 
 
 def _step_loop(state: _ChainState, terms, er_beta):
     """The step loop of one chain, chosen once by its step rule, and the term
     whose count it holds (None but on the table path): loop(ends_i, ends_j,
     coins, flags, edges, triangles, push, note) runs the steps of those pair
-    ends and coins on state.rows and returns the new edge and triangle
-    counts; after each step whose flag is 1 it calls push(edges) and
-    push(triangles), then note() when note is not None.
+    ends and coins on state.rows from the edge and triangle counts the
+    driver carries (the state holds none) and returns the new ones; after
+    each step whose flag is 1 it calls push(edges) and push(triangles),
+    then note() when note is not None.
 
     The Glauber log-odds of a step are _log_odds' constant plus its scaled
     deltas, added in model order, and the on-probability is _on_probability
@@ -457,22 +445,22 @@ def run_chain(config: ChainConfig, record_every: int = 100) -> tuple[list[TraceR
     record_every = _integer(record_every, "record_every", 1, "run_chain")
     if (config.er_beta is None) == (config.model is None):
         raise DomainError("set exactly one of er_beta (Metropolis) or model (Glauber)")
-    state = _ChainState(config.start_graph())
+    start = config.start_graph()
     if config.er_beta is not None:
         _er_beta(config.er_beta)
     terms = _model_terms(config.model) if config.model is not None else []
-    ends, dens = _drive(state, terms, config.er_beta, config.seed, steps, 0, record_every,
-                        [t for _, t in terms], record_start=True)
+    ends, dens, final = _drive(start, terms, config.er_beta, config.seed, steps, 0, record_every,
+                               [t for _, t in terms], record_start=True)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.model is None:
-            stat = config.er_beta * ends[:, 0] / state.n**2
+            stat = config.er_beta * ends[:, 0] / start.n**2
         else:
             stat = np.zeros(len(ends))
             for col, (b, _) in enumerate(terms):
                 stat += b * dens[:, col]
     record_steps = [0] + [min(k * record_every, steps) for k in range(1, len(ends))]
     trace = list(map(TraceRecord, record_steps, ends[:, 0].tolist(), ends[:, 1].tolist(), stat.tolist()))
-    return trace, state.graph()
+    return trace, final
 
 
 def _auto_is_er(model: ModelSpec) -> float | None:
@@ -506,12 +494,11 @@ def sample_motif_densities(
     thinning = _integer(thinning, "thinning", 1, "sample_motif_densities")
     if any(v is not None for v in (chain.steps, chain.er_beta, chain.model)):
         raise DomainError("estimators need a chain with steps, er_beta and model unset")
-    state = _ChainState(chain.start_graph())
-    er_beta = _auto_is_er(law)
+    start = chain.start_graph()
     span = n_samples * thinning
     burn = math.ceil(span / 9.0)  # 10% of the total run
     recorded = [_term(m) for m in motifs]
-    return _drive(state, _model_terms(law), er_beta, chain.seed, burn + span, burn, thinning, recorded)[1]
+    return _drive(start, _model_terms(law), _auto_is_er(law), chain.seed, burn + span, burn, thinning, recorded)[1]
 
 
 # -- exact spectral theory of the independent-edge chain ---------------------------
@@ -803,7 +790,10 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     and the chain's records divide: in float64 while n^v < 2^53, where every
     count converts exactly, and as Python ints from there on.
     """
+    n = _integer(n, "n", 1, "batch_motif_densities")
     m = math.comb(n, 2)
+    if np.ndim(bits) != 2:
+        raise DomainError(f"bits must be a 2-D array of edge-indicator rows, got {np.ndim(bits)} dimensions")
     if bits.shape[1] != m:
         raise DomainError(f"bits must have {m} columns for n = {n}")
     out = np.empty((bits.shape[0], len(motifs)))

@@ -27,7 +27,7 @@ from ergmlab.graphs import (
     count_homomorphisms,
     hom_density_graph,
 )
-from ergmlab.mcmc import _ChainState
+from ergmlab.mcmc import ChainConfig, run_chain
 from homomorphism_oracle import search_homomorphisms
 
 
@@ -606,19 +606,21 @@ def test_built_graphs_skip_the_caller_check():
     # with_edge_toggled and a chain's final graph build symmetric rows in
     # range, so none decodes them again for the check Graph(n, rows) makes
     n = 70
-    state = _ChainState(Graph.erdos_renyi(n, 0.3, rng(10)))
+    chain = ChainConfig(n, steps=500, seed=1, start=Graph.erdos_renyi(n, 0.3, rng(10)), er_beta=0.5)
     with mock.patch.object(graphs, "_bit_matrix", wraps=graphs._bit_matrix) as decode:
         built = [
             Graph.from_edges(n, [(0, 1), (65, 3), (69, 68)]),
             Graph.erdos_renyi(n, 0.4, rng(9)),
             Graph.complete(n),
             Graph.complete(n).with_edge_toggled(5, 66),
-            state.graph(),
         ]
         assert decode.call_count == 0
+        # the chain decodes its start once, for the triangle count, and not its final graph
+        built.append(run_chain(chain)[1])
+        assert decode.call_count == 1
         for g in built:
             assert g == Graph(n, g.rows)
-        assert decode.call_count == len(built)  # the caller check decodes each once
+        assert decode.call_count == 1 + len(built)  # the caller check decodes each once
 
 
 def test_toggle_and_immutability():

@@ -539,6 +539,10 @@ def test_counts_are_integers():
         # these truncated: xi read 0.7 as 0, and evaluate read 2 as its low bit 0
         ("xi entry must be an integer, got 0.7", lambda: er_eigen((0.7, 1, 0), 0.5, 3)),
         ("x must be a 0/1 vector", lambda: er_eigen((1, 0, 0), 0.5, 3).evaluate((2, 0, 0))),
+        # these raised a raw TypeError from math.comb and an IndexError
+        ("n must be an integer, got 4.0",
+         lambda: batch_motif_densities([Motif.edge()], 4.0, np.zeros((1, 6), np.int8))),
+        ("bits must be a 2-D array", lambda: batch_motif_densities([Motif.edge()], 4, np.zeros(6, np.int8))),
     ]:
         with pytest.raises(DomainError, match=match):
             call()
@@ -557,6 +561,7 @@ def test_counts_are_integers():
         (lambda *x: comp.evaluate(x), (0, 1, 1)),
         (lambda j, m: fourier_coeff_exp_edges(0.1, 0.5, j, m), (1, 3)),
         (lambda k: variance_mcmc_mean([1.0], [0.5], k), (10,)),
+        (lambda n: batch_motif_densities([Motif.triangle()], n, np.ones((2, 6), np.int8)), (4,)),
     ]:
         want, got = call(*args), call(*map(np.int64, args))
         assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want

@@ -4,13 +4,15 @@ For every builtin motif class and for random small edge-list motifs
 (isolated vertices included), on random graphs and random vertex pairs:
 the term's count is the homomorphism count and its integer delta is the
 exact change of that count when the pair's edge goes from absent to
-present, read from a Graph and from the chain state alike, once scaled by
+present, read from a Graph, from the chain state and from a bare object
+with only n and rows (the term protocol) alike, once scaled by
 n per isolated motif vertex (a term counts its motif's active part); the Glauber
 log-odds built from it is n^2 times the change of the density. The public
 count and density, which read the term, agree with the search too.
 """
 
 import itertools
+import types
 from unittest import mock
 
 import numpy as np
@@ -82,7 +84,7 @@ def test_term_count_and_delta_match_brute_force(h, case):
     iso = g.n ** (h.vertex_count - term.motif.vertex_count)
     assert count_homomorphisms(h, g) == count
     assert hom_density_graph(h, g) == count / g.n**h.vertex_count
-    for view in (g, _ChainState(g)):
+    for view in (g, _ChainState(g), types.SimpleNamespace(n=g.n, rows=g.rows)):
         assert term.delta(view, i, j) * iso == change
         assert term.count(view) * iso == count
         _, constant, weighted = _log_odds([(0.7, term)], g.n)
