@@ -243,6 +243,10 @@ def _cmd_spectral_check(args, out):
 
 def _cmd_euler_lagrange(args, out):
     model = _load_model(args)
+    if args.blocks >= 1:  # a smaller count reaches StepGraphon's own check
+        # the solver's guards before the k x k init is built, on a view of
+        # the equal weights: nothing of size k is allocated before them
+        variational._KernelOperator(model, np.broadcast_to(1.0 / args.blocks, args.blocks))
     if args.init == "random":
         init = StepGraphon.random(args.blocks, _rng_from_seed(args.seed))
     else:

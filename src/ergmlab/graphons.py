@@ -233,6 +233,13 @@ def delta_h(h: Motif, g: StepGraphon) -> np.ndarray:
     equation consume. For a single-edge motif the result is the all-ones
     matrix (empty product convention). Like hom_density_graphon it reads the
     motif's active part.
+
+    Edge terms that numpy's C einsum computes alike are evaluated once per
+    class (graphs._motif_subscripts): the triangle's three and the k of
+    star:k are one class each, while cycle:4, cycle:5 and complete:4 keep
+    one einsum per edge. Each class's array is added once per edge, in
+    edge order, so the result has the bits of one einsum per edge; a kernel
+    past the direct-call limit runs every edge.
     """
     return _Contraction(h, g.weights, DELTA_VERTEX_GUARD).delta(g.values)
 

@@ -545,29 +545,56 @@ def _contraction_guard(h: Motif, k: int, vertex_guard: int):
 
 @functools.lru_cache(maxsize=256)
 def _motif_subscripts(h: Motif) -> tuple:
-    """Einsum subscripts of a motif's density and of each edge's delta term.
+    """Einsum subscripts of a motif's density and of each edge's delta term,
+    and the classes of the delta terms that give the same array.
 
     Each entry holds a subscript string, its operand kinds ("v" for the
     kernel values, "w" for the block weights and "1" for a ones vector that
     puts a pinned vertex on no remaining edge among the inputs) and the
     itemgetter that picks its operands, in order, from (values, weights,
     ones); every entry has two operands or more, so it picks a tuple.
-    Returns the density entry and one entry per edge (r, s): the other edges
-    and vertices summed out, with r and s pinned to the output axes. The
-    value subscripts lead with "...", so one entry serves a (k, k) value
-    array and an (R, k, k) stack of them.
+    Returns the density entry, one entry per edge (r, s): the other edges
+    and vertices summed out, with r and s pinned to the output axes, and for
+    each edge entry the index of the first entry of its class. The value
+    subscripts lead with "...", so one entry serves a (k, k) value array and
+    an (R, k, k) stack of them.
+
+    Two entries share a class when numpy's C einsum runs the same
+    computation for both: the same operand kinds in the same order and the
+    same subscripts once the output letters are renamed in their order and
+    the summed letters in character-code order, the order in which c_einsum
+    appends the summed labels to its iteration. An entry that sums a single
+    label may also swap the two letters of a value operand or of the
+    output: each output cell is then a sum of the same three-factor products
+    over that label in index order, the kernel is exactly symmetric
+    (variational._check_kernels) and the term is symmetrized. Each entry's
+    form is built once per output order, one or two, in time linear in its
+    subscripts, with no search over letter permutations. So the
+    triangle's three entries form one class and the k entries of star:k one;
+    no two entries of cycle:4, cycle:5 or complete:4 share one (a rule that
+    swapped letters where two labels are summed would merge the second and
+    third entries of cycle:4, whose arrays differ in the last bits on 735
+    of 840 random kernels at k = 1 to 12). An entry wider than numpy's C einsum takes is a class
+    of its own, since the classes hold only on the direct call.
     """
 
     def entry(subscripts: str, kinds: str) -> tuple:
         return subscripts, kinds, operator.itemgetter(*map("vw1".index, kinds))
+
+    def form(operands: list, output: str, summed: str) -> str:
+        # output letters renamed in their order, then the summed ones; with
+        # one summed label each operand's letters sorted
+        names = dict(zip(output + summed, string.ascii_letters))
+        renamed = ("".join(names[x] for x in op) for op in operands)
+        return ",".join("".join(sorted(op)) if len(summed) == 1 else op for op in renamed)
 
     letters = string.ascii_letters[: h.vertex_count]
     density = entry(
         ",".join(["..." + letters[i] + letters[j] for i, j in h.edges] + list(letters)) + "->...",
         "v" * len(h.edges) + "w" * h.vertex_count,
     )
-    terms = []
-    for r, s in h.edges:
+    terms, classes, first = [], [], {}
+    for t, (r, s) in enumerate(h.edges):
         rest = [e for e in h.edges if e != (r, s)]
         subs = ["..." + letters[i] + letters[j] for i, j in rest]
         kinds = "v" * len(rest)
@@ -580,7 +607,14 @@ def _motif_subscripts(h: Motif) -> tuple:
                 subs.append(letters[v])
                 kinds += "1"
         terms.append(entry(",".join(subs) + "->..." + letters[r] + letters[s], kinds))
-    return density, tuple(terms)
+        summed = "".join(letters[v] for v in range(h.vertex_count) if v not in (r, s))
+        operands = [x.lstrip(".") for x in subs]
+        forms = [form(operands, letters[r] + letters[s], summed)]
+        if len(summed) == 1:
+            forms.append(form(operands, letters[s] + letters[r], summed))
+        key = (kinds, min(forms)) if len(kinds) <= _EINSUM_MAX_OPERANDS else t
+        classes.append(first.setdefault(key, t))
+    return density, tuple(terms), tuple(classes)
 
 
 def _einsum_path(subscripts: str, operands) -> list:
@@ -611,8 +645,14 @@ class _Contraction:
     contracts directly. A delta entry with no value operand (the single
     edge's) is the same at every call: the first delta call evaluates and
     symmetrizes it, and later calls add that array, so they run only the
-    einsums that read the values. density and delta take a (k, k) value
-    array, or an (R, k, k) stack of them, whose slices match the single
+    einsums that read the values. On the direct call, delta evaluates and
+    symmetrizes each class of entries (_motif_subscripts) once, one einsum
+    for the triangle and one for star:k, and adds the class's array to a
+    fresh total once per entry, in entry order: the arrays and the sum are
+    those of one einsum per entry, bit for bit. Along a greedy path, where
+    the pairwise products of the triangle's entries differ in the last
+    bits, every entry runs. density and delta take a (k, k) value array,
+    or an (R, k, k) stack of them, whose slices match the single
     array within a few ulps: einsum may sum a stack in another order. A call
     of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
     directly, a larger one einsum's greedy path, planned on first use per
@@ -624,13 +664,13 @@ class _Contraction:
     raises InstanceTooLargeError, before it runs.
     """
 
-    __slots__ = ("_density", "_terms", "_operands", "_direct", "_paths")
+    __slots__ = ("_density", "_terms", "_classes", "_operands", "_direct", "_paths")
 
     def __init__(self, h: Motif, weights: np.ndarray, vertex_guard: int):
         h = _term(h).motif  # a density cannot see isolated vertices
         k = len(weights)
         _contraction_guard(h, k, vertex_guard)
-        self._density, terms = _motif_subscripts(h)
+        self._density, terms, self._classes = _motif_subscripts(h)
         self._terms = list(terms)
         self._operands = (weights, np.ones(k))
         # the most value entries a call contracts directly, k^(|V(H)| - 2) cells each
@@ -655,15 +695,17 @@ class _Contraction:
     def delta(self, values: np.ndarray) -> np.ndarray:
         """Delta_H of the kernel, or of each kernel in a stack (see graphons.delta_h)."""
         total = np.zeros(values.shape)
-        for t, entry in enumerate(self._terms):
-            if isinstance(entry, np.ndarray):  # an entry with no value operand, evaluated
-                total += entry
-                continue
-            term = self._run(entry, values)
-            term = 0.5 * (term + term.swapaxes(-1, -2))
-            if "v" not in entry[1]:
-                self._terms[t] = term
-            total += term
+        terms = self._terms.copy()  # each class's array once this call evaluates it
+        # the classes hold on the direct call; along a greedy path each entry runs
+        classes = self._classes if values.size <= self._direct else range(len(terms))
+        for t in classes:
+            entry = terms[t]
+            if not isinstance(entry, np.ndarray):  # else evaluated, or with no value operand
+                term = self._run(entry, values)
+                entry = terms[t] = 0.5 * (term + term.swapaxes(-1, -2))
+                if "v" not in self._terms[t][1]:
+                    self._terms[t] = entry
+            total += entry
         return total
 
 

@@ -838,8 +838,8 @@ def graphon_search(
     max_iter = _integer(max_iter, "max_iter", 0, "graphon_search")
     rng = _rng_from_seed(seed)
     w = np.full(k, 1.0 / k)
+    op = _KernelOperator(model, w, statistic=True)  # guards before any k x k array
     cell = np.outer(w, w) * (2.0 - np.eye(k))
-    op = _KernelOperator(model, w, statistic=True)
 
     def objective(v: np.ndarray) -> np.ndarray:
         _check_kernels(v)

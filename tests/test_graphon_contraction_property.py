@@ -4,9 +4,12 @@ For every builtin motif class and for random small edge-list motifs
 (isolated vertices included), on random step kernels with equal and unequal
 block weights: hom_density_graphon and delta_h equal a sum over every
 assignment of motif vertices to blocks, whether the contraction runs in
-numpy's C einsum directly or along einsum's greedy path. The kernel
-solvers' operator keeps the bits of the model's own statistic and
-derivative on one kernel, and a stack slice stays within a few ulps.
+numpy's C einsum directly or along einsum's greedy path. The delta keeps
+the bits of one einsum per edge entry on a kernel and on a stack, on both
+paths and at the direct-call limit, while running one einsum per class of
+identical entries. The kernel solvers' operator keeps the bits of the
+model's own statistic and derivative on one kernel, and a stack slice stays
+within a few ulps.
 """
 
 import itertools
@@ -119,8 +122,9 @@ def solver_motifs(draw):
 
 def plain_contraction(h: Motif, g: StepGraphon):
     """Density and delta of the motif's active part as the contraction ran
-    before its subscripts led with "...": the same subscripts without it."""
-    density, terms = graphs._motif_subscripts(_term(h).motif)
+    before its subscripts led with "...": the same subscripts without it,
+    one einsum per edge entry."""
+    density, terms, _ = graphs._motif_subscripts(_term(h).motif)
     operands = {"v": g.values, "w": g.weights, "1": np.ones(g.k)}
 
     def run(subscripts, kinds, _):
@@ -130,6 +134,20 @@ def plain_contraction(h: Motif, g: StepGraphon):
     for term in (run(*entry) for entry in terms):
         total += 0.5 * (term + term.T)
     return run(*density), total
+
+
+def per_entry_delta(h: Motif, w: np.ndarray, values: np.ndarray, greedy: bool) -> np.ndarray:
+    """Delta of a (k, k) kernel or an (R, k, k) stack as one einsum per edge
+    entry, "..." kept, directly or along the entry's greedy path, each term
+    symmetrized and added in entry order."""
+    _, terms, _ = graphs._motif_subscripts(_term(h).motif)
+    total = np.zeros(values.shape)
+    for subscripts, kinds, _ in terms:
+        operands = [{"v": values, "w": w, "1": np.ones(len(w))}[c] for c in kinds]
+        path = graphs._einsum_path(subscripts, operands) if greedy else False
+        term = np.einsum(subscripts, *operands, optimize=path)
+        total += 0.5 * (term + term.swapaxes(-1, -2))
+    return total
 
 
 def ulps(stacked, single) -> float:
@@ -159,6 +177,54 @@ def test_stacked_contraction_matches_single_kernels(h, k, count, equal, seed):
         # einsum may sum a stack in another order
         assert ulps(densities[i], density) <= 4
         assert ulps(deltas[i], delta) <= 4
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(solver_motifs(), st.integers(1, 6), st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_delta_keeps_the_bits_of_one_einsum_per_entry(h, k, count, equal, seed):
+    r = np.random.default_rng(seed)
+    w = np.full(k, 1.0 / k) if equal else r.dirichlet(np.ones(k))
+    stack = np.stack([StepGraphon.random(k, r).values for _ in range(count)])
+    # with every call direct, each class of entries is evaluated once; along
+    # greedy paths each entry runs
+    for cells, greedy in ((2**40, False), (0, True)):
+        with mock.patch.object(graphs, "DIRECT_EINSUM_MAX_CELLS", cells):
+            stacked = graphons._Contraction(h, w, graphons.DELTA_VERTEX_GUARD).delta(stack)
+        assert stacked.tobytes() == per_entry_delta(h, w, stack, greedy).tobytes()
+
+
+@pytest.mark.parametrize("name, k", [("triangle", 40), ("triangle", 41), ("star:2", 40), ("star:2", 41),
+                                     ("star:3", 16), ("star:3", 17)])
+def test_merged_entries_keep_their_bits_at_the_direct_limit(name, k):
+    # k^|V(H)| cells run direct up to 2^16 (k = 40 for 3 vertices, 16 for 4)
+    # and along greedy paths past it, where every entry runs; a 2-stack of
+    # the smaller k runs greedy too
+    h, r = Motif.parse(name), np.random.default_rng(k)
+    w = r.dirichlet(np.ones(k))
+    for count in (None, 2):
+        values = StepGraphon.random(k, r).values if count is None else np.stack(
+            [StepGraphon.random(k, r).values for _ in range(count)])
+        greedy = values.size * k ** (h.vertex_count - 2) > graphs.DIRECT_EINSUM_MAX_CELLS
+        op = graphons._Contraction(h, w, graphons.DELTA_VERTEX_GUARD)
+        assert op.delta(values).tobytes() == per_entry_delta(h, w, values, greedy).tobytes()
+
+
+@pytest.mark.parametrize("name, runs", [("edge", 0), ("triangle", 1), ("star:2", 1), ("star:3", 1), ("star:5", 1),
+                                        ("cycle:4", 4), ("cycle:5", 5), ("complete:4", 6)])
+def test_delta_runs_one_einsum_per_class_of_entries(name, runs):
+    # the triangle's entries and those of a star give one array each; the
+    # edge's entry reads no kernel value and runs on the first call only
+    h, w = Motif.parse(name), np.full(3, 1.0 / 3)
+    values = StepGraphon.random(3, np.random.default_rng(3)).values
+    op = graphons._Contraction(h, w, graphons.DELTA_VERTEX_GUARD)
+    op.delta(values)
+    with mock.patch.object(graphs._Contraction, "_run", autospec=True, side_effect=graphs._Contraction._run) as run:
+        delta = op.delta(values)
+    assert run.call_count == runs
+    assert delta.tobytes() == per_entry_delta(h, w, values, greedy=False).tobytes()
+    # a returned delta is the caller's: changing it leaves the next one alone
+    delta += 1.0
+    assert op.delta(values).tobytes() == per_entry_delta(h, w, values, greedy=False).tobytes()
 
 
 # -- the kernel operator of the solvers against the model's own methods ---------------------------

@@ -373,6 +373,40 @@ def test_kernel_solvers_keep_their_guard_order():
     assert sol.values[0, 0] == pytest.approx(closed_form_u(0.1), abs=1e-9)
 
 
+def traced_peak(call) -> int:
+    """The traced memory peak of call(), run once untraced first for its imports."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_guards_refuse_before_a_k_by_k_array():
+    # edge-triangle at k = 1001 passes 1001^3 over the 10^9 cell guard; the
+    # search's cell weights and the command's init kernel were built first,
+    # a 23.7 MB and a 31.5 MB traced peak before the refusal
+    model = ModelSpec([(Motif.edge(), 0.0), (Motif.triangle(), -50.0)])
+
+    def search():
+        with pytest.raises(InstanceTooLargeError, match=r"1001\^3 exceeds"):
+            graphon_search(model, k=1001, restarts=2)
+
+    assert traced_peak(search) < 2**20
+    for init in ("0.5", "random"):
+        argv = ["euler-lagrange", "--beta1", "0", "--beta2", "-50", "--blocks", "1001", "--init", init]
+
+        def command():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(argv) == 2
+            assert "instance too large: k^|V(H)| = 1001^3 exceeds" in err.getvalue()
+
+        assert traced_peak(command) < 2**20, init
+
+
 # Euler-Lagrange solutions recorded with the contraction that searched an
 # einsum path on every call. The direct C einsum sums the same block
 # products in another order, so each delta term can move by a few ulps and
