@@ -652,8 +652,13 @@ class _Contraction:
     those of one einsum per entry, bit for bit. Along a greedy path, where
     the pairwise products of the triangle's entries differ in the last
     bits, every entry runs. density and delta take a (k, k) value array,
-    or an (R, k, k) stack of them, whose slices match the single
-    array within a few ulps: einsum may sum a stack in another order. A call
+    or an (R, k, k) stack of them. einsum may sum a stack in another order
+    than the single array, so a slice can differ from the single array's
+    result; every operand is nonnegative, so each lies within a relative
+    n 2^-53 of the exact sum, and the two within n 2^-52 of each other, for
+    n = k^|V(H)| + |V(H)| + 2|E(H)|, which bounds the roundings on any chain
+    of the sum (star:5 at k = 5 on a 5-stack: up to 136 ulps, against
+    15,641 2^-52). A call
     of at most DIRECT_EINSUM_MAX_CELLS rows x k^|V(H)| runs numpy's C einsum
     directly, a larger one einsum's greedy path, planned on first use per
     subscript entry and value shape; it makes no intermediate larger than

@@ -1089,8 +1089,10 @@ def variance_mcmc_mean(coefficients, eigenvalues, n_samples: int) -> VarianceRes
     if coeffs.shape != eigs.shape:
         raise DomainError("coefficient and eigenvalue lists must align")
     nn = _integer(n_samples, "n_samples", 1, "variance_mcmc_mean")
-    if np.any(eigs >= 1.0):
-        raise DomainError("eigenvalue 1 among nonconstant components: chain not ergodic")
+    if not np.isfinite(coeffs).all():
+        raise DomainError("coefficients must be finite")
+    if not (eigs < 1.0).all():  # so nan fails
+        raise DomainError("eigenvalue 1 or nan among nonconstant components: chain not ergodic")
     w = (nn - 2.0 * eigs - nn * eigs**2 + 2.0 * eigs ** (nn + 1)) / (1.0 - eigs) ** 2
     exact = float(np.sum(coeffs**2 * w)) / nn**2
     asymptotic = float(np.sum(coeffs**2 * (1.0 + eigs) / (1.0 - eigs)))

@@ -185,7 +185,7 @@ def _check_coefficient_bound(edges, coefs) -> None:
 def scalar_objective(model: ModelSpec, u) -> float:
     """sum_i beta_i u^{e(H_i)} - edge_entropy(u) on [0, 1]."""
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    if not ((u >= 0.0) & (u <= 1.0)).all():  # so nan fails
         raise DomainError("u must lie in [0, 1]")
     val = _objective(model.edges, model.betas, u)
     return float(val) if np.ndim(val) == 0 else val
@@ -241,12 +241,14 @@ def _bisect(turned, lo: float, hi: float, tol: float = 0.0) -> tuple[float, floa
     return lo, hi
 
 
-# A stack's grid derivative is evaluated over blocks of at most this many
-# (model, grid point) entries, so a solve never holds a (models x grid)
-# array. On a 2-vCPU Xeon, one thread, blocks of 2^16 entries (512 KB per
-# float array) ran the grid stage of a 200-model scan about twice as fast
-# as blocks of 2^18.
-_BLOCK_ENTRIES = 2**16
+# The bracket grid is scanned in chunks of this many intervals; each chunk
+# shares its last point with the next, so every pair of neighbouring grid
+# points lies in exactly one chunk.
+_CHUNK = 64
+# A stack is scanned over blocks of models holding at most this many
+# (model, chunk) cells, so a block whose every chunk is open evaluates at
+# most _BLOCK_CELLS * (_CHUNK + 1) grid entries (2.1 MB per float array).
+_BLOCK_CELLS = 2**12
 # Brackets are bisected one at a time on floats below this count and in
 # lockstep on arrays at or above it. A lockstep step costs about the same
 # for any count, so lockstep overtook the one-at-a-time loop at about 8
@@ -257,25 +259,38 @@ _LOCKSTEP_MIN_BRACKETS = 8
 
 
 @functools.cache
-def _scalar_grid() -> tuple[np.ndarray, np.ndarray]:
+def _scalar_grid() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The bracket grid of maximize_scalar, geometric towards both endpoints,
-    and the entropy part -1/2 log(u/(1-u)) of the derivative on it.
+    and the entropy part -1/2 log(u/(1-u)) of the derivative on it, cut into
+    chunks by _chunked.
 
-    Shared by every call, so both arrays are read-only.
+    Shared by every call, so every array is read-only.
     """
     tail = np.geomspace(1e-14, 0.5, max(GRID_POINTS // 2, 64))
     grid = np.unique(np.concatenate([tail, 1.0 - tail]))
-    slope = -0.5 * np.log(grid / (1.0 - grid))
-    grid.flags.writeable = slope.flags.writeable = False
-    return grid, slope
+    grid.flags.writeable = False
+    return grid, _chunked(-0.5 * np.log(grid / (1.0 - grid)))
 
 
 @functools.lru_cache(maxsize=32)
-def _grid_power(k: int) -> np.ndarray:
-    """u^k on the bracket grid, read-only."""
-    power = _scalar_grid()[0] ** k
-    power.flags.writeable = False
-    return power
+def _grid_power(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u^k on the bracket grid, cut into chunks by _chunked."""
+    return _chunked(_scalar_grid()[0] ** k)
+
+
+def _chunked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """values on the bracket grid as rows of _CHUNK + 1 points, row c from
+    grid point c * _CHUNK on, with each row's min and max; all read-only.
+
+    The last row is padded with the last value, which adds no sign drop and
+    moves no min or max.
+    """
+    at = np.arange(0, values.size - 1, _CHUNK)[:, None] + np.arange(_CHUNK + 1)
+    rows = values[np.minimum(at, values.size - 1)]
+    parts = rows, rows.min(axis=1), rows.max(axis=1)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def maximize_scalar(model: ModelSpec) -> MaximizerReport:
@@ -284,7 +299,10 @@ def maximize_scalar(model: ModelSpec) -> MaximizerReport:
     The derivative runs from +inf at 0 to -inf at 1, so every interior
     maximizer sits in a sign-change bracket of the derivative on a dense
     grid (geometric near the endpoints to catch spikes); each bracket is
-    bisected to machine precision and polished by Newton. Candidates within
+    bisected to machine precision and polished by Newton. The brackets are
+    those of the derivative evaluated at every grid point, found from the
+    points of the few grid chunks where a bound leaves its sign open
+    (_sign_drops). Candidates within
     machine precision of an endpoint are reported at the nearest
     representable interior point. Maximizers within 1e-7 of the best
     objective value are all reported, which is how coexistence at a
@@ -301,34 +319,15 @@ def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
     sum_t |coefs[m][t]| edges[t], which bounds every derivative term,
     partial sum and objective on [0, 1]. Every step works elementwise with
     maximize_scalar's one-model arithmetic, so each report is the one its
-    model gets alone, whatever else is in the stack.
+    model gets alone, whatever else is in the stack. The brackets come from
+    _sign_drops, and are those of the derivative at every grid point.
     """
     coefs = np.asarray(coefs, dtype=float)
     _check_finite(coefs)
     _check_coefficient_bound(edges, coefs)
     n_models = len(coefs)
-    grid, slope = _scalar_grid()
-    powers = [_grid_power(e - 1) for e in edges]
-    rows = min(n_models, max(1, _BLOCK_ENTRIES // grid.size))
-    # one set of block buffers per stack: fresh temporaries of this size are
-    # handed back to the kernel and faulted in again on every block
-    dvals, term = np.empty((2, rows, grid.size))
-    above, below = np.empty((2, rows, grid.size - 1), dtype=bool)
-    owners, cols = [], []
-    for start in range(0, n_models, rows):
-        block = coefs[start : start + rows]
-        n = len(block)
-        # _objective_derivative's arithmetic on the grid, from cached parts
-        d, t = dvals[:n], term[:n]
-        d[...] = slope
-        for e, b, power in zip(edges, block.T, powers):
-            d += np.multiply(b[:, None] * e, power, out=t)
-        drops = np.greater(d[:, :-1], 0.0, out=above[:n])
-        drops &= np.less_equal(d[:, 1:], 0.0, out=below[:n])
-        r, c = np.nonzero(drops)
-        owners.append(r + start)
-        cols.append(c)
-    owner, col = np.concatenate(owners), np.concatenate(cols)
+    grid = _scalar_grid()[0]
+    owner, col = _sign_drops(edges, coefs)
     bracket_coefs = coefs[owner]
     xs = _refine_brackets(edges, bracket_coefs, grid[col], grid[col + 1])
 
@@ -371,6 +370,42 @@ def _maximize_stack(edges, coefs) -> list[MaximizerReport]:
         reports.append(MaximizerReport(merged, psi, residuals[at : at + len(merged)]))
         at += len(merged)
     return reports
+
+
+def _sign_drops(edges, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, col) of every sign drop of the grid derivative, d > 0 at grid
+    point col and d <= 0 at col + 1, of each model of the stack coefs
+    (checked by _maximize_stack), ordered by owner, then col.
+
+    d is _objective_derivative's sum of floats on the grid: the slope, plus
+    each term's float product of b * e and u^(e-1), added in term order. The
+    same sum run on each part's min, and on each part's max, over a chunk
+    (_chunked) bounds every d in that chunk, with no margin: each float
+    product and sum is monotone in its operands. A chunk can hold a drop only
+    if its upper bound is above 0 and its lower bound at or below it; only
+    those chunks are evaluated, with d's own arithmetic, point by point. So
+    the drops are exactly those of d on the whole grid, in the same order,
+    from a few percent of its points.
+    """
+    slope, slope_lo, slope_hi = _scalar_grid()[1]
+    powers = [_grid_power(e - 1) for e in edges]
+    rows = max(1, _BLOCK_CELLS // len(slope))
+    owners, cols = [], []
+    for start in range(0, len(coefs), rows):
+        scaled = [b[:, None] * e for e, b in zip(edges, coefs[start : start + rows].T)]
+        lo, hi = slope_lo, slope_hi
+        for c, (_, p_lo, p_hi) in zip(scaled, powers):
+            ends = c * p_lo, c * p_hi
+            lo = lo + np.minimum(*ends)
+            hi = hi + np.maximum(*ends)
+        cell, chunk = np.nonzero((hi > 0.0) & (lo <= 0.0))
+        d = slope[chunk]
+        for c, (power, _, _) in zip(scaled, powers):
+            d += np.multiply(c[cell], power[chunk])
+        r, k = np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))
+        owners.append(cell[r] + start)
+        cols.append(chunk[r] * _CHUNK + k)
+    return np.concatenate(owners), np.concatenate(cols)
 
 
 def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float]:
@@ -631,7 +666,8 @@ class _KernelOperator:
     coefficient. statistic and delta take a (k, k) value array or an
     (R, k, k) stack of them. On one array they give the bits of
     ModelSpec.graphon_statistic and ModelSpec.delta_sum, with the same
-    arithmetic; a stack slice can differ from them by a few ulps. Those two
+    arithmetic; a stack slice can differ from them by the rounding bound of
+    _Contraction (up to 136 ulps for star:5 at k = 5). Those two
     keep their per-term calls of hom_density_graphon and delta_h, the
     public names that the benchmark's traced run times.
     """
@@ -829,9 +865,10 @@ def graphon_search(
     the restarts then advance together as one (restarts, k, k) stack, each
     with its own step size, objective value and line search, until it stops
     improving or has taken max_iter steps. Each takes the steps it would
-    take alone, up to the few ulps by which a stacked contraction can differ
-    from a single one. The best restart is the first with the largest
-    objective; psi and the residual are evaluated on its kernel alone.
+    take alone, up to the rounding by which a stacked contraction can differ
+    from a single one (graphs._Contraction). The best restart is the first
+    with the largest objective; psi and the residual are evaluated on its
+    kernel alone.
     """
     k = _integer(k, "k", 1, "graphon_search")
     restarts = _integer(restarts, "restarts", 1, "graphon_search")

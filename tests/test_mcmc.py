@@ -1099,6 +1099,15 @@ def test_variance_rejects_unit_eigenvalue():
         variance_mcmc_mean([1.0, 0.5], [0.3, 1.0], 10)
 
 
+def test_variance_rejects_nan_eigenvalue_and_coefficient():
+    # eigs >= 1 is false for nan, which once returned a result of nans
+    with pytest.raises(DomainError, match="ergodic"):
+        variance_mcmc_mean([1.0], [math.nan], 10)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            variance_mcmc_mean([1.0, bad], [0.3, 0.5], 10)
+
+
 def test_mcmle_variance_constants_worked_example():
     c = er_mcmle_variance_constants(2.0, 1.0, 30)
     assert c.per_edge_mean == pytest.approx(2.2562, abs=5e-4)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ergmlab.graphons import edge_entropy
 from ergmlab.graphs import Motif
 from ergmlab.variational import (
-    _BLOCK_ENTRIES,
+    _BLOCK_CELLS,
     _LOCKSTEP_MIN_BRACKETS,
     GRID_POINTS,
     MULTIPLICITY_TOL,
@@ -30,7 +30,8 @@ from ergmlab.variational import (
 )
 
 POOL = ["star:2", "star:3", "triangle", "cycle:4", "complete:4"]
-ROWS_PER_BLOCK = _BLOCK_ENTRIES // _scalar_grid()[0].size
+# models per block of the grid scan, one row of cells per model
+ROWS_PER_BLOCK = _BLOCK_CELLS // len(_scalar_grid()[1][0])
 
 
 def _derivative(exps, u):

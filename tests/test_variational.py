@@ -67,6 +67,14 @@ def test_scalar_objective_domain():
         scalar_objective(ModelSpec.edge_only(0.0), 1.2)
 
 
+def test_scalar_objective_refuses_nan():
+    # u < 0 and u > 1 are both false for nan, which once passed the range check
+    model = ModelSpec.edge_only(0.0)
+    for u in (math.nan, [0.5, math.nan]):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            scalar_objective(model, u)
+
+
 # -- maximization -----------------------------------------------------------------
 
 
