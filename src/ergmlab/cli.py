@@ -44,7 +44,8 @@ def _parse_range(spec: str) -> np.ndarray:
             raise UsageError(f"bad range {spec!r}: {exc}")
         if steps < 2:
             raise UsageError("range needs at least 2 steps")
-        return np.linspace(lo, hi, steps)
+        with np.errstate(over="ignore", invalid="ignore"):  # the model guard refuses non-finite points
+            return np.linspace(lo, hi, steps)
     try:
         return np.array([float(spec)])
     except ValueError as exc:
@@ -135,7 +136,7 @@ def _cmd_psi(args, out):
 
 
 def _cmd_phase_diagram(args, out):
-    if len(args.beta1) == 1:
+    if len(args.beta1) == 1 and len(args.beta2) > 1:  # a sweep; any other grid is a surface
         b2s = args.beta2
         res = variational.phase_scan(float(args.beta1[0]), float(b2s[0]), float(b2s[-1]), len(b2s))
         out.write("beta2,u_star,psi,multiplicity")

@@ -729,8 +729,8 @@ class _Term:
     matrix (columns: vertex pairs in lexicographic order). g is anything
     with n and bitmask rows (a Graph or the chain state), and a term reads
     nothing else of it. A term holds no coefficient: a model weighs every
-    term as coefficient times density, count / n^v with v the vertices of
-    the term's motif, and the chain's log-odds read delta (mcmc._log_odds).
+    term as coefficient times its density (density), and the chain's
+    log-odds read delta (mcmc._log_odds).
     The edge and the triangle state their change rule, which their batch
     reads and mcmc reads in place of delta and batch: per_edge, the delta
     at every pair, and per_common, the delta per common neighbour of the
@@ -758,6 +758,15 @@ class _Term:
         active = [v for v, x in enumerate(motif.neighbor_lists()) if x]
         self.motif = Motif(len(active), [(active.index(u), active.index(w)) for u, w in motif.edges])
         self.arg = arg
+
+    def density(self, counts, n: int):
+        """count / n^v, v the motif's vertices, rounded once: the one density
+        rule. A Python int divides in Python; an array in float64 while n^v <
+        2^53, where every count converts exactly, and as Python ints beyond."""
+        scale = n**self.motif.vertex_count
+        if scale < 2**53 or not isinstance(counts, np.ndarray):
+            return counts / scale
+        return np.array([c / scale for c in counts.tolist()])
 
     def count(self, g) -> int:
         contraction = _Contraction(self.motif, np.ones(g.n), self._vertex_guard)
@@ -1147,8 +1156,10 @@ def count_homomorphisms(h: Motif, g: Graph) -> int:
 
 def hom_density_graph(h: Motif, g: Graph) -> float:
     """Probability that a uniformly random map V(H) -> V(G) is a homomorphism:
-    count_homomorphisms(h, g) / |V(G)|^|V(H)|, under the same guard."""
-    return count_homomorphisms(h, g) / g.n**h.vertex_count
+    count_homomorphisms(h, g) / |V(G)|^|V(H)|, under the same guard, as the
+    term's density (isolated vertices cancel exactly)."""
+    term = _term(h)
+    return term.density(term.count(g), g.n)
 
 
 # kept only because the benchmark calls graphs.hom_count_fast; ROADMAP item 1,

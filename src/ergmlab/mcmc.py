@@ -22,7 +22,6 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from math import lgamma
-from operator import attrgetter
 
 import numpy as np
 
@@ -89,20 +88,15 @@ class ChainConfig:
 
 
 class _ChainState:
-    """The mutable adjacency rows of a chain, which its step loop toggles in
-    place, and held, the exact count of the one weighted term the table loop
-    keeps (_delta_steps), 0 on the other loops; that loop writes it here at
-    the end of each draw chunk and before a record reads it. The edge and
-    triangle counts live in the loop's locals (_drive). A term reads this
-    state as it reads a Graph: n and bitmask rows (graphs._Term).
-    """
+    """The adjacency rows a chain's step loop toggles in place; its counts
+    are loop values (_drive). A term reads this state as it reads a Graph:
+    n and bitmask rows (graphs._Term)."""
 
-    __slots__ = ("n", "rows", "held")
+    __slots__ = ("n", "rows")
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.rows = list(g.rows)
-        self.held = 0
 
 
 def _model_terms(model: ModelSpec):
@@ -173,15 +167,14 @@ def _drive(g: Graph, terms, er_beta, seed: int, total: int, burn: int, every: in
 
     Each chunk is one call of the chain's step loop (_step_loop) on the
     chunk's pair ends, gathered from the columns of _vertex_pairs, its coins,
-    and a bytearray flag per step that is 1 at each record step: one slice
-    assignment sets the regular records and one index the last step. On a
-    flagged step the loop pushes its edge and triangle counts onto one flat
-    array("q"), 16 bytes a record. Each recorded term with no rule (neither
-    per_edge nor per_common) has its density, count / n^v, appended to one
-    flat array("d") (8 bytes a density) by the loop's note call: the term
-    the table loop holds reads its count from state.held, and any other is
-    counted there. The chain state (_ChainState) holds the rows; the edge
-    and triangle counts are read from g once and carried in locals.
+    and a bytearray flag per step, 1 at each record step. The loop carries
+    the chain's counts as values: the edges and triangles of g, and held,
+    one count of g of the table loop's term (0 without one). On a flagged
+    step it pushes the edges and triangles onto one flat array("q"), 16
+    bytes a record, and calls note(held), which appends the density of each
+    recorded term with no rule (neither per_edge nor per_common) to one flat
+    array("d"), 8 bytes a density: held, or a count of the rows, over n^v
+    as Python divides the ints (graphs._Term.density).
 
     Returns, after the chain, an (r, 2) int64 array of the edge and
     triangle counts at the records, the (r, len(recorded)) float64
@@ -194,24 +187,26 @@ def _drive(g: Graph, terms, er_beta, seed: int, total: int, burn: int, every: in
     state = _ChainState(g)
     rng = _rng_from_seed(seed)
     pair_i, pair_j = _vertex_pairs(state.n)
-    run, held = _step_loop(state, terms, er_beta)
+    run, kept = _step_loop(state, terms, er_beta)
     counts, densities = array("q"), array("d")
     push, add = counts.append, densities.append
-    noted = [(attrgetter("held") if t is held else t.count, state.n**t.motif.vertex_count)
+    # (count, n^v) of each noted term; the kept term's count is None: note reads held
+    noted = [(None if t is kept else t.count, state.n**t.motif.vertex_count)
              for t in recorded if t.per_edge is None and t.per_common is None]
     note = None
     if noted:
 
-        def note():
+        def note(held):
             for count, scale in noted:
-                add(count(state) / scale)
+                add((held if count is None else count(state)) / scale)
 
     edges, triangles = g.edge_count(), g.triangle_count()
+    held = 0 if kept is None else kept.count(g)
     if record_start:
         push(edges)
         push(triangles)
         if note is not None:
-            note()
+            note(held)
     for start in range(0, total, 4096):
         count = min(4096, total - start)
         pair_idx = rng.integers(0, pair_i.size, size=count)
@@ -222,8 +217,8 @@ def _drive(g: Graph, terms, er_beta, seed: int, total: int, burn: int, every: in
         flags[first::every] = b"\x01" * len(range(first, count, every))
         if start + count == total:
             flags[-1] = 1
-        edges, triangles = run(pair_i[pair_idx].tolist(), pair_j[pair_idx].tolist(), coins, flags, edges,
-                               triangles, push, note)
+        edges, triangles, held = run(pair_i[pair_idx].tolist(), pair_j[pair_idx].tolist(), coins, flags, edges,
+                                     triangles, held, push, note)
     ends = np.frombuffer(counts, dtype=np.int64).reshape(-1, 2)
     densities = np.frombuffer(densities).reshape(len(ends), len(noted))
     return ends, _record_densities(recorded, state.n, ends, densities), Graph._from_rows(state.n, state.rows)
@@ -232,11 +227,11 @@ def _drive(g: Graph, terms, er_beta, seed: int, total: int, burn: int, every: in
 def _step_loop(state: _ChainState, terms, er_beta):
     """The step loop of one chain, chosen once by its step rule, and the term
     whose count it holds (None but on the table path): loop(ends_i, ends_j,
-    coins, flags, edges, triangles, push, note) runs the steps of those pair
-    ends and coins on state.rows from the edge and triangle counts the
-    driver carries (the state holds none) and returns the new ones; after
-    each step whose flag is 1 it calls push(edges) and push(triangles),
-    then note() when note is not None.
+    coins, flags, edges, triangles, held, push, note) runs the steps of
+    those pair ends and coins on state.rows from the edge, triangle and held
+    counts _drive carries and returns the new (edges, triangles, held);
+    after each step whose flag is 1 it calls push(edges) and push(triangles),
+    then note(held) when note is not None. Only the table loop moves held.
 
     The Glauber log-odds of a step are _log_odds' constant plus its scaled
     deltas, added in model order, and the on-probability is _on_probability
@@ -247,15 +242,14 @@ def _step_loop(state: _ChainState, terms, er_beta):
     weighted term, reads its on-probabilities from one list of n - 1, made
     up front: entry c adds scale * (per_common c) of each term to the
     constant in model order, as a step would, for c = 0..n - 2. With one
-    other term the on-probability
-    depends on the pair only through that term's integer delta, so the
-    chain keeps one table from the delta to its on-probability: a delta not
-    yet in the table gets the same arithmetic and is stored while the table
-    holds fewer than _ON_PROBABILITY_TABLE_CAP entries, so every step gets
-    the bits the arithmetic gives and the table stays near 0.4 MB whatever
-    the deltas. That loop also holds the term's exact count, which starts
-    here from one count and moves by the delta on each flip (state.held).
-    Two or more weighted terms add the full sum at every step.
+    other term the on-probability depends on the pair only through that
+    term's integer delta, so the chain keeps one table from the delta to its
+    on-probability: a delta not yet in the table gets the same arithmetic
+    and is stored while the table holds fewer than
+    _ON_PROBABILITY_TABLE_CAP entries, so every step gets the bits the
+    arithmetic gives and the table stays near 0.4 MB whatever the deltas.
+    That loop moves held, the term's exact count, by the delta on each
+    flip. Two or more weighted terms add the full sum at every step.
 
     Every loop gets bit, the list of 1 << v for v < n, built here once per
     chain: n ints of up to n bits, at most the size of a complete graph's
@@ -277,15 +271,12 @@ def _step_loop(state: _ChainState, terms, er_beta):
                 expo += scale * (term.per_common * c)
             on.append(_on_probability(expo, neg_unit))
         return partial(_common_neighbour_steps, rows, bit, on), None
-    held = table = None
-    if len(weighted) == 1:
-        held, table = weighted[0][1], {}
-        state.held = held.count(state)
+    kept, table = (weighted[0][1], {}) if len(weighted) == 1 else (None, None)
     weighted = [(scale, term.delta) for scale, term in weighted]
-    return partial(_delta_steps, state, bit, constant, weighted, neg_unit, table), held
+    return partial(_delta_steps, state, bit, constant, weighted, neg_unit, table), kept
 
 
-def _metropolis_steps(rows, bit, exp_neg_beta, ends_i, ends_j, coins, flags, edges, triangles, push, note):
+def _metropolis_steps(rows, bit, exp_neg_beta, ends_i, ends_j, coins, flags, edges, triangles, held, push, note):
     """Add/delete Metropolis steps: an absent pair is added, a present one
     deleted with probability exp_neg_beta. A step tests presence with
     rows[i] & bit[j] and then runs its add or its drop branch, which sets or
@@ -310,11 +301,11 @@ def _metropolis_steps(rows, bit, exp_neg_beta, ends_i, ends_j, coins, flags, edg
             push(edges)
             push(triangles)
             if note is not None:
-                note()
-    return edges, triangles
+                note(held)
+    return edges, triangles, held
 
 
-def _common_neighbour_steps(rows, bit, on, ends_i, ends_j, coins, flags, edges, triangles, push, note):
+def _common_neighbour_steps(rows, bit, on, ends_i, ends_j, coins, flags, edges, triangles, held, push, note):
     """Glauber steps whose on-probability is on[c], c the pair's common
     neighbours: an absent pair is added iff coin < on[c], a present one
     dropped iff not coin < on[c] (never coin >= on[c], which a nan would
@@ -338,26 +329,25 @@ def _common_neighbour_steps(rows, bit, on, ends_i, ends_j, coins, flags, edges, 
             push(edges)
             push(triangles)
             if note is not None:
-                note()
-    return edges, triangles
+                note(held)
+    return edges, triangles, held
 
 
 def _delta_steps(state, bit, constant, weighted, neg_unit, table, ends_i, ends_j, coins, flags, edges, triangles,
-                 push, note):
+                 held, push, note):
     """Glauber steps on the scaled term deltas: one term through the table
     from its delta to the on-probability (table is a dict), two or more
     summed at every step (table is None). The on-probability p comes from
     the rows before the step; then an absent pair is added iff coin < p and
     a present one dropped iff not coin < p, in the add and drop branches of
-    _metropolis_steps. The table path holds its term's count in held, an
-    exact Python int that moves by the delta key on each flip; state.held
-    gets it before each note and at the end. The summed path holds no
-    count: its key stays 0."""
+    _metropolis_steps. The table path carries its term's count in held, an
+    exact Python int that moves by the delta key on each flip. The summed
+    path holds no count: its key stays 0, and held passes through."""
     rows = state.rows
     if table is not None:
         ((scale1, delta1),) = weighted
     on_probability = _on_probability
-    key, held = 0, state.held
+    key = 0
     for i, j, coin, flag in zip(ends_i, ends_j, coins, flags):
         if table is not None:
             key = delta1(state, i, j)
@@ -391,28 +381,25 @@ def _delta_steps(state, bit, constant, weighted, neg_unit, table, ends_i, ends_j
             push(edges)
             push(triangles)
             if note is not None:
-                state.held = held
-                note()
-    state.held = held
-    return edges, triangles
+                note(held)
+    return edges, triangles, held
 
 
 def _record_densities(recorded, n: int, ends: np.ndarray, noted: np.ndarray) -> np.ndarray:
     """The (r, len(recorded)) densities of a chain's records, built after the
     chain from its (r, 2) edge and triangle counts and the densities its
     notes appended (_drive). A term with an edge rule has the count
-    per_edge E, one with a common-neighbour rule per_common T, over n^v.
-    Such a term has two or three vertices, so its counts and n^v stay below
-    2^53: the product is formed and divided in the output column in
-    float64, exactly as the ints divide. Each other term reads the next
-    noted column."""
+    per_edge E, one with a common-neighbour rule per_common T, and its
+    column is its density of them (graphs._Term.density), formed 4096
+    records at a time so that no temporary grows with the records. Each
+    other term reads the next noted column."""
     out = np.empty((len(ends), len(recorded)))
     columns = iter(noted.T)
     for col, term in enumerate(recorded):
         if term.per_edge is not None or term.per_common is not None:
             rule, which = (term.per_edge, 0) if term.per_edge is not None else (term.per_common, 1)
-            np.multiply(ends[:, which], rule, out=out[:, col])
-            out[:, col] /= n**term.motif.vertex_count
+            for lo in range(0, len(ends), 4096):
+                out[lo : lo + 4096, col] = term.density(rule * ends[lo : lo + 4096, which], n)
         else:
             out[:, col] = next(columns)
     return out
@@ -777,18 +764,14 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     """Density vectors for a batch of graphs given as edge-indicator rows.
 
     bits has one row per graph and one column per vertex pair in
-    lexicographic order. Stars gather the rows in blocks of
-    max(1, 2^20 // n(n - 1)), below n = 9 triangles the pair columns of
-    every triple in blocks of max(1, 2^20 // C(n, 3)). The others stack the
-    rows' adjacency matrices A in blocks of max(1, 2^16 // n^2): cliques
-    count each graph from the bitmask rows packed from its A, triangles
-    from n = 9 on sum (A+ @ A+) * A+ over the strictly upper part A+,
-    cycles take the closed walks tr(A^k) (in row blocks once a block is one
-    graph), edge-list motifs contract A under the count's guard, each in an
-    exact width: no temporary grows with the rows, and counts stay exact.
-    Each density is its count over n^v rounded once, as hom_density_graph
-    and the chain's records divide: in float64 while n^v < 2^53, where every
-    count converts exactly, and as Python ints from there on.
+    lexicographic order. Each term's batch counts the rows exactly, in
+    blocks of fixed size, so no temporary grows with the rows: stars gather
+    degree columns, triangles below n = 9 the pair columns of every triple,
+    and the others stack the rows' adjacency matrices A (cliques pack
+    bitmask rows from A, triangles sum (A+ @ A+) * A+ over its strictly
+    upper part, cycles take closed walks tr(A^k), edge-list motifs contract
+    A under the count's guard). Each density is the term's density of its
+    count (graphs._Term.density), as hom_density_graph and the chain form it.
     """
     n = _integer(n, "n", 1, "batch_motif_densities")
     m = math.comb(n, 2)
@@ -798,8 +781,7 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
         raise DomainError(f"bits must have {m} columns for n = {n}")
     out = np.empty((bits.shape[0], len(motifs)))
     for col, term in enumerate(map(_term, motifs)):
-        counts, scale = term.batch(bits, n), n**term.motif.vertex_count
-        out[:, col] = counts / scale if scale < 2**53 else [c / scale for c in counts.tolist()]
+        out[:, col] = term.density(term.batch(bits, n), n)
     return out
 
 
@@ -881,7 +863,9 @@ def estimate_importance(
     whatever n_samples, and the first k blocks of a run are the draws of
     any run with the same seed and at least k blocks. An edge is present
     where its uniform is below proposal_p, compared on the raw 64-bit words
-    (_edge_bits).
+    (_edge_bits). A term with an edge rule has its density
+    (graphs._Term.density) of per_edge times the rows' edge counts, which
+    the proposal mass reads too; the others have batch_motif_densities'.
     """
     n = _integer(n, "n", 2, "importance sampling")
     n_samples = _integer(n_samples, "n_samples", 1, "importance sampling")
@@ -892,9 +876,6 @@ def estimate_importance(
     rng = _rng_from_seed(seed)
     m = math.comb(n, 2)
     betas = np.array(model.betas)
-    # the columns of the terms with an edge rule come from the rows' edge
-    # counts, which the proposal mass needs anyway; the others go through
-    # the batch counts
     terms = [_term(motif) for motif in model.motifs]
     by_edges = np.array([t.per_edge is not None for t in terms], dtype=bool)
     others = [motif for motif, e in zip(model.motifs, by_edges) if not e]
@@ -908,7 +889,7 @@ def estimate_importance(
         dens = np.empty((len(bits), len(terms)))
         dens[:, ~by_edges] = batch_motif_densities(others, n, bits)
         for col in np.flatnonzero(by_edges):
-            dens[:, col] = terms[col].per_edge * edges / n ** terms[col].motif.vertex_count
+            dens[:, col] = terms[col].density(terms[col].per_edge * edges, n)
         stat = _log_weights(dens, betas, n)
         if self_normalized:
             log_qbar = edges * (log_p - log_q)
@@ -1083,6 +1064,9 @@ def variance_mcmc_mean(coefficients, eigenvalues, n_samples: int) -> VarianceRes
     covariance double sum (and equals N at b = 0, giving variance
     ||f||^2 / N). Also returns the large-N asymptotic sum
     (1+b)/(1-b) per component and the crude bound 2 ||f||^2 / (1 - b_max).
+    Every eigenvalue must lie in [-1, 1): 1 or nan is not an ergodic chain's,
+    no transition matrix has one below -1, and -1, a periodic chain's, keeps
+    every formula finite.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     eigs = np.asarray(eigenvalues, dtype=float)
@@ -1091,8 +1075,8 @@ def variance_mcmc_mean(coefficients, eigenvalues, n_samples: int) -> VarianceRes
     nn = _integer(n_samples, "n_samples", 1, "variance_mcmc_mean")
     if not np.isfinite(coeffs).all():
         raise DomainError("coefficients must be finite")
-    if not (eigs < 1.0).all():  # so nan fails
-        raise DomainError("eigenvalue 1 or nan among nonconstant components: chain not ergodic")
+    if not ((-1.0 <= eigs) & (eigs < 1.0)).all():  # so nan fails
+        raise DomainError("eigenvalues must lie in [-1, 1): 1 and nan are not an ergodic chain's")
     w = (nn - 2.0 * eigs - nn * eigs**2 + 2.0 * eigs ** (nn + 1)) / (1.0 - eigs) ** 2
     exact = float(np.sum(coeffs**2 * w)) / nn**2
     asymptotic = float(np.sum(coeffs**2 * (1.0 + eigs) / (1.0 - eigs)))

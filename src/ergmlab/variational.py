@@ -555,10 +555,12 @@ def phase_scan(
     there, when it lies in the scanned range and they differ by more than
     0.1. So the jump row does not depend on the grid, and near the
     critical point, where a steep branch moves far without a jump, no jump
-    is reported.
+    is reported. Ends that are not finite, or whose difference overflows,
+    give grid points that are not finite, which the stack refuses.
     """
     steps = _integer(steps, "steps", 2, "phase_scan")
-    grid = np.linspace(beta2_lo, beta2_hi, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(beta2_lo, beta2_hi, steps)
     points = []
     for b2, rep in zip(grid.tolist(), _edge_triangle_stack(np.full(steps, beta1), grid)):
         points.append((b2, max(rep.maximizers), rep.psi, len(rep.maximizers)))

@@ -90,6 +90,17 @@ def test_phase_diagram_surface(tmp_path):
     assert len(rows) == 1 + 12
 
 
+def test_phase_diagram_single_point_is_a_surface(tmp_path):
+    # a 1 x 1 grid once reached the sweep and its "steps >= 2" guard (exit 2);
+    # it prints the surface header and the row the 2 x 1 surface prints for it
+    code, text = run(tmp_path / "point.csv", ["phase-diagram", "--beta1", "-0.45", "--beta2", "0.3"])
+    assert code == 0
+    rows = body_lines(text)
+    assert rows[0] == "beta1,beta2,u_star,psi,multiplicity" and len(rows) == 2
+    code, text = run(tmp_path / "column.csv", ["phase-diagram", "--beta1", "-0.45:0:2", "--beta2", "0.3"])
+    assert code == 0 and body_lines(text)[:2] == rows
+
+
 def test_degeneracy_values(tmp_path):
     out = tmp_path / "deg.txt"
     code, text = run(out, ["degeneracy", "--beta1", "-5"])
@@ -183,6 +194,11 @@ INPUT_ERRORS = [
     pytest.param("phase-diagram --beta1 -1:0:3 --beta2 nan", 2, FINITE, id="surface-nan-beta2"),
     pytest.param("phase-diagram --beta1 inf --beta2 0:1:3", 2, FINITE, id="sweep-inf-beta1"),
     pytest.param("top-contour --graph graph.txt --beta1 nan --beta2 0", 2, FINITE, id="contour-nan-beta1"),
+    # a range with an infinite end once warned from numpy before the guard
+    pytest.param("phase-diagram --beta1 -0.45 --beta2 0:inf:3", 2, FINITE, id="sweep-inf-range"),
+    pytest.param("phase-diagram --beta1 inf:0:3 --beta2 0:1:2", 2, FINITE, id="surface-inf-range"),
+    pytest.param("top-contour --graph graph.txt --beta1 0:-inf:3 --beta2 0.1", 2, FINITE,
+                 id="contour-minus-inf-range"),
     pytest.param("degeneracy --beta1 -5 --beta2 nan", 2, FINITE, id="degeneracy-nan-beta2"),
     pytest.param("degeneracy --beta1 -5 --beta2 inf", 2, FINITE, id="degeneracy-inf-beta2"),
     # q is about -beta1, beyond the 2^40 that the doubling loop brackets

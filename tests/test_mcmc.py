@@ -457,6 +457,10 @@ def test_size_guards_raise_before_any_draw():
         (OverflowGuardError, "exceeds double range", lambda: fourier_coeff_exp_edges(800.0, 0.5, 1, 3)),
         (DomainError, "must align", lambda: variance_mcmc_mean([0.1, 0.2], [0.5], 10)),
         (DomainError, "n_samples >= 1", lambda: variance_mcmc_mean([0.1], [0.5], 0)),
+        # no transition matrix has an eigenvalue below -1; -2 once gave a
+        # negative asymptotic variance, -inf nan variances
+        (DomainError, r"must lie in \[-1, 1\)", lambda: variance_mcmc_mean([1.0], [-2.0], 3)),
+        (DomainError, r"must lie in \[-1, 1\)", lambda: variance_mcmc_mean([1.0], [-math.inf], 3)),
         # one beta rule for the add/delete chain, finite then >= 0: -inf once
         # read "beta >= 0" in the chain and the matrix, "finite" elsewhere
         (DomainError, "finite", lambda: run_chain(ChainConfig(6, steps=200, seed=1, er_beta=-math.inf))),

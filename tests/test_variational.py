@@ -496,6 +496,9 @@ def test_every_coefficient_path_rejects_non_finite(bad):
     for call in (
         lambda: ModelSpec.edge_triangle(0.1, bad),
         lambda: phase_scan(bad, 0.0, 1.0, 3),
+        # a scan end, or a difference of ends, beyond double range once warned from numpy first
+        lambda: phase_scan(-0.45, 0.0, bad, 3),
+        lambda: phase_scan(-0.45, -1e308, 1e308, 3),
         lambda: top_statistic(bad, 0.0, g),
         lambda: degeneracy_constants(-5.0, bad),
         lambda: extremal_limit(Motif.triangle(), bad),
