@@ -863,9 +863,9 @@ def estimate_importance(
     whatever n_samples, and the first k blocks of a run are the draws of
     any run with the same seed and at least k blocks. An edge is present
     where its uniform is below proposal_p, compared on the raw 64-bit words
-    (_edge_bits). A term with an edge rule has its density
-    (graphs._Term.density) of per_edge times the rows' edge counts, which
-    the proposal mass reads too; the others have batch_motif_densities'.
+    (_edge_bits). Each term's density (graphs._Term.density) is of per_edge
+    times the rows' edge counts, which the proposal mass reads too, where
+    the term has an edge rule, and of its batch count of the rows otherwise.
     """
     n = _integer(n, "n", 2, "importance sampling")
     n_samples = _integer(n_samples, "n_samples", 1, "importance sampling")
@@ -877,8 +877,6 @@ def estimate_importance(
     m = math.comb(n, 2)
     betas = np.array(model.betas)
     terms = [_term(motif) for motif in model.motifs]
-    by_edges = np.array([t.per_edge is not None for t in terms], dtype=bool)
-    others = [motif for motif, e in zip(model.motifs, by_edges) if not e]
     log_p, log_q = math.log(proposal_p), math.log1p(-proposal_p)
     num_log = -math.inf
     den_log = -math.inf
@@ -886,10 +884,8 @@ def estimate_importance(
     for lo in range(0, n_samples, block):
         bits = _edge_bits(rng, (min(block, n_samples - lo), m), proposal_p)
         edges = np.einsum("ij->i", bits, dtype=np.int32)
-        dens = np.empty((len(bits), len(terms)))
-        dens[:, ~by_edges] = batch_motif_densities(others, n, bits)
-        for col in np.flatnonzero(by_edges):
-            dens[:, col] = terms[col].density(terms[col].per_edge * edges, n)
+        dens = np.column_stack([t.density(t.batch(bits, n) if t.per_edge is None else t.per_edge * edges, n)
+                                for t in terms])
         stat = _log_weights(dens, betas, n)
         if self_normalized:
             log_qbar = edges * (log_p - log_q)

@@ -218,9 +218,15 @@ def _objective_derivative(edges, coefs, u):
     return val
 
 
-def _second_derivative(edges, coefs, x: float) -> float:
-    """d^2/du^2 of the scalar objective of (edges, float coefs) at x in (0, 1)."""
-    d2 = sum(b * e * (e - 1) * x ** (e - 2) for e, b in zip(edges, coefs) if e >= 2)
+def _second_derivative(edges, coefs, x):
+    """d^2/du^2 of the scalar objective of (edges, coefs) at x in (0, 1), for x
+    and coefficients as in _objective_derivative. x^(e-2) is Python's float
+    power, elementwise on an array, where numpy's can differ in the last bit."""
+
+    def power(k: int):
+        return x**k if k <= 1 or np.ndim(x) == 0 else np.array([v**k for v in x.tolist()])
+
+    d2 = sum(b * e * (e - 1) * power(e - 2) for e, b in zip(edges, coefs) if e >= 2)
     return d2 - 0.5 / (x * (1.0 - x))
 
 
@@ -299,10 +305,10 @@ def maximize_scalar(model: ModelSpec) -> MaximizerReport:
     The derivative runs from +inf at 0 to -inf at 1, so every interior
     maximizer sits in a sign-change bracket of the derivative on a dense
     grid (geometric near the endpoints to catch spikes); each bracket is
-    bisected to machine precision and polished by Newton. The brackets are
-    those of the derivative evaluated at every grid point, found from the
-    points of the few grid chunks where a bound leaves its sign open
-    (_sign_drops). Candidates within
+    bisected to machine precision, then all are polished by Newton in one
+    array pass (_refine_brackets). The brackets are those of the derivative
+    at every grid point, found from the points of the few grid chunks where
+    a bound leaves its sign open (_sign_drops). Candidates within
     machine precision of an endpoint are reported at the nearest
     representable interior point. Maximizers within 1e-7 of the best
     objective value are all reported, which is how coexistence at a
@@ -411,20 +417,22 @@ def _sign_drops(edges, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float]:
     """Bisect each sign-drop bracket [lo[k], hi[k]] of the derivative with
     coefficients coefs[k] until its ends are adjacent floats, then polish
-    its midpoint with _newton_polish.
+    its midpoint with up to four Newton steps.
 
     Below _LOCKSTEP_MIN_BRACKETS brackets each one is bisected alone on
     floats. At or above it all are bisected in lockstep on arrays, one
     derivative call per step serving every bracket; each bracket still
     visits the points it would visit alone, and stops where it would stop
-    alone.
+    alone. One array pass polishes every bracket, each keeping its point
+    where f'' is 0 or a step leaves the bracket by 1e-12, and stopping once
+    a clamped step lands on its own start: the bits of one float loop each.
     """
-    rows = coefs.tolist()
     if len(lo) < _LOCKSTEP_MIN_BRACKETS:
         ends = [
             _bisect(lambda u: float(_objective_derivative(edges, row, u)) <= 0.0, a, b)
-            for a, b, row in zip(lo.tolist(), hi.tolist(), rows)
+            for a, b, row in zip(lo.tolist(), hi.tolist(), coefs.tolist())
         ]
+        lo, hi = np.reshape(ends, (-1, 2)).T
     else:
         while True:
             mid = 0.5 * (lo + hi)
@@ -434,29 +442,19 @@ def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float
             # bracket that has stopped moving stays as it is
             turned = _objective_derivative(edges, coefs.T, mid) <= 0.0
             lo, hi = np.where(turned, lo, mid), np.where(turned, mid, hi)
-        ends = zip(lo.tolist(), hi.tolist())
-    return [_newton_polish(edges, row, a, b) for (a, b), row in zip(ends, rows)]
-
-
-def _newton_polish(edges, coefs: list[float], a: float, b: float) -> float:
-    """Up to four Newton steps on floats from the midpoint of [a, b].
-
-    Keeps the last point if a step strays from the bracket, and stops once
-    a step lands on its own start, where every later step would land too.
-    """
-    x = 0.5 * (a + b)
-    for _ in range(4):
-        d2 = _second_derivative(edges, coefs, x)
-        if d2 == 0.0:
-            break
-        xn = x - float(_objective_derivative(edges, coefs, x)) / d2
-        if not (a - 1e-12 <= xn <= b + 1e-12):
-            break
-        xn = min(max(xn, 1e-300), 1.0 - 1e-16)
-        if xn == x:
-            break
-        x = xn
-    return x
+    x = 0.5 * (lo + hi)
+    live, low, high = np.ones(len(x), dtype=bool), lo - 1e-12, hi + 1e-12
+    with np.errstate(all="ignore"):  # a step off an f'' of 0, inf or nan is dropped unwarned
+        for _ in range(4):
+            d2 = _second_derivative(edges, coefs.T, x)
+            step = x - _objective_derivative(edges, coefs.T, x) / d2
+            live &= (d2 != 0.0) & (low <= step) & (step <= high)
+            step = np.minimum(np.maximum(step, 1e-300), 1.0 - 1e-16)
+            live &= step != x
+            if not live.any():
+                break
+            x = np.where(live, step, x)
+    return x.tolist()
 
 
 def psi_limit_scalar(model: ModelSpec) -> float:
@@ -668,10 +666,11 @@ class _KernelOperator:
     coefficient. statistic and delta take a (k, k) value array or an
     (R, k, k) stack of them. On one array they give the bits of
     ModelSpec.graphon_statistic and ModelSpec.delta_sum, with the same
-    arithmetic; a stack slice can differ from them by the rounding bound of
-    _Contraction (up to 136 ulps for star:5 at k = 5). Those two
-    keep their per-term calls of hom_density_graphon and delta_h, the
-    public names that the benchmark's traced run times.
+    arithmetic, so a solver's closing psi and residual come from its own
+    operator; a stack slice can differ from them by the rounding bound of
+    _Contraction (up to 136 ulps for star:5 at k = 5). Those two methods,
+    and fixed_point_map, keep their per-term calls of hom_density_graphon
+    and delta_h.
     """
 
     __slots__ = ("_statistic", "_delta")
@@ -719,9 +718,11 @@ def fixed_point_map(model: ModelSpec, h: StepGraphon) -> StepGraphon:
         return StepGraphon(h.weights, _logistic(d))
 
 
-def _fixed_point_residual(model: ModelSpec, h: StepGraphon) -> float:
-    """The sup norm of h - Phi(h)."""
-    return float(np.max(np.abs(h.values - fixed_point_map(model, h).values)))
+def _fixed_point_residual(op: _KernelOperator, values: np.ndarray) -> float:
+    """The sup norm of h - Phi(h) at a kernel's values, from the model's bound
+    operator: the bits of fixed_point_map's."""
+    with np.errstate(over="ignore"):  # for _logistic
+        return float(np.max(np.abs(values - _logistic(op.delta(values)))))
 
 
 def euler_lagrange_solve(
@@ -743,8 +744,9 @@ def euler_lagrange_solve(
     is evaluated once), and the loop runs on the value arrays under one
     np.errstate, checking each iterate as StepGraphon would
     (_check_kernels); a StepGraphon is built only for the solution or the
-    last iterate, whose residual fixed_point_map evaluates. Every value
-    keeps the bits of one fixed_point_map call per step.
+    last iterate. Every value keeps the bits of one fixed_point_map call per
+    step, and the residual, taken from the bound operator, those of
+    fixed_point_map at the returned kernel.
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
@@ -759,10 +761,9 @@ def euler_lagrange_solve(
             change = abs(new_values - values).max()
             values = new_values
             if change < FIXED_POINT_TOL:
-                h = StepGraphon(init.weights, values)
-                return h, _fixed_point_residual(model, h)
+                return StepGraphon(init.weights, values), _fixed_point_residual(op, values)
     h = StepGraphon(init.weights, values)
-    residual = _fixed_point_residual(model, h)
+    residual = _fixed_point_residual(op, values)
     raise ConvergenceError(
         f"fixed-point iteration did not converge in {max_iter} iterations "
         f"(residual {residual:g})",
@@ -870,7 +871,8 @@ def graphon_search(
     take alone, up to the rounding by which a stacked contraction can differ
     from a single one (graphs._Contraction). The best restart is the first
     with the largest objective; psi and the residual are evaluated on its
-    kernel alone.
+    kernel alone, by the search's bound operator, with the bits of
+    ModelSpec.graphon_statistic and fixed_point_map there.
     """
     k = _integer(k, "k", 1, "graphon_search")
     restarts = _integer(restarts, "restarts", 1, "graphon_search")
@@ -918,9 +920,9 @@ def graphon_search(
         ascending = ascending[improved]
         step[ascending] *= 1.5
     best = StepGraphon(w, v[int(np.argmax(f))])
-    # psi and the residual of the one kernel, as a single-kernel call gives them
-    psi = model.graphon_statistic(best) - rate_entropy(best)
-    return MaximizerReport([best], psi, [_fixed_point_residual(model, best)], certified=False)
+    # psi and the residual of the one kernel, with the bits of the model's own calls
+    psi = float(op.statistic(best.values)) - rate_entropy(best)
+    return MaximizerReport([best], psi, [_fixed_point_residual(op, best.values)], certified=False)
 
 
 @dataclass

@@ -309,12 +309,14 @@ def test_a_held_count_past_two_to_the_53_stays_exact():
 def test_sampled_records_hold_about_sixteen_bytes_each():
     # 200,000 records at thinning 1 push 16 bytes each (the edge and triangle
     # counts) and the densities are built once, after the chain, into the
-    # (200,000, 2) output: the run peaks near 7.4 MB traced, under 16 bytes
+    # (200,000, 2) output: the run peaks near 6.7 MB traced, under 16 bytes
     # a record plus the output plus 2 MiB for the buffer's growth and one
     # draw chunk's lists; a list of two floats per record would add about
-    # 128 bytes a record
+    # 128 bytes a record. One draw first imports what numpy.random loads on
+    # first use (579 KiB traced), so the peak measures the chain alone
     samples = 200_000
     law = ModelSpec.edge_triangle(-0.2, 0.1)
+    _rng_from_seed(8).random()
     tracemalloc.start()
     try:
         dens = sample_motif_densities(law, [Motif.edge(), Motif.triangle()], samples, ChainConfig(30, seed=8))

@@ -149,3 +149,12 @@ def test_stack_covers_bracket_counts_and_both_refinements():
     # a stack over several blocks with enough brackets for lockstep
     scan = [(-0.45, b2) for b2 in np.linspace(0.0, 2.0, 3 * ROWS_PER_BLOCK + 2)] + rows
     assert sum(_check_stack(motifs, np.array(scan))) >= _LOCKSTEP_MIN_BRACKETS
+    # the edge-triangle critical point (1/2 log 2 - 3/4, 9/16) and its 1e-9
+    # neighbours, one bracket each, so in lockstep as a stack: f' has a
+    # triple root at u = 2/3, where f'' vanishes, and for most of them a
+    # Newton step from the bisected midpoint leaves the bracket, where the
+    # polish keeps the midpoint
+    beta1, beta2 = 0.5 * math.log(2.0) - 0.75, 9 / 16
+    critical = [(beta1 + i, beta2 + j) for i in (-1e-9, 0.0, 1e-9) for j in (-1e-9, 0.0, 1e-9)]
+    assert len(critical) >= _LOCKSTEP_MIN_BRACKETS
+    assert _check_stack(motifs, np.array(critical)) == [1] * len(critical)

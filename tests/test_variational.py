@@ -3,6 +3,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,6 +355,55 @@ def test_kernel_operator_keeps_the_bits_of_the_model_methods():
         op = variational._KernelOperator(model, h.weights, statistic=True)
         assert op.delta(h.values).tobytes() == model.delta_sum(h).tobytes()
         assert op.statistic(h.values) == model.graphon_statistic(h)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_kernel_solvers_report_the_public_residual_and_psi(seed):
+    # a random model in the contraction regime (sum |beta_i| e(e-1) < 2) and
+    # a random init: the solvers' closing residual and psi, evaluated on
+    # their bound operator, are the bits of the public per-term calls
+    r = rng(seed)
+    extra = r.choice(["star:2", "triangle", "star:3", "cycle:4", "complete:4"], r.integers(1, 4), replace=False)
+    motifs = [Motif.parse(s) for s in extra]
+    raw = r.uniform(-1.0, 1.0, len(motifs))
+    scale = r.uniform(0.1, 1.9) / sum(abs(b) * m.edge_count * (m.edge_count - 1) for m, b in zip(motifs, raw))
+    model = ModelSpec([(Motif.edge(), r.uniform(-1.0, 1.0))] + list(zip(motifs, raw * scale)))
+    assert applicability_check(model) in ("nonneg_valid", "nonpos_star_valid", "contraction_valid")
+    k = int(r.integers(1, 5))
+
+    def map_residual(h):
+        return float(np.max(np.abs(h.values - fixed_point_map(model, h).values)))
+
+    sol, residual = euler_lagrange_solve(model, StepGraphon.random(k, r, equal_weights=False))
+    assert type(residual) is float and residual == map_residual(sol)
+    rep = graphon_search(model, k=k, restarts=4, max_iter=30, seed=seed)
+    best = rep.maximizers[0]
+    assert type(rep.psi) is float and rep.psi == model.graphon_statistic(best) - rate_entropy(best)
+    assert rep.stationarity_residuals == [map_residual(best)]
+
+
+def test_kernel_solvers_bind_each_contraction_once():
+    # each solver builds one contraction per bound term and none after its
+    # loop: the fixed-point solver one per term with a nonzero coefficient,
+    # the search one per term for the statistic and one per such term
+    model = ModelSpec([(Motif.edge(), -0.3), (Motif.triangle(), 0.2), (Motif.star(2), 0.0),
+                       (Motif.cycle(4), -0.05)])
+    built = []
+    real_init = variational._Contraction.__init__
+
+    def counting_init(self, motif, *args):
+        built.append(motif)
+        real_init(self, motif, *args)
+
+    with mock.patch.object(variational._Contraction, "__init__", counting_init):
+        euler_lagrange_solve(model, StepGraphon.random(3, rng(5)))
+        assert len(built) == 3
+        with pytest.raises(ConvergenceError):
+            euler_lagrange_solve(model, StepGraphon.random(3, rng(5)), max_iter=2)
+        assert len(built) == 6
+        graphon_search(model, k=3, restarts=4, max_iter=20)
+        assert len(built) == 6 + 4 + 3
 
 
 def test_kernel_check_is_exact_and_refuses_nan():
