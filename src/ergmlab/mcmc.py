@@ -31,7 +31,18 @@ from .errors import (
     InstanceTooLargeError,
     OverflowGuardError,
 )
-from .graphs import Graph, Motif, _integer, _mask_bits, _rng_from_seed, _seed_key, _term, _vertex_pairs
+from .graphs import (
+    _PRODUCT_BLOCK_ENTRIES,
+    MAX_VERTICES,
+    Graph,
+    Motif,
+    _integer,
+    _mask_bits,
+    _rng_from_seed,
+    _seed_key,
+    _term,
+    _vertex_pairs,
+)
 
 # unused here; the benchmark's traced run (perfbench/tracing.py) wraps
 # mcmc.hom_density_graph_fast, so the name stays importable from this module
@@ -43,8 +54,8 @@ ENUMERATION_MAX_VERTICES = 6
 DENSE_MATRIX_MAX_PAIRS = 12
 CHI_SQUARE_MAX_VERTICES = 10_000
 # estimate_importance draws its graphs in row blocks of at most this many
-# uniforms (4 MB of 64-bit words)
-_DRAW_BLOCK_UNIFORMS = 2**19
+# edges (512 KiB of 64-bit words, one byte an edge: _edge_bits)
+_DRAW_BLOCK_EDGES = 2**19
 # chi_square_distance sums its weights in chunks this long, which stay in
 # cache, and stops after the first chunk past which the rest is provably below
 # e^_CHI_SQUARE_TAIL_LOG of the sum so far
@@ -772,6 +783,7 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     upper part, cycles take closed walks tr(A^k), edge-list motifs contract
     A under the count's guard). Each density is the term's density of its
     count (graphs._Term.density), as hom_density_graph and the chain form it.
+    An entry of bits other than 0 or 1 raises DomainError.
     """
     n = _integer(n, "n", 1, "batch_motif_densities")
     m = math.comb(n, 2)
@@ -779,6 +791,12 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
         raise DomainError(f"bits must be a 2-D array of edge-indicator rows, got {np.ndim(bits)} dimensions")
     if bits.shape[1] != m:
         raise DomainError(f"bits must have {m} columns for n = {n}")
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // max(1, m))
+    for lo in range(0, bits.shape[0], step):
+        rows = bits[lo : lo + step]
+        bad = rows[(rows != 0) & (rows != 1)]
+        if bad.size:
+            raise DomainError(f"bits must hold 0/1 edge indicators, got {bad[0].item()!r}")
     out = np.empty((bits.shape[0], len(motifs)))
     for col, term in enumerate(map(_term, motifs)):
         out[:, col] = term.density(term.batch(bits, n), n)
@@ -832,12 +850,31 @@ class EstimatorResult:
 
 
 def _edge_bits(rng: np.random.Generator, shape, p: float) -> np.ndarray:
-    """(rng.random(shape) < p).astype(np.int8), bit for bit and to the same
-    stream position, with no float drawn: the Philox uniform of a 64-bit word
-    x is (x >> 11) 2^-53, which is below p in (0, 1) exactly when
-    x < ceil(p 2^53) 2^11."""
-    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
-    return (rng.bit_generator.random_raw(shape) < threshold).view(np.int8)
+    """An int8 array of the given (rows, m) shape of independent edge
+    indicators, each 1 with probability ceil(p 2^61) 2^-61: exactly p for
+    every p >= 2^-9.
+
+    Edge t reads byte t of ceil(rows m / 8) raw 64-bit words, taken
+    little-endian so that a seed gives the same graphs on any platform. With
+    p 256 = b0 + r, b0 an integer and 0 <= r < 1 (both exact), a byte below
+    b0 is an edge and a byte above it is not. A byte equal to b0 (1 in 256)
+    reads one more word, drawn after the block's words in edge order, and is
+    an edge where that word's uniform (x >> 11) 2^-53 is below r, that is
+    where x < ceil(r 2^53) 2^11. So each edge compares the uniform
+    (byte + (x >> 11) 2^-53) / 256 with p exactly, reading only as many bits
+    as the comparison needs (Knuth and Yao's lazy rule)."""
+    rows, m = shape
+    size = rows * m
+    r, b0 = math.modf(p * 256.0)
+    b0 = np.uint8(b0)
+    words = rng.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
+    draws = words.view(np.uint8)[:size].reshape(shape)
+    bits = draws < b0
+    ties = np.flatnonzero(draws == b0)
+    if ties.size:
+        threshold = np.uint64(math.ceil(r * 2.0**53) << 11)
+        bits.reshape(-1)[ties] = rng.bit_generator.random_raw(ties.size) < threshold
+    return bits.view(np.int8)
 
 
 def estimate_importance(
@@ -858,16 +895,20 @@ def estimate_importance(
     unnormalized chain law.
 
     The graphs are drawn, counted and folded into a running log-sum-exp in
-    blocks of max(1, 2^19 // C(n, 2)) graphs, at most 2^19 uniforms (4 MB),
-    which read the generator's stream in order; so memory is one block
-    whatever n_samples, and the first k blocks of a run are the draws of
-    any run with the same seed and at least k blocks. An edge is present
-    where its uniform is below proposal_p, compared on the raw 64-bit words
+    blocks of max(1, 2^19 // C(n, 2)) graphs, at most 2^19 edges (one byte
+    each of 512 KiB of raw words), which read the generator's stream in
+    order; so memory is one block whatever n_samples, and the first k
+    blocks of a run are the draws of any run with the same seed and at
+    least k blocks. An edge is present with probability exactly proposal_p
+    where proposal_p >= 2^-9, and ceil(proposal_p 2^61) 2^-61 below it
     (_edge_bits). Each term's density (graphs._Term.density) is of per_edge
     times the rows' edge counts, which the proposal mass reads too, where
     the term has an edge rule, and of its batch count of the rows otherwise.
+    n must be at most graphs.MAX_VERTICES (InstanceTooLargeError).
     """
     n = _integer(n, "n", 2, "importance sampling")
+    if n > MAX_VERTICES:
+        raise InstanceTooLargeError(f"instance too large: importance sampling supports n <= {MAX_VERTICES}, got {n}")
     n_samples = _integer(n_samples, "n_samples", 1, "importance sampling")
     if proposal_p is None:
         proposal_p = max(maximize_scalar(model).maximizers)
@@ -880,7 +921,7 @@ def estimate_importance(
     log_p, log_q = math.log(proposal_p), math.log1p(-proposal_p)
     num_log = -math.inf
     den_log = -math.inf
-    block = max(1, _DRAW_BLOCK_UNIFORMS // m)
+    block = max(1, _DRAW_BLOCK_EDGES // m)
     for lo in range(0, n_samples, block):
         bits = _edge_bits(rng, (min(block, n_samples - lo), m), proposal_p)
         edges = np.einsum("ij->i", bits, dtype=np.int32)

@@ -444,11 +444,13 @@ def _refine_brackets(edges, coefs, lo: np.ndarray, hi: np.ndarray) -> list[float
             lo, hi = np.where(turned, lo, mid), np.where(turned, mid, hi)
     x = 0.5 * (lo + hi)
     live, low, high = np.ones(len(x), dtype=bool), lo - 1e-12, hi + 1e-12
-    with np.errstate(all="ignore"):  # a step off an f'' of 0, inf or nan is dropped unwarned
+    # an f'' of 0 makes the step +-inf, or nan where f' is 0 too, and an f''
+    # of inf or nan a nan step: the bracket test drops each, unwarned
+    with np.errstate(all="ignore"):
         for _ in range(4):
             d2 = _second_derivative(edges, coefs.T, x)
             step = x - _objective_derivative(edges, coefs.T, x) / d2
-            live &= (d2 != 0.0) & (low <= step) & (step <= high)
+            live &= (low <= step) & (step <= high)
             step = np.minimum(np.maximum(step, 1e-300), 1.0 - 1e-16)
             live &= step != x
             if not live.any():

@@ -180,6 +180,9 @@ INPUT_ERRORS = [
     pytest.param("sample --n 1 --beta1 0.1", 2, "n >= 2", id="sample-n1"),
     pytest.param("estimate-z --method importance --beta1 0.1 --n 1 --samples 10", 2, "n >= 2",
                  id="importance-n1"),
+    # once a numpy memory error asking for a 3.64 TiB draw block
+    pytest.param("estimate-z --method importance --beta1 0.2 --beta2 0.1 --n 1000000 --samples 1", 2,
+                 "importance sampling supports n <= 4096", id="importance-n-too-large"),
     pytest.param("estimate-z --method mcmle --model model.txt --model0 model.txt --n 1 --samples 10",
                  2, "n >= 2", id="mcmle-n1"),
     pytest.param("estimate-z --method acceptance-ratio --model model.txt --model0 model.txt --n 1 "

@@ -93,14 +93,15 @@ RATIO = {
 
 # 3,000 samples at n = 30 span three draw blocks of 1,205 graphs, each
 # counted in several triangle row blocks; n = 6 draws its 100,000 samples in
-# three draw blocks
+# three draw blocks. Recorded once each edge read one byte of a raw word
+# (and a whole word on a tie, mcmc._edge_bits)
 IMPORTANCE = {
     "n30_three_blocks": (dict(model=ModelSpec.edge_triangle(0.2, 0.1), n=30, n_samples=3_000,
-                              seed=31), "0x1.a11e116d0b0c2p+8"),
+                              seed=31), "0x1.a11c2a7941b10p+8"),
     "n6_self_normalized": (dict(model=ModelSpec.edge_triangle(-0.3, 0.2), n=6, n_samples=100_000,
-                                seed=32, self_normalized=True), "0x1.b2186dc87f448p+2"),
+                                seed=32, self_normalized=True), "0x1.b17a50b953774p+2"),
     "n8_star": (dict(model=STAR_TRIANGLE, n=8, n_samples=5_000, seed=33),
-                "0x1.547d7f5e278e2p+4"),
+                "0x1.548e29bfc1d24p+4"),
 }
 
 
@@ -272,7 +273,8 @@ CLI_COMMANDS = {
         "extremal --motif triangle --beta1 0",
     "7905a28b7a18f4222754804630f69a8cb5aa9885d6e8daec4c72c5c847806469":
         "euler-lagrange --beta1 -0.3 --beta2 0.2 --blocks 3 --init random --seed 7",
-    "a3dd5ccc612669362ab2a97e01c5d29708ab7c9bf20a0e8e307bad9369f4510b":
+    # recorded once each importance edge read one byte of a raw word
+    "8b3b39ecd311f47d893a2e3f7dc9910960bb8c0eb9433dda60a7f22c82d712b9":
         "estimate-z --method importance --beta1 0.2 --beta2 0.1 --n 4 --samples 2000 --seed 5",
     "3e57416f5339e2a2226bd3728649cd41cc30484861b7272febc140dce93038fc":
         "estimate-z --method mcmle --model model.txt --model0 model0.txt --n 4 --samples 2000 --seed 5",

@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,7 +42,7 @@ from ergmlab.graphs import (
     count_homomorphisms,
     hom_density_graph,
 )
-from ergmlab.mcmc import (_DRAW_BLOCK_UNIFORMS, _edge_bits, _log_factorial, _log_odds, _log_odds_unit,
+from ergmlab.mcmc import (_DRAW_BLOCK_EDGES, _edge_bits, _log_factorial, _log_odds, _log_odds_unit,
                           _logsumexp, _model_terms, _on_probability, _rng_from_seed)
 from ergmlab.variational import ModelSpec, maximize_scalar
 from homomorphism_oracle import search_homomorphisms
@@ -406,6 +407,14 @@ def test_size_guards_raise_before_any_draw():
         (InstanceTooLargeError, "2 <= n", lambda: chi_square_distance("empty", 0.5, 1, 5)),
         (InstanceTooLargeError, "2 <= n", lambda: chi_square_distance("empty", 0.5, 10_001, 5)),
         (DomainError, "columns", lambda: batch_motif_densities([Motif.edge()], 4, np.zeros((2, 5)))),
+        # rows of 2s once read as a triangle density of 0.75
+        (DomainError, "0/1 edge indicators, got 2",
+         lambda: batch_motif_densities([Motif.triangle()], 4, np.full((2, 6), 2, dtype=np.int8))),
+        (DomainError, "0/1 edge indicators, got -1",
+         lambda: batch_motif_densities([Motif.edge()], 4, np.array([[0, 1, 0, 0, 1, 1], [1, 0, -1, 0, 0, 0]]))),
+        # n past the vertex cap once asked numpy for a 3.64 TiB draw block
+        (InstanceTooLargeError, "importance sampling supports n <= 4096",
+         lambda: estimate_importance(model, 1_000_000, 1, 0)),
         (DomainError, "finite", lambda: er_transition_matrix(nan, 3)),
         (DomainError, "finite", lambda: chi_square_distance("empty", nan, 10, 5)),
         (DomainError, "finite", lambda: run_chain(ChainConfig(6, steps=200, seed=1, er_beta=nan))),
@@ -830,8 +839,8 @@ def test_importance_memory_stays_bounded_at_large_n():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    # the triple gather gave the same bits
-    assert res.estimate_log.hex() == "0x1.2b1e8a02c4185p+14"
+    # recorded once each edge read one byte of a raw word (mcmc._edge_bits)
+    assert res.estimate_log.hex() == "0x1.2b1e1acd9d56cp+14"
 
 
 def test_importance_zero_variance_at_matched_proposal():
@@ -860,14 +869,17 @@ def test_importance_matches_enumeration():
 
 def test_importance_estimate_does_not_depend_on_the_draw_blocks():
     # the draw blocks read the generator's stream in order, so one, two or
-    # three and a part blocks give the log mean of the same leading draws
-    # taken in one piece, up to the rounding of the log-sum-exp
+    # three and a part blocks give the log mean of the same draws, taken
+    # block by block and summed in one piece, up to the rounding of the
+    # log-sum-exp
     model = ModelSpec.edge_triangle(0.2, 0.1)
     n, p = 30, 0.4
     m = math.comb(n, 2)
-    block = _DRAW_BLOCK_UNIFORMS // m
+    block = _DRAW_BLOCK_EDGES // m
     for n_samples in (block, 2 * block, 3 * block + 17):
-        bits = (_rng_from_seed(7).random((n_samples, m)) < p).astype(np.int8)
+        rng = _rng_from_seed(7)
+        bits = np.concatenate([_edge_bits(rng, (min(block, n_samples - lo), m), p)
+                               for lo in range(0, n_samples, block)])
         edges = bits.sum(axis=1)
         logw = n**2 * (batch_motif_densities(model.motifs, n, bits) @ np.array(model.betas))
         log_mass = edges * math.log(p) + (m - edges) * math.log1p(-p)
@@ -883,27 +895,112 @@ def test_importance_estimate_does_not_depend_on_the_draw_blocks():
 EDGE_BIT_PROBABILITIES = [5e-324, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 12345 * 2.0**-53]
 
 
+def _edge_uniform_below_p(byte, word, p):
+    """Whether the uniform (byte + (word >> 11) 2^-53) / 256 lies below p,
+    in exact rational arithmetic."""
+    return Fraction(byte) + Fraction(word >> 11, 2**53) < 256 * Fraction(p)
+
+
+def _scripted_words(*draws):
+    """A generator stand-in whose random_raw(size) returns the next of
+    draws, which must hold size words; sizes lists the sizes asked for."""
+    queue, sizes = list(draws), []
+
+    def random_raw(size):
+        sizes.append(size)
+        words = np.array(queue.pop(0), dtype=np.uint64)
+        assert words.shape == (size,)
+        return words
+
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw)), sizes
+
+
+def _little_endian_words(draws):
+    """The 64-bit words whose little-endian bytes are draws, padded to whole words."""
+    return [int.from_bytes(bytes(draws[lo : lo + 8]), "little") for lo in range(0, len(draws), 8)]
+
+
 @pytest.mark.parametrize("p", EDGE_BIT_PROBABILITIES)
-def test_edge_bits_match_the_float_draws_and_stream_position(p):
-    # the raw-word comparison gives the bits of rng.random(...) < p and
-    # leaves the stream where that draw leaves it
-    raw, floats = _rng_from_seed(11), _rng_from_seed(11)
-    bits = _edge_bits(raw, (300, 45), p)
-    assert bits.dtype == np.int8
-    assert np.array_equal(bits, (floats.random((300, 45)) < p).astype(np.int8))
-    assert np.array_equal(raw.random(7), floats.random(7))
+def test_edge_bits_read_a_byte_an_edge_and_a_word_a_tie(p):
+    # edge t reads byte t of the block's ceil(rows m / 8) words, taken
+    # little-endian; each byte equal to b0 = floor(256 p) then reads one more
+    # word, in edge order, and the stream ends where those reads leave it
+    rows, m = 300, 45
+    raw, twin = _rng_from_seed(11), _rng_from_seed(11)
+    bits = _edge_bits(raw, (rows, m), p)
+    words = twin.bit_generator.random_raw(-(-rows * m // 8)).tolist()
+    draws = b"".join(w.to_bytes(8, "little") for w in words)[: rows * m]
+    b0 = math.floor(256 * Fraction(p))
+    ties = [t for t, byte in enumerate(draws) if byte == b0]
+    assert ties
+    tie_words = dict(zip(ties, twin.bit_generator.random_raw(len(ties)).tolist()))
+    want = [int(_edge_uniform_below_p(byte, tie_words.get(t, 0), p)) for t, byte in enumerate(draws)]
+    assert bits.dtype == np.int8 and bits.shape == (rows, m)
+    assert bits.ravel().tolist() == want
+    assert np.array_equal(raw.random(7), twin.random(7))
 
 
 @pytest.mark.parametrize("p", EDGE_BIT_PROBABILITIES)
 def test_edge_bits_split_the_words_where_the_uniforms_cross_p(p):
-    # the words next to the threshold, which a short draw almost never
-    # meets: each bit is Philox's uniform (x >> 11) 2^-53 < p
-    edge = math.ceil(p * 2.0**53) << 11
+    # bytes below, at and above b0, and tie words next to the tie threshold
+    # ceil(r 2^53) 2^11, which a short draw almost never meets: each edge is
+    # the exact comparison of its uniform (byte + (word >> 11) 2^-53) / 256
+    # with p, and the draw reads its bytes' words and one word a tie, no more
+    scaled = 256 * Fraction(p)
+    b0 = math.floor(scaled)
+    edge = math.ceil((scaled - b0) * 2**53) << 11
     near = [edge + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)]
-    words = np.array([w for w in near + [0, 2047, 2048, 2**64 - 1] if 0 <= w < 2**64], dtype=np.uint64)
-    rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=words.reshape))
-    uniforms = (words >> np.uint64(11)) * 2.0**-53
-    assert np.array_equal(_edge_bits(rng, words.shape, p), (uniforms < p).astype(np.int8))
+    tie_words = [w for w in near + [0, 2047, 2048, 2**64 - 1] if 0 <= w < 2**64]
+    others = [b for b in (0, b0 - 1, b0 + 1, 255) if 0 <= b < 256 and b != b0]
+    draws = [b0] * len(tie_words) + others * 3
+    # three rows that end inside a word
+    while len(draws) % 3 or len(draws) % 8 == 0:
+        draws.append(others[0])
+    draws = [draws[t] for t in np.random.default_rng(3).permutation(len(draws))]
+    rows, m = 3, len(draws) // 3
+    ties = [t for t, byte in enumerate(draws) if byte == b0]
+    # the bytes past the last edge equal b0, and would ask for more words if read
+    words = _little_endian_words(draws + [b0] * 7)[: -(-rows * m // 8)]
+    rng, sizes = _scripted_words(words, tie_words)
+    bits = _edge_bits(rng, (rows, m), p)
+    tie_word = dict(zip(ties, tie_words))
+    want = [int(_edge_uniform_below_p(byte, tie_word.get(t, 0), p)) for t, byte in enumerate(draws)]
+    assert bits.ravel().tolist() == want
+    assert sizes == [-(-rows * m // 8), len(tie_words)]
+
+
+def _edge_probability(p):
+    """The probability that _edge_bits draws an edge at p, summed exactly over
+    the 256 byte values and, for the one byte that reads a tie word, the
+    2^64 words, found as the first word that draws no edge."""
+    total, tie_bytes = Fraction(0), 0
+    for byte in range(256):
+        rng, sizes = _scripted_words([byte], [0])
+        if _edge_bits(rng, (1, 1), p)[0, 0] and len(sizes) == 1:
+            total += 1
+        if len(sizes) == 2:
+            tie_bytes += 1
+            lo, hi = 0, 2**64
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _edge_bits(_scripted_words([byte], [mid])[0], (1, 1), p)[0, 0]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            total += Fraction(lo, 2**64)
+    assert tie_bytes == 1
+    return total / 256
+
+
+def test_edge_bits_draw_each_edge_with_probability_p_exactly():
+    # exact for every p >= 2^-9, where p 2^61 is an integer, and
+    # ceil(p 2^61) 2^-61 below it
+    gen = np.random.default_rng(5)
+    random_doubles = gen.random(12).tolist() + (gen.random(12) * 2.0 ** -gen.uniform(9, 60, 12)).tolist()
+    edge_cases = [5e-324, 2.0**-9, float(np.nextafter(2.0**-9, 0.0)), 1.0 - 2.0**-53]
+    for p in edge_cases + random_doubles:
+        want = Fraction(p) if p >= 2.0**-9 else Fraction(math.ceil(Fraction(p) * 2**61), 2**61)
+        assert _edge_probability(p) == want, p
 
 
 def test_mcmle_identity_ratio():

@@ -162,6 +162,23 @@ def test_maximizer_residual_within_rounding_bound(model):
         assert resid <= 4.0 * bound, (x, resid, bound)
 
 
+@pytest.mark.parametrize("beta1", [-1.0, -0.9, -1.1])
+@pytest.mark.parametrize("brackets", [1, 8])
+def test_newton_polish_keeps_its_point_where_f2_is_zero(beta1, brackets):
+    # f''(u) = 2 beta_star - 1 / (2 u (1 - u)) is exactly 0 at u = 1/2 for a
+    # 2-star coefficient of 1, so the polish's step is nan (f' = 0 at
+    # beta1 = -1) or +-inf (f' of either sign), which the bracket test drops;
+    # 1 bracket is bisected on floats and 8 in lockstep
+    assert 1 < variational._LOCKSTEP_MIN_BRACKETS <= 8
+    model = ModelSpec([(Motif.edge(), beta1), (Motif.star(2), 1.0)])
+    coefs = np.repeat([model.betas], brackets, axis=0)
+    half = np.full(brackets, 0.5)
+    assert variational._second_derivative(model.edges, coefs.T, half).tolist() == [0.0] * brackets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert variational._refine_brackets(model.edges, coefs, half, half.copy()) == [0.5] * brackets
+
+
 # -- applicability -----------------------------------------------------------------
 
 
