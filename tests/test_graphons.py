@@ -310,6 +310,19 @@ def test_negative_seed_runs_its_64_bit_residue():
     assert cut_norm_diff(f, g, seed=-1) == cut_norm_diff(f, g, seed=2**64 - 1)
 
 
+@pytest.mark.parametrize("seed", [2.5, "x", None])
+@pytest.mark.parametrize("k", [5, 30])
+def test_non_integer_seed_raises_on_every_path(seed, k):
+    # 5 blocks take the exact norm and the exhaustive distance, which draw
+    # nothing; 30 the alternating maximization and the annealed distance
+    r = rng(12)
+    f, g = StepGraphon.random(k, r), StepGraphon.random(k, r)
+    with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
+        cut_norm_diff(f, g, seed=seed)
+    with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
+        cut_distance_upper(f, g, seed=seed)
+
+
 # -- derivative operator -----------------------------------------------------------------
 
 
