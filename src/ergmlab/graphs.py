@@ -38,6 +38,10 @@ _BATCH_BLOCK_ENTRIES = 2**20
 # adjacency matrices of a batch work in blocks of about this many matrix
 # entries (256 KB of float32, 512 KB of float64)
 _PRODUCT_BLOCK_ENTRIES = 2**16
+# the exact inner product forms y @ z in row blocks of at least this many
+# rows, however wide the matrix (2 MB of float64 at MAX_VERTICES): at
+# n = 4096 the 16 rows of the entry budget ran BLAS at under half speed
+_PRODUCT_MIN_ROWS = 64
 # batch triangle counts take the stacked adjacency product from this n on and
 # the triple gather below it: per graph, the gather takes 0.16 us and the
 # product 0.21 us at n = 8, and 0.25 us against 0.22 us at n = 9
@@ -397,10 +401,15 @@ def _indicator_graph(n: int, row) -> Graph:
     return Graph._from_rows(n, _bit_rows(bits))
 
 
+@functools.lru_cache(maxsize=None)
 def _mask_bits(m: int) -> np.ndarray:
-    """The (2^m, m) int8 table whose row s holds the m bits of edge mask s."""
-    masks = np.arange(1 << m, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(m)[None, :]) & 1).astype(np.int8)
+    """The read-only (2^m, m) int8 table whose row s holds the m bits of
+    edge mask s, built once per m by unpacking the masks' bytes (480 KiB at
+    m = 15, six vertices)."""
+    masks = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    table = np.unpackbits(masks, axis=1, count=m, bitorder="little").view(np.int8)
+    table.flags.writeable = False
+    return table
 
 
 def _seed_key(seed: int) -> int:
@@ -838,7 +847,9 @@ class _EdgeTerm(_StarTerm):
     per_edge = 2  # each edge maps the motif's edge in both directions
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        return self.per_edge * bits.sum(axis=1)
+        # einsum sums short rows 2.7x as fast as sum(axis=1): 0.4 ms for the
+        # 2^15 masks of six vertices
+        return self.per_edge * np.einsum("ij->i", bits, dtype=np.int64)
 
 
 def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
@@ -949,7 +960,10 @@ class _TriangleTerm(_CycleTerm):
 def _closed_walks(a: np.ndarray, k: int):
     """tr(A^k), the closed walks of length k >= 2, of a 0/1 adjacency matrix
     or of each of a stack, exactly (see _exact_inner): <A^h, A^(k-h)> with
-    h = floor(k/2), contracting A^h against A^h A a block at a time for odd k."""
+    h = floor(k/2), contracting A^h against A^h A a block at a time for odd
+    k. Those blocks are float32 products, in limbs once A^h A passes 2^24,
+    so the only n x n matrices held are A and its powers, in the widths
+    _symmetric_power forms them."""
     x = _symmetric_power(a, k // 2)
     return _exact_inner(x, x, a if k % 2 else None)
 
@@ -1058,32 +1072,80 @@ def _exact_inner(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None):
     r n max(x) max(w) < 2^63, Python ints beyond).
 
     Works in blocks of about _PRODUCT_BLOCK_ENTRIES entries, whole matrices
-    of a stack or rows of one matrix, so y @ z is formed a block at a time,
-    in the width of the whole product. The row sums of x * w run in
-    _exact_width of n max(x) max(w), with int64 between 2^53 and 2^63.
+    of a stack or rows of one matrix, so y @ z is formed a block at a time;
+    its row blocks hold at least _PRODUCT_MIN_ROWS rows (64 rather than the
+    budget's 16 at n = 4096: cycle:5 of G(4096, 1/2) takes 3.4 s with 64
+    rows and 7.9 s with 16, one thread).
+    Every entry and partial sum of y @ z is at most m max(y) max(z), m the
+    width of y. Below 2^24 the product runs in float32 BLAS, at or beyond
+    2^53 in Python ints, and between the two in float32 limbs
+    (_limb_product) of the largest width b with m (2^b - 1) max(z) < 2^24
+    (14 bits at n = 1000, 12 at n = 4096), so neither z nor a block of y is
+    copied to float64 (8 MB for A at n = 1000, 128 MiB at n = 4096). Only
+    when m max(z) >= 2^24, which leaves no limb exact, does the product run
+    in float64. The row sums of x * w run in _exact_width of
+    n max(x) max(w), with int64 between 2^53 and 2^63.
     """
     if x.ndim == 2:
         return int(_exact_inner(x[None], y[None], z if z is None else z[None])[0])
     r, n = x.shape[1:]
     top = int(y.max())
     if z is not None:
-        top *= y.shape[-1] * int(z.max())  # bounds every entry and partial sum of y @ z
-        product_width = _exact_width(top)
+        span, limbs = y.shape[-1] * int(z.max()), 0  # m max(z)
+        product_width = _exact_width(top * span)  # bounds every entry and partial sum of y @ z
+        if product_width is np.float64 and span < 2**24:
+            bits = ((2**24 - 1) // span + 1).bit_length() - 1  # the largest with span (2^bits - 1) < 2^24
+            limbs, product_width = -(-top.bit_length() // bits), np.float32
+        top *= span
         z = _in_width(z, product_width)
     bound = n * int(x.max()) * top
     dtype = np.int64 if 2**53 <= bound < 2**63 else _exact_width(bound)
     exact = np.int64 if r * bound < 2**63 else object
     total = np.zeros(len(x), dtype=exact)
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // n)  # rows per block
-    per = max(1, step // r)  # matrices per block
+    rows = _PRODUCT_BLOCK_ENTRIES // n
+    step = max(1 if z is None else _PRODUCT_MIN_ROWS, rows)  # rows per block
+    per = max(1, rows // r)  # matrices per block
     for g in range(0, len(x), per):
         for lo in range(0, r, step):
             block = np.s_[g : g + per, lo : lo + step]
-            w = y[block] if z is None else _in_width(y[block], product_width) @ z[g : g + per]
+            if z is None:
+                w = y[block]
+            elif limbs:
+                w = _limb_product(y[block], z[g : g + per], bits, limbs)
+            else:
+                w = _in_width(y[block], product_width) @ z[g : g + per]
             xs, ws = _in_width(x[block], dtype), _in_width(w, dtype)
             sums = (xs * ws).sum(axis=2) if dtype is object else np.einsum("kij,kij->ki", xs, ws)
             total[g : g + per] += _in_width(sums, exact).sum(axis=1)
     return total
+
+
+def _limb_product(y: np.ndarray, z: np.ndarray, bits: int, limbs: int) -> np.ndarray:
+    """y @ z in float64 for a nonnegative integer y below 2^(bits limbs) and
+    a float32 z, exactly while y @ z < 2^53 and m (2^bits - 1) max(z) < 2^24
+    (m = y's width): the sum over l of 2^(bits l) (y_l @ z), with y_l the
+    base-2^bits digits of y.
+
+    Scaling by powers of two and flooring split y exactly in its own type
+    (float32 stays float32; numpy's float divmod takes 15x as long). The
+    digit blocks are stacked along the rows, so one float32 BLAS call
+    multiplies them all (two 65-row calls took 10% longer at n = 1000).
+    Each digit is below 2^bits, so every partial sum of y_l @ z stays
+    below 2^24, and the float64 sum, taken from the top limb down as
+    w = 2^bits w + y_l @ z, holds integers of at most the final entry.
+    """
+    rows = y.shape[-2]
+    digits = np.empty(y.shape[:-2] + (limbs * rows, y.shape[-1]), dtype=np.float32)
+    for l in range(limbs):
+        high = np.floor(y * 2.0**-bits)
+        digits[..., l * rows : (l + 1) * rows, :] = y - high * 2.0**bits
+        y = high
+    parts = digits @ z
+    w = parts[..., (limbs - 1) * rows :, :].astype(np.float64)
+    for l in reversed(range(limbs - 1)):
+        w *= 2.0**bits
+        w += parts[..., l * rows : (l + 1) * rows, :]
+    return w
 
 
 class _CompleteTerm(_Term):

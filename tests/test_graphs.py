@@ -216,6 +216,29 @@ def test_exact_product_and_inner_match_python_ints(n, mx, my, seed):
     w[:, 1] += y2[:, 0]
     contracted = sum(a * b for u, v in zip(x.tolist(), w.tolist()) for a, b in zip(u, v))
     assert _exact_inner(x.astype(np.float32), y2, z.astype(np.uint8)) == contracted
+    # <x2, y2 @ z> for an (n, 2) z whose column 1 is all ztop, so w[0, 1] is
+    # n my ztop: the case's bound for ztop = mx, n my for a 0/1 z. The
+    # product runs in float32, in float32 limbs (_LIMBS of each case) or,
+    # with no limb exact or beyond 2^53, in float64 or Python ints
+    for ztop, limbs in zip((mx, 1), _LIMBS[n]):
+        z = _int_matrix(r, 2, n, ztop, 1).T.astype(np.float32)
+        ys = np.stack([y2, _int_matrix(r, 3, n, my, 2)]).astype(np.float32 if my < 2**24 else np.float64)
+        xs = np.stack([_int_matrix(r, 3, 2, mx, 0) for _ in ys])
+        zs = np.stack([z, z[::-1]])
+        want = [sum(a * sum(b * c for b, c in zip(u, col)) for row, u in zip(x2.tolist(), y.tolist())
+                    for a, col in zip(row, z2.T.tolist()))
+                for x2, y, z2 in zip(xs, ys.astype(np.int64), zs.astype(np.int64))]
+        with mock.patch.object(graphs, "_limb_product", wraps=graphs._limb_product) as spy:
+            assert _exact_inner(xs[0], ys[0], zs[0]) == want[0], ztop
+            assert _exact_inner(xs, ys, zs).tolist() == want, ztop
+        assert [c.args[3] for c in spy.call_args_list] == ([limbs, limbs] if limbs else []), ztop
+
+
+# limbs of the y2 @ z products above, for z up to mx and for a 0/1 z: below
+# 2^24 none; 2^24 + 65279 in two 7-bit limbs; 2^53 - 1 with no exact limb
+# (n mx >= 2^24, so float64) or in three 11-bit ones for a 0/1 z; beyond
+# 2^53 in Python ints or in two 14-bit limbs for a 0/1 z
+_LIMBS = {255: (0, 0), 257: (2, 0), 6361: (0, 3), 1025: (0, 2)}
 
 
 def test_size_guard():
