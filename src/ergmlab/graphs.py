@@ -31,7 +31,7 @@ DIRECT_EINSUM_MAX_CELLS = 2**16
 # wider call is replanned as a greedy path under the DIRECT_EINSUM_MAX_CELLS
 # intermediate budget, which pairs them a few at a time
 _EINSUM_MAX_OPERANDS = 63
-# the batched star and triangle counts gather rows in blocks of at most this
+# the batched star, triangle and clique counts gather rows in blocks of at most this
 # many (row, index) entries, so each temporary stays near 1 MB whatever the batch
 _BATCH_BLOCK_ENTRIES = 2**20
 # the exact inner product (and the product it contracts) and the stacked
@@ -46,6 +46,13 @@ _PRODUCT_MIN_ROWS = 64
 # the triple gather below it: per graph, the gather takes 0.16 us and the
 # product 0.21 us at n = 8, and 0.25 us against 0.22 us at n = 9
 _TRIANGLE_PRODUCT_MIN_N = 9
+# batch clique counts gather the pair columns of every r-set while
+# C(n, r) C(r, 2) is at most this, and run the bitset recursion row by row
+# beyond: per G(n, 1/2) graph, complete:4 took 0.07 us against 6.8 us at
+# n = 6 and 37 us against 62 us at n = 20 (29,070 cells), and the recursion
+# was the faster from 63,756 cells for r = 4 (n = 24), 43,680 for r = 5
+# (n = 16) and 45,045 for r = 6 (n = 14)
+_CLIQUE_GATHER_MAX_CELLS = 2**15
 
 
 def _integer(value, what: str, least: int | None = None, who: str | None = None) -> int:
@@ -852,18 +859,24 @@ class _EdgeTerm(_StarTerm):
         return self.per_edge * np.einsum("ij->i", bits, dtype=np.int64)
 
 
-def _triangles_by_gather(bits: np.ndarray, n: int) -> np.ndarray:
-    """Triangles of each row: the triples whose three pair columns are all 1."""
+def _cliques_by_gather(bits: np.ndarray, n: int, r: int) -> np.ndarray:
+    """r-cliques of each row: the r-sets whose C(r, 2) pair columns are all 1,
+    in blocks of _BATCH_BLOCK_ENTRIES // C(n, r) rows (the triangle is r = 3)."""
     cols = np.zeros((n, n), dtype=np.intp)  # entry (i, j), i < j: the column of pair ij
     cols[_vertex_pairs(n)] = np.arange(math.comb(n, 2))
-    # the pairs ab, ac and bc of every triple a < b < c
-    a, b, c = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
-    ia, ib, ic = cols[a, b], cols[a, c], cols[b, c]
-    step = max(1, _BATCH_BLOCK_ENTRIES // max(1, ia.size))
+    # row a: the a-th vertex of every r-set, in lexicographic order
+    sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), r)), dtype=np.intp)
+    sets = sets.reshape(-1, r).T
+    # the pair columns of every r-set, one array per pair of its positions
+    first, *rest = (cols[sets[a], sets[b]] for a, b in itertools.combinations(range(r), 2))
+    step = max(1, _BATCH_BLOCK_ENTRIES // max(1, first.size))
     cnt = np.empty(bits.shape[0], dtype=np.int64)
     for lo in range(0, bits.shape[0], step):
         rows = bits[lo : lo + step]
-        cnt[lo : lo + step] = (rows[:, ia] & rows[:, ib] & rows[:, ic]).sum(axis=1)
+        on = rows[:, first]
+        for pair in rest:
+            on &= rows[:, pair]
+        cnt[lo : lo + step] = on.sum(axis=1)
     return cnt
 
 
@@ -953,8 +966,9 @@ class _TriangleTerm(_CycleTerm):
         return self.per_common * (g.rows[i] & g.rows[j]).bit_count()
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        by = _triangles_by_product if n >= _TRIANGLE_PRODUCT_MIN_N else _triangles_by_gather
-        return self.per_common * by(bits, n)
+        if n >= _TRIANGLE_PRODUCT_MIN_N:
+            return self.per_common * _triangles_by_product(bits, n)
+        return self.per_common * _cliques_by_gather(bits, n, 3)
 
 
 def _closed_walks(a: np.ndarray, k: int):
@@ -1152,8 +1166,11 @@ class _CompleteTerm(_Term):
     """hom(K_r, G) = r! times the r-cliques of G. The r-cliques that edge ij
     closes are ij plus an (r-2)-clique of G[C], C = N(i) & N(j), so the delta
     is r! times the (r-2)-cliques of G[C]: for complete:4, 24 times the edges
-    of G[C]. batch packs each graph's rows from the stacked adjacency
-    (_bit_rows), 11x faster than a contraction for complete:4 at n = 100.
+    of G[C]. batch gathers the pair columns of every r-set
+    (_cliques_by_gather) while C(n, r) C(r, 2) <= _CLIQUE_GATHER_MAX_CELLS,
+    and beyond packs each graph's rows from the stacked adjacency
+    (_bit_rows) for the bitset recursion, 11x faster than a contraction for
+    complete:4 at n = 100.
     """
 
     def count(self, g) -> int:
@@ -1164,9 +1181,13 @@ class _CompleteTerm(_Term):
         return math.factorial(r) * _cliques(g.rows, g.rows[i] & g.rows[j], r - 2)
 
     def batch(self, bits: np.ndarray, n: int) -> np.ndarray:
-        rows = (r for _, a in _adjacency_stacks(bits, n, np.uint8) for r in _bit_rows(a))
+        r = self.arg
+        # every count is at most n! / (n - r)!, so the gather's stays in int64
+        if r <= n and math.perm(n, r) < 2**63 and math.comb(n, r) * math.comb(r, 2) <= _CLIQUE_GATHER_MAX_CELLS:
+            return math.factorial(r) * _cliques_by_gather(bits, n, r)
+        rows = (row for _, a in _adjacency_stacks(bits, n, np.uint8) for row in _bit_rows(a))
         graphs = zip(*[rows] * n)  # each next n rows: one graph's
-        return _int_array([math.factorial(self.arg) * _cliques(g, (1 << n) - 1, self.arg) for g in graphs])
+        return _int_array([math.factorial(r) * _cliques(g, (1 << n) - 1, r) for g in graphs])
 
 
 def _cliques(rows, cand: int, s: int) -> int:

@@ -20,7 +20,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from math import lgamma
 
 import numpy as np
@@ -63,6 +63,11 @@ _CHI_SQUARE_CHUNK = 2**12
 _CHI_SQUARE_TAIL_LOG = -40.0
 # a Glauber chain's table of on-probabilities stops growing at this many keys
 _ON_PROBABILITY_TABLE_CAP = 4096
+# _count_table keeps at most this many (motif, n) tables of int64 counts, each
+# of at most 2^15 entries (256 KiB at n = 6): at most 8 MiB in all
+_COUNT_TABLES = 32
+# the multiplier that _mask_index packs the low bits of eight bytes with
+_BYTE_BITS = np.uint64(0x0102040810204080)
 
 
 # -- chain configuration and state ---------------------------------------------
@@ -607,10 +612,11 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
 
     The log-odds of setting pair t in state s are _log_odds' constant plus,
     for each term in model order, its scale times the term's change
-    counts[s | 2^t] - counts[s & ~2^t], with counts the term's batch counts
-    of all 2^m graphs (the table the exact weights read). Each distinct
-    log-odds gets its on-probability from _on_probability and neg_unit, as
-    a chain step does, so every entry has the bits of the chain's law.
+    counts[s | 2^t] - counts[s & ~2^t], with counts the term's cached count
+    table of all 2^m graphs (_count_table, which the exact weights read too).
+    Each distinct log-odds gets its on-probability from _on_probability and
+    neg_unit, as a chain step does, so every entry has the bits of the
+    chain's law.
     """
     m = _checked_pairs(n, 2, DENSE_MATRIX_MAX_PAIRS, "dense chain matrix")
     neg_unit, constant, weighted = _log_odds(_model_terms(model), n)
@@ -619,7 +625,7 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
     on, off = states | flips, states & ~flips
     expo = np.full(bits.shape, constant)
     for scale, term in weighted:
-        counts = term.batch(bits, n)
+        counts = _count_table(term.motif, n)
         # exact integer changes, rounded to doubles as the chain's scale * delta rounds them
         expo += scale * (counts[on] - counts[off]).astype(float)
     values, where = np.unique(expo, return_inverse=True)
@@ -628,13 +634,42 @@ def glauber_transition_matrix(model: ModelSpec, n: int) -> np.ndarray:
 
 
 def model_log_weights(model: ModelSpec, n: int) -> np.ndarray:
-    """log of exp(n^2 T(G)) over all graphs, in edge-mask order: each term's
-    density of its batch counts of the cached 0/1 mask table, which needs
-    none of batch_motif_densities' checks."""
-    m = _checked_pairs(n, 1, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
-    bits = _mask_bits(m)
-    dens = np.column_stack([t.density(t.batch(bits, n), n) for t in map(_term, model.motifs)])
-    return _log_weights(dens, np.array(model.betas), n)
+    """log of exp(n^2 T(G)) over all graphs, in edge-mask order: the log
+    weights of each term's density of its cached count table
+    (_density_table), which needs none of batch_motif_densities' checks."""
+    _checked_pairs(n, 1, math.comb(ENUMERATION_MAX_VERTICES, 2), "enumeration")
+    return _log_weights(_density_table(model, n), np.array(model.betas), n)
+
+
+def _density_table(model: ModelSpec, n: int) -> np.ndarray:
+    """The (2^C(n, 2), terms) densities of every graph in edge-mask order,
+    column i the density of term i's count table (graphs._Term.density)."""
+    return np.column_stack([_term(h).density(_count_table(h, n), n) for h in model.motifs])
+
+
+def _count_table(motif: Motif, n: int) -> np.ndarray:
+    """The read-only counts of motif's term over all 2^C(n, 2) graphs in
+    edge-mask order (the rows of _mask_bits), n <= ENUMERATION_MAX_VERTICES:
+    the term's own batch of the mask table, so each count has the bits of
+    any batch of that graph. model_log_weights, glauber_transition_matrix and
+    the table path of estimate_importance read it.
+
+    A table is kept when its counts fit int64 (n^v < 2^63, v the vertices of
+    the term's motif: v <= 24 at n = 6), at most _COUNT_TABLES of them, the
+    least recently used dropped first: 8 MiB at most. The others are counted
+    on every call.
+    """
+    term = _term(motif)
+    if n**term.motif.vertex_count >= 2**63:
+        return term.batch(_mask_bits(math.comb(n, 2)), n)
+    return _kept_count_table(motif, n)
+
+
+@lru_cache(maxsize=_COUNT_TABLES)
+def _kept_count_table(motif: Motif, n: int) -> np.ndarray:
+    table = _term(motif).batch(_mask_bits(math.comb(n, 2)), n)
+    table.flags.writeable = False
+    return table
 
 
 def _log_weights(dens: np.ndarray, betas: np.ndarray, n: int) -> np.ndarray:
@@ -781,7 +816,8 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
     lexicographic order. Each term's batch counts the rows exactly, in
     blocks of fixed size, so no temporary grows with the rows: stars gather
     degree columns, triangles below n = 9 the pair columns of every triple,
-    and the others stack the rows' adjacency matrices A (cliques pack
+    cliques those of every r-set while C(n, r) C(r, 2) <= 2^15, and the
+    others stack the rows' adjacency matrices A (cliques beyond pack
     bitmask rows from A, triangles sum (A+ @ A+) * A+ over its strictly
     upper part, cycles take closed walks tr(A^k), edge-list motifs contract
     A under the count's guard). Each density is the term's density of its
@@ -810,7 +846,9 @@ def batch_motif_densities(motifs: list[Motif], n: int, bits: np.ndarray) -> np.n
 
 
 def enumerate_psi_n(model: ModelSpec, n: int) -> float:
-    """Exact scaled log normalizing constant by summing over all 2^C(n,2) graphs, n <= 6."""
+    """Exact scaled log normalizing constant by summing over all 2^C(n,2)
+    graphs, n <= 6: the log-sum-exp of model_log_weights, which reads the
+    cached count tables, over n^2."""
     logw = model_log_weights(model, n)
     return float(_logsumexp(logw)) / n**2
 
@@ -907,7 +945,19 @@ def estimate_importance(
     (_edge_bits). Each term's density (graphs._Term.density) is of per_edge
     times the rows' edge counts, which the proposal mass reads too, where
     the term has an edge rule, and of its batch count of the rows otherwise.
+    A drawn graph whose log weight is +inf or nan raises OverflowGuardError.
     n must be at most graphs.MAX_VERTICES (InstanceTooLargeError).
+
+    At n <= ENUMERATION_MAX_VERTICES with n_samples >= 2^C(n, 2), so that
+    no more graphs are counted than are drawn, each block reads its rows'
+    term densities and log masses by their edge masks (_mask_index) from
+    tables over all 2^C(n, 2) graphs (_density_table, from the cached count
+    tables) instead of counting the rows: the same floats, in a block of
+    the same shape, so the block's statistic is the same matrix-vector
+    product and every estimate keeps its bits. (A table of whole log
+    weights would not be: the BLAS rounds the last rows of a product of
+    eight or more terms, and numpy a one-row product, otherwise than the
+    same rows inside a longer product.)
     """
     n = _integer(n, "n", 2, "importance sampling")
     if n > MAX_VERTICES:
@@ -922,27 +972,62 @@ def estimate_importance(
     betas = np.array(model.betas)
     terms = [_term(motif) for motif in model.motifs]
     log_p, log_q = math.log(proposal_p), math.log1p(-proposal_p)
+    if self_normalized:
+        def log_mass(edges):  # up to the proposal's normalizing constant
+            return edges * (log_p - log_q)
+    else:
+        def log_mass(edges):
+            return edges * log_p + (m - edges) * log_q
+    tables = None
+    if n <= ENUMERATION_MAX_VERTICES and n_samples >= 1 << m:
+        # the term densities and the log mass of every graph, in edge-mask order
+        tables = _density_table(model, n), log_mass(np.einsum("ij->i", _mask_bits(m), dtype=np.int32))
     num_log = -math.inf
     den_log = -math.inf
     block = max(1, _DRAW_BLOCK_EDGES // m)
     for lo in range(0, n_samples, block):
         bits = _edge_bits(rng, (min(block, n_samples - lo), m), proposal_p)
-        edges = np.einsum("ij->i", bits, dtype=np.int32)
-        dens = np.column_stack([t.density(t.batch(bits, n) if t.per_edge is None else t.per_edge * edges, n)
-                                for t in terms])
-        stat = _log_weights(dens, betas, n)
-        if self_normalized:
-            log_qbar = edges * (log_p - log_q)
-            num_log = np.logaddexp(num_log, _logsumexp(stat - log_qbar))
-            den_log = np.logaddexp(den_log, _logsumexp(-log_qbar))
+        if tables is None:
+            edges = np.einsum("ij->i", bits, dtype=np.int32)
+            dens = np.column_stack([t.density(t.batch(bits, n) if t.per_edge is None else t.per_edge * edges, n)
+                                    for t in terms])
+            mass = log_mass(edges)
         else:
-            log_mass = edges * log_p + (m - edges) * log_q
-            num_log = np.logaddexp(num_log, _logsumexp(stat - log_mass))
+            masks = _mask_index(bits)
+            dens, mass = (np.take(t, masks, axis=0) for t in tables)
+        stat = _log_weights(dens, betas, n)
+        num_log = np.logaddexp(num_log, _logsumexp(stat - mass))
+        if self_normalized:
+            den_log = np.logaddexp(den_log, _logsumexp(-mass))
     if self_normalized:
         estimate_log = num_log - den_log + m * math.log(2.0)
     else:
         estimate_log = num_log - math.log(n_samples)
     return EstimatorResult(float(estimate_log), n_samples, "importance", seed)
+
+
+def _mask_index(bits: np.ndarray) -> np.ndarray:
+    """The edge mask of each row of a C-ordered int8 0/1 matrix of 1 to 16
+    columns: its row index in _mask_bits.
+
+    Eight 0/1 bytes b_0, ..., b_7 read as the little-endian word x = sum b_i
+    2^(8i) give (x * _BYTE_BITS) >> 56 = sum b_i 2^i: with _BYTE_BITS = sum
+    2^(56 - 7k), k = 0..7, the product is the sum of b_i 2^(56 + 8i - 7k),
+    whose exponent differs for every (i, k), so no two terms meet and
+    nothing carries; k = i puts b_i on bit 56 + i (modulo 2^64, which drops
+    only terms above bit 63). A row of eight or more reads its first and its
+    last eight bytes; a shorter one the eight from its start, in a copy with
+    eight zero bytes after the last row, of which it keeps its own.
+    """
+    rows, m = bits.shape
+    if m >= 8:
+        word = partial(np.ndarray, (rows,), "<u8", bits, strides=(m,))
+        masks = word(offset=0) * _BYTE_BITS >> 56 | (word(offset=m - 8) * _BYTE_BITS >> 56) << (m - 8)
+    else:
+        padded = np.zeros(rows * m + 8, dtype=np.int8)
+        padded[: rows * m] = bits.reshape(-1)
+        masks = (np.ndarray((rows,), "<u8", padded, strides=(m,)) & (2 ** (8 * m) - 1)) * _BYTE_BITS >> 56
+    return masks.view(np.int64)
 
 
 def estimate_mcmle(

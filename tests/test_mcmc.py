@@ -893,25 +893,27 @@ def test_importance_estimate_does_not_depend_on_the_draw_blocks():
     # the draw blocks read the generator's stream in order, so one, two or
     # three and a part blocks give the log mean of the same draws, taken
     # block by block and summed in one piece, up to the rounding of the
-    # log-sum-exp
+    # log-sum-exp; at n = 6 each block reads its weights from the count
+    # tables (every run draws at least the 2^15 graphs)
     model = ModelSpec.edge_triangle(0.2, 0.1)
-    n, p = 30, 0.4
-    m = math.comb(n, 2)
-    block = _DRAW_BLOCK_EDGES // m
-    for n_samples in (block, 2 * block, 3 * block + 17):
-        rng = _rng_from_seed(7)
-        bits = np.concatenate([_edge_bits(rng, (min(block, n_samples - lo), m), p)
-                               for lo in range(0, n_samples, block)])
-        edges = bits.sum(axis=1)
-        logw = n**2 * (batch_motif_densities(model.motifs, n, bits) @ np.array(model.betas))
-        log_mass = edges * math.log(p) + (m - edges) * math.log1p(-p)
-        log_qbar = edges * (math.log(p) - math.log1p(-p))
-        want = _logsumexp(logw - log_mass) - math.log(n_samples)
-        want_sn = _logsumexp(logw - log_qbar) - _logsumexp(-log_qbar) + m * math.log(2.0)
-        got = estimate_importance(model, n, n_samples, seed=7, proposal_p=p)
-        got_sn = estimate_importance(model, n, n_samples, seed=7, proposal_p=p, self_normalized=True)
-        assert got.estimate_log == pytest.approx(want, rel=1e-14)
-        assert got_sn.estimate_log == pytest.approx(want_sn, rel=1e-14)
+    p = 0.4
+    for n in (30, 6):
+        m = math.comb(n, 2)
+        block = _DRAW_BLOCK_EDGES // m
+        for n_samples in (block, 2 * block, 3 * block + 17):
+            rng = _rng_from_seed(7)
+            bits = np.concatenate([_edge_bits(rng, (min(block, n_samples - lo), m), p)
+                                   for lo in range(0, n_samples, block)])
+            edges = bits.sum(axis=1)
+            logw = n**2 * (batch_motif_densities(model.motifs, n, bits) @ np.array(model.betas))
+            log_mass = edges * math.log(p) + (m - edges) * math.log1p(-p)
+            log_qbar = edges * (math.log(p) - math.log1p(-p))
+            want = _logsumexp(logw - log_mass) - math.log(n_samples)
+            want_sn = _logsumexp(logw - log_qbar) - _logsumexp(-log_qbar) + m * math.log(2.0)
+            got = estimate_importance(model, n, n_samples, seed=7, proposal_p=p)
+            got_sn = estimate_importance(model, n, n_samples, seed=7, proposal_p=p, self_normalized=True)
+            assert got.estimate_log == pytest.approx(want, rel=1e-14)
+            assert got_sn.estimate_log == pytest.approx(want_sn, rel=1e-14)
 
 
 EDGE_BIT_PROBABILITIES = [5e-324, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 12345 * 2.0**-53]

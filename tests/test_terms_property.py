@@ -12,6 +12,7 @@ count and density, which read the term, agree with the search too.
 """
 
 import itertools
+import math
 import types
 from unittest import mock
 
@@ -161,3 +162,20 @@ def test_zero_row_batch_has_the_dtype_of_one_empty_row(spec, n):
     none, one = term.batch(np.zeros((0, m), np.int8), n), term.batch(np.zeros((1, m), np.int8), n)
     assert none.shape == (0,) and one.tolist() == [0]
     assert none.dtype == one.dtype == (object if spec == "star:7" else np.int64)
+
+
+# complete:r on both sides of the gather's bound, C(n, r) C(r, 2) <= 2^15:
+# r = 4 gathers at n = 20 (29,070 cells) and recurses at n = 21 (35,910), r = 5
+# at n = 15 (30,030) and 16 (43,680), r = 6 at n = 13 (25,740) and 14 (45,045)
+CLIQUE_SIDES = [(4, 20, True), (4, 21, False), (5, 15, True), (5, 16, False), (6, 13, True), (6, 14, False)]
+
+
+@pytest.mark.parametrize("r, n, gathers", CLIQUE_SIDES)
+def test_clique_batch_matches_brute_force_on_both_sides_of_the_gather(r, n, gathers):
+    bits = (np.random.default_rng(n).random((3, n * (n - 1) // 2)) < 0.7).astype(np.int8)
+    bits[0] = 1
+    with mock.patch.object(graphs, "_cliques_by_gather", wraps=graphs._cliques_by_gather) as gather:
+        counts = _term(Motif.complete(r)).batch(bits, n)
+    assert gather.called == gathers
+    assert counts.tolist() == [search_homomorphisms(Motif.complete(r), _indicator_graph(n, row)) for row in bits]
+    assert counts[0] == math.perm(n, r)
